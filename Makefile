@@ -7,6 +7,7 @@
 #   make loadtest        race-enabled overload/loadtest suite for the server
 #   make loadtest-cluster  3-node ring invariant harness under -race
 #   make corpus-roundtrip  import → export → re-import fingerprint gate via the CLI
+#   make servebench-test   the serving benchmark's self-test (its own module)
 #   make bench-baseline  full benchmark run, recorded to BENCH_fig_pipeline.json
 #   make bench-smoke     1-iteration benchmark pass (fast; same JSON output)
 
@@ -30,7 +31,7 @@ BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|
 # per-query allocations.
 ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites
 
-.PHONY: check ci serve vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip
+.PHONY: check ci serve vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test
 
 check: vet build race bench-smoke corpus-roundtrip
 
@@ -68,6 +69,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzImportJSONL -fuzztime $(FUZZTIME) ./internal/corpusstore
 	$(GO) test -run '^$$' -fuzz FuzzImportCSV -fuzztime $(FUZZTIME) ./internal/corpusstore
 	$(GO) test -run '^$$' -fuzz FuzzParseRef -fuzztime $(FUZZTIME) ./internal/corpusstore
+	$(GO) test -run '^$$' -fuzz FuzzOpenFSManifest -fuzztime $(FUZZTIME) ./internal/corpusstore
+	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime $(FUZZTIME) ./internal/peering
 
 # soak escalates the metamorphic differential harness: each -count rerun
 # shares the process, so the suites draw a fresh seed block per rerun
@@ -141,3 +144,10 @@ benchgate-allocs:
 	$(GO) test -run '^$$' -bench '$(ALLOC_GATE_PATTERN)' -benchmem -benchtime 1x ./... \
 		| $(GO) run ./cmd/benchjson -compare BENCH_fig_pipeline.json \
 			-alloc-gate '$(ALLOC_GATE_PATTERN)' -alloc-tolerance $(ALLOC_TOLERANCE) > /dev/null
+
+# servebench-test runs the serving benchmark's self-test. servebench/ is
+# a separate module (it replaces cuisinevol with ../), so the root
+# `go test ./...` never enters it: this target is what catches an
+# internal API change that breaks the benchmark.
+servebench-test:
+	cd servebench && $(GO) test ./...

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -175,5 +177,98 @@ func FuzzImportCSV(f *testing.F) {
 	f.Add([]byte("ingredients\ntomato|basil\n"))                  // missing region column
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzImport(t, data, FormatCSV)
+	})
+}
+
+// FuzzOpenFSManifest feeds arbitrary bytes to OpenFS as the manifest of
+// a store directory holding two payloads, plus a file beside the store.
+// Every input must end as an error or as a consistent store: each
+// listed entry has a well-formed unique ID and a payload of its
+// recorded size, the byte and entry totals match the listing, corpora/
+// holds exactly the listed payloads (the rest went to quarantine), the
+// file outside the store is untouched, and reopening changes nothing.
+// No input may panic or leave a partly loaded store.
+func FuzzOpenFSManifest(f *testing.F) {
+	a, b := testID('a'), testID('b')
+	payloads := map[string]string{a: "alpha", b: "bravo!!"}
+	valid := fmt.Sprintf(`{"version":1,"entries":[`+
+		`{"id":%q,"name":"x","version":1,"recipes":1,"regions":1,"bytes":5},`+
+		`{"id":%q,"name":"x","version":2,"recipes":1,"regions":1,"bytes":7}]}`, a, b)
+	f.Add([]byte(valid))
+	f.Add([]byte(strings.Replace(valid, `"bytes":7`, `"bytes":8`, 1)))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "store")
+		if err := os.MkdirAll(filepath.Join(dir, corporaDir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for id, data := range payloads {
+			if err := os.WriteFile(filepath.Join(dir, corporaDir, id+payloadExt), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outside := filepath.Join(root, "outside"+payloadExt)
+		if err := os.WriteFile(outside, []byte("bravo!!"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := OpenFS(dir, 0)
+		if data, rerr := os.ReadFile(outside); rerr != nil || string(data) != "bravo!!" {
+			t.Fatalf("file outside the store disturbed: %q, %v", data, rerr)
+		}
+		if err != nil {
+			return
+		}
+		infos, err := s.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		listed := make(map[string]bool)
+		for _, info := range infos {
+			if !hexIDRe.MatchString(info.ID) || listed[info.ID] {
+				t.Fatalf("listed malformed or duplicate id %q", info.ID)
+			}
+			listed[info.ID] = true
+			data, _, err := s.Get(info.ID)
+			if err != nil || int64(len(data)) != info.Bytes {
+				t.Fatalf("listed entry %s unreadable: %d bytes, %v", info.ID, len(data), err)
+			}
+			sum += info.Bytes
+		}
+		if used, n := s.Bytes(); used != sum || n != len(infos) {
+			t.Fatalf("store accounts %d bytes in %d entries, listing has %d in %d", used, n, sum, len(infos))
+		}
+		files, err := os.ReadDir(filepath.Join(dir, corporaDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fe := range files {
+			if !listed[strings.TrimSuffix(fe.Name(), payloadExt)] {
+				t.Fatalf("unlisted payload %s left in %s", fe.Name(), corporaDir)
+			}
+		}
+		if len(files) != len(infos) {
+			t.Fatalf("%d payload files for %d entries", len(files), len(infos))
+		}
+
+		again, err := OpenFS(dir, 0)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if q := again.Quarantined(); len(q) != 0 {
+			t.Fatalf("reopen quarantined %v", q)
+		}
+		reinfos, err := again.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(reinfos) != fmt.Sprint(infos) {
+			t.Fatalf("reopen lists %v, want %v", reinfos, infos)
+		}
 	})
 }

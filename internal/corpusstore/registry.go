@@ -2,10 +2,13 @@ package corpusstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/kit"
 	"cuisinevol/internal/recipe"
 )
 
@@ -15,6 +18,7 @@ type RegistryStats struct {
 	Loads         uint64 // store loads executed (singleflight-deduplicated)
 	LoadHits      uint64 // Resolves served from a memoized corpus
 	LoadMisses    uint64 // Resolves that had to load (or join an in-flight load)
+	Evictions     uint64 // memoized corpora evicted to fit the memo budget
 	LoadedBytes   int64  // serialized bytes of memoized corpora
 	LoadedEntries int    // memoized corpora
 	Puts          uint64 // corpora registered (distinct content)
@@ -23,46 +27,51 @@ type RegistryStats struct {
 	StoreEntries  int    // corpora in the backing store
 }
 
+// memoBudget bounds the registry memo at 64 MiB of serialized corpus
+// bytes, the same default as the result and index caches. Every append
+// registers a full corpus version, so without a bound a stream of
+// appends would grow memory without limit; an evicted corpus reloads
+// from the store on its next Resolve.
+const memoBudget = 64 << 20
+
 // Registry owns named corpora on top of a content-addressed Store. It
 // assigns name@version bindings at registration, resolves references
 // (name, name@version, or raw fingerprint), and memoizes loaded
-// *recipe.Corpus values behind singleflight so concurrent requests for
-// a cold corpus trigger exactly one store read + parse.
+// *recipe.Corpus values in a byte-budget LRU behind singleflight, so
+// concurrent requests for a cold corpus trigger exactly one store read
+// + parse.
 //
-// Loaded corpora are immutable; a Delete drops the memo entry and the
-// stored bytes but never touches a loaded corpus another request still
-// pins, so in-flight work completes against the version it resolved.
-// Safe for concurrent use.
+// Loaded corpora are immutable; a Delete or an eviction drops the memo
+// entry but never touches a loaded corpus another request still pins,
+// so in-flight work completes against the version it resolved. Safe
+// for concurrent use.
 type Registry struct {
 	store Store
 	lex   *ingredient.Lexicon
 
 	mu       sync.Mutex
 	versions map[string]map[int]string // name -> version -> id
-	loaded   map[string]*loadedCorpus  // id -> memoized corpus
-	flight   map[string]*loadCall      // id -> in-flight load
 
-	loads, loadHits, loadMisses, puts, deletes uint64
-	loadedBytes                                int64
+	memo    *kit.LRU[loadedCorpus] // id -> corpus, costed by serialized bytes
+	loading kit.Group[loadedCorpus]
+
+	loads, puts, deletes atomic.Uint64
 }
 
 type loadedCorpus struct {
 	corpus *recipe.Corpus
-	bytes  int64
-}
-
-// loadCall is one in-flight load; waiters block on done.
-type loadCall struct {
-	done   chan struct{}
-	corpus *recipe.Corpus
 	info   Info
-	err    error
 }
 
 // NewRegistry builds a registry over store, rebuilding the name table
 // from the store's manifest (so an FSStore-backed registry comes up
 // warm after a restart). lex nil selects the built-in lexicon.
 func NewRegistry(store Store, lex *ingredient.Lexicon) (*Registry, error) {
+	return newRegistry(store, lex, memoBudget)
+}
+
+// newRegistry is NewRegistry with the memo budget as a parameter.
+func newRegistry(store Store, lex *ingredient.Lexicon, budget int64) (*Registry, error) {
 	if lex == nil {
 		lex = ingredient.Builtin()
 	}
@@ -74,8 +83,7 @@ func NewRegistry(store Store, lex *ingredient.Lexicon) (*Registry, error) {
 		store:    store,
 		lex:      lex,
 		versions: make(map[string]map[int]string),
-		loaded:   make(map[string]*loadedCorpus),
-		flight:   make(map[string]*loadCall),
+		memo:     kit.NewLRU[loadedCorpus](budget),
 	}
 	for _, info := range infos {
 		if err := ValidateName(info.Name); err != nil || info.Version < 1 {
@@ -168,11 +176,8 @@ func (r *Registry) Register(name string, corpus *recipe.Corpus) (Info, error) {
 	byVersion[version] = id
 	// The registered corpus is hot by construction — memoize it so the
 	// first request for it doesn't reload what we just serialized.
-	if _, ok := r.loaded[id]; !ok {
-		r.loaded[id] = &loadedCorpus{corpus: corpus, bytes: info.Bytes}
-		r.loadedBytes += info.Bytes
-	}
-	r.puts++
+	r.memo.Put(id, loadedCorpus{corpus: corpus, info: info}, info.Bytes)
+	r.puts.Add(1)
 	return info, nil
 }
 
@@ -218,61 +223,37 @@ func (r *Registry) Resolve(ref string) (*recipe.Corpus, Info, error) {
 		return nil, Info{}, err
 	}
 
-	r.mu.Lock()
-	if lc, ok := r.loaded[id]; ok {
-		// The memo can outlive the store entry (delete-while-pinned);
-		// report whatever Info the store still has, falling back to a
-		// minimal one.
-		info, serr := r.store.Stat(id)
-		if serr != nil {
-			info = Info{ID: id, Recipes: lc.corpus.Len(), Regions: len(lc.corpus.Regions()), Bytes: lc.bytes}
+	if lc, ok := r.memo.Get(id); ok {
+		return lc.corpus, lc.info, nil
+	}
+	lc, err, _ := r.loading.Do(context.Background(), id, func(context.Context) (loadedCorpus, error) {
+		// A load that completed between the memo miss and this call's
+		// leadership already memoized the corpus.
+		if lc, ok := r.memo.Peek(id); ok {
+			return lc, nil
 		}
-		r.loadHits++
-		r.mu.Unlock()
-		return lc.corpus, info, nil
-	}
-	r.loadMisses++
-	if call, ok := r.flight[id]; ok {
-		r.mu.Unlock()
-		<-call.done
-		return call.corpus, call.info, call.err
-	}
-	call := &loadCall{done: make(chan struct{})}
-	r.flight[id] = call
-	r.loads++
-	r.mu.Unlock()
-
-	call.corpus, call.info, call.err = r.load(id)
-	close(call.done)
-
-	r.mu.Lock()
-	delete(r.flight, id)
-	if call.err == nil {
-		if _, ok := r.loaded[id]; !ok {
-			r.loaded[id] = &loadedCorpus{corpus: call.corpus, bytes: call.info.Bytes}
-			r.loadedBytes += call.info.Bytes
-		}
-	}
-	r.mu.Unlock()
-	return call.corpus, call.info, call.err
+		r.loads.Add(1)
+		return r.load(id)
+	}, func(lc loadedCorpus) { r.memo.Put(id, lc, lc.info.Bytes) })
+	return lc.corpus, lc.info, err
 }
 
 // load reads and parses one corpus from the store, verifying content
 // addressing end to end: the parsed corpus must reproduce the ID it
 // was stored under.
-func (r *Registry) load(id string) (*recipe.Corpus, Info, error) {
+func (r *Registry) load(id string) (loadedCorpus, error) {
 	data, info, err := r.store.Get(id)
 	if err != nil {
-		return nil, Info{}, err
+		return loadedCorpus{}, err
 	}
 	corpus, err := recipe.ReadJSONL(bytes.NewReader(data), r.lex)
 	if err != nil {
-		return nil, Info{}, fmt.Errorf("%w: %s does not parse: %v", ErrCorrupt, id, err)
+		return loadedCorpus{}, fmt.Errorf("%w: %s does not parse: %v", ErrCorrupt, id, err)
 	}
 	if got := corpus.Fingerprint(); got != id {
-		return nil, Info{}, fmt.Errorf("%w: %s loads with fingerprint %s", ErrCorrupt, id, got)
+		return loadedCorpus{}, fmt.Errorf("%w: %s loads with fingerprint %s", ErrCorrupt, id, got)
 	}
-	return corpus, info, nil
+	return loadedCorpus{corpus: corpus, info: info}, nil
 }
 
 // List returns every registered corpus, sorted by (Name, Version).
@@ -301,27 +282,27 @@ func (r *Registry) Delete(ref string) (Info, error) {
 			delete(r.versions, info.Name)
 		}
 	}
-	if lc, ok := r.loaded[id]; ok {
-		r.loadedBytes -= lc.bytes
-		delete(r.loaded, id)
-	}
-	r.deletes++
+	// Drop any in-flight load before removing the memo entry, so a load
+	// racing this delete cannot memoize the corpus after it.
+	r.loading.Drop(func(key string) bool { return key == id })
+	r.memo.Take(id)
+	r.deletes.Add(1)
 	return info, nil
 }
 
 // Stats returns a snapshot of the registry counters.
 func (r *Registry) Stats() RegistryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	memo := r.memo.Stats()
 	storeBytes, storeEntries := r.store.Bytes()
 	return RegistryStats{
-		Loads:         r.loads,
-		LoadHits:      r.loadHits,
-		LoadMisses:    r.loadMisses,
-		LoadedBytes:   r.loadedBytes,
-		LoadedEntries: len(r.loaded),
-		Puts:          r.puts,
-		Deletes:       r.deletes,
+		Loads:         r.loads.Load(),
+		LoadHits:      memo.Hits,
+		LoadMisses:    memo.Misses,
+		Evictions:     memo.Evictions,
+		LoadedBytes:   memo.Bytes,
+		LoadedEntries: memo.Entries,
+		Puts:          r.puts.Load(),
+		Deletes:       r.deletes.Load(),
 		StoreBytes:    storeBytes,
 		StoreEntries:  storeEntries,
 	}

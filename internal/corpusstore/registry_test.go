@@ -288,3 +288,136 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// gatedStore holds each Get after it has read the payload, so a test
+// can act while a load is in flight.
+type gatedStore struct {
+	Store
+	read    chan struct{} // one send per Get, after the read
+	release chan struct{} // Gets return once this is closed
+}
+
+func (s *gatedStore) Get(id string) ([]byte, Info, error) {
+	data, info, err := s.Store.Get(id)
+	s.read <- struct{}{}
+	<-s.release
+	return data, info, err
+}
+
+// TestRegistryDeleteDuringLoadDoesNotResurrect: a corpus deleted while
+// its load is in flight must not land in the memo when the load
+// completes. The waiting Resolve still gets the corpus (it resolved
+// before the delete), but afterwards nothing is memoized and a Resolve
+// by fingerprint reports ErrNotFound.
+func TestRegistryDeleteDuringLoadDoesNotResurrect(t *testing.T) {
+	mem := NewMemStore(0)
+	seed, err := NewRegistry(mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := seed.Register("r", testCorpus(t, "sumac"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := &gatedStore{Store: mem, read: make(chan struct{}, 1), release: make(chan struct{})}
+	reg, err := NewRegistry(gs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := reg.Resolve("r")
+		done <- err
+	}()
+	<-gs.read
+	if _, err := reg.Delete("r"); err != nil {
+		t.Fatal(err)
+	}
+	close(gs.release)
+	if err := <-done; err != nil {
+		t.Fatalf("in-flight Resolve: %v", err)
+	}
+
+	if st := reg.Stats(); st.LoadedEntries != 0 || st.LoadedBytes != 0 || st.StoreEntries != 0 {
+		t.Fatalf("deleted corpus resurrected in the memo: %+v", st)
+	}
+	if _, _, err := reg.Resolve(info.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Resolve(fingerprint) after delete = %v, want ErrNotFound", err)
+	}
+}
+
+// TestRegistryMemoBudget streams appends — successive versions of one
+// growing corpus — past a small memo budget. The memo stays within the
+// budget, evicted versions reload from the store with their fingerprint
+// verified, and a corpus pinned before its eviction stays usable.
+func TestRegistryMemoBudget(t *testing.T) {
+	ingredients := []string{"tomato", "basil", "rice", "garlic", "oregano", "cumin", "thyme", "saffron"}
+	var raws []ingest.RawRecipe
+	var versions []*recipe.Corpus
+	for j := 0; j < 24; j++ {
+		raws = append(raws, ingest.RawRecipe{
+			Region:      []string{"ITA", "KOR"}[j%2],
+			Ingredients: []string{ingredients[j%8], ingredients[(j+1)%8], ingredients[(j+3)%8]},
+		})
+		c, _, err := ingest.Ingest(raws, ingest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, c)
+	}
+	var last writerBuffer
+	if err := versions[len(versions)-1].WriteJSONL(&last); err != nil {
+		t.Fatal(err)
+	}
+	budget := 3 * int64(len(last.data)) // a few versions, far fewer than all
+
+	reg, err := newRegistry(NewMemStore(0), nil, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBudget := func(when string) {
+		t.Helper()
+		if st := reg.Stats(); st.LoadedBytes > budget {
+			t.Fatalf("%s: memo holds %d bytes, budget %d", when, st.LoadedBytes, budget)
+		}
+	}
+	infos := make([]Info, len(versions))
+	var pinned *recipe.Corpus
+	for i, c := range versions {
+		if infos[i], err = reg.Register("stream", c); err != nil {
+			t.Fatal(err)
+		}
+		if infos[i].Version != i+1 {
+			t.Fatalf("version %d registered as %s", i+1, infos[i].Ref())
+		}
+		checkBudget(fmt.Sprintf("after registering v%d", i+1))
+		if i == 0 {
+			if pinned, _, err = reg.Resolve("stream@1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := reg.Stats()
+	if st.Evictions == 0 || st.LoadedEntries >= len(versions) {
+		t.Fatalf("stream of %d versions never evicted: %+v", len(versions), st)
+	}
+	if pinned.Fingerprint() != infos[0].ID || pinned.Len() != versions[0].Len() {
+		t.Fatal("corpus pinned before its eviction is unusable")
+	}
+
+	loads := st.Loads
+	for i, info := range infos {
+		got, gotInfo, err := reg.Resolve(info.Ref())
+		if err != nil {
+			t.Fatalf("Resolve(%s): %v", info.Ref(), err)
+		}
+		if got.Fingerprint() != info.ID || gotInfo.ID != info.ID || got.Len() != versions[i].Len() {
+			t.Fatalf("Resolve(%s) = %s, want %s", info.Ref(), got.Fingerprint(), info.ID)
+		}
+		checkBudget("after resolving " + info.Ref())
+	}
+	if reg.Stats().Loads == loads {
+		t.Fatal("evicted versions resolved without reloading from the store")
+	}
+}

@@ -90,14 +90,19 @@ type Store interface {
 	Bytes() (int64, int)
 }
 
-// sortInfos orders infos by (Name, Version) — the stable listing order
-// every implementation returns.
+// sortInfos orders infos by (Name, Version), then ID — the stable
+// listing order every implementation returns. The ID tie-break keeps
+// the order total even for a manifest that binds one name@version
+// twice.
 func sortInfos(infos []Info) {
 	sort.Slice(infos, func(i, j int) bool {
 		if infos[i].Name != infos[j].Name {
 			return infos[i].Name < infos[j].Name
 		}
-		return infos[i].Version < infos[j].Version
+		if infos[i].Version != infos[j].Version {
+			return infos[i].Version < infos[j].Version
+		}
+		return infos[i].ID < infos[j].ID
 	})
 }
 

@@ -1,12 +1,13 @@
 package itemset
 
 import (
-	"container/list"
+	"context"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/kit"
 )
 
 // IndexKey derives the canonical cache key for one corpus slice's
@@ -48,44 +49,18 @@ type IndexCacheStats struct {
 // BuildIndex run, and completed indexes are retained until the budget
 // forces eviction. Safe for concurrent use.
 type IndexCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	order   *list.List // front = most recently used; values are *indexEntry
-	entries map[string]*list.Element
-	flight  map[string]*indexCall
+	lru    *kit.LRU[*Index] // costed by Index.Bytes
+	flight kit.Group[*Index]
 
-	builds, hits, misses, evictions, invalidations uint64
-	arrays, bitsets, runs, bytesSaved              uint64
-}
-
-type indexEntry struct {
-	key string
-	ix  *Index
-}
-
-// indexCall is one in-flight build; waiters block on done. dropped is
-// set (under IndexCache.mu) when the build's fingerprint is invalidated
-// mid-flight: waiters still receive the built index — it is immutable
-// and valid — but the completion must not cache it, or a deleted
-// corpus's index would resurrect and sit on the byte budget.
-type indexCall struct {
-	done    chan struct{}
-	ix      *Index
-	err     error
-	dropped bool
+	builds, invalidations        atomic.Uint64
+	arrays, bitsets, runs, saved atomic.Uint64
 }
 
 // NewIndexCache returns a cache bounded at budget bytes of retained
 // index memory. budget <= 0 disables retention: every Get builds (still
 // singleflight-coalesced with concurrent identical Gets).
 func NewIndexCache(budget int64) *IndexCache {
-	return &IndexCache{
-		budget:  budget,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
-		flight:  make(map[string]*indexCall),
-	}
+	return &IndexCache{lru: kit.NewLRU[*Index](budget)}
 }
 
 // Get returns the index cached under key, building it from source's
@@ -94,81 +69,27 @@ func NewIndexCache(budget int64) *IndexCache {
 // error is propagated to every waiter and nothing is cached. The
 // returned Index is immutable and remains valid after eviction.
 func (c *IndexCache) Get(key string, source func() ([][]ingredient.ID, error)) (*Index, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.order.MoveToFront(el)
-		ix := el.Value.(*indexEntry).ix
-		c.mu.Unlock()
+	if ix, ok := c.lru.Get(key); ok {
 		return ix, nil
 	}
-	c.misses++
-	if call, ok := c.flight[key]; ok {
-		c.mu.Unlock()
-		<-call.done
-		return call.ix, call.err
-	}
-	call := &indexCall{done: make(chan struct{})}
-	c.flight[key] = call
-	c.builds++
-	c.mu.Unlock()
-
-	call.ix, call.err = buildFromSource(source)
-	close(call.done)
-
-	c.mu.Lock()
-	delete(c.flight, key)
-	if call.err == nil {
-		c.countContainers(call.ix)
-	}
-	switch {
-	case call.dropped:
-		// Invalidated while building: hand the result to waiters but
-		// keep it out of the cache, and count the drop with the entries
-		// InvalidateFingerprint removed directly.
-		c.invalidations++
-	case call.err == nil:
-		c.put(key, call.ix)
-	}
-	c.mu.Unlock()
-	return call.ix, call.err
-}
-
-// buildFromSource materializes the transactions and builds the index.
-func buildFromSource(source func() ([][]ingredient.ID, error)) (*Index, error) {
-	txs, err := source()
-	if err != nil {
-		return nil, err
-	}
-	return BuildIndex(txs)
-}
-
-// put inserts under c.mu, evicting LRU entries to fit the budget.
-// Indexes larger than the whole budget are returned to callers but not
-// retained.
-func (c *IndexCache) put(key string, ix *Index) {
-	size := ix.Bytes()
-	if size > c.budget {
-		return
-	}
-	if _, ok := c.entries[key]; ok {
-		// A racing build for the same key already landed; same content
-		// fingerprint implies an equivalent index — keep the incumbent.
-		return
-	}
-	for c.used+size > c.budget {
-		back := c.order.Back()
-		if back == nil {
-			break
+	ix, err, _ := c.flight.Do(context.Background(), key, func(context.Context) (*Index, error) {
+		// A build that completed between the cache miss and this call's
+		// leadership already cached the index.
+		if ix, ok := c.lru.Peek(key); ok {
+			return ix, nil
 		}
-		ev := back.Value.(*indexEntry)
-		c.order.Remove(back)
-		delete(c.entries, ev.key)
-		c.used -= ev.ix.Bytes()
-		c.evictions++
-	}
-	c.entries[key] = c.order.PushFront(&indexEntry{key: key, ix: ix})
-	c.used += size
+		c.builds.Add(1)
+		txs, err := source()
+		if err != nil {
+			return nil, err
+		}
+		ix, err := BuildIndex(txs)
+		if err == nil {
+			c.countContainers(ix)
+		}
+		return ix, err
+	}, func(ix *Index) { c.lru.Put(key, ix, ix.Bytes()) })
+	return ix, err
 }
 
 // Put inserts an externally built index — a LiveIndex snapshot derived
@@ -180,26 +101,19 @@ func (c *IndexCache) put(key string, ix *Index) {
 // when it is actually inserted — repeated Puts of one memoized snapshot
 // must not inflate the totals.
 func (c *IndexCache) Put(key string, ix *Index) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	before := len(c.entries)
-	c.put(key, ix)
-	if len(c.entries) != before {
+	if c.lru.Put(key, ix, ix.Bytes()) {
 		c.countContainers(ix)
 	}
 }
 
 // countContainers accumulates one index's container mix into the cache
-// telemetry. Caller holds c.mu.
+// telemetry.
 func (c *IndexCache) countContainers(ix *Index) {
 	st := ix.ContainerStats()
-	c.arrays += uint64(st.Arrays)
-	c.bitsets += uint64(st.Bitsets)
-	c.runs += uint64(st.Runs)
-	c.bytesSaved += uint64(st.BytesSaved())
+	c.arrays.Add(uint64(st.Arrays))
+	c.bitsets.Add(uint64(st.Bitsets))
+	c.runs.Add(uint64(st.Runs))
+	c.saved.Add(uint64(st.BytesSaved()))
 }
 
 // InvalidateFingerprint removes every cached index derived from the
@@ -211,45 +125,31 @@ func (c *IndexCache) countContainers(ix *Index) {
 // byte-deterministic after removal, exactly as after eviction.
 func (c *IndexCache) InvalidateFingerprint(fp string) int {
 	prefix := fp + "|"
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for key, el := range c.entries {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		c.order.Remove(el)
-		delete(c.entries, key)
-		c.used -= el.Value.(*indexEntry).ix.Bytes()
-		removed++
-	}
-	c.invalidations += uint64(removed)
+	match := func(key string) bool { return strings.HasPrefix(key, prefix) }
 	// Builds still in flight for this fingerprint must not land in the
 	// cache when they complete — without this, a Get racing the
-	// invalidation resurrects the deleted corpus's index.
-	for key, call := range c.flight {
-		if strings.HasPrefix(key, prefix) {
-			call.dropped = true
-		}
-	}
+	// invalidation resurrects the deleted corpus's index. Marking them
+	// first means any build that lands before the mark is removed below.
+	dropped := c.flight.Drop(match)
+	removed := c.lru.RemoveFunc(match)
+	c.invalidations.Add(uint64(dropped + removed))
 	return removed
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *IndexCache) Stats() IndexCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.lru.Stats()
 	return IndexCacheStats{
-		Builds:           c.builds,
-		Hits:             c.hits,
-		Misses:           c.misses,
-		Evictions:        c.evictions,
-		Invalidations:    c.invalidations,
-		Bytes:            c.used,
-		Entries:          len(c.entries),
-		ContainerArrays:  c.arrays,
-		ContainerBitsets: c.bitsets,
-		ContainerRuns:    c.runs,
-		BytesSaved:       c.bytesSaved,
+		Builds:           c.builds.Load(),
+		Hits:             st.Hits,
+		Misses:           st.Misses,
+		Evictions:        st.Evictions,
+		Invalidations:    c.invalidations.Load(),
+		Bytes:            st.Bytes,
+		Entries:          st.Entries,
+		ContainerArrays:  c.arrays.Load(),
+		ContainerBitsets: c.bitsets.Load(),
+		ContainerRuns:    c.runs.Load(),
+		BytesSaved:       c.saved.Load(),
 	}
 }

@@ -1,4 +1,4 @@
-package server
+package kit
 
 import (
 	"context"
@@ -9,11 +9,14 @@ import (
 	"time"
 )
 
+// discard is the keep function of calls whose results go nowhere.
+func discard([]byte) {}
+
 // TestFlightCoalescesConcurrentCalls holds the single execution open
 // until all 8 callers have joined, then releases it — a deterministic
 // proof that concurrent duplicate calls share one execution.
 func TestFlightCoalescesConcurrentCalls(t *testing.T) {
-	g := newFlightGroup()
+	g := &Group[[]byte]{}
 	const n = 8
 	var executions atomic.Int32
 	joined := make(chan struct{}, n)
@@ -32,7 +35,7 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 				executions.Add(1)
 				<-release
 				return []byte("v"), nil
-			})
+			}, discard)
 		}(i)
 	}
 	// Wait until every goroutine is launched and the leader is inside fn,
@@ -70,7 +73,7 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 // path: the computation's context must be cancelled exactly when the
 // last interested caller gives up.
 func TestFlightCancelPropagatesWhenAllWaitersLeave(t *testing.T) {
-	g := newFlightGroup()
+	g := &Group[[]byte]{}
 	computeCancelled := make(chan struct{})
 	started := make(chan struct{})
 
@@ -82,7 +85,7 @@ func TestFlightCancelPropagatesWhenAllWaitersLeave(t *testing.T) {
 			<-cctx.Done()
 			close(computeCancelled)
 			return nil, cctx.Err()
-		})
+		}, discard)
 		done <- err
 	}()
 	<-started
@@ -100,7 +103,7 @@ func TestFlightCancelPropagatesWhenAllWaitersLeave(t *testing.T) {
 // TestFlightComputationSurvivesOneWaiterLeaving: with two waiters, one
 // cancelling must not kill the computation the other still wants.
 func TestFlightComputationSurvivesOneWaiterLeaving(t *testing.T) {
-	g := newFlightGroup()
+	g := &Group[[]byte]{}
 	release := make(chan struct{})
 	started := make(chan struct{})
 
@@ -116,7 +119,7 @@ func TestFlightComputationSurvivesOneWaiterLeaving(t *testing.T) {
 			case <-cctx.Done():
 				return nil, cctx.Err()
 			}
-		})
+		}, discard)
 		doneA <- err
 	}()
 	<-started
@@ -128,7 +131,7 @@ func TestFlightComputationSurvivesOneWaiterLeaving(t *testing.T) {
 		valB, errB, _ = g.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
 			t.Error("second caller must join, not recompute")
 			return nil, nil
-		})
+		}, discard)
 		close(doneB)
 	}()
 	// Wait until B has actually joined (waiter count 2), then abandon A;

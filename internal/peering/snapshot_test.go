@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -78,7 +77,7 @@ func TestSnapshotOverwriteIsAtomicReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if strings.HasPrefix(f.Name(), ".snapshot-") {
+		if f.Name() != filepath.Base(path) {
 			t.Fatalf("temp file %s left behind", f.Name())
 		}
 	}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
 )
 
 // resultKey addresses a cached result by content: the SHA-256 of
@@ -20,112 +18,4 @@ func resultKey(fingerprint, endpoint, params string) string {
 	h.Write([]byte{0})
 	h.Write([]byte(params))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// resultCache is an LRU byte cache with a total-size budget. Values are
-// immutable rendered response bodies; eviction walks from the least
-// recently used entry until the budget holds.
-type resultCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	order   *list.List // front = most recently used; values are *cacheEntry
-	entries map[string]*list.Element
-
-	hits, misses, evictions uint64
-}
-
-type cacheEntry struct {
-	key string
-	val []byte
-}
-
-// newResultCache returns a cache bounded at budget bytes (counting only
-// body bytes; bookkeeping overhead is ignored). budget <= 0 disables
-// caching entirely: every Get misses and Put is a no-op.
-func newResultCache(budget int64) *resultCache {
-	return &resultCache{
-		budget:  budget,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
-	}
-}
-
-// Get returns the cached body for key, marking it most recently used.
-func (c *resultCache) Get(key string) ([]byte, bool) {
-	return c.get(key, true)
-}
-
-// Peek is Get without touching the hit/miss counters — for
-// double-checked lookups that would otherwise double-count a request.
-func (c *resultCache) Peek(key string) ([]byte, bool) {
-	return c.get(key, false)
-}
-
-func (c *resultCache) get(key string, count bool) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		if count {
-			c.misses++
-		}
-		return nil, false
-	}
-	if count {
-		c.hits++
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-// Put inserts a body under key, evicting LRU entries to fit the budget.
-// Bodies larger than the whole budget are not cached.
-func (c *resultCache) Put(key string, val []byte) {
-	size := int64(len(val))
-	if size > c.budget {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Same content hash ⇒ same bytes; just refresh recency.
-		c.order.MoveToFront(el)
-		return
-	}
-	for c.used+size > c.budget {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*cacheEntry)
-		c.order.Remove(back)
-		delete(c.entries, ev.key)
-		c.used -= int64(len(ev.val))
-		c.evictions++
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-	c.used += size
-}
-
-// Entries returns a copy of the cached entries ordered least-recently
-// used first — the order the peering snapshot stores them in, so a
-// restore that replays Puts front to back reconstructs the recency
-// order. Values are the cache's immutable bodies (never mutated by the
-// cache or its callers), so sharing the slices is safe.
-func (c *resultCache) Entries() []cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]cacheEntry, 0, len(c.entries))
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*cacheEntry))
-	}
-	return out
-}
-
-// Stats returns cumulative hit/miss/eviction counters and current usage.
-func (c *resultCache) Stats() (hits, misses, evictions uint64, used int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.used, len(c.entries)
 }

@@ -5,62 +5,6 @@ import (
 	"testing"
 )
 
-func TestCachePutGet(t *testing.T) {
-	c := newResultCache(1024)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put("a", []byte("alpha"))
-	v, ok := c.Get("a")
-	if !ok || string(v) != "alpha" {
-		t.Fatalf("got (%q, %v)", v, ok)
-	}
-	hits, misses, _, used, entries := c.Stats()
-	if hits != 1 || misses != 1 || used != 5 || entries != 1 {
-		t.Fatalf("stats: hits=%d misses=%d used=%d entries=%d", hits, misses, used, entries)
-	}
-}
-
-func TestCacheEvictsLRUUnderBudget(t *testing.T) {
-	c := newResultCache(10)
-	c.Put("a", []byte("aaaa")) // 4 bytes
-	c.Put("b", []byte("bbbb")) // 8 bytes total
-	c.Get("a")                 // a is now most recently used
-	c.Put("c", []byte("cccc")) // 12 > 10: evict LRU (b)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted (LRU)")
-	}
-	for _, key := range []string{"a", "c"} {
-		if _, ok := c.Get(key); !ok {
-			t.Fatalf("%s should have survived", key)
-		}
-	}
-	_, _, evictions, used, _ := c.Stats()
-	if evictions != 1 || used != 8 {
-		t.Fatalf("evictions=%d used=%d", evictions, used)
-	}
-}
-
-func TestCacheRejectsOversizedBody(t *testing.T) {
-	c := newResultCache(4)
-	c.Put("big", []byte("too large"))
-	if _, ok := c.Get("big"); ok {
-		t.Fatal("oversized body cached")
-	}
-	_, _, _, used, entries := c.Stats()
-	if used != 0 || entries != 0 {
-		t.Fatalf("used=%d entries=%d", used, entries)
-	}
-}
-
-func TestCacheZeroBudgetDisables(t *testing.T) {
-	c := newResultCache(0)
-	c.Put("a", []byte("x"))
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("zero-budget cache stored an entry")
-	}
-}
-
 func TestResultKeySeparatesComponents(t *testing.T) {
 	// The key must be injective over its three components: moving bytes
 	// across the component boundary must change the hash.

@@ -193,7 +193,7 @@ func (s *Server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	invalidated := s.indexes.InvalidateFingerprint(info.ID)
-	s.live.drop(info.ID)
+	s.live.Take(info.ID)
 	body, err := marshalDeterministic(map[string]any{
 		"deleted":             toCorpusRow(info),
 		"invalidated_indexes": invalidated,

@@ -10,6 +10,7 @@ import (
 
 	"cuisinevol/internal/corpusstore"
 	"cuisinevol/internal/itemset"
+	"cuisinevol/internal/kit"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. They span
@@ -101,7 +102,7 @@ func (m *metrics) observe(endpoint string, status int, seconds float64) {
 // WriteTo renders the registry in Prometheus text exposition format
 // (version 0.0.4). Families and label values are emitted in sorted
 // order.
-func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.IndexCache, registry *corpusstore.Registry, live *liveSet) error {
+func (m *metrics) WriteTo(w io.Writer, cache *kit.LRU[[]byte], indexes *itemset.IndexCache, registry *corpusstore.Registry, live *kit.LRU[*itemset.LiveIndex]) error {
 	m.mu.Lock()
 	endpoints := make([]string, 0, len(m.requests))
 	for ep := range m.requests {
@@ -148,22 +149,22 @@ func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.Inde
 	}
 	m.mu.Unlock()
 
-	hits, misses, evictions, used, entries := cache.Stats()
+	cst := cache.Stats()
 	appendf("# HELP cuisinevol_cache_hits_total Result-cache hits.\n")
 	appendf("# TYPE cuisinevol_cache_hits_total counter\n")
-	appendf("cuisinevol_cache_hits_total %d\n", hits)
+	appendf("cuisinevol_cache_hits_total %d\n", cst.Hits)
 	appendf("# HELP cuisinevol_cache_misses_total Result-cache misses.\n")
 	appendf("# TYPE cuisinevol_cache_misses_total counter\n")
-	appendf("cuisinevol_cache_misses_total %d\n", misses)
+	appendf("cuisinevol_cache_misses_total %d\n", cst.Misses)
 	appendf("# HELP cuisinevol_cache_evictions_total Entries evicted to fit the byte budget.\n")
 	appendf("# TYPE cuisinevol_cache_evictions_total counter\n")
-	appendf("cuisinevol_cache_evictions_total %d\n", evictions)
+	appendf("cuisinevol_cache_evictions_total %d\n", cst.Evictions)
 	appendf("# HELP cuisinevol_cache_bytes Bytes of response bodies currently cached.\n")
 	appendf("# TYPE cuisinevol_cache_bytes gauge\n")
-	appendf("cuisinevol_cache_bytes %d\n", used)
+	appendf("cuisinevol_cache_bytes %d\n", cst.Bytes)
 	appendf("# HELP cuisinevol_cache_entries Entries currently cached.\n")
 	appendf("# TYPE cuisinevol_cache_entries gauge\n")
-	appendf("cuisinevol_cache_entries %d\n", entries)
+	appendf("cuisinevol_cache_entries %d\n", cst.Entries)
 
 	ist := indexes.Stats()
 	appendf("# HELP cuisinevol_index_builds_total Corpus-index builds executed (singleflight-deduplicated).\n")
@@ -210,6 +211,9 @@ func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.Inde
 	appendf("# HELP cuisinevol_corpus_load_misses_total Corpus resolutions that had to load (or join an in-flight load).\n")
 	appendf("# TYPE cuisinevol_corpus_load_misses_total counter\n")
 	appendf("cuisinevol_corpus_load_misses_total %d\n", rst.LoadMisses)
+	appendf("# HELP cuisinevol_corpus_evictions_total Memoized corpora evicted to fit the memo byte budget.\n")
+	appendf("# TYPE cuisinevol_corpus_evictions_total counter\n")
+	appendf("cuisinevol_corpus_evictions_total %d\n", rst.Evictions)
 	appendf("# HELP cuisinevol_corpus_puts_total Corpora registered (distinct content).\n")
 	appendf("# TYPE cuisinevol_corpus_puts_total counter\n")
 	appendf("cuisinevol_corpus_puts_total %d\n", rst.Puts)
@@ -229,7 +233,11 @@ func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.Inde
 	appendf("# TYPE cuisinevol_corpus_store_entries gauge\n")
 	appendf("cuisinevol_corpus_store_entries %d\n", rst.StoreEntries)
 
-	liveHeads, liveEpochs := live.snapshotStats()
+	heads := live.All()
+	var liveEpochs uint64
+	for _, h := range heads {
+		liveEpochs += h.Value.Epoch()
+	}
 	appendf("# HELP cuisinevol_live_appends_total Corpus appends served through an incremental live-index head.\n")
 	appendf("# TYPE cuisinevol_live_appends_total counter\n")
 	appendf("cuisinevol_live_appends_total %d\n", m.liveAppends.Load())
@@ -244,7 +252,7 @@ func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.Inde
 	appendf("cuisinevol_live_snapshots_total %d\n", m.liveSnapshots.Load())
 	appendf("# HELP cuisinevol_live_heads Live-index write heads currently retained.\n")
 	appendf("# TYPE cuisinevol_live_heads gauge\n")
-	appendf("cuisinevol_live_heads %d\n", liveHeads)
+	appendf("cuisinevol_live_heads %d\n", len(heads))
 	appendf("# HELP cuisinevol_live_epochs Summed mutation epochs across retained live heads.\n")
 	appendf("# TYPE cuisinevol_live_epochs gauge\n")
 	appendf("cuisinevol_live_epochs %d\n", liveEpochs)

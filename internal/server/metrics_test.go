@@ -74,6 +74,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 		"cuisinevol_index_hits_total":                "counter",
 		"cuisinevol_index_misses_total":              "counter",
 		"cuisinevol_index_evictions_total":           "counter",
+		"cuisinevol_corpus_evictions_total":          "counter",
 		"cuisinevol_index_bytes":                     "gauge",
 		"cuisinevol_index_entries":                   "gauge",
 		"cuisinevol_index_invalidations_total":       "counter",

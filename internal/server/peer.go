@@ -158,7 +158,7 @@ func (s *Server) proxyServe(w http.ResponseWriter, r *http.Request, owner, endpo
 	}
 	s.metrics.peerProxied.Add(1)
 	if res.Status == http.StatusOK {
-		s.cache.Put(key, res.Body) // peer cache fill
+		s.cache.Put(key, res.Body, int64(len(res.Body))) // peer cache fill
 	}
 	h := w.Header()
 	for _, name := range proxyHeaders {
@@ -194,7 +194,7 @@ func (s *Server) loadCacheSnapshot() error {
 	// Entries are ordered least-recently used first, so replaying them
 	// through Put reconstructs the original recency order.
 	for _, e := range entries {
-		s.cache.Put(e.Key, e.Body)
+		s.cache.Put(e.Key, e.Body, int64(len(e.Body)))
 	}
 	s.metrics.peerSnapshotLoads.Add(1)
 	s.metrics.peerSnapshotEntries.Add(uint64(len(entries)))
@@ -211,10 +211,10 @@ func (s *Server) SaveCacheSnapshot() (int, error) {
 	if path == "" {
 		return 0, errors.New("server: no cache snapshot path configured")
 	}
-	raw := s.cache.Entries()
+	raw := s.cache.All()
 	entries := make([]peering.SnapshotEntry, len(raw))
 	for i, e := range raw {
-		entries[i] = peering.SnapshotEntry{Key: e.key, Body: e.val}
+		entries[i] = peering.SnapshotEntry{Key: e.Key, Body: e.Value}
 	}
 	if err := peering.WriteSnapshot(path, s.NodeID(), s.fingerprint, entries); err != nil {
 		return 0, err

@@ -48,6 +48,7 @@ import (
 	"cuisinevol/internal/experiment"
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
+	"cuisinevol/internal/kit"
 	"cuisinevol/internal/peering"
 	"cuisinevol/internal/recipe"
 )
@@ -128,10 +129,10 @@ type Server struct {
 	corpus      *recipe.Corpus // the default corpus (corpus= absent)
 	fingerprint string
 	registry    *corpusstore.Registry
-	cache       *resultCache
+	cache       *kit.LRU[[]byte] // rendered bodies by resultKey, costed by length
 	indexes     *itemset.IndexCache
-	live        *liveSet
-	flight      *flightGroup
+	live        *kit.LRU[*itemset.LiveIndex] // write heads by corpus fingerprint, cost 1 each
+	flight      kit.Group[[]byte]
 	admit       *admission
 	chaos       *chaos
 	peers       *peerLayer // nil when serving single-node
@@ -197,10 +198,9 @@ func New(opts Options) (*Server, error) {
 		corpus:      corpus,
 		fingerprint: corpus.Fingerprint(),
 		registry:    registry,
-		cache:       newResultCache(opts.CacheBytes),
+		cache:       kit.NewLRU[[]byte](opts.CacheBytes),
 		indexes:     itemset.NewIndexCache(opts.IndexBytes),
-		live:        newLiveSet(),
-		flight:      newFlightGroup(),
+		live:        kit.NewLRU[*itemset.LiveIndex](maxLiveHeads),
 		admit:       newAdmission(opts.Compute, opts.MaxQueue, shedRetryAfter, m),
 		chaos:       newChaos(opts.Chaos, m),
 		metrics:     m,
@@ -466,13 +466,8 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, fingerpri
 			if err != nil {
 				return nil, err
 			}
-			body, err := marshalDeterministic(v)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, body)
-			return body, nil
-		})
+			return marshalDeterministic(v)
+		}, func(body []byte) { s.cache.Put(key, body, int64(len(body))) })
 		if shared {
 			s.metrics.coalesced.Add(1)
 		}
