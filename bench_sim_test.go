@@ -4,12 +4,15 @@ package cuisinevol
 // and the full evolve→mine replicate ensemble (BenchmarkEnsembleReplicates),
 // per model kind on the KOR view — the per-component view behind the
 // Fig 4 pipeline benches in bench_test.go. Each warms the machine pool
-// before the timer so cold sync.Pool fills don't inflate the
-// steady-state allocs/op these benches gate (see `make benchgate-allocs`).
+// on every P before the timer (warmOnEveryP) so cold sync.Pool fills
+// don't inflate the steady-state allocs/op these benches gate (see
+// `make benchgate-allocs`).
 //
 // Run with: go test -bench='EvolveRun|EnsembleReplicates' -benchmem
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"cuisinevol/internal/evomodel"
@@ -23,15 +26,51 @@ func benchSimSetup(b *testing.B, kind evomodel.Kind) (evomodel.Params, *ingredie
 	return evomodel.ParamsForView(corpus.Region("KOR"), kind, 7), corpus.Lexicon()
 }
 
+// warmOnEveryP makes pooled scratch survive until the timer starts, so
+// a 1-iteration alloc gate prices the steady state instead of a cold
+// sync.Pool fill. It first collects garbage: set-up such as the first
+// corpus generation leaves a collection due, and a collection after the
+// warm-up moves the pools to their victim caches, a second empties
+// them. It then runs fn on 2×GOMAXPROCS goroutines released together,
+// for a few rounds, parking scratch on every P: a single serial warm-up
+// leaves its one object in the current P's private slot, which a Get
+// on another P cannot steal after the benchmark goroutine migrates.
+func warmOnEveryP(b *testing.B, fn func() error) {
+	b.Helper()
+	runtime.GC()
+	n := 2 * runtime.GOMAXPROCS(0)
+	errs := make([]error, n)
+	for round := 0; round < 3; round++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[g] = fn()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEvolveRun measures one full model evolution (no mining).
 func BenchmarkEvolveRun(b *testing.B) {
 	for _, kind := range evomodel.Kinds() {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			p, lex := benchSimSetup(b, kind)
-			if _, err := evomodel.Run(p, lex); err != nil {
-				b.Fatal(err)
-			}
+			warmOnEveryP(b, func() error {
+				_, err := evomodel.Run(p, lex)
+				return err
+			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -55,9 +94,10 @@ func BenchmarkEnsembleReplicates(b *testing.B) {
 				Replicates: benchReplicates,
 				MinSupport: 0.05,
 			}
-			if _, err := evomodel.RunEnsemble(cfg, lex); err != nil {
-				b.Fatal(err)
-			}
+			warmOnEveryP(b, func() error {
+				_, err := evomodel.RunEnsemble(cfg, lex)
+				return err
+			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -194,8 +194,9 @@ func Overrepresented(c *Corpus, region string, k int) ([]RankedIngredient, error
 // support >= minSupport) of a cuisine, per the paper's §IV. The view's
 // prebuilt index is cached across calls, so re-mining the same cuisine
 // at another threshold skips straight to the query phase; the mining
-// kernel is selected adaptively from the index's stats. See
-// itemset.Mine and itemset.MineIndexed for explicit kernel control.
+// kernel is selected adaptively from the index's stats
+// (itemset.Index.ChooseKernel). For explicit kernel control, call
+// itemset.MineIndexed with MineOptions.Kernel set.
 func MineCombinations(c *Corpus, region string, minSupport float64) (*MiningResult, error) {
 	ix, err := viewIndex(c, region, false)
 	if err != nil {

@@ -100,9 +100,12 @@ func runEnsemble(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexico
 	}
 
 	dists := make([]rankfreq.Distribution, cfg.Replicates)
+	var builders itemset.Builders
 	if err := sched.RunCtx(ctx, cfg.Workers, cfg.Replicates, func(rep int) error {
+		b := builders.Get()
+		defer builders.Put(b)
 		var err error
-		dists[rep], err = runReplicate(cfg, lex, label, rep)
+		dists[rep], err = runReplicate(cfg, lex, label, rep, b)
 		if err != nil {
 			return &ReplicateError{Model: label, Replicate: rep, Err: err}
 		}
@@ -126,22 +129,25 @@ func runEnsemble(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexico
 // into one (cuisine × kind × replicate) grid. Replicate rep derives its
 // seed exactly as RunEnsemble does, so dispatching replicates
 // individually and aggregating with rankfreq.Aggregate reproduces
-// RunEnsemble's output bit for bit.
-func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int) (rankfreq.Distribution, error) {
+// RunEnsemble's output bit for bit. The replicate's index is built with
+// b, which the caller owns (one per worker, see itemset.Builders).
+func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int, b *itemset.IndexBuilder) (rankfreq.Distribution, error) {
 	label := cfg.Label
 	if label == "" {
 		label = cfg.Params.Kind.String()
 	}
-	return runReplicate(cfg, lex, label, rep)
+	return runReplicate(cfg, lex, label, rep, b)
 }
 
 // runReplicate executes one model run and mines its combinations. This
 // is the zero-copy evolve→mine boundary: the pooled machine emits
 // sorted transactions (ingredient or category, per cfg.Categories)
-// directly into its own reusable buffers and hands them to itemset.Mine,
-// which encodes without mutating or retaining its input — no per-recipe
-// clone, no second sort, no per-replicate machine construction.
-func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int) (rankfreq.Distribution, error) {
+// directly into its own reusable buffers, b indexes them into its own
+// reused arenas, and MineIndexed mines the index — no per-recipe clone,
+// no second sort, no per-replicate machine or index allocation. The
+// Result owns its itemsets, so nothing outlives the machine or the
+// builder's next build.
+func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int, b *itemset.IndexBuilder) (rankfreq.Distribution, error) {
 	p := cfg.Params
 	p.Seed = replicateSeed(p.Seed, rep)
 	if err := p.validate(); err != nil {
@@ -156,7 +162,11 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	} else {
 		txs = m.emitTransactions()
 	}
-	res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
+	ix, err := b.Build(txs)
+	if err != nil {
+		return rankfreq.Distribution{}, err
+	}
+	res, err := itemset.MineIndexed(ix, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}

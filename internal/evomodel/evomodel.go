@@ -16,7 +16,7 @@
 // runs), and the evolve→mine boundary emits sorted transactions directly
 // into machine-owned packed buffers. The kernel is pinned byte-for-byte
 // against the retained per-recipe-slice reference implementation (see
-// reference.go and the differential tests): every RNG draw happens in
+// reference_test.go and the differential tests): every RNG draw happens in
 // the same order, so outputs are identical at every seed.
 package evomodel
 
@@ -572,8 +572,9 @@ func (m *machine) cloneTransactions() [][]ingredient.ID {
 // emitTransactions writes the recipe pool, each recipe sorted
 // ascending, into the machine-owned emission buffers and returns the
 // headers — the zero-copy handoff the replicate pipeline feeds straight
-// into itemset.Mine. The result is valid until the machine is reset or
-// released; callers that outlive the machine use cloneTransactions.
+// into its worker's itemset.IndexBuilder. The result is valid until the
+// machine is reset or released; callers that outlive the machine use
+// cloneTransactions.
 func (m *machine) emitTransactions() [][]ingredient.ID {
 	m.txArena = append(m.txArena[:0], m.arena...)
 	out := m.emitHeaders(len(m.recs))

@@ -1,7 +1,7 @@
 package evomodel
 
 // Differential tests pinning the arena kernel byte-for-byte against the
-// retained reference implementation (reference.go) on randomized
+// retained reference implementation (reference_test.go) on randomized
 // parameters — the same cross-kernel proof pattern the itemset package
 // uses for FP-Growth vs Eclat. Because consecutive Run calls on one
 // goroutine recycle the same pooled machine, every iteration of these
@@ -157,6 +157,44 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 		dists[rep] = rankfreq.FromResult(label, res)
 	}
 	return rankfreq.Aggregate(dists)
+}
+
+// TestReplicateBuilderReuse pins the replicate pipeline's index reuse:
+// one IndexBuilder, handed replicate corpus after replicate corpus
+// exactly as a scheduler worker is — ingredient and category
+// emissions interleaved, across every model kind and randomized shapes —
+// must build every index reflect.DeepEqual to a fresh one-shot build.
+func TestReplicateBuilderReuse(t *testing.T) {
+	src := randx.New(0xB111D)
+	var b itemset.IndexBuilder
+	for trial := 0; trial < 8; trial++ {
+		for _, kind := range allKinds() {
+			p := randomDiffParams(src, kind)
+			if err := p.validate(); err != nil {
+				t.Fatal(err)
+			}
+			m := acquireMachine(p, lex, randx.New(p.Seed))
+			m.evolve()
+			for _, categories := range []bool{false, true} {
+				txs := m.emitTransactions()
+				if categories {
+					txs = m.emitCategoryTransactions()
+				}
+				want, err := itemset.BuildIndex(txs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := b.Build(txs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v trial %d categories=%v: reused builder's index differs from a fresh build", kind, trial, categories)
+				}
+			}
+			releaseMachine(m)
+		}
+	}
 }
 
 func TestKernelDifferentialEnsemble(t *testing.T) {

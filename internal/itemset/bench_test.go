@@ -1,6 +1,8 @@
 package itemset
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"cuisinevol/internal/ingredient"
@@ -50,9 +52,42 @@ func sortIDs(xs []ingredient.ID) {
 	}
 }
 
+// warmOnEveryP makes pooled query scratch survive until the timer
+// starts: it collects garbage first, so no collection left due by the
+// set-up moves the warmed pools to their victim caches, then runs fn on
+// 2×GOMAXPROCS goroutines released together, for a few rounds, so the
+// scratch is parked on every P — a serial warm-up leaves it in one P's
+// private pool slot, which a Get on another P cannot steal.
+func warmOnEveryP(b *testing.B, fn func() error) {
+	b.Helper()
+	runtime.GC()
+	n := 2 * runtime.GOMAXPROCS(0)
+	errs := make([]error, n)
+	for round := 0; round < 3; round++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[g] = fn()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFPGrowthReplicatePool is the replicate-mining benchmark: one
-// FP-Growth invocation over a duplicate-heavy model-generated pool, the
-// hot path of the Fig 4 pipeline.
+// FP-Growth Mine (a one-shot index build plus the indexed kernel) over
+// a duplicate-heavy model-generated pool, the hot path of the Fig 4
+// pipeline.
 func BenchmarkFPGrowthReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	b.ReportAllocs()
@@ -65,8 +100,8 @@ func BenchmarkFPGrowthReplicatePool(b *testing.B) {
 }
 
 // BenchmarkFPGrowthReplicateSweep mines many replicate pools back to
-// back, the steady-state regime the ensemble workers run in (scratch
-// reuse across mines is what this measures).
+// back through one-shot Mine calls (kernel scratch reuse across mines is
+// what this measures; builder reuse is BenchmarkIndexBuildReuse's).
 func BenchmarkFPGrowthReplicateSweep(b *testing.B) {
 	pools := make([][][]ingredient.ID, 16)
 	for i := range pools {
@@ -97,9 +132,8 @@ func BenchmarkEclatReplicatePool(b *testing.B) {
 	}
 }
 
-// BenchmarkEclatReplicateSweep mirrors BenchmarkFPGrowthReplicateSweep:
-// many replicate pools back to back, measuring bitmap/scratch reuse
-// through the kernel pool.
+// BenchmarkEclatReplicateSweep mirrors BenchmarkFPGrowthReplicateSweep
+// on the vertical kernel.
 func BenchmarkEclatReplicateSweep(b *testing.B) {
 	pools := make([][][]ingredient.ID, 16)
 	for i := range pools {
@@ -129,9 +163,9 @@ func BenchmarkEclatParallelReplicatePool(b *testing.B) {
 	}
 }
 
-// BenchmarkMineAutoReplicatePool measures the adaptive front end on the
-// replicate-pool shape: selection cost must be negligible next to the
-// mine itself.
+// BenchmarkMineAutoReplicatePool measures Mine with adaptive kernel
+// selection on the replicate-pool shape: selection cost must be
+// negligible next to the mine itself.
 func BenchmarkMineAutoReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	b.ReportAllocs()
@@ -144,8 +178,8 @@ func BenchmarkMineAutoReplicatePool(b *testing.B) {
 }
 
 // BenchmarkMineIndexBuild prices the one-time cost the warm path amortizes:
-// a full BuildIndex — validation, counting, fingerprint, dedup, and the
-// all-items bitmap layout — over the replicate-pool corpus.
+// a full one-shot BuildIndex — validation, counting, fingerprint, dedup,
+// and the all-items posting layout — over the replicate-pool corpus.
 func BenchmarkMineIndexBuild(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	b.ReportAllocs()
@@ -153,6 +187,30 @@ func BenchmarkMineIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildIndex(txs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIndexBuildReuse is the ensemble workers' steady state:
+// one reused IndexBuilder indexing replicate pools back to back, each
+// followed by an auto-kernel MineIndexed.
+func BenchmarkIndexBuildReuse(b *testing.B) {
+	pools := make([][][]ingredient.ID, 16)
+	for i := range pools {
+		pools[i] = replicatePool(uint64(i+1), 30, 1500, 9, 300)
+	}
+	var ib IndexBuilder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, txs := range pools {
+			ix, err := ib.Build(txs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := MineIndexed(ix, 0.05, MineOptions{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -168,11 +226,12 @@ func BenchmarkMineWarmIndex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One warm-up query heats the scratch pools so a 1-iteration alloc
-	// gate measures the steady state (same pattern as EvolveRun).
-	if _, err := MineIndexed(ix, 0.1, MineOptions{}); err != nil {
-		b.Fatal(err)
-	}
+	// Warm-up queries heat the scratch pools on every P so a 1-iteration
+	// alloc gate measures the steady state (same pattern as EvolveRun).
+	warmOnEveryP(b, func() error {
+		_, err := MineIndexed(ix, 0.1, MineOptions{})
+		return err
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -251,10 +310,10 @@ func BenchmarkMineWarmIndexSparseDense(b *testing.B) {
 	}
 }
 
-// BenchmarkMineColdSecondPoint is the pre-index behaviour at the same
-// second parameter point: every mine rebuilds dedup and bitmaps from
-// the raw transactions, which is exactly what the result cache could
-// never help with across thresholds.
+// BenchmarkMineColdSecondPoint is the cold query at the same second
+// parameter point: every Mine rebuilds the index from the raw
+// transactions, which is exactly what the result cache could never help
+// with across thresholds.
 func BenchmarkMineColdSecondPoint(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	if _, err := Mine(txs, 0.1, MineOptions{}); err != nil {

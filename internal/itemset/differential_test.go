@@ -11,16 +11,17 @@ import (
 	"cuisinevol/internal/synth"
 )
 
-// The cross-kernel differential layer: every mining kernel — Apriori,
-// FP-Growth, Eclat (serial and prefix-partition-parallel) — must
-// produce the identical canonical Result on every corpus we can throw
-// at it. These tests are the proof obligation that lets Mine pick
-// kernels freely: if they pass, kernel selection can never change a
-// pipeline's output.
+// The cross-kernel differential layer: Mine with every forced kernel —
+// FP-Growth, Eclat (serial and prefix-partition-parallel), indexed
+// Apriori — and with adaptive selection must reproduce the raw Apriori
+// oracle's canonical Result on every corpus we can throw at it. These
+// tests are the proof obligation that lets Mine pick kernels freely: if
+// they pass, kernel selection can never change a pipeline's output.
 
-// allKernels runs every kernel (plus parallel Eclat) on txs and fails
-// the test unless all Results are identical in canonical order.
-// It returns the agreed-upon result.
+// allKernels mines txs through Mine with every forced kernel (plus
+// parallel Eclat and auto) and fails the test unless each Result is
+// identical in canonical order to raw Apriori's. It returns the
+// agreed-upon result.
 func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
@@ -29,15 +30,16 @@ func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label s
 	}
 	runs := []struct {
 		name string
-		mine func() (*Result, error)
+		opts MineOptions
 	}{
-		{"fpgrowth", func() (*Result, error) { return FPGrowth(txs, minSupport) }},
-		{"eclat", func() (*Result, error) { return Eclat(txs, minSupport) }},
-		{"eclat-parallel", func() (*Result, error) { return eclatMine(txs, minSupport, 4) }},
-		{"mine-auto", func() (*Result, error) { return Mine(txs, minSupport, MineOptions{}) }},
+		{"fpgrowth", MineOptions{Kernel: KernelFPGrowth}},
+		{"eclat", MineOptions{Kernel: KernelEclat}},
+		{"eclat-parallel", MineOptions{Kernel: KernelEclat, Workers: 4}},
+		{"apriori-indexed", MineOptions{Kernel: KernelApriori}},
+		{"mine-auto", MineOptions{}},
 	}
 	for _, run := range runs {
-		got, err := run.mine()
+		got, err := Mine(txs, minSupport, run.opts)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, run.name, err)
 		}
@@ -59,8 +61,8 @@ func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label s
 func kernelsAgreeOnMaps(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) {
 	t.Helper()
 	resA, errA := Apriori(txs, minSupport)
-	resF, errF := FPGrowth(txs, minSupport)
-	resE, errE := Eclat(txs, minSupport)
+	resF, errF := Mine(txs, minSupport, MineOptions{Kernel: KernelFPGrowth})
+	resE, errE := Mine(txs, minSupport, MineOptions{Kernel: KernelEclat})
 	if errA != nil || errF != nil || errE != nil {
 		t.Fatalf("%s: %v %v %v", label, errA, errF, errE)
 	}
@@ -247,7 +249,7 @@ func TestEclatParallelDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8, 16} {
 		for run := 0; run < 3; run++ {
-			got, err := eclatMine(txs, 0.05, workers)
+			got, err := Mine(txs, 0.05, MineOptions{Kernel: KernelEclat, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,11 +293,22 @@ func TestKernelStringParseRoundTrip(t *testing.T) {
 	}
 }
 
+// mustIndex builds txs or fails the test.
+func mustIndex(t *testing.T, txs [][]ingredient.ID) *Index {
+	t.Helper()
+	ix, err := BuildIndex(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // TestChooseKernelShapes pins the adaptive selector's decisions on the
 // canonical corpus shapes: dense recipe-like data goes vertical, empty
-// or degenerate data and huge/sparse universes go to the tree.
+// or degenerate data and huge universes with dense columns go to the
+// tree.
 func TestChooseKernelShapes(t *testing.T) {
-	if got := ChooseKernel(nil); got != KernelFPGrowth {
+	if got := mustIndex(t, nil).ChooseKernel(); got != KernelFPGrowth {
 		t.Fatalf("empty: %v", got)
 	}
 	// Recipe-shaped: 500 transactions of ~9 items over 300 ingredients.
@@ -304,17 +317,28 @@ func TestChooseKernelShapes(t *testing.T) {
 	for i := range recipes {
 		recipes[i] = tx(src.SampleInts(300, 9)...)
 	}
-	if got := ChooseKernel(recipes); got != KernelEclat {
+	if got := mustIndex(t, recipes).ChooseKernel(); got != KernelEclat {
 		t.Fatalf("recipe-shaped: %v", got)
 	}
 	// Sparse long-tail: single-item transactions spread over a huge
-	// universe — density far below a set bit per word.
+	// universe — density far below a set bit per word, but every
+	// posting is a one-element array, so the compressed-share rule
+	// keeps the vertical kernel.
 	sparse := make([][]ingredient.ID, 3000)
 	for i := range sparse {
 		sparse[i] = tx(i)
 	}
-	if got := ChooseKernel(sparse); got != KernelFPGrowth {
+	if got := mustIndex(t, sparse).ChooseKernel(); got != KernelEclat {
 		t.Fatalf("sparse long-tail: %v", got)
+	}
+	// Past the distinct-item bound the tree wins however the postings
+	// are laid out.
+	huge := make([][]ingredient.ID, maxEclatDistinct+1)
+	for i := range huge {
+		huge[i] = tx(i)
+	}
+	if got := mustIndex(t, huge).ChooseKernel(); got != KernelFPGrowth {
+		t.Fatalf("huge universe: %v", got)
 	}
 	// The selector never changes results — spot-check both shapes.
 	allKernels(t, recipes[:100], 0.05, "choose-recipes")

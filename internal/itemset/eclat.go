@@ -8,47 +8,24 @@ import (
 	"cuisinevol/internal/sched"
 )
 
-// Eclat mines all frequent itemsets of size >= 1 with relative support
-// >= minSupport using a vertical bitset kernel (Zaki's Eclat over
-// bitmap tidsets). It produces exactly the same Result as Apriori and
-// FPGrowth — the cross-kernel differential tests pin the three kernels
-// to byte-identical canonical output.
-//
-// The vertical layout is built over the deduped transaction arena: the
-// transactions are projected onto the frequent items, identical
-// projections collapse into one transaction id with a weight, and each
-// frequent item gets a []uint64 bitmap over those unique ids. Support
-// of an extension is then one AND + popcount sweep (weight-summed when
+// The vertical kernel (Zaki's Eclat over tidset containers) mines
+// straight off an Index: each frequent item's posting container is its
+// tidset over the deduped unique transactions, and the support of an
+// extension is one container intersection (weight-summed when
 // duplicates exist). Depth-first expansion walks prefix equivalence
-// classes; all bitmap and class scratch is pooled per depth, so
+// classes; all intersection and class scratch is pooled per depth, so
 // steady-state mining allocates almost nothing beyond the Result.
 //
 // Dense short transactions — bounded-size recipes over a few hundred
 // ingredients, the regime of every pipeline in this repo — are exactly
-// where the vertical kernel beats the FP-tree; Mine's adaptive selector
-// encodes that heuristic (see ChooseKernel).
-func Eclat(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	return eclatMine(txs, minSupport, 0)
-}
-
-// eclatMine runs the vertical kernel, fanning the top-level prefix
-// partitions over `workers` scheduler workers when workers > 1.
-func eclatMine(txs [][]ingredient.ID, minSupport float64, workers int) (*Result, error) {
-	m := eclatPool.Get().(*eclatMiner)
-	res, err := m.mine(txs, minSupport, workers)
-	eclatPool.Put(m)
-	return res, err
-}
-
-var eclatPool = sync.Pool{New: func() any { return newEclatMiner() }}
+// where the vertical kernel beats the FP-tree; Index.ChooseKernel
+// encodes that heuristic.
 
 // eclatShared is the read-only mining state the expansion workers
-// consume: built once per mine (or borrowed from a prebuilt Index),
-// then shared across the top-level prefix partitions (safely — nothing
-// here is written after construction). Tidsets are reached through one
-// posting view per frequent item, so the raw path's contiguous dense
-// arena and the indexed path's zero-copy views into the Index's
-// adaptive containers run the same expansion code.
+// consume: the frequent-item filter and zero-copy posting views into
+// the Index, built once per mine and then shared across the top-level
+// prefix partitions (safely — nothing here is written after
+// construction).
 type eclatShared struct {
 	freq     []itemCount // frequent items, ascending count then ID
 	words    int         // dense bitmap length in uint64 words
@@ -68,7 +45,7 @@ type eclatExt struct {
 
 // eclatScratch is the per-worker expansion state: the suffix stack, one
 // bitset buffer, one id buffer and one class slice per recursion depth,
-// an emit arena, and the output slice. Serial mining uses the miner's
+// an emit arena, and the output slice. Serial mining uses the query's
 // own scratch; the parallel path draws one per top-level partition from
 // a pool.
 type eclatScratch struct {
@@ -79,7 +56,7 @@ type eclatScratch struct {
 	class    [][]eclatExt // per-depth class scratch
 
 	// arenaFree is the unused tail of the current emit-arena chunk (the
-	// same carve-and-never-touch-again scheme as Miner.emit).
+	// same carve-and-never-touch-again scheme as fpMiner.emit).
 	arenaFree []ingredient.ID
 	sets      []Itemset
 }
@@ -250,96 +227,12 @@ func (s *eclatScratch) expand(exts []eclatExt, depth int) {
 }
 
 // eclatWorkerPool recycles expansion scratch for the parallel path; the
-// serial path uses the miner's embedded scratch.
+// serial path uses the query's embedded scratch.
 var eclatWorkerPool = sync.Pool{New: func() any { return &eclatScratch{} }}
 
-// eclatMiner is the reusable vertical-kernel state: the counting and
-// dedup maps, the unique-transaction arena, the top-level bitmaps, and
-// a serial expansion scratch. Not safe for concurrent use; Eclat draws
-// miners from a pool.
-type eclatMiner struct {
-	counts map[ingredient.ID]int
-	order  map[ingredient.ID]int32
-	dedup  map[string]int32
-	keyBuf []byte
-	buf    []int32
-
-	// Unique projected transactions, flattened (same arena layout as
-	// the FP-Growth miner): transaction u occupies
-	// txArena[txOff[u]:txOff[u+1]] and occurred weights[u] times.
-	txArena []int32
-	txOff   []int32
-
-	// bitmapArena backs shared.refs on the raw (non-indexed) path; the
-	// indexed path points refs into Index memory instead.
-	bitmapArena []uint64
-
-	shared  eclatShared
-	scratch eclatScratch
-}
-
-func newEclatMiner() *eclatMiner {
-	return &eclatMiner{
-		counts: make(map[ingredient.ID]int),
-		order:  make(map[ingredient.ID]int32),
-		dedup:  make(map[string]int32),
-	}
-}
-
-func (m *eclatMiner) mine(txs [][]ingredient.ID, minSupport float64, workers int) (*Result, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, ErrBadSupport
-	}
-	if err := validateTransactions(txs); err != nil {
-		return nil, err
-	}
-	n := len(txs)
-	res := &Result{N: n}
-	if n == 0 {
-		return res, nil
-	}
-	sh := &m.shared
-	sh.mc = minCount(n, minSupport)
-
-	clear(m.counts)
-	for _, tx := range txs {
-		for _, it := range tx {
-			m.counts[it]++
-		}
-	}
-	// Item order: ascending count, ties by ascending ID — the standard
-	// Eclat order, keeping early intersections small so classes thin out
-	// fast. Any fixed order yields the same canonical Result.
-	sh.freq = sh.freq[:0]
-	for it, c := range m.counts {
-		if c >= sh.mc {
-			sh.freq = append(sh.freq, itemCount{it, c})
-		}
-	}
-	sort.Slice(sh.freq, func(i, j int) bool {
-		if sh.freq[i].count != sh.freq[j].count {
-			return sh.freq[i].count < sh.freq[j].count
-		}
-		return sh.freq[i].item < sh.freq[j].item
-	})
-	clear(m.order)
-	for j, ic := range sh.freq {
-		m.order[ic.item] = int32(j)
-	}
-
-	m.dedupTransactions(txs)
-	m.buildBitmaps()
-
-	if err := eclatRun(sh, &m.scratch, res, workers); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// eclatRun is the expansion phase shared by the raw and indexed paths:
-// singletons from the frequent-item counts, then every top-level prefix
-// partition, serially or fanned out over the scheduler, leaving
-// res.Sets canonically sorted.
+// eclatRun is the expansion phase: singletons from the frequent-item
+// counts, then every top-level prefix partition, serially or fanned out
+// over the scheduler, leaving res.Sets canonically sorted.
 func eclatRun(sh *eclatShared, s *eclatScratch, res *Result, workers int) error {
 	s.sh = sh
 	s.sets = s.sets[:0]
@@ -468,100 +361,4 @@ func (s *eclatScratch) emitSingleton(ic itemCount) {
 	s.arenaFree = s.arenaFree[1:]
 	items[0] = ic.item
 	s.sets = append(s.sets, Itemset{Items: items, Count: ic.count})
-}
-
-// dedupTransactions projects every transaction onto the frequent items
-// and collapses identical projections into (transaction, weight) pairs —
-// the same dedup the FP-Growth kernel performs before tree insertion.
-// Replicate pools are copies by construction, so the unique-transaction
-// count (and with it every bitmap's length) is typically several-fold
-// smaller than the input.
-func (m *eclatMiner) dedupTransactions(txs [][]ingredient.ID) {
-	sh := &m.shared
-	clear(m.dedup)
-	m.txArena = m.txArena[:0]
-	m.txOff = append(m.txOff[:0], 0)
-	sh.weights = sh.weights[:0]
-	wide := len(sh.freq) > 0xffff
-	buf := m.buf[:0]
-	for _, tx := range txs {
-		buf = buf[:0]
-		for _, it := range tx {
-			if idx, ok := m.order[it]; ok {
-				buf = append(buf, idx)
-			}
-		}
-		if len(buf) == 0 {
-			continue
-		}
-		sortInt32s(buf)
-		m.keyBuf = m.keyBuf[:0]
-		if wide {
-			for _, v := range buf {
-				m.keyBuf = append(m.keyBuf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-			}
-		} else {
-			for _, v := range buf {
-				m.keyBuf = append(m.keyBuf, byte(v>>8), byte(v))
-			}
-		}
-		if u, ok := m.dedup[string(m.keyBuf)]; ok {
-			sh.weights[u]++
-			continue
-		}
-		m.dedup[string(m.keyBuf)] = int32(len(sh.weights))
-		m.txArena = append(m.txArena, buf...)
-		m.txOff = append(m.txOff, int32(len(m.txArena)))
-		sh.weights = append(sh.weights, 1)
-	}
-	m.buf = buf[:0]
-	sh.weighted = false
-	for _, w := range sh.weights {
-		if w > 1 {
-			sh.weighted = true
-			break
-		}
-	}
-}
-
-// buildBitmaps lays out one dense tidset bitmap per frequent item over
-// the unique transaction ids, all in one contiguous arena, and exposes
-// them as bitset posting views. The raw path stays uniformly dense on
-// purpose: a per-mine build has no cardinality statistics worth a
-// second pass (the adaptive containers live in the build-once Index,
-// where the layout cost amortizes), and all-bitset postings make the
-// expansion byte-identical in work to the pre-container kernel. The
-// weights slice is padded to a whole word so the weighted intersect
-// loop can index by bit position without bounds branches.
-func (m *eclatMiner) buildBitmaps() {
-	sh := &m.shared
-	u := len(sh.weights)
-	sh.words = (u + 63) / 64
-	need := len(sh.freq) * sh.words
-	if cap(m.bitmapArena) < need {
-		m.bitmapArena = make([]uint64, need)
-	}
-	m.bitmapArena = m.bitmapArena[:need]
-	for i := range m.bitmapArena {
-		m.bitmapArena[i] = 0
-	}
-	for t := 0; t+1 < len(m.txOff); t++ {
-		word, bit := uint64(t>>6), uint64(t&63)
-		for _, j := range m.txArena[m.txOff[t]:m.txOff[t+1]] {
-			m.bitmapArena[int(j)*sh.words+int(word)] |= 1 << bit
-		}
-	}
-	sh.posts = sh.posts[:0]
-	for j := range sh.freq {
-		sh.posts = append(sh.posts, posting{
-			kind: containerBitset,
-			card: -1, // unknown; never consulted for bitset×bitset pairs
-			bits: m.bitmapArena[j*sh.words : (j+1)*sh.words],
-		})
-	}
-	if sh.weighted {
-		for len(sh.weights) < sh.words*64 {
-			sh.weights = append(sh.weights, 0)
-		}
-	}
 }

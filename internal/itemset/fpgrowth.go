@@ -7,25 +7,13 @@ import (
 	"cuisinevol/internal/ingredient"
 )
 
-// FPGrowth mines all frequent itemsets of size >= 1 with relative support
-// >= minSupport using the FP-Growth algorithm (Han et al.). It produces
-// exactly the same result as Apriori but scales to the full 158k-recipe
-// corpus; it is the miner the experiment harness uses.
-//
-// The kernel behind it is flat-memory: FP-tree nodes live in a single
-// arena slice with index links, identical transactions are deduplicated
-// into (transaction, count) pairs before insertion, and all scratch is
-// pooled across calls, so steady-state mining (the ~10,000 replicate
-// mines of a full Fig 4 reproduction) allocates almost nothing beyond
-// the returned Result.
-func FPGrowth(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	m := minerPool.Get().(*Miner)
-	res, err := m.FPGrowth(txs, minSupport)
-	minerPool.Put(m)
-	return res, err
-}
+// The FP-Growth kernel (Han et al.) mines off an Index's deduped
+// weighted arena. It is flat-memory: FP-tree nodes live in a single
+// arena slice with index links, and all scratch is pooled across calls,
+// so steady-state mining allocates almost nothing beyond the returned
+// Result.
 
-var minerPool = sync.Pool{New: func() any { return NewMiner() }}
+var minerPool = sync.Pool{New: func() any { return new(fpMiner) }}
 
 // nilIdx is the arena's null link.
 const nilIdx = int32(-1)
@@ -134,27 +122,17 @@ type itemCount struct {
 	count int
 }
 
-// Miner is a reusable FP-Growth kernel. All scratch state — the counting
-// maps, the transaction-dedup table, the FP-tree arenas (one per
-// recursion depth), and the suffix/prefix/emit buffers — survives across
-// calls, so a worker mining replicate after replicate reaches a steady
-// state with near-zero allocation per mine. A Miner is NOT safe for
-// concurrent use; the package-level FPGrowth draws Miners from a pool.
-type Miner struct {
-	counts map[ingredient.ID]int
-	dedup  map[string]int32 // encoded filtered tx -> index into txOff
-
-	freq  []itemCount
-	order map[ingredient.ID]int32 // ingredient -> frequency-order index
-
-	// Unique filtered transactions, flattened: transaction u occupies
-	// txArena[txOff[u]:txOff[u+1]] and occurred txCount[u] times.
-	txArena []int32
-	txOff   []int32
-	txCount []int
+// fpMiner is the reusable FP-Growth kernel state: the frequent-item
+// order, the FP-tree arenas (one per recursion depth), and the
+// suffix/prefix/emit buffers all survive across calls, so a worker
+// mining index after index reaches a steady state with near-zero
+// allocation per mine. Not safe for concurrent use; fpGrowthIndexed
+// draws miners from a pool.
+type fpMiner struct {
+	freq []itemCount
 
 	// posOrder maps an Index item position to its frequency-order index
-	// (nilIdx when infrequent); scratch for the indexed query path.
+	// (nilIdx when infrequent).
 	posOrder []int32
 
 	trees  []*flatTree // conditional-tree scratch, one per depth
@@ -162,7 +140,6 @@ type Miner struct {
 	prefix []int32
 	combo  []int32
 	path   []int32
-	keyBuf []byte
 
 	// arenaFree is the unused tail of the current emit-arena chunk.
 	// Handed-out regions are never written again, so leftovers carry
@@ -173,85 +150,18 @@ type Miner struct {
 	res *Result
 }
 
-// NewMiner returns a Miner with empty scratch; see Miner.
-func NewMiner() *Miner {
-	return &Miner{
-		counts: make(map[ingredient.ID]int),
-		dedup:  make(map[string]int32),
-		order:  make(map[ingredient.ID]int32),
-	}
-}
-
-// FPGrowth mines txs with this Miner's scratch. Same contract as the
-// package-level FPGrowth.
-func (m *Miner) FPGrowth(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, ErrBadSupport
-	}
-	if err := validateTransactions(txs); err != nil {
-		return nil, err
-	}
-	n := len(txs)
-	res := &Result{N: n}
-	if n == 0 {
-		return res, nil
-	}
-	m.res = res
-	m.mc = minCount(n, minSupport)
-
-	clear(m.counts)
-	for _, tx := range txs {
-		for _, it := range tx {
-			m.counts[it]++
-		}
-	}
-	// Global item order: descending count, ties by ascending ID. Items
-	// below the threshold are dropped up front.
-	m.freq = m.freq[:0]
-	for it, c := range m.counts {
-		if c >= m.mc {
-			m.freq = append(m.freq, itemCount{it, c})
-		}
-	}
-	sort.Slice(m.freq, func(i, j int) bool {
-		if m.freq[i].count != m.freq[j].count {
-			return m.freq[i].count > m.freq[j].count
-		}
-		return m.freq[i].item < m.freq[j].item
-	})
-	clear(m.order)
-	for i, ic := range m.freq {
-		m.order[ic.item] = int32(i)
-	}
-
-	m.dedupTransactions(txs)
-
-	tree := m.treeAt(0)
-	tree.reset(len(m.freq))
-	for u := 0; u+1 < len(m.txOff); u++ {
-		tree.insert(m.txArena[m.txOff[u]:m.txOff[u+1]], m.txCount[u])
-	}
-
-	m.suffix = m.suffix[:0]
-	m.mine(tree, 1)
-	sortCanonical(res.Sets)
-	m.res = nil // don't retain the caller's result in the pool
-	return res, nil
-}
-
-// fpGrowthIndexed is the FP-tree kernel's query phase over a prebuilt
-// Index: frequent items come from the index's support counts and the
-// initial tree is built straight from the deduped weighted arena — no
-// counting pass, no second dedup (identical projected prefixes merge on
-// insertion), no raw transactions.
+// fpGrowthIndexed mines an Index with the FP-tree kernel: frequent
+// items come from the index's support counts and the initial tree is
+// built straight from the deduped weighted arena — no counting pass, no
+// second dedup (identical projected prefixes merge on insertion).
 func fpGrowthIndexed(ix *Index, minSupport float64) (*Result, error) {
-	m := minerPool.Get().(*Miner)
+	m := minerPool.Get().(*fpMiner)
 	res, err := m.mineIndexed(ix, minSupport)
 	minerPool.Put(m)
 	return res, err
 }
 
-func (m *Miner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
+func (m *fpMiner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, ErrBadSupport
 	}
@@ -262,29 +172,28 @@ func (m *Miner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
 	m.res = res
 	m.mc = minCount(ix.n, minSupport)
 
-	// Frequent items straight from the index counts, in the same global
-	// order as the raw path: descending count, ties by ascending ID.
-	m.freq = m.freq[:0]
-	for _, ic := range ix.items {
+	// Global item order: descending count, ties by ascending ID (and so
+	// by ascending position). Items below the threshold are dropped up
+	// front; posOrder maps every position to its order index.
+	m.posOrder = grown(m.posOrder, len(ix.items))
+	m.prefix = m.prefix[:0]
+	for p, ic := range ix.items {
+		m.posOrder[p] = nilIdx
 		if ic.count >= m.mc {
-			m.freq = append(m.freq, ic)
+			m.prefix = append(m.prefix, int32(p))
 		}
 	}
-	sort.Slice(m.freq, func(i, j int) bool {
-		if m.freq[i].count != m.freq[j].count {
-			return m.freq[i].count > m.freq[j].count
+	sort.Slice(m.prefix, func(i, j int) bool {
+		a, b := m.prefix[i], m.prefix[j]
+		if ix.items[a].count != ix.items[b].count {
+			return ix.items[a].count > ix.items[b].count
 		}
-		return m.freq[i].item < m.freq[j].item
+		return a < b
 	})
-	if cap(m.posOrder) < len(ix.items) {
-		m.posOrder = make([]int32, len(ix.items))
-	}
-	m.posOrder = m.posOrder[:len(ix.items)]
-	for i := range m.posOrder {
-		m.posOrder[i] = nilIdx
-	}
-	for o, ic := range m.freq {
-		m.posOrder[ix.pos[ic.item]] = int32(o)
+	m.freq = m.freq[:0]
+	for o, p := range m.prefix {
+		m.freq = append(m.freq, ix.items[p])
+		m.posOrder[p] = int32(o)
 	}
 
 	tree := m.treeAt(0)
@@ -312,53 +221,8 @@ func (m *Miner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
 	return res, nil
 }
 
-// dedupTransactions projects every transaction onto the frequent-item
-// order and collapses identical projections into (transaction, count)
-// pairs. Replicate pools are copies by construction, so this typically
-// shrinks the insertion workload several-fold. First-seen order is kept
-// so the whole pipeline stays deterministic.
-func (m *Miner) dedupTransactions(txs [][]ingredient.ID) {
-	clear(m.dedup)
-	m.txArena = m.txArena[:0]
-	m.txOff = append(m.txOff[:0], 0)
-	m.txCount = m.txCount[:0]
-	wide := len(m.freq) > 0xffff
-	buf := m.prefix[:0]
-	for _, tx := range txs {
-		buf = buf[:0]
-		for _, it := range tx {
-			if idx, ok := m.order[it]; ok {
-				buf = append(buf, idx)
-			}
-		}
-		if len(buf) == 0 {
-			continue
-		}
-		sortInt32s(buf)
-		m.keyBuf = m.keyBuf[:0]
-		if wide {
-			for _, v := range buf {
-				m.keyBuf = append(m.keyBuf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-			}
-		} else {
-			for _, v := range buf {
-				m.keyBuf = append(m.keyBuf, byte(v>>8), byte(v))
-			}
-		}
-		if u, ok := m.dedup[string(m.keyBuf)]; ok {
-			m.txCount[u]++
-			continue
-		}
-		m.dedup[string(m.keyBuf)] = int32(len(m.txCount))
-		m.txArena = append(m.txArena, buf...)
-		m.txOff = append(m.txOff, int32(len(m.txArena)))
-		m.txCount = append(m.txCount, 1)
-	}
-	m.prefix = buf[:0]
-}
-
 // treeAt returns the reusable tree scratch for the given recursion depth.
-func (m *Miner) treeAt(depth int) *flatTree {
+func (m *fpMiner) treeAt(depth int) *flatTree {
 	for len(m.trees) <= depth {
 		m.trees = append(m.trees, &flatTree{})
 	}
@@ -375,7 +239,7 @@ const maxSinglePath = 20
 // mine recursively extracts frequent itemsets from the tree; the items
 // already fixed live on m.suffix, and depth indexes the conditional-tree
 // scratch for the next level.
-func (m *Miner) mine(tree *flatTree, depth int) {
+func (m *fpMiner) mine(tree *flatTree, depth int) {
 	path, single := tree.singlePath(m.path[:0])
 	m.path = path
 	if single && len(path) <= maxSinglePath {
@@ -416,7 +280,7 @@ func (m *Miner) mine(tree *flatTree, depth int) {
 // emitPathCombinations adds every non-empty combination of the single
 // path's nodes (with the path's minimum count along the combination)
 // appended to the current suffix.
-func (m *Miner) emitPathCombinations(tree *flatTree, path []int32) {
+func (m *fpMiner) emitPathCombinations(tree *flatTree, path []int32) {
 	n := len(path)
 	for mask := 1; mask < 1<<n; mask++ {
 		count := 1 << 62
@@ -444,7 +308,7 @@ const emitArenaChunk = 4096
 // emit records a frequent itemset, translating item indices back to
 // ingredient IDs sorted ascending. Backing storage comes from the emit
 // arena; handed-out slices are capacity-capped and never touched again.
-func (m *Miner) emit(itemIdx []int32, count int) {
+func (m *fpMiner) emit(itemIdx []int32, count int) {
 	k := len(itemIdx)
 	if len(m.arenaFree) < k {
 		size := emitArenaChunk

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -65,10 +66,11 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 }
 
 // FuzzMineKernels decodes arbitrary bytes into a bounded transaction
-// corpus and checks that Apriori, FP-Growth, Eclat (serial and
-// parallel) and the adaptive Mine front end produce byte-identical
-// canonical results, and that every reported itemset's count matches a
-// brute-force recount over the raw transactions. The seed corpus in
+// corpus and checks that Mine with every forced kernel (Eclat serial
+// and parallel) and with adaptive selection reproduces raw Apriori's
+// canonical result, that every reported itemset's count matches a
+// brute-force recount over the raw transactions, and that a reused
+// IndexBuilder indexes the input exactly as a fresh build does. The seed corpus in
 // testdata/fuzz/FuzzMineKernels covers the shapes that distinguish the
 // kernels: duplicate-heavy (dedup arena + weighted popcounts), dense
 // single transactions (deep DFS), and sparse long tails.
@@ -98,6 +100,30 @@ func FuzzMineKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txs, minSupport := decodeFuzzCorpus(data)
 		res := allKernels(t, txs, minSupport, "fuzz")
+		// Builder reuse: a builder that has already indexed a different
+		// corpus — one per position mode, wide-range and dense — must
+		// build this input exactly as a fresh build and the legacy
+		// map-based build do.
+		want, err := legacyBuildIndex(txs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prior := range fuzzPriorCorpora {
+			var b IndexBuilder
+			if _, err := b.Build(prior); err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.Build(txs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("reused builder's index differs from the legacy build")
+			}
+		}
+		if fresh, err := BuildIndex(txs); err != nil || !reflect.DeepEqual(fresh, want) {
+			t.Fatalf("fresh index differs from the legacy build (err %v)", err)
+		}
 		// Independent recount: every reported itemset must hit its exact
 		// support in the raw (pre-dedup) corpus and clear the threshold.
 		mc := minCount(len(txs), minSupport)
@@ -116,6 +142,14 @@ func FuzzMineKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzPriorCorpora are what FuzzMineKernels's reused builders index
+// before each input: a wide-range corpus with negative IDs and a
+// duplicate-heavy dense one larger than any decoded input.
+var fuzzPriorCorpora = [][][]ingredient.ID{
+	{{-1 << 30, -7, 3}, {-7, 1 << 29}, {-1 << 30, -7, 3}, {}},
+	replicatePool(5, 10, 200, 8, 60),
 }
 
 // containsAll reports whether the sorted transaction contains every

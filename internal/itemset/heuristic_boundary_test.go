@@ -48,24 +48,16 @@ func distinctBoundaryCorpus(distinct int) [][]ingredient.ID {
 func TestChooseKernelDistinctBoundary(t *testing.T) {
 	at := distinctBoundaryCorpus(maxEclatDistinct)
 	over := distinctBoundaryCorpus(maxEclatDistinct + 1)
-	if got := ChooseKernel(at); got != KernelEclat {
+	ixAt, ixOver := mustIndex(t, at), mustIndex(t, over)
+	if got := ixAt.ChooseKernel(); got != KernelEclat {
 		t.Fatalf("distinct = max: %v, want eclat", got)
 	}
-	if got := ChooseKernel(over); got != KernelFPGrowth {
+	if got := ixOver.ChooseKernel(); got != KernelFPGrowth {
 		t.Fatalf("distinct = max+1: %v, want fpgrowth", got)
 	}
-	// The index-backed decision must agree on both sides of the edge,
-	// and forced kernels must agree on the result at the edge itself.
-	for name, txs := range map[string][][]ingredient.ID{"at": at, "over": over} {
-		ix, err := BuildIndex(txs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if raw, indexed := ChooseKernel(txs), ix.ChooseKernel(); raw != indexed {
-			t.Fatalf("%s: raw %v vs indexed %v", name, raw, indexed)
-		}
-		forcedKernelsAgree(t, ix, txs, 0.3, "distinct-"+name)
-	}
+	// Forced kernels must agree on the result on both sides of the edge.
+	forcedKernelsAgree(t, ixAt, at, 0.3, "distinct-at")
+	forcedKernelsAgree(t, ixOver, over, 0.3, "distinct-over")
 }
 
 func TestChooseKernelTxCountBoundary(t *testing.T) {
@@ -76,22 +68,15 @@ func TestChooseKernelTxCountBoundary(t *testing.T) {
 	for i := range txs {
 		txs[i] = one
 	}
-	if got := ChooseKernel(txs[:maxEclatTxs]); got != KernelEclat {
+	ixAt, ixOver := mustIndex(t, txs[:maxEclatTxs]), mustIndex(t, txs)
+	if got := ixAt.ChooseKernel(); got != KernelEclat {
 		t.Fatalf("n = max: %v, want eclat", got)
 	}
-	if got := ChooseKernel(txs); got != KernelFPGrowth {
+	if got := ixOver.ChooseKernel(); got != KernelFPGrowth {
 		t.Fatalf("n = max+1: %v, want fpgrowth", got)
 	}
-	for name, db := range map[string][][]ingredient.ID{"at": txs[:maxEclatTxs], "over": txs} {
-		ix, err := BuildIndex(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if raw, indexed := ChooseKernel(db), ix.ChooseKernel(); raw != indexed {
-			t.Fatalf("%s: raw %v vs indexed %v", name, raw, indexed)
-		}
-		forcedKernelsAgree(t, ix, db, 0.5, "txcount-"+name)
-	}
+	forcedKernelsAgree(t, ixAt, txs[:maxEclatTxs], 0.5, "txcount-at")
+	forcedKernelsAgree(t, ixOver, txs, 0.5, "txcount-over")
 }
 
 func TestChooseKernelDensityBoundary(t *testing.T) {
@@ -108,43 +93,29 @@ func TestChooseKernelDensityBoundary(t *testing.T) {
 		at = append(at, f)
 	}
 	under := append(append([][]ingredient.ID{}, at...), []ingredient.ID{})
-	if got := ChooseKernel(at); got != KernelEclat {
-		t.Fatalf("density = 1/64: %v, want eclat", got)
+	ixAt, ixUnder := mustIndex(t, at), mustIndex(t, under)
+	if !densityClears(ixAt) {
+		t.Fatal("density = 1/64: below the density bound, want exactly on it")
 	}
-	if got := ChooseKernel(under); got != KernelFPGrowth {
-		t.Fatalf("density = 1/65: %v, want fpgrowth", got)
-	}
-	ixAt, err := BuildIndex(at)
-	if err != nil {
-		t.Fatal(err)
+	if densityClears(ixUnder) {
+		t.Fatal("density = 1/65: clears the density bound, want one off under")
 	}
 	if got := ixAt.ChooseKernel(); got != KernelEclat {
-		t.Fatalf("at: indexed %v, want eclat (matching raw)", got)
+		t.Fatalf("density = 1/64: %v, want eclat", got)
 	}
-	// Under the density bound the raw and indexed decisions diverge by
-	// design: every item here appears in exactly one transaction, so the
-	// whole posting mix is array containers and the index-side heuristic
-	// upgrades back to Eclat (minEclatCompressedShare) where the raw
-	// statistics still say FP-Growth.
-	ixUnder, err := BuildIndex(under)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Under the density bound the posting mix decides: every item here
+	// appears in exactly one transaction, so the whole mix is array
+	// containers and the compressed-share rule keeps Eclat.
 	if st := ixUnder.ContainerStats(); st.Arrays != 4096 || st.Bitsets != 0 || st.Runs != 0 {
 		t.Fatalf("under: container mix %+v, want all arrays", st)
 	}
 	if got := ixUnder.ChooseKernel(); got != KernelEclat {
-		t.Fatalf("under: indexed %v, want eclat (compressed-share upgrade)", got)
+		t.Fatalf("density = 1/65: %v, want eclat (compressed-share rule)", got)
 	}
-	for name, db := range map[string][][]ingredient.ID{"at": at, "under": under} {
-		ix, err := BuildIndex(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Disjoint transactions: nothing reaches a 0.5 threshold, but
-		// the kernels must agree on that emptiness too.
-		forcedKernelsAgree(t, ix, db, 0.5, "density-"+name)
-	}
+	// Disjoint transactions: nothing reaches a 0.5 threshold, but the
+	// kernels must agree on that emptiness too.
+	forcedKernelsAgree(t, ixAt, at, 0.5, "density-at")
+	forcedKernelsAgree(t, ixUnder, under, 0.5, "density-under")
 }
 
 // compressedShareBoundaryCorpus engineers a posting mix sitting exactly
@@ -153,8 +124,8 @@ func TestChooseKernelDensityBoundary(t *testing.T) {
 // tidsets have 7 runs over words = 3 — bitset wins (cost 6 uint32s vs 7
 // array, 14 run) — while item 64+t appears only in transaction t, a
 // cardinality-1 array container. Share = 192/256 = 0.75 exactly, and
-// density 640/(192·256) sits under minEclatDensity so the raw heuristic
-// says FP-Growth on both sides of the edge. Dropping the last
+// density 640/(192·256) sits under minEclatDensity, so the posting mix
+// alone decides on both sides of the edge. Dropping the last
 // transaction (drop=true) removes one array item and no bitset members
 // (191 is not a multiple of 3): share slips to 191/255, one off under.
 func compressedShareBoundaryCorpus(drop bool) [][]ingredient.ID {
@@ -180,27 +151,17 @@ func compressedShareBoundaryCorpus(drop bool) [][]ingredient.ID {
 func TestChooseKernelCompressedShareBoundary(t *testing.T) {
 	at := compressedShareBoundaryCorpus(false)
 	under := compressedShareBoundaryCorpus(true)
-	// Raw statistics put both corpora below the density bound, so the
-	// container-aware branch is the only thing deciding here.
-	if got := ChooseKernel(at); got != KernelFPGrowth {
-		t.Fatalf("raw at: %v, want fpgrowth (below density bound)", got)
-	}
-	if got := ChooseKernel(under); got != KernelFPGrowth {
-		t.Fatalf("raw under: %v, want fpgrowth (below density bound)", got)
-	}
-	ixAt, err := BuildIndex(at)
-	if err != nil {
-		t.Fatal(err)
+	ixAt, ixUnder := mustIndex(t, at), mustIndex(t, under)
+	// Both corpora sit below the density bound, so the container-aware
+	// branch is the only thing deciding here.
+	if densityClears(ixAt) || densityClears(ixUnder) {
+		t.Fatal("share corpora clear the density bound; the share edge is untested")
 	}
 	if st := ixAt.ContainerStats(); st.Bitsets != 64 || st.Arrays != 192 || st.Runs != 0 {
 		t.Fatalf("at: container mix %+v, want 64 bitsets + 192 arrays", st)
 	}
 	if got := ixAt.ChooseKernel(); got != KernelEclat {
 		t.Fatalf("share = 0.75 exactly: indexed %v, want eclat (edge is inclusive)", got)
-	}
-	ixUnder, err := BuildIndex(under)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if st := ixUnder.ContainerStats(); st.Bitsets != 64 || st.Arrays != 191 || st.Runs != 0 {
 		t.Fatalf("under: container mix %+v, want 64 bitsets + 191 arrays", st)
@@ -230,12 +191,19 @@ func forcedKernelsAgree(t *testing.T, ix *Index, txs [][]ingredient.ID, minSuppo
 		if !reflect.DeepEqual(base.Sets, indexed.Sets) {
 			t.Fatalf("%s: indexed %v diverges from indexed apriori", label, k)
 		}
-		raw, err := Mine(txs, minSupport, MineOptions{Kernel: k})
+		mined, err := Mine(txs, minSupport, MineOptions{Kernel: k})
 		if err != nil {
-			t.Fatalf("%s: raw %v: %v", label, k, err)
+			t.Fatalf("%s: Mine %v: %v", label, k, err)
 		}
-		if !reflect.DeepEqual(base.Sets, raw.Sets) {
-			t.Fatalf("%s: raw %v diverges from indexed apriori", label, k)
+		if !reflect.DeepEqual(base.Sets, mined.Sets) {
+			t.Fatalf("%s: Mine %v diverges from indexed apriori", label, k)
 		}
 	}
+}
+
+// densityClears reports whether the index's column density reaches
+// minEclatDensity — the dense-sweep bound, evaluated independently of
+// ChooseKernel so each boundary test names the statistic it moves.
+func densityClears(ix *Index) bool {
+	return float64(ix.TotalOccurrences()) >= minEclatDensity*float64(ix.N())*float64(ix.DistinctItems())
 }

@@ -1,10 +1,6 @@
 package itemset
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"sort"
 	"unsafe"
 
 	"cuisinevol/internal/ingredient"
@@ -25,10 +21,10 @@ import (
 // intersection is the query primitive), which is what the search and
 // incremental-mining roadmap items build on.
 //
-// An Index is immutable after BuildIndex returns and safe for
-// concurrent use by any number of queries. The planned epoch-snapshot
-// evolution (DESIGN.md §12) mutates by replacing whole Index values,
-// never by editing one in place.
+// An Index is immutable once built and safe for concurrent use by any
+// number of queries; an IndexBuilder's index lives until that builder's
+// next build. LiveIndex mutates by replacing whole Index values, never
+// by editing one in place.
 type Index struct {
 	n        int         // transactions indexed, duplicates and empties included
 	totalOcc int         // total item occurrences across all indexed transactions
@@ -59,200 +55,6 @@ type Index struct {
 
 	fp    string
 	bytes int64
-}
-
-// BuildIndex indexes a transaction database: validation, item counting,
-// transaction dedup and the full vertical bitmap layout in one pass
-// family. Transactions must be sorted strictly ascending (the contract
-// every kernel already enforces). The input slices are read, never
-// retained or modified.
-func BuildIndex(txs [][]ingredient.ID) (*Index, error) {
-	return buildIndexWith(txs, false)
-}
-
-// buildIndexWith is BuildIndex with the posting layout pinned:
-// denseOnly forces every container into the dense bitset format — the
-// pre-container layout — which the dense×compressed differential suites
-// use as the second side of the identity proof. Production callers
-// always pass false.
-func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
-	if err := validateTransactions(txs); err != nil {
-		return nil, err
-	}
-	ix := &Index{n: len(txs)}
-
-	// Count every item and fingerprint the content in the same sweep.
-	h := sha256.New()
-	var word [4]byte
-	counts := make(map[ingredient.ID]int, 256)
-	for _, tx := range txs {
-		for _, it := range tx {
-			counts[it]++
-			binary.LittleEndian.PutUint32(word[:], uint32(it))
-			h.Write(word[:])
-		}
-		h.Write([]byte{0xff})
-		ix.totalOcc += len(tx)
-	}
-	ix.fp = hex.EncodeToString(h.Sum(nil)[:16])
-
-	// Item table in ascending ID order: a fixed, threshold-independent
-	// order, so a transaction's ascending-ID items map to ascending
-	// positions and stay sorted for free.
-	ix.items = make([]itemCount, 0, len(counts))
-	for it, c := range counts {
-		ix.items = append(ix.items, itemCount{it, c})
-	}
-	sort.Slice(ix.items, func(i, j int) bool { return ix.items[i].item < ix.items[j].item })
-	ix.pos = make(map[ingredient.ID]int32, len(ix.items))
-	for p, ic := range ix.items {
-		ix.pos[ic.item] = int32(p)
-	}
-
-	// Dedup identical transactions into (transaction, weight) pairs —
-	// the same collapse the kernels used to redo per mine, done once.
-	dedup := make(map[string]int32, len(txs))
-	wide := len(ix.items) > 0xffff
-	keyBuf := make([]byte, 0, 64)
-	buf := make([]int32, 0, 64)
-	ix.txOff = append(ix.txOff, 0)
-	for _, tx := range txs {
-		if len(tx) == 0 {
-			continue
-		}
-		buf = buf[:0]
-		for _, it := range tx {
-			buf = append(buf, ix.pos[it])
-		}
-		keyBuf = keyBuf[:0]
-		if wide {
-			for _, v := range buf {
-				keyBuf = append(keyBuf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-			}
-		} else {
-			for _, v := range buf {
-				keyBuf = append(keyBuf, byte(v>>8), byte(v))
-			}
-		}
-		if u, ok := dedup[string(keyBuf)]; ok {
-			ix.weights[u]++
-			continue
-		}
-		dedup[string(keyBuf)] = int32(len(ix.weights))
-		ix.txArena = append(ix.txArena, buf...)
-		ix.txOff = append(ix.txOff, int32(len(ix.txArena)))
-		ix.weights = append(ix.weights, 1)
-	}
-	ix.finalize(denseOnly)
-	return ix, nil
-}
-
-// finalize derives everything downstream of the deduped arena — the
-// unique count, the weighted flag, the posting containers, the weight
-// padding, and the byte accounting. BuildIndex and LiveIndex.Snapshot
-// both end here, which is what makes the snapshot identity proof a
-// property of one code path instead of two kept in sync by hand.
-func (ix *Index) finalize(denseOnly bool) {
-	ix.uniques = len(ix.weights)
-	ix.weighted = false
-	for _, w := range ix.weights {
-		if w > 1 {
-			ix.weighted = true
-			break
-		}
-	}
-	ix.words = (ix.uniques + 63) / 64
-	ix.buildPostings(denseOnly)
-	if ix.weighted {
-		// Pad to a whole word so the weighted intersect loop can index by
-		// bit position without bounds branches (same layout as the
-		// per-mine Eclat builder used).
-		for len(ix.weights) < ix.words*64 {
-			ix.weights = append(ix.weights, 0)
-		}
-	}
-	ix.bytes = ix.accountBytes()
-}
-
-// buildPostings lays out one posting container per item over the unique
-// transaction ids, every item included: filtering to the frequent
-// subset is the query phase's job, and changing the threshold must not
-// trigger a rebuild. Two passes over the arena: the first measures each
-// item's exact cardinality and run count and picks its container, the
-// second fills the two shared arenas. denseOnly pins every container to
-// the bitset format (test hook, see buildIndexWith).
-func (ix *Index) buildPostings(denseOnly bool) {
-	m := len(ix.items)
-	ix.postKind = make([]containerKind, m)
-	ix.postCard = make([]int32, m)
-	ix.postOff = make([]int32, m)
-	ix.postLen = make([]int32, m)
-	if m == 0 {
-		return
-	}
-
-	nruns := make([]int32, m)
-	last := make([]int32, m)
-	for i := range last {
-		last[i] = -2
-	}
-	for t := 0; t+1 < len(ix.txOff); t++ {
-		for _, p := range ix.txArena[ix.txOff[t]:ix.txOff[t+1]] {
-			ix.postCard[p]++
-			if last[p] != int32(t)-1 {
-				nruns[p]++
-			}
-			last[p] = int32(t)
-		}
-	}
-
-	idLen, bitsLen := 0, 0
-	for p := 0; p < m; p++ {
-		kind := choosePostingKind(int(ix.postCard[p]), int(nruns[p]), ix.words)
-		if denseOnly {
-			kind = containerBitset
-		}
-		ix.postKind[p] = kind
-		switch kind {
-		case containerArray:
-			ix.postOff[p], ix.postLen[p] = int32(idLen), ix.postCard[p]
-			idLen += int(ix.postCard[p])
-		case containerRun:
-			ix.postOff[p], ix.postLen[p] = int32(idLen), 2*nruns[p]
-			idLen += int(2 * nruns[p])
-		default:
-			ix.postOff[p], ix.postLen[p] = int32(bitsLen), int32(ix.words)
-			bitsLen += ix.words
-		}
-	}
-
-	ix.idArena = make([]uint32, idLen)
-	ix.bitsArena = make([]uint64, bitsLen)
-	fill := nruns // run/array fill cursors; the measuring pass is done with it
-	for i := range fill {
-		fill[i] = 0
-		last[i] = -2
-	}
-	for t := 0; t+1 < len(ix.txOff); t++ {
-		for _, p := range ix.txArena[ix.txOff[t]:ix.txOff[t+1]] {
-			switch ix.postKind[p] {
-			case containerArray:
-				ix.idArena[ix.postOff[p]+fill[p]] = uint32(t)
-				fill[p]++
-			case containerRun:
-				if last[p] == int32(t)-1 {
-					ix.idArena[ix.postOff[p]+fill[p]-1]++
-				} else {
-					ix.idArena[ix.postOff[p]+fill[p]] = uint32(t)
-					ix.idArena[ix.postOff[p]+fill[p]+1] = 1
-					fill[p] += 2
-				}
-				last[p] = int32(t)
-			default:
-				ix.bitsArena[int(ix.postOff[p])+t>>6] |= 1 << uint(t&63)
-			}
-		}
-	}
 }
 
 // accountBytes computes the index's real retained size: the struct
@@ -331,19 +133,21 @@ func (ix *Index) AddSupportCounts(dst []int) {
 }
 
 // ChooseKernel picks the cheaper mining kernel from the index's exact
-// shape statistics — no re-estimation pass over raw transactions. On
-// dense corpora the decision is identical to ChooseKernel on the
-// transactions the index was built from; on sparse corpora the index
-// knows more than the raw statistics do: when the posting mix is
-// overwhelmingly compressed (array/run containers), Eclat's cost
-// follows the cardinalities, not bitmap words, so the dense-sweep
-// density bound no longer disqualifies it (see minEclatCompressedShare).
+// shape statistics: transaction count, distinct item count, density and
+// posting mix. Dense short transactions over a modest item universe —
+// recipes: size in [2, 38], mean ≈ 9, a few hundred ingredients — go to
+// the vertical kernel, and so do sparse corpora whose posting mix is
+// overwhelmingly compressed (array/run containers), because Eclat's
+// cost then follows the cardinalities, not bitmap words (see
+// minEclatCompressedShare). Anything else falls back to FP-Growth. The
+// choice never affects results, only speed.
 func (ix *Index) ChooseKernel() Kernel {
-	if k := chooseKernelFromStats(ix.n, len(ix.items), ix.totalOcc); k == KernelEclat {
-		return k
-	}
-	if ix.n == 0 || ix.n > maxEclatTxs || len(ix.items) == 0 || len(ix.items) > maxEclatDistinct {
+	n, distinct := ix.n, len(ix.items)
+	if n == 0 || n > maxEclatTxs || distinct == 0 || distinct > maxEclatDistinct {
 		return KernelFPGrowth
+	}
+	if float64(ix.totalOcc)/(float64(n)*float64(distinct)) >= minEclatDensity {
+		return KernelEclat
 	}
 	compressed := 0
 	for _, kind := range ix.postKind {
@@ -351,7 +155,7 @@ func (ix *Index) ChooseKernel() Kernel {
 			compressed++
 		}
 	}
-	if float64(compressed) >= minEclatCompressedShare*float64(len(ix.postKind)) {
+	if float64(compressed) >= minEclatCompressedShare*float64(distinct) {
 		return KernelEclat
 	}
 	return KernelFPGrowth

@@ -300,13 +300,11 @@ func TestIndexImmutableAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestIndexChooseKernelMatchesRaw: the index's stats-based kernel
-// choice must reproduce ChooseKernel's decision on the raw
-// transactions for every corpus shape, except in the one documented
-// direction: on sparse corpora whose posting mix is overwhelmingly
-// compressed, the index knows more than the raw statistics and may
-// upgrade FP-Growth to Eclat (minEclatCompressedShare). Any other
-// divergence is a bug.
+// TestIndexChooseKernelMatchesRaw: the index's kernel choice must equal
+// the documented rule evaluated on statistics recounted from the raw
+// transactions — count, distinct items, occurrences — plus the index's
+// container mix, for every corpus shape. It pins that the index's
+// shape statistics are exact, whichever path computed them.
 func TestIndexChooseKernelMatchesRaw(t *testing.T) {
 	src := randx.New(99)
 	for trial := 0; trial < 30; trial++ {
@@ -324,16 +322,27 @@ func TestIndexChooseKernelMatchesRaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, indexed := ChooseKernel(txs), ix.ChooseKernel()
-		if raw == indexed {
-			continue
+		seen := map[ingredient.ID]bool{}
+		occ := 0
+		for _, x := range txs {
+			occ += len(x)
+			for _, it := range x {
+				seen[it] = true
+			}
 		}
+		n, distinct := len(txs), len(seen)
 		st := ix.ContainerStats()
-		compressed := st.Arrays + st.Runs
-		if raw != KernelFPGrowth || indexed != KernelEclat ||
-			float64(compressed) < minEclatCompressedShare*float64(ix.DistinctItems()) {
-			t.Fatalf("trial %d: ChooseKernel(raw) = %v, Index.ChooseKernel() = %v (mix %+v)",
-				trial, raw, indexed, st)
+		want := KernelFPGrowth
+		switch {
+		case n == 0 || n > maxEclatTxs || distinct == 0 || distinct > maxEclatDistinct:
+		case float64(occ) >= minEclatDensity*float64(n)*float64(distinct):
+			want = KernelEclat
+		case float64(st.Arrays+st.Runs) >= minEclatCompressedShare*float64(distinct):
+			want = KernelEclat
+		}
+		if got := ix.ChooseKernel(); got != want {
+			t.Fatalf("trial %d: Index.ChooseKernel() = %v, rule on raw statistics = %v (mix %+v)",
+				trial, got, want, st)
 		}
 	}
 }

@@ -1,17 +1,26 @@
 // Package itemset implements frequent-itemset mining over recipe
 // transactions: the combinations "of size 1 and greater which appeared in
-// at least 5% of all recipes in a cuisine" (paper, §IV). Three miners
-// are provided — level-wise Apriori, FP-Growth, and the Eclat vertical
-// bitset kernel — which produce byte-identical canonical results
-// (cross-checked by the differential and fuzz tests). Mine is the
-// front end: it picks the cheaper kernel for a corpus's shape, with
-// MineOptions.Kernel forcing a specific one.
+// at least 5% of all recipes in a cuisine" (paper, §IV).
+//
+// Every mine has one shape: an IndexBuilder turns the transactions into
+// an Index — validated, fingerprinted, deduped into a weighted arena,
+// with one posting container per item — and MineIndexed runs a kernel
+// over it: FP-Growth, the Eclat vertical kernel, or level-wise Apriori,
+// all producing byte-identical canonical results. Mine is the one-shot
+// form (build, then mine); BuildIndex and IndexCache serve indexes that
+// are queried many times; the replicate ensembles reuse one builder per
+// worker. Index.ChooseKernel picks the cheaper kernel for the corpus
+// shape unless MineOptions.Kernel forces one. Apriori over raw
+// transactions is kept as the independent oracle the differential and
+// fuzz tests check every kernel against.
 package itemset
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cuisinevol/internal/ingredient"
@@ -83,20 +92,14 @@ func minCount(n int, minSupport float64) int {
 // then lexicographically — a total order that makes results comparable
 // across miners and runs.
 func sortCanonical(sets []Itemset) {
-	sort.Slice(sets, func(i, j int) bool {
-		a, b := sets[i], sets[j]
+	slices.SortFunc(sets, func(a, b Itemset) int {
 		if a.Count != b.Count {
-			return a.Count > b.Count
+			return cmp.Compare(b.Count, a.Count)
 		}
 		if len(a.Items) != len(b.Items) {
-			return len(a.Items) < len(b.Items)
+			return cmp.Compare(len(a.Items), len(b.Items))
 		}
-		for k := range a.Items {
-			if a.Items[k] != b.Items[k] {
-				return a.Items[k] < b.Items[k]
-			}
-		}
-		return false
+		return slices.Compare(a.Items, b.Items)
 	})
 }
 
@@ -106,11 +109,15 @@ func validateTransactions(txs [][]ingredient.ID) error {
 	for i, tx := range txs {
 		for j := 1; j < len(tx); j++ {
 			if tx[j-1] >= tx[j] {
-				return fmt.Errorf("itemset: transaction %d is not strictly ascending", i)
+				return errNotAscending(i)
 			}
 		}
 	}
 	return nil
+}
+
+func errNotAscending(i int) error {
+	return fmt.Errorf("itemset: transaction %d is not strictly ascending", i)
 }
 
 // Apriori mines all frequent itemsets of size >= 1 with relative support

@@ -321,7 +321,8 @@ func (li *LiveIndex) Snapshot() *Index {
 	// shared finalize pass — container choice is a pure function of each
 	// tidset, so the snapshot's postings match BuildIndex's structurally,
 	// not just semantically (pinned by the live differential suite).
-	ix.finalize(false)
+	var b IndexBuilder
+	b.finalize(ix, false)
 
 	li.snap, li.snapEpoch = ix, li.epoch
 	li.snapshots++

@@ -15,7 +15,7 @@ type Kernel uint8
 
 const (
 	// KernelAuto lets Mine pick the cheaper kernel from the corpus shape
-	// (see ChooseKernel). The zero value, so "unset" means adaptive.
+	// (see Index.ChooseKernel). The zero value, so "unset" means adaptive.
 	KernelAuto Kernel = iota
 	// KernelFPGrowth is the flat-memory FP-tree kernel — the safe
 	// default for large or sparse corpora.
@@ -75,31 +75,37 @@ type MineOptions struct {
 }
 
 // Mine mines all frequent itemsets of size >= 1 with relative support
-// >= minSupport, dispatching to the kernel the options select — or, for
-// KernelAuto, to the cheaper of Eclat and FP-Growth for this corpus
-// shape. Every kernel returns the same canonical Result.
+// >= minSupport: a one-shot index build followed by MineIndexed, so
+// every kernel mines off the same deduped arena and posting containers.
+// Transactions must be sorted strictly ascending; they are read, never
+// retained or modified.
 func Mine(txs [][]ingredient.ID, minSupport float64, opts MineOptions) (*Result, error) {
-	k := opts.Kernel
-	if k == KernelAuto {
-		k = ChooseKernel(txs)
+	if minSupport <= 0 || minSupport > 1 {
+		return nil, ErrBadSupport
 	}
-	switch k {
-	case KernelEclat:
-		return eclatMine(txs, minSupport, opts.Workers)
-	case KernelApriori:
-		return Apriori(txs, minSupport)
-	default:
-		return FPGrowth(txs, minSupport)
+	ix, err := new(IndexBuilder).Build(txs)
+	if err != nil {
+		return nil, err
 	}
+	return MineIndexed(ix, minSupport, opts)
+}
+
+// FPGrowth is Mine with the FP-tree kernel forced.
+func FPGrowth(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
+	return Mine(txs, minSupport, MineOptions{Kernel: KernelFPGrowth})
+}
+
+// Eclat is Mine with the vertical kernel forced.
+func Eclat(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
+	return Mine(txs, minSupport, MineOptions{Kernel: KernelEclat})
 }
 
 // MineIndexed mines all frequent itemsets of size >= 1 with relative
 // support >= minSupport off a prebuilt Index — the query phase of
 // index/query-split mining. Frequent items are filtered from the
 // index's support counts at the requested threshold; no kernel touches
-// raw [][]ingredient.ID. Results are byte-identical to Mine on the
-// transactions the index was built from (pinned by the differential
-// layer), so callers can swap freely between the two paths.
+// raw [][]ingredient.ID. Every kernel returns the same canonical Result
+// (pinned against raw Apriori by the differential layer).
 func MineIndexed(ix *Index, minSupport float64, opts MineOptions) (*Result, error) {
 	k := opts.Kernel
 	if k == KernelAuto {
@@ -132,61 +138,10 @@ const (
 	// per word the AND sweeps are mostly zero work.
 	minEclatDensity = 1.0 / 64
 	// minEclatCompressedShare is the container-aware relaxation of the
-	// density bound, available only to Index.ChooseKernel (raw mining
-	// has no containers): a corpus too sparse for dense sweeps still
+	// density bound: a corpus too sparse for dense sweeps still
 	// mines well vertically when at least this fraction of its items
 	// sit in array/run containers, because galloping intersections cost
 	// per posting, not per bitmap word. Inclusive edge, pinned one off
 	// each side by TestChooseKernelCompressedShareBoundary.
 	minEclatCompressedShare = 0.75
 )
-
-// ChooseKernel picks the cheaper mining kernel for a transaction
-// database from three shape statistics: transaction count, distinct
-// item count, and density. Dense short transactions over a modest item
-// universe — recipes: size in [2, 38], mean ≈ 9, a few hundred
-// ingredients — go to the vertical bitset kernel; anything big or
-// sparse falls back to FP-Growth. The choice never affects results,
-// only speed.
-func ChooseKernel(txs [][]ingredient.ID) Kernel {
-	n := len(txs)
-	if n == 0 || n > maxEclatTxs {
-		return KernelFPGrowth
-	}
-	total := 0
-	var distinct int
-	seen := make(map[ingredient.ID]struct{}, 256)
-	for _, tx := range txs {
-		total += len(tx)
-		for _, it := range tx {
-			if _, ok := seen[it]; !ok {
-				seen[it] = struct{}{}
-				distinct++
-				if distinct > maxEclatDistinct {
-					return KernelFPGrowth
-				}
-			}
-		}
-	}
-	return chooseKernelFromStats(n, distinct, total)
-}
-
-// chooseKernelFromStats is the shared decision rule behind ChooseKernel
-// and Index.ChooseKernel: given the exact shape statistics — transaction
-// count, distinct item count, total item occurrences — pick the cheaper
-// kernel. Index.ChooseKernel reads these straight off the prebuilt
-// index instead of re-estimating them from raw transactions; both paths
-// decide identically by construction.
-func chooseKernelFromStats(n, distinct, total int) Kernel {
-	if n == 0 || n > maxEclatTxs {
-		return KernelFPGrowth
-	}
-	if distinct == 0 || distinct > maxEclatDistinct {
-		return KernelFPGrowth
-	}
-	density := float64(total) / (float64(n) * float64(distinct))
-	if density < minEclatDensity {
-		return KernelFPGrowth
-	}
-	return KernelEclat
-}

@@ -123,12 +123,12 @@ func TestFPGrowthAprioriEquivalence(t *testing.T) {
 	}
 }
 
-// TestMinerScratchReuseIsClean: a single reused Miner must produce
-// results identical to fresh package-level calls, and earlier results
-// must stay intact after later mines (no aliasing into recycled
-// scratch).
+// TestMinerScratchReuseIsClean: the pooled FP-Growth miner, fed
+// indexes back to back from one reused builder, must match the raw
+// Apriori oracle, and earlier results must stay intact after later
+// mines (no aliasing into recycled miner scratch or builder arenas).
 func TestMinerScratchReuseIsClean(t *testing.T) {
-	miner := NewMiner()
+	var b IndexBuilder
 	src := randx.New(17)
 	var kept []*Result
 	var want []map[string]int
@@ -137,16 +137,20 @@ func TestMinerScratchReuseIsClean(t *testing.T) {
 		for i := range txs {
 			txs[i] = tx(src.SampleInts(12, 1+src.Intn(6))...)
 		}
-		fresh, err := FPGrowth(txs, 0.05)
+		oracle, err := Apriori(txs, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := miner.FPGrowth(txs, 0.05)
+		ix, err := b.Build(txs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fresh.Sets, got.Sets) {
-			t.Fatalf("trial %d: reused miner diverged from fresh call", trial)
+		got, err := MineIndexed(ix, 0.05, MineOptions{Kernel: KernelFPGrowth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(oracle.Sets, got.Sets) {
+			t.Fatalf("trial %d: reused miner diverged from apriori", trial)
 		}
 		kept = append(kept, got)
 		want = append(want, setsAsMap(got))

@@ -19,7 +19,6 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 	g := &Group[[]byte]{}
 	const n = 8
 	var executions atomic.Int32
-	joined := make(chan struct{}, n)
 	release := make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -30,7 +29,6 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			joined <- struct{}{}
 			results[i], errs[i], sharedFlags[i] = g.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
 				executions.Add(1)
 				<-release
@@ -38,12 +36,18 @@ func TestFlightCoalescesConcurrentCalls(t *testing.T) {
 			}, discard)
 		}(i)
 	}
-	// Wait until every goroutine is launched and the leader is inside fn,
-	// then let the computation finish.
-	for i := 0; i < n; i++ {
-		<-joined
-	}
-	for executions.Load() == 0 {
+	// Wait until every caller is inside Do — counted as a waiter of the
+	// one in-flight call — then let the computation finish. (Waiting only
+	// for the goroutines to start let a straggler reach Do after the
+	// release and start a second execution.)
+	for {
+		g.mu.Lock()
+		c := g.m["k"]
+		all := c != nil && c.waiters == n
+		g.mu.Unlock()
+		if all {
+			break
+		}
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
