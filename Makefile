@@ -19,17 +19,19 @@ FUZZTIME ?= 30s
 # The perf-trajectory benchmarks: the FP-Growth and Eclat mining kernels,
 # the Fig 3/4 pipelines they feed, the arena simulation kernel behind
 # them, and the build-once corpus index (build cost, warm-index queries,
-# and the cold-mine point they beat) — see ISSUE/DESIGN "Performance
-# architecture" and DESIGN.md §12.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites
+# and the cold-mine point they beat, and the low-support mines of the
+# append_reads serving workload) — see ISSUE/DESIGN "Performance
+# architecture" and DESIGN.md §10 and §12.
+BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build
 # even on noisy shared runners. MineWarmIndex rides along to keep the
-# pooled warm-query path allocation-flat, and MineWarmUnderWrites keeps
+# pooled warm-query path allocation-flat, MineWarmUnderWrites keeps
 # the snapshot-then-mine path under a write stream from growing hidden
-# per-query allocations.
-ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites
+# per-query allocations, and MineLowSupport keeps a 15k–37k-set mine's
+# canonical assembly at a handful of allocations.
+ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites|MineLowSupport
 
 .PHONY: check ci serve vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test
 

@@ -17,6 +17,8 @@ package cuisinevol
 //
 // Run with: go test -bench=. -benchmem
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -385,6 +387,59 @@ func BenchmarkMineIngredientCombosITA(b *testing.B) {
 		if _, err := itemset.FPGrowth(txs, 0.05); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMineLowSupport measures the low-support mines of the
+// append_reads serving workload: the JPN view of the seed-42 corpus at
+// RecipeScale 0.2, indexed once, mined at each of the workload's
+// supports (15k–37k itemsets per mine here) with Eclat fanned over
+// GOMAXPROCS workers, as the server's /v1/mine does. Before the radix
+// assembly, most of such a mine went on sorting its itemsets into
+// canonical order. The index comes from an IndexBuilder, whose own
+// query state every mine reuses: the server's cached indexes draw the
+// same state from a sync.Pool, which a GC can empty, and the 1-iteration
+// alloc gate must not price that miss.
+func BenchmarkMineLowSupport(b *testing.B) {
+	cfg := synth.DefaultConfig(42)
+	cfg.RecipeScale = 0.2
+	corpus, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var builder itemset.IndexBuilder
+	ix, err := builder.Build(corpus.Region("JPN").Transactions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := itemset.MineOptions{Workers: runtime.GOMAXPROCS(0)}
+	for _, support := range []float64{0.002, 0.0025, 0.003, 0.0045} {
+		b.Run(fmt.Sprintf("support=%g", support), func(b *testing.B) {
+			var sets int
+			mine := func() error {
+				res, err := itemset.MineIndexed(ix, support, opts)
+				if err == nil {
+					sets = len(res.Sets)
+				}
+				return err
+			}
+			// Warm up: enough mines for both workers' depth buffers to
+			// have met the largest partitions, whichever worker claims
+			// them.
+			for i := 0; i < 8; i++ {
+				if err := mine(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := mine(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sets), "sets")
+		})
 	}
 }
 

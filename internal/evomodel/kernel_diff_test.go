@@ -163,7 +163,9 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 // one IndexBuilder, handed replicate corpus after replicate corpus
 // exactly as a scheduler worker is — ingredient and category
 // emissions interleaved, across every model kind and randomized shapes —
-// must build every index reflect.DeepEqual to a fresh one-shot build.
+// must build every index reflect.DeepEqual to a fresh builder's
+// one-shot build. (A kept BuildIndex index differs from both in one
+// field only: it drops the link to its builder's query state.)
 func TestReplicateBuilderReuse(t *testing.T) {
 	src := randx.New(0xB111D)
 	var b itemset.IndexBuilder
@@ -180,7 +182,7 @@ func TestReplicateBuilderReuse(t *testing.T) {
 				if categories {
 					txs = m.emitCategoryTransactions()
 				}
-				want, err := itemset.BuildIndex(txs)
+				want, err := new(itemset.IndexBuilder).Build(txs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,8 +23,11 @@ func BuildIndex(txs [][]ingredient.ID) (*Index, error) {
 		return nil, err
 	}
 	// A kept index (cached, served, snapshotted) retains exactly what it
-	// uses: drop the growth slack of the slices the build appended to.
+	// uses: drop the growth slack of the slices the build appended to,
+	// and the builder's query state, which concurrent queries could not
+	// share anyway.
 	ix.txArena, ix.txOff, ix.weights = slices.Clone(ix.txArena), slices.Clone(ix.txOff), slices.Clone(ix.weights)
+	ix.query = nil
 	return ix, nil
 }
 
@@ -34,7 +37,12 @@ func BuildIndex(txs [][]ingredient.ID) (*Index, error) {
 // use as the second side of the identity proof. Production callers
 // always pass false.
 func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
-	return new(IndexBuilder).build(txs, denseOnly)
+	ix, err := new(IndexBuilder).build(txs, denseOnly)
+	if err != nil {
+		return nil, err
+	}
+	ix.query = nil
+	return ix, nil
 }
 
 // IndexBuilder is the package's one index-build implementation. Every
@@ -55,10 +63,13 @@ func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 //
 // The Index a Build returns aliases the builder's arenas: it is valid
 // until that builder's next Build. Results mined from it never alias
-// the arenas. The zero value is ready to use; an IndexBuilder is not
-// safe for concurrent use.
+// the arenas. The builder also owns the Eclat query state its indexes
+// are mined with, so a builder's mines draw nothing from a
+// process-global pool. The zero value is ready to use; an IndexBuilder
+// is not safe for concurrent use.
 type IndexBuilder struct {
-	ix *Index
+	ix    *Index
+	query eclatQuery
 
 	// Arenas the Index fields are carved from, reused across builds.
 	items     []itemCount
@@ -255,6 +266,7 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 		pos:      b.pos,
 		txOff:    off,
 		fp:       string(b.hexBuf[:]),
+		query:    &b.query,
 	}
 	if len(weights) > 0 {
 		ix.txArena, ix.weights = arena, weights

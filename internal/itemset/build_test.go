@@ -3,6 +3,7 @@ package itemset
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -104,11 +105,21 @@ func TestBuildIndexMatchesLegacy(t *testing.T) {
 	}
 }
 
+// withoutQuery returns a copy of a builder's index without its link to
+// the builder's Eclat query state — mining scratch, not index content —
+// so it can be compared with a kept index, which has none.
+func withoutQuery(ix *Index) *Index {
+	c := *ix
+	c.query = nil
+	return &c
+}
+
 // TestIndexBuilderReuse feeds one builder the whole corpus sequence
 // twice over and requires every index to be reflect.DeepEqual to a
 // fresh BuildIndex: no stale count, position, dedup slot, weighted
 // flag, weight padding or container may survive from the previous
-// build. A failed build in between must not disturb the next one.
+// build. A failed build in between must not disturb the next one. The
+// builder's indexes carry its query state; kept indexes carry none.
 func TestIndexBuilderReuse(t *testing.T) {
 	corpora := builderCorpora(t)
 	var b IndexBuilder
@@ -123,7 +134,10 @@ func TestIndexBuilderReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if got.query != &b.query || want.query != nil {
+				t.Fatalf("%s: builder index query %p (want %p), kept index query %p (want nil)", label, got.query, &b.query, want.query)
+			}
+			if !reflect.DeepEqual(withoutQuery(got), want) {
 				t.Fatalf("%s: reused build differs from a fresh one", label)
 			}
 			if _, err := b.Build([][]ingredient.ID{{2, 1}}); err == nil {
@@ -141,9 +155,57 @@ func TestIndexBuilderReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(withoutQuery(got), want) {
 			t.Fatalf("dense-only %s: reused build differs from a fresh one", c.name)
 		}
+	}
+}
+
+// TestBuilderQueryConcurrentMines: a builder's index carries the
+// builder's query state, and only one mine at a time may use it. Eight
+// goroutines mining the same builder index at once, serial and
+// parallel Eclat, must each get the Result a kept index gives; the
+// losers of the claim mine with pooled state.
+func TestBuilderQueryConcurrentMines(t *testing.T) {
+	txs := replicatePool(9, 30, 3000, 9, 300)
+	kept, err := BuildIndex(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b IndexBuilder
+	ix, err := b.Build(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	supports := []float64{0.02, 0.05, 0.1}
+	want := make([]*Result, len(supports))
+	for i, sup := range supports {
+		if want[i], err = MineIndexed(kept, sup, MineOptions{Kernel: KernelEclat}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				i := (g + round) % len(supports)
+				got, err := MineIndexed(ix, supports[i], MineOptions{Kernel: KernelEclat, Workers: g % 3})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d round %d: builder-index mine differs from the kept index's", g, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if b.query.busy.Load() {
+		t.Fatal("the builder's query state is still claimed after every mine returned")
 	}
 }
 

@@ -208,7 +208,7 @@ func TestDifferentialRealCorpus(t *testing.T) {
 // TestEclatScratchReuseIsClean mirrors the FP-Growth pool-hygiene test:
 // a reused Eclat miner must match fresh results, and earlier Results
 // must stay intact after later mines (no aliasing into recycled
-// scratch or emit arenas).
+// scratch or set sinks).
 func TestEclatScratchReuseIsClean(t *testing.T) {
 	src := randx.New(17)
 	var kept []*Result

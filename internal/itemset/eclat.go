@@ -1,10 +1,11 @@
 package itemset
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
+	"sync/atomic"
 
-	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/sched"
 )
 
@@ -13,8 +14,9 @@ import (
 // tidset over the deduped unique transactions, and the support of an
 // extension is one container intersection (weight-summed when
 // duplicates exist). Depth-first expansion walks prefix equivalence
-// classes; all intersection and class scratch is pooled per depth, so
-// steady-state mining allocates almost nothing beyond the Result.
+// classes; all intersection and class scratch is kept per depth in the
+// query state, so steady-state mining allocates almost nothing beyond
+// the Result.
 //
 // Dense short transactions — bounded-size recipes over a few hundred
 // ingredients, the regime of every pipeline in this repo — are exactly
@@ -22,16 +24,16 @@ import (
 // encodes that heuristic.
 
 // eclatShared is the read-only mining state the expansion workers
-// consume: the frequent-item filter and zero-copy posting views into
-// the Index, built once per mine and then shared across the top-level
-// prefix partitions (safely — nothing here is written after
+// consume: the frequent items' positions and zero-copy posting views
+// into the Index, built once per mine and then shared across the
+// top-level prefix partitions (safely — nothing here is written after
 // construction).
 type eclatShared struct {
-	freq     []itemCount // frequent items, ascending count then ID
-	words    int         // dense bitmap length in uint64 words
-	weighted bool        // any unique transaction with weight > 1
-	weights  []int32     // per unique-transaction multiplicity
-	posts    []posting   // per frequent item: its tidset container
+	pos      []int32   // frequent item positions, ascending count then position
+	words    int       // dense bitmap length in uint64 words
+	weighted bool      // any unique transaction with weight > 1
+	weights  []int32   // per unique-transaction multiplicity
+	posts    []posting // per frequent item: its tidset container
 	mc       int
 }
 
@@ -45,77 +47,69 @@ type eclatExt struct {
 
 // eclatScratch is the per-worker expansion state: the suffix stack, one
 // bitset buffer, one id buffer and one class slice per recursion depth,
-// an emit arena, and the output slice. Serial mining uses the query's
-// own scratch; the parallel path draws one per top-level partition from
-// a pool.
+// and the sink the worker's itemsets go to. The query owns one scratch
+// per worker and keeps them across partitions and mines.
 type eclatScratch struct {
 	sh       *eclatShared
 	suffix   []int32
 	levels   [][]uint64   // per-depth word buffers for bitset candidates
 	levelIDs [][]uint32   // per-depth id buffers for array candidates
 	class    [][]eclatExt // per-depth class scratch
-
-	// arenaFree is the unused tail of the current emit-arena chunk (the
-	// same carve-and-never-touch-again scheme as fpMiner.emit).
-	arenaFree []ingredient.ID
-	sets      []Itemset
+	out      setSink
 }
 
 // levelAt returns the depth's bitset buffer with room for n words.
 func (s *eclatScratch) levelAt(depth, n int) []uint64 {
-	for len(s.levels) <= depth {
-		s.levels = append(s.levels, nil)
-	}
-	if cap(s.levels[depth]) < n {
-		s.levels[depth] = make([]uint64, n)
-	}
-	return s.levels[depth][:cap(s.levels[depth])]
+	return depthBuf(&s.levels, depth, n)
 }
 
 // levelIDsAt returns the depth's id buffer with room for n ids.
 func (s *eclatScratch) levelIDsAt(depth, n int) []uint32 {
-	for len(s.levelIDs) <= depth {
-		s.levelIDs = append(s.levelIDs, nil)
-	}
-	if cap(s.levelIDs[depth]) < n {
-		s.levelIDs[depth] = make([]uint32, n)
-	}
-	return s.levelIDs[depth][:cap(s.levelIDs[depth])]
+	return depthBuf(&s.levelIDs, depth, n)
 }
 
-// classAt returns the depth's class scratch, emptied.
-func (s *eclatScratch) classAt(depth int) []eclatExt {
-	for len(s.class) <= depth {
-		s.class = append(s.class, nil)
-	}
-	return s.class[depth][:0]
+// classAt returns the depth's class scratch, emptied, with room for n
+// members.
+func (s *eclatScratch) classAt(depth, n int) []eclatExt {
+	return depthBuf(&s.class, depth, n)[:0]
 }
 
-// emitWith records the itemset suffix∪{item} with the given count,
-// translating item order indices back to ingredient IDs sorted
-// ascending (the canonical itemset representation all kernels share).
+// Depth buffers that must grow at least double, from no fewer than
+// minDepthBuf elements, so a fresh scratch — every IndexBuilder's
+// first mine — settles in a few allocations; past maxDoubledBuf
+// elements they grow to the exact need.
+const (
+	minDepthBuf   = 256
+	maxDoubledBuf = 1 << 20
+)
+
+// depthBuf returns (*bufs)[depth] at its full capacity, at least n,
+// with unspecified contents.
+func depthBuf[T any](bufs *[][]T, depth, n int) []T {
+	for len(*bufs) <= depth {
+		*bufs = append(*bufs, nil)
+	}
+	b := (*bufs)[depth]
+	if cap(b) < n {
+		size := max(n, minDepthBuf)
+		if d := 2 * cap(b); d > size && d <= maxDoubledBuf {
+			size = d
+		}
+		b = make([]T, size)
+		(*bufs)[depth] = b
+	}
+	return b[:cap(b)]
+}
+
+// emitWith records the itemset suffix∪{item} with the given count as
+// its ascending item positions.
 func (s *eclatScratch) emitWith(item int32, count int) {
-	k := len(s.suffix) + 1
-	if len(s.arenaFree) < k {
-		size := emitArenaChunk
-		if k > size {
-			size = k
-		}
-		s.arenaFree = make([]ingredient.ID, size)
-	}
-	items := s.arenaFree[:k:k]
-	s.arenaFree = s.arenaFree[k:]
+	dst := s.out.add(len(s.suffix)+1, count)
 	for i, idx := range s.suffix {
-		items[i] = s.sh.freq[idx].item
+		dst[i] = s.sh.pos[idx]
 	}
-	items[k-1] = s.sh.freq[item].item
-	// Insertion sort: itemsets are small (recipe-bounded).
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j] < items[j-1]; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-	s.sets = append(s.sets, Itemset{Items: items, Count: count})
+	dst[len(dst)-1] = s.sh.pos[item]
+	sortInt32s(dst)
 }
 
 // top expands the top-level prefix partition rooted at frequent item a:
@@ -131,7 +125,7 @@ func (s *eclatScratch) emitWith(item int32, count int) {
 // reused across siblings once their subtree is done.
 func (s *eclatScratch) top(a int) {
 	sh := s.sh
-	k := len(sh.freq)
+	k := len(sh.pos)
 	s.suffix = append(s.suffix[:0], int32(a))
 	pa := sh.posts[a]
 	needW, needI := 0, 0
@@ -144,7 +138,7 @@ func (s *eclatScratch) top(a int) {
 	}
 	wbuf := s.levelAt(0, needW)
 	ibuf := s.levelIDsAt(0, needI)
-	class := s.classAt(0)
+	class := s.classAt(0, k-a-1)
 	woff, ioff := 0, 0
 	for b := a + 1; b < k; b++ {
 		pb := sh.posts[b]
@@ -196,7 +190,7 @@ func (s *eclatScratch) expand(exts []eclatExt, depth int) {
 		}
 		wbuf := s.levelAt(depth, needW)
 		ibuf := s.levelIDsAt(depth, needI)
-		class := s.classAt(depth)
+		class := s.classAt(depth, len(exts)-a-1)
 		woff, ioff := 0, 0
 		for b := a + 1; b < len(exts); b++ {
 			pb := exts[b].p
@@ -226,79 +220,51 @@ func (s *eclatScratch) expand(exts []eclatExt, depth int) {
 	}
 }
 
-// eclatWorkerPool recycles expansion scratch for the parallel path; the
-// serial path uses the query's embedded scratch.
-var eclatWorkerPool = sync.Pool{New: func() any { return &eclatScratch{} }}
-
-// eclatRun is the expansion phase: singletons from the frequent-item
-// counts, then every top-level prefix partition, serially or fanned out
-// over the scheduler, leaving res.Sets canonically sorted.
-func eclatRun(sh *eclatShared, s *eclatScratch, res *Result, workers int) error {
-	s.sh = sh
-	s.sets = s.sets[:0]
-	s.suffix = s.suffix[:0]
-	// Singletons come straight from the global counts.
-	for _, ic := range sh.freq {
-		s.emitSingleton(ic)
-	}
-
-	k := len(sh.freq)
-	if workers > 1 && k > 2 {
-		// Top-level prefix partitions are independent subtrees; fan them
-		// out through the shared scheduler. Partition results are collected
-		// by index and concatenated in order, and the canonical sort below
-		// makes the Result identical to the serial walk regardless.
-		serialSets := s.sets
-		parts, err := sched.Collect(workers, k-1, func(a int) ([]Itemset, error) {
-			w := eclatWorkerPool.Get().(*eclatScratch)
-			w.sh = sh
-			w.sets = nil // results are returned; never recycle them
-			w.top(a)
-			sets := w.sets
-			w.sets = nil
-			w.sh = nil
-			eclatWorkerPool.Put(w)
-			return sets, nil
-		})
-		if err != nil {
-			s.sets = nil
-			return err
-		}
-		res.Sets = serialSets
-		for _, p := range parts {
-			res.Sets = append(res.Sets, p...)
-		}
-		s.sets = nil // handed to the caller; don't retain in the pool
-	} else {
-		for a := 0; a+1 < k; a++ {
-			s.top(a)
-		}
-		res.Sets = s.sets
-		s.sets = nil
-	}
-	sortCanonical(res.Sets)
-	return nil
-}
-
-// eclatQuery is the pooled per-query state of indexed mining: the
-// shared view (frequent-item filter + bitmap refs into the Index) and
-// an expansion scratch whose per-depth buffers and emit arena survive
+// eclatQuery is the per-query state of indexed mining: the shared view
+// (frequent items and posting refs into the Index), one expansion
+// scratch per worker and the assembly scratch. All of it survives
 // across queries, keeping back-to-back indexed mines allocation-flat.
+// An IndexBuilder owns one for the indexes it builds; kept indexes
+// draw one from eclatQueryPool.
 type eclatQuery struct {
 	shared  eclatShared
-	scratch eclatScratch
-	posBuf  []int32 // frequent item positions, sorted into mining order
+	workers []eclatScratch // workers[0] also mines the serial path
+	sinks   []*setSink
+	order   canonOrder
+	// busy is claimed by the mine using a builder-owned query, so a
+	// concurrent mine of the same index falls back to the pool.
+	busy atomic.Bool
 }
 
 var eclatQueryPool = sync.Pool{New: func() any { return &eclatQuery{} }}
 
-// release returns the query state to the pool, dropping every reference
-// into the Index so a pooled query never pins evicted index memory.
-func (q *eclatQuery) release() {
+// acquireEclatQuery returns the query state of the index's builder if
+// no other mine holds it, else a pooled one.
+func acquireEclatQuery(ix *Index) *eclatQuery {
+	if q := ix.query; q != nil && q.busy.CompareAndSwap(false, true) {
+		return q
+	}
+	return eclatQueryPool.Get().(*eclatQuery)
+}
+
+// release drops every reference into the Index, so a kept query never
+// pins evicted index memory, trims oversized scratch, and hands the
+// query back to its builder or the pool.
+func (q *eclatQuery) release(ix *Index) {
 	sh := &q.shared
 	clear(sh.posts)
 	sh.posts = sh.posts[:0]
 	sh.weights = nil
+	for i := range q.workers {
+		q.workers[i].sh = nil
+		q.workers[i].out.trim()
+	}
+	clear(q.sinks)
+	q.order.trim()
+	if q == ix.query {
+		q.busy.Store(false)
+		return
+	}
 	eclatQueryPool.Put(q)
 }
 
@@ -315,8 +281,8 @@ func eclatMineIndexed(ix *Index, minSupport float64, workers int) (*Result, erro
 	if ix.n == 0 {
 		return res, nil
 	}
-	q := eclatQueryPool.Get().(*eclatQuery)
-	defer q.release()
+	q := acquireEclatQuery(ix)
+	defer q.release(ix)
 	sh := &q.shared
 	sh.mc = minCount(ix.n, minSupport)
 	sh.words = ix.words
@@ -326,39 +292,78 @@ func eclatMineIndexed(ix *Index, minSupport float64, workers int) (*Result, erro
 	// Frequent item positions in the standard Eclat order (ascending
 	// count, ties by ascending ID — positions ascend with IDs, so the
 	// tie-break is the position itself).
-	q.posBuf = q.posBuf[:0]
-	for p, ic := range ix.items {
+	f := 0
+	for _, ic := range ix.items {
 		if ic.count >= sh.mc {
-			q.posBuf = append(q.posBuf, int32(p))
+			f++
 		}
 	}
-	sort.Slice(q.posBuf, func(i, j int) bool {
-		a, b := q.posBuf[i], q.posBuf[j]
-		if ix.items[a].count != ix.items[b].count {
-			return ix.items[a].count < ix.items[b].count
+	sh.pos = reuse(sh.pos, f)
+	for p, ic := range ix.items {
+		if ic.count >= sh.mc {
+			sh.pos = append(sh.pos, int32(p))
 		}
-		return a < b
+	}
+	slices.SortFunc(sh.pos, func(a, b int32) int {
+		if c := cmp.Compare(ix.items[a].count, ix.items[b].count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	sh.freq = sh.freq[:0]
-	sh.posts = sh.posts[:0]
-	for _, p := range q.posBuf {
-		sh.freq = append(sh.freq, ix.items[p])
+	sh.posts = reuse(sh.posts, f)
+	for _, p := range sh.pos {
 		sh.posts = append(sh.posts, ix.postingAt(int(p)))
 	}
 
-	if err := eclatRun(sh, &q.scratch, res, workers); err != nil {
+	if err := q.run(ix, workers); err != nil {
 		return nil, err
 	}
+	res.Sets = q.order.assemble(ix.items, q.sinks...)
 	return res, nil
 }
 
-// emitSingleton records a size-1 itemset from the global count pass.
-func (s *eclatScratch) emitSingleton(ic itemCount) {
-	if len(s.arenaFree) < 1 {
-		s.arenaFree = make([]ingredient.ID, emitArenaChunk)
+// run is the expansion phase: singletons from the frequent-item counts,
+// then every top-level prefix partition, serially or fanned out over
+// the scheduler, each worker emitting into its own sink.
+func (q *eclatQuery) run(ix *Index, workers int) error {
+	sh := &q.shared
+	k := len(sh.pos)
+	if workers < 1 || k < 3 {
+		workers = 1
 	}
-	items := s.arenaFree[:1:1]
-	s.arenaFree = s.arenaFree[1:]
-	items[0] = ic.item
-	s.sets = append(s.sets, Itemset{Items: items, Count: ic.count})
+	workers = min(workers, max(k-1, 1))
+	for len(q.workers) < workers {
+		q.workers = append(q.workers, eclatScratch{})
+	}
+	q.sinks = q.sinks[:0]
+	for i := range q.workers[:workers] {
+		w := &q.workers[i]
+		w.sh = sh
+		w.suffix = w.suffix[:0]
+		w.out.reset()
+		q.sinks = append(q.sinks, &w.out)
+	}
+	// Singletons come straight from the global counts.
+	for _, p := range sh.pos {
+		q.workers[0].out.add(1, ix.items[p].count)[0] = p
+	}
+
+	if workers == 1 {
+		for a := 0; a+1 < k; a++ {
+			q.workers[0].top(a)
+		}
+		return nil
+	}
+	// Top-level prefix partitions are independent subtrees: each worker
+	// takes the next unclaimed one until none are left. Which worker
+	// mines which partition does not matter — assembly orders the sets
+	// canonically whatever sink they are in.
+	var next atomic.Int64
+	return sched.Run(workers, workers, func(w int) error {
+		s := &q.workers[w]
+		for a := int(next.Add(1)) - 1; a+1 < k; a = int(next.Add(1)) - 1 {
+			s.top(a)
+		}
+		return nil
+	})
 }

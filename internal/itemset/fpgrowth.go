@@ -1,7 +1,8 @@
 package itemset
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"cuisinevol/internal/ingredient"
@@ -123,13 +124,15 @@ type itemCount struct {
 }
 
 // fpMiner is the reusable FP-Growth kernel state: the frequent-item
-// order, the FP-tree arenas (one per recursion depth), and the
-// suffix/prefix/emit buffers all survive across calls, so a worker
-// mining index after index reaches a steady state with near-zero
-// allocation per mine. Not safe for concurrent use; fpGrowthIndexed
-// draws miners from a pool.
+// order, the FP-tree arenas (one per recursion depth), the
+// suffix/prefix buffers, the set sink and the assembly scratch all
+// survive across calls, so a worker mining index after index reaches a
+// steady state with near-zero allocation per mine. Not safe for
+// concurrent use; fpGrowthIndexed draws miners from a pool.
 type fpMiner struct {
-	freq []itemCount
+	// freqPos holds the frequent items' Index positions in frequency
+	// order; tree items are indices into it.
+	freqPos []int32
 
 	// posOrder maps an Index item position to its frequency-order index
 	// (nilIdx when infrequent).
@@ -141,13 +144,10 @@ type fpMiner struct {
 	combo  []int32
 	path   []int32
 
-	// arenaFree is the unused tail of the current emit-arena chunk.
-	// Handed-out regions are never written again, so leftovers carry
-	// over safely between calls.
-	arenaFree []ingredient.ID
+	out   setSink
+	order canonOrder
 
-	mc  int
-	res *Result
+	mc int
 }
 
 // fpGrowthIndexed mines an Index with the FP-tree kernel: frequent
@@ -157,6 +157,8 @@ type fpMiner struct {
 func fpGrowthIndexed(ix *Index, minSupport float64) (*Result, error) {
 	m := minerPool.Get().(*fpMiner)
 	res, err := m.mineIndexed(ix, minSupport)
+	m.out.trim()
+	m.order.trim()
 	minerPool.Put(m)
 	return res, err
 }
@@ -169,7 +171,6 @@ func (m *fpMiner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
 	if ix.n == 0 {
 		return res, nil
 	}
-	m.res = res
 	m.mc = minCount(ix.n, minSupport)
 
 	// Global item order: descending count, ties by ascending ID (and so
@@ -183,21 +184,19 @@ func (m *fpMiner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
 			m.prefix = append(m.prefix, int32(p))
 		}
 	}
-	sort.Slice(m.prefix, func(i, j int) bool {
-		a, b := m.prefix[i], m.prefix[j]
-		if ix.items[a].count != ix.items[b].count {
-			return ix.items[a].count > ix.items[b].count
+	slices.SortFunc(m.prefix, func(a, b int32) int {
+		if c := cmp.Compare(ix.items[b].count, ix.items[a].count); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
-	m.freq = m.freq[:0]
-	for o, p := range m.prefix {
-		m.freq = append(m.freq, ix.items[p])
+	m.freqPos = append(m.freqPos[:0], m.prefix...)
+	for o, p := range m.freqPos {
 		m.posOrder[p] = int32(o)
 	}
 
 	tree := m.treeAt(0)
-	tree.reset(len(m.freq))
+	tree.reset(len(m.freqPos))
 	buf := m.prefix[:0]
 	for u := 0; u < ix.uniques; u++ {
 		buf = buf[:0]
@@ -215,9 +214,9 @@ func (m *fpMiner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
 	m.prefix = buf[:0]
 
 	m.suffix = m.suffix[:0]
+	m.out.reset()
 	m.mine(tree, 1)
-	sortCanonical(res.Sets)
-	m.res = nil // don't retain the caller's result in the pool
+	res.Sets = m.order.assemble(ix.items, &m.out)
 	return res, nil
 }
 
@@ -300,35 +299,14 @@ func (m *fpMiner) emitPathCombinations(tree *flatTree, path []int32) {
 	}
 }
 
-// emitArenaChunk is the emit arena's allocation granularity: itemset
-// backing storage is carved from chunks this large, so the per-itemset
-// allocation cost is amortized ~chunk/size-fold.
-const emitArenaChunk = 4096
-
 // emit records a frequent itemset, translating item indices back to
-// ingredient IDs sorted ascending. Backing storage comes from the emit
-// arena; handed-out slices are capacity-capped and never touched again.
+// ascending Index positions.
 func (m *fpMiner) emit(itemIdx []int32, count int) {
-	k := len(itemIdx)
-	if len(m.arenaFree) < k {
-		size := emitArenaChunk
-		if k > size {
-			size = k
-		}
-		m.arenaFree = make([]ingredient.ID, size)
-	}
-	items := m.arenaFree[:k:k]
-	m.arenaFree = m.arenaFree[k:]
+	dst := m.out.add(len(itemIdx), count)
 	for i, idx := range itemIdx {
-		items[i] = m.freq[idx].item
+		dst[i] = m.freqPos[idx]
 	}
-	// Insertion sort: itemsets are small (recipe-bounded).
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j] < items[j-1]; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-	m.res.Sets = append(m.res.Sets, Itemset{Items: items, Count: count})
+	sortInt32s(dst)
 }
 
 // sortInt32s sorts small index slices in place (insertion sort; filtered

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -68,7 +69,10 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 // FuzzMineKernels decodes arbitrary bytes into a bounded transaction
 // corpus and checks that Mine with every forced kernel (Eclat serial
 // and parallel) and with adaptive selection reproduces raw Apriori's
-// canonical result, that every reported itemset's count matches a
+// canonical result, on the decoded IDs and spread over the int32
+// range; that the radix assembly orders the mined sets as the
+// comparator does; that Eclat with 2, 4 and 8 workers equals the
+// serial walk; that every reported itemset's count matches a
 // brute-force recount over the raw transactions, and that a reused
 // IndexBuilder indexes the input exactly as a fresh build does. The seed corpus in
 // testdata/fuzz/FuzzMineKernels covers the shapes that distinguish the
@@ -100,6 +104,44 @@ func FuzzMineKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txs, minSupport := decodeFuzzCorpus(data)
 		res := allKernels(t, txs, minSupport, "fuzz")
+		// The same corpus over IDs spread across the whole int32 range.
+		allKernels(t, spreadIDs(txs), minSupport, "fuzz-spread")
+		// Canonical order: the radix assembly must order the mined sets
+		// exactly as the comparator does, with their IDs spread over
+		// negative values and the int32 extremes, with their own counts
+		// and with every count equal, from one sink and from several.
+		c := orderCase{name: "fuzz", items: idTable(fuzzSpreadIDs[:]...)}
+		for _, s := range res.Sets {
+			set := make([]int32, len(s.Items))
+			for i, it := range s.Items {
+				set[i] = int32(it)
+			}
+			c.sets = append(c.sets, set)
+			c.counts = append(c.counts, s.Count)
+		}
+		assertComparatorOrder(t, c, 1)
+		assertComparatorOrder(t, c, 3)
+		for i := range c.counts {
+			c.counts[i] = 1
+		}
+		c.name = "fuzz, all counts equal"
+		assertComparatorOrder(t, c, 1)
+		assertComparatorOrder(t, c, 3)
+		// Eclat's parallel expansion must reproduce the serial walk
+		// whatever the worker count.
+		serial, err := Mine(txs, minSupport, MineOptions{Kernel: KernelEclat, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4, 8} {
+			got, err := Mine(txs, minSupport, MineOptions{Kernel: KernelEclat, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, serial) {
+				t.Fatalf("eclat with %d workers differs from the serial walk", workers)
+			}
+		}
 		// Builder reuse: a builder that has already indexed a different
 		// corpus — one per position mode, wide-range and dense — must
 		// build this input exactly as a fresh build and the legacy
@@ -117,7 +159,7 @@ func FuzzMineKernels(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(withoutQuery(got), want) {
 				t.Fatal("reused builder's index differs from the legacy build")
 			}
 		}
@@ -142,6 +184,30 @@ func FuzzMineKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzSpreadIDs spreads the fuzz alphabet over the int32 range in
+// ascending order: mostly negative and wide IDs, both extremes included.
+var fuzzSpreadIDs = func() (ids [fuzzItemAlphabet]ingredient.ID) {
+	step := int64(1<<32) / fuzzItemAlphabet
+	for i := range ids {
+		ids[i] = ingredient.ID(math.MinInt32 + int64(i)*step)
+	}
+	ids[len(ids)-1] = math.MaxInt32
+	return ids
+}()
+
+// spreadIDs maps a decoded corpus onto fuzzSpreadIDs; the mapping is
+// monotone, so transactions stay strictly ascending.
+func spreadIDs(txs [][]ingredient.ID) [][]ingredient.ID {
+	out := make([][]ingredient.ID, len(txs))
+	for i, tx := range txs {
+		out[i] = make([]ingredient.ID, len(tx))
+		for j, it := range tx {
+			out[i][j] = fuzzSpreadIDs[it]
+		}
+	}
+	return out
 }
 
 // fuzzPriorCorpora are what FuzzMineKernels's reused builders index

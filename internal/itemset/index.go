@@ -55,6 +55,11 @@ type Index struct {
 
 	fp    string
 	bytes int64
+
+	// query is the building IndexBuilder's Eclat query state, reused by
+	// every mine of this index that finds it free. Kept indexes
+	// (BuildIndex, LiveIndex snapshots) have none and draw from a pool.
+	query *eclatQuery
 }
 
 // accountBytes computes the index's real retained size: the struct
@@ -217,7 +222,10 @@ func (ix *Index) postingAt(p int) posting {
 
 // aprioriIndexed is the level-wise kernel's query phase: L1 comes from
 // the index's support counts and candidate counting scans the deduped
-// weighted arena instead of raw transactions.
+// weighted arena instead of raw transactions. It mines in position
+// space — every Items slice below holds Index item positions, which
+// ascend with the IDs — so its sets go to the canonical assembly as
+// they are.
 func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, ErrBadSupport
@@ -227,22 +235,30 @@ func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
 		return res, nil
 	}
 	mc := minCount(ix.n, minSupport)
+	var out setSink
+	collect := func(level []Itemset) {
+		for _, s := range level {
+			dst := out.add(len(s.Items), s.Count)
+			for i, p := range s.Items {
+				dst[i] = int32(p)
+			}
+		}
+	}
 
-	// L1 straight from the index counts.
+	// L1 straight from the index counts, in ascending position order.
 	frequent := make([]bool, len(ix.items))
 	var level []Itemset
 	for p, ic := range ix.items {
 		if ic.count >= mc {
 			frequent[p] = true
-			level = append(level, Itemset{Items: []ingredient.ID{ic.item}, Count: ic.count})
+			level = append(level, Itemset{Items: []ingredient.ID{ingredient.ID(p)}, Count: ic.count})
 		}
 	}
-	sortLexical(level)
-	res.Sets = append(res.Sets, level...)
+	collect(level)
 
 	// Project the unique transactions onto the frequent items once,
-	// keeping their multiplicities; positions ascend, so the projected
-	// ID slices are sorted by construction.
+	// keeping their multiplicities; arena positions ascend, so the
+	// projected slices are sorted by construction.
 	filtered := make([][]ingredient.ID, 0, ix.uniques)
 	weights := make([]int32, 0, ix.uniques)
 	for u := 0; u < ix.uniques; u++ {
@@ -250,7 +266,7 @@ func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
 		ftx := make([]ingredient.ID, 0, len(span))
 		for _, p := range span {
 			if frequent[p] {
-				ftx = append(ftx, ix.items[p].item)
+				ftx = append(ftx, ingredient.ID(p))
 			}
 		}
 		if len(ftx) >= 2 {
@@ -273,9 +289,9 @@ func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
 		}
 		level = append([]Itemset(nil), next...)
 		sortLexical(level)
-		res.Sets = append(res.Sets, level...)
+		collect(level)
 	}
 
-	sortCanonical(res.Sets)
+	res.Sets = new(canonOrder).assemble(ix.items, &out)
 	return res, nil
 }

@@ -13,6 +13,15 @@
 // shape unless MineOptions.Kernel forces one. Apriori over raw
 // transactions is kept as the independent oracle the differential and
 // fuzz tests check every kernel against.
+//
+// Canonical order: every Result lists its sets by count descending,
+// then size ascending, then items in lexicographic order — a total
+// order, so Results are reflect.DeepEqual across kernels, worker counts
+// and runs. The indexed kernels reach it without comparisons: they emit
+// item positions into set sinks, and a linear-time radix assembly
+// (order.go) orders and gathers them into the Result. Only raw Apriori
+// sorts with the comparator, sortCanonical, which the tests also use
+// as the reference for the radix order.
 package itemset
 
 import (
@@ -49,7 +58,7 @@ func (s Itemset) String() string {
 
 // Result is the outcome of a mining run.
 type Result struct {
-	Sets []Itemset // canonically ordered, see sortCanonical
+	Sets []Itemset // in canonical order (see the package doc)
 	N    int       // number of transactions mined
 }
 
@@ -90,7 +99,8 @@ func minCount(n int, minSupport float64) int {
 
 // sortCanonical orders itemsets by descending count, then ascending size,
 // then lexicographically — a total order that makes results comparable
-// across miners and runs.
+// across miners and runs. Raw Apriori uses it; the indexed kernels reach
+// the same order through canonOrder, and the tests check the two agree.
 func sortCanonical(sets []Itemset) {
 	slices.SortFunc(sets, func(a, b Itemset) int {
 		if a.Count != b.Count {

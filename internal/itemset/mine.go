@@ -87,6 +87,9 @@ func Mine(txs [][]ingredient.ID, minSupport float64, opts MineOptions) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	// The one-shot builder's query state would start empty; the pooled
+	// one is warm.
+	ix.query = nil
 	return MineIndexed(ix, minSupport, opts)
 }
 

@@ -1,0 +1,254 @@
+package itemset
+
+import (
+	"math/bits"
+	"slices"
+	"sort"
+
+	"cuisinevol/internal/ingredient"
+)
+
+// Canonical order without comparisons. The indexed kernels never build
+// Itemsets while they mine: each worker emits into a setSink, which
+// stores each set as its ascending Index item positions. canonOrder
+// then assembles the Result from the sinks with stable counting passes
+// only:
+//
+//  1. one pass groups the sets by size;
+//  2. within each size group, one pass per item position, from the
+//     last position to the first (LSD radix), leaves the group in
+//     lexicographic order — positions rise with the ID, so this is the
+//     lexicographic order of the IDs, whatever their range or sign;
+//  3. over the groups concatenated by ascending size, one pass on
+//     descending count keeps size-then-lexicographic order among equal
+//     counts.
+//
+// The result is sortCanonical's order, in time linear in the emitted
+// positions. It is gathered straight into one exact-size []Itemset
+// whose Items are carved from one exact-size ID arena. A key wider
+// than one pass's histogram is split into equal chunks, least
+// significant first, so a histogram never grows past 2^16 buckets nor
+// much past the number of keys it sorts.
+
+// setSink collects one kernel worker's emitted itemsets.
+type setSink struct {
+	pos  []int32   // every set's ascending positions, back to back
+	sets []sinkSet // per set, in emission order
+
+	// wantPos and wantSets size the buffers of the next mine after trim
+	// dropped them: the dropped mine's sizes plus half, so the next large
+	// mine allocates each buffer once instead of doubling up to it, even
+	// when the parallel walk hands this worker a larger share.
+	wantPos, wantSets int
+}
+
+type sinkSet struct {
+	size  int32
+	count int
+}
+
+// minSinkCap is a sink's first capacity in sets; growth then doubles,
+// so a fresh sink reaches a mine's size in a handful of allocations.
+const minSinkCap = 512
+
+// reset empties the sink, keeping its buffers.
+func (s *setSink) reset() {
+	s.pos, s.sets = s.pos[:0], s.sets[:0]
+}
+
+// add appends a size-k set with the given count and returns its k
+// position slots, which the caller fills in ascending order.
+func (s *setSink) add(k, count int) []int32 {
+	n := len(s.pos)
+	s.pos = roomFor(s.pos, k, max(4*minSinkCap, s.wantPos))[:n+k]
+	s.sets = append(roomFor(s.sets, 1, max(minSinkCap, s.wantSets)), sinkSet{size: int32(k), count: count})
+	return s.pos[n:]
+}
+
+// roomFor returns s with room for n more elements, at least doubling
+// its capacity (to no less than floor) when it has to grow.
+func roomFor[T any](s []T, n, floor int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s), floor))
+}
+
+// maxKeptSets bounds how many sets' worth of sink and assembly scratch
+// a pooled query or miner keeps between mines (at most ~90 bytes a
+// set, so under 1 MiB): the small mines of the replicate ensembles and
+// warm queries reuse their scratch, while a large mine's scratch, a few
+// MiB, is not pinned in a pool between requests.
+const maxKeptSets = 1 << 13
+
+// trim drops the sink's buffers if they outgrew maxKeptSets,
+// remembering their sizes.
+func (s *setSink) trim() {
+	if cap(s.sets) > maxKeptSets {
+		*s = setSink{wantPos: len(s.pos) * 3 / 2, wantSets: len(s.sets) * 3 / 2}
+	}
+}
+
+// canonOrder is the reusable scratch of the assembly.
+type canonOrder struct {
+	pos       []int32 // every set's positions, grouped by ascending size
+	counts    []int   // every set's count, in the same order
+	starts    []int   // starts[k]: index of the first size-k set; starts[maxK+1] = total
+	posStarts []int   // posStarts[k]: offset of the size-k group in pos
+	fill      []int   // per size: the next set index the grouping pass fills
+	perm      []int32 // refs, tmp and keys: set indices being permuted and their digits
+	hist      []int32
+}
+
+// trim drops the per-set buffers if they outgrew maxKeptSets.
+func (o *canonOrder) trim() {
+	if cap(o.counts) > maxKeptSets {
+		o.pos, o.counts, o.perm = nil, nil, nil
+	}
+}
+
+// assemble returns every set the sinks hold in canonical order, with
+// positions translated to IDs through items (the Index's item table),
+// or nil when the sinks are empty. The Result's slices are fresh; the
+// sinks and the scratch can be reused right away.
+func (o *canonOrder) assemble(items []itemCount, sinks ...*setSink) []Itemset {
+	maxK, m, np := 0, 0, 0
+	for _, s := range sinks {
+		for _, r := range s.sets {
+			maxK = max(maxK, int(r.size))
+		}
+		m += len(s.sets)
+		np += len(s.pos)
+	}
+	if m == 0 {
+		return nil
+	}
+
+	// 1. Group by size: starts and posStarts from the size counts, then
+	// one stable scatter of every sink's sets into their groups.
+	starts, posStarts := zeroed(o.starts, maxK+2), grown(o.posStarts, maxK+1)
+	for _, s := range sinks {
+		for _, r := range s.sets {
+			starts[r.size+1]++
+		}
+	}
+	posStarts[0] = 0
+	for k := 1; k <= maxK; k++ {
+		posStarts[k] = posStarts[k-1] + (k-1)*(starts[k]-starts[k-1])
+		starts[k+1] += starts[k]
+	}
+	fill := append(o.fill[:0], starts[:maxK+1]...)
+	pos, counts := grown(o.pos, np), grown(o.counts, m)
+	for _, s := range sinks {
+		off := 0
+		for _, r := range s.sets {
+			k := int(r.size)
+			i := fill[k]
+			fill[k]++
+			copy(pos[posStarts[k]+(i-starts[k])*k:], s.pos[off:off+k])
+			counts[i] = r.count
+			off += k
+		}
+	}
+	o.starts, o.posStarts, o.fill, o.pos, o.counts = starts, posStarts, fill, pos, counts
+
+	minC, maxC := counts[0], counts[0]
+	for _, c := range counts {
+		minC, maxC = min(minC, c), max(maxC, c)
+	}
+	posBits, countBits := bits.Len(uint(len(items)-1)), bits.Len(uint(maxC-minC))
+	_, lexWidth := chunking(posBits, m)
+	_, countWidth := chunking(countBits, m)
+	o.hist = grown(o.hist, 1<<max(lexWidth, countWidth))
+	o.perm = grown(o.perm, 3*m)
+	refs, tmp, keys := o.perm[:m], o.perm[m:2*m], o.perm[2*m:]
+
+	// 2. Lexicographic order within each size group.
+	for k := 1; k <= maxK; k++ {
+		lo, hi := starts[k], starts[k+1]
+		if lo == hi {
+			continue
+		}
+		refs, tmp, keys := refs[lo:hi], tmp[lo:hi], keys[lo:hi]
+		for i := range refs {
+			refs[i] = int32(i)
+		}
+		grp := pos[posStarts[k]:]
+		passes, width := chunking(posBits, hi-lo)
+		for j := k - 1; j >= 0; j-- {
+			for c := 0; c < passes; c++ {
+				shift, mask := uint(c*width), int32(1)<<width-1
+				for i, r := range refs {
+					keys[i] = grp[int(r)*k+j] >> shift & mask
+				}
+				o.scatter(refs, tmp, keys, 1<<width)
+				refs, tmp = tmp, refs
+			}
+		}
+		// Local indices to global ones, landing in the first buffer
+		// whichever one the last pass wrote.
+		dst := o.perm[lo:hi]
+		for i, r := range refs {
+			dst[i] = r + int32(lo)
+		}
+	}
+
+	// 3. Descending count across the concatenated groups.
+	passes, width := chunking(countBits, m)
+	for c := 0; c < passes; c++ {
+		shift, mask := uint(c*width), uint64(1)<<width-1
+		for i, r := range refs {
+			keys[i] = int32(uint64(maxC-counts[r]) >> shift & mask)
+		}
+		o.scatter(refs, tmp, keys, 1<<width)
+		refs, tmp = tmp, refs
+	}
+
+	// Gather.
+	sets := make([]Itemset, m)
+	arena := make([]ingredient.ID, np)
+	off := 0
+	for i, r := range refs {
+		k := sort.SearchInts(starts, int(r)+1) - 1
+		src := pos[posStarts[k]+(int(r)-starts[k])*k:][:k]
+		dst := arena[off : off+k : off+k]
+		for j, p := range src {
+			dst[j] = items[p].item
+		}
+		sets[i] = Itemset{Items: dst, Count: counts[r]}
+		off += k
+	}
+	return sets
+}
+
+// scatter is one stable counting pass: it moves src's refs to dst in
+// ascending key order (keys[i] is src[i]'s digit, below buckets), refs
+// with equal keys keeping their order in src.
+func (o *canonOrder) scatter(src, dst, keys []int32, buckets int) {
+	hist := o.hist[:buckets]
+	clear(hist)
+	for _, k := range keys {
+		hist[k]++
+	}
+	sum := int32(0)
+	for i, c := range hist {
+		hist[i], sum = sum, sum+c
+	}
+	for i, r := range src {
+		dst[hist[keys[i]]] = r
+		hist[keys[i]]++
+	}
+}
+
+// chunking splits a key of the given bit width into the fewest equal
+// chunks, one counting pass each, whose histograms stay within 2^16
+// buckets and within a small multiple of the n keys sorted (but at
+// least 2^8). A zero width needs no pass.
+func chunking(width, n int) (passes, chunk int) {
+	if width == 0 {
+		return 0, 0
+	}
+	limit := min(max(bits.Len(uint(n)), 8), 16)
+	passes = (width + limit - 1) / limit
+	return passes, (width + passes - 1) / passes
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -578,7 +579,8 @@ func parseModelKind(s string) (evomodel.Kind, error) {
 
 // parseRegions reads the comma-separated regions parameter, defaulting
 // to every cuisine in the paper's Table I order, validating each code
-// against the corpus.
+// against the corpus. Codes are upper-cased, sorted and deduplicated,
+// so every spelling of one region set shares one cache entry.
 func parseRegions(r *http.Request, known []string) ([]string, error) {
 	raw := r.URL.Query().Get("regions")
 	if raw == "" {
@@ -604,5 +606,5 @@ func parseRegions(r *http.Request, known []string) ([]string, error) {
 		return nil, badRequest("regions parameter is empty")
 	}
 	sort.Strings(out)
-	return out, nil
+	return slices.Compact(out), nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -196,6 +197,36 @@ func TestParameterSpellingsShareCacheEntry(t *testing.T) {
 	}
 	if srv.Computations() != before {
 		t.Fatal("equivalent parameter spellings recomputed")
+	}
+}
+
+// TestFig4DuplicateRegionsShareCacheEntry: a region named twice, in
+// any case, is the same request as naming it once — one Fig 4 row, the
+// same body and ETag, and no second computation.
+func TestFig4DuplicateRegionsShareCacheEntry(t *testing.T) {
+	srv, ts := newTestServer(t)
+	want, wantBody := get(t, ts, "/v1/fig4?regions=ITA&replicates=2")
+	if want.StatusCode != http.StatusOK {
+		t.Fatalf("regions=ITA: status %d", want.StatusCode)
+	}
+	before := srv.Computations()
+	for _, path := range []string{
+		"/v1/fig4?regions=ITA,ita&replicates=2",
+		"/v1/fig4?regions=ita,ITA,Ita&replicates=2",
+	} {
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if !bytes.Equal(body, wantBody) {
+			t.Fatalf("GET %s: body differs from regions=ITA\n got: %.300s\nwant: %.300s", path, body, wantBody)
+		}
+		if got, etag := resp.Header.Get("ETag"), want.Header.Get("ETag"); got != etag {
+			t.Fatalf("GET %s: ETag %q, regions=ITA has %q", path, got, etag)
+		}
+	}
+	if srv.Computations() != before {
+		t.Fatalf("duplicate regions recomputed: %d -> %d", before, srv.Computations())
 	}
 }
 
