@@ -1,7 +1,7 @@
 # Development targets for the cuisinevol reproduction.
 #
-#   make check           CI-grade gate: vet + build + race tests + bench smoke
-#   make ci              what .github/workflows/ci.yml runs: vet + build + race tests
+#   make check           CI-grade gate: gofmt + vet + build + race tests + bench smoke
+#   make ci              what .github/workflows/ci.yml runs: gofmt + vet + build + race tests
 #   make serve           run the HTTP analytics service on :8080
 #   make fuzz            run every fuzz target for FUZZTIME (default 30s) each
 #   make loadtest        race-enabled overload/loadtest suite for the server
@@ -20,8 +20,8 @@ FUZZTIME ?= 30s
 # the Fig 3/4 pipelines they feed, the arena simulation kernel behind
 # them, and the build-once corpus index (build cost, warm-index queries,
 # and the cold-mine point they beat, and the low-support mines of the
-# append_reads serving workload) — see ISSUE/DESIGN "Performance
-# architecture" and DESIGN.md §10 and §12.
+# append_reads serving workload) — see DESIGN.md §7 ("Performance
+# architecture"), §10 and §12.
 BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
@@ -30,21 +30,26 @@ BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|
 # pooled warm-query path allocation-flat, MineWarmUnderWrites keeps
 # the snapshot-then-mine path under a write stream from growing hidden
 # per-query allocations, and MineLowSupport keeps a 15k–37k-set mine's
-# canonical assembly at a handful of allocations.
+# canonical assembly, and its count-gated top=25 answer, at a handful
+# of allocations.
 ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites|MineLowSupport
 
-.PHONY: check ci serve vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test
+.PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test
 
-check: vet build race bench-smoke corpus-roundtrip
+check: fmt vet build race bench-smoke corpus-roundtrip
 
 # ci mirrors .github/workflows/ci.yml exactly: the race detector gates
 # the server's cache/coalescing code.
-ci: vet build race
+ci: fmt vet build race
 
 # serve runs the HTTP analytics service (see DESIGN.md §8); Ctrl-C
 # drains connections and exits cleanly.
 serve:
 	$(GO) run ./cmd/cuisinevol serve -addr :8080
+
+# fmt fails, listing the files, if any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -227,7 +227,7 @@ func BenchmarkFig4CategoryControl(b *testing.B) {
 func benchEnsembleMAE(b *testing.B, mutate func(*evomodel.Params)) float64 {
 	corpus := corpusForBench(b)
 	view := corpus.Region("KOR")
-	mined, err := itemset.FPGrowth(view.Transactions(), 0.05)
+	mined, err := itemset.Mine(view.Transactions(), 0.05, itemset.MineOptions{Kernel: itemset.KernelFPGrowth})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func BenchmarkAblationLoopVariant(b *testing.B) {
 func BenchmarkAblationMetric(b *testing.B) {
 	corpus := corpusForBench(b)
 	mineDist := func(code string) rankfreq.Distribution {
-		res, err := itemset.FPGrowth(corpus.Region(code).Transactions(), 0.05)
+		res, err := itemset.Mine(corpus.Region(code).Transactions(), 0.05, itemset.MineOptions{Kernel: itemset.KernelFPGrowth})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func BenchmarkMineIngredientCombosITA(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := itemset.FPGrowth(txs, 0.05); err != nil {
+		if _, err := itemset.Mine(txs, 0.05, itemset.MineOptions{Kernel: itemset.KernelFPGrowth}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -399,7 +399,8 @@ func BenchmarkMineIngredientCombosITA(b *testing.B) {
 // canonical order. The index comes from an IndexBuilder, whose own
 // query state every mine reuses: the server's cached indexes draw the
 // same state from a sync.Pool, which a GC can empty, and the 1-iteration
-// alloc gate must not price that miss.
+// alloc gate must not price that miss. top=25 answers the largest mine
+// as /v1/mine does, with its first 25 sets and its total.
 func BenchmarkMineLowSupport(b *testing.B) {
 	cfg := synth.DefaultConfig(42)
 	cfg.RecipeScale = 0.2
@@ -413,34 +414,46 @@ func BenchmarkMineLowSupport(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := itemset.MineOptions{Workers: runtime.GOMAXPROCS(0)}
-	for _, support := range []float64{0.002, 0.0025, 0.003, 0.0045} {
-		b.Run(fmt.Sprintf("support=%g", support), func(b *testing.B) {
+	// run benchmarks mine, which returns how many sets the full mine
+	// holds.
+	run := func(name string, mine func() (int, error)) {
+		b.Run(name, func(b *testing.B) {
 			var sets int
-			mine := func() error {
-				res, err := itemset.MineIndexed(ix, support, opts)
-				if err == nil {
-					sets = len(res.Sets)
-				}
-				return err
-			}
 			// Warm up: enough mines for both workers' depth buffers to
 			// have met the largest partitions, whichever worker claims
 			// them.
 			for i := 0; i < 8; i++ {
-				if err := mine(); err != nil {
+				if _, err := mine(); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := mine(); err != nil {
+				n, err := mine()
+				if err != nil {
 					b.Fatal(err)
 				}
+				sets = n
 			}
 			b.ReportMetric(float64(sets), "sets")
 		})
 	}
+	for _, support := range []float64{0.002, 0.0025, 0.003, 0.0045} {
+		run(fmt.Sprintf("support=%g", support), func() (int, error) {
+			res, err := itemset.MineIndexed(ix, support, opts)
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Sets), nil
+		})
+	}
+	// /v1/mine's shape: the largest of these mines, answered with its
+	// first 25 sets and its total through the count gate.
+	run("top=25", func() (int, error) {
+		_, total, err := itemset.MineTop(ix, 0.002, 25, opts)
+		return total, err
+	})
 }
 
 func benchName(prefix string, v int) string {

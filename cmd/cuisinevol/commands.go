@@ -226,18 +226,15 @@ func cmdMine(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := itemset.MineIndexed(ix, *support, itemset.MineOptions{Kernel: kernel})
+	res, total, err := itemset.MineTop(ix, *support, *top, itemset.MineOptions{Kernel: kernel})
 	if err != nil {
 		return err
 	}
 	lex := corpus.Lexicon()
 	tbl := report.NewTable(
-		fmt.Sprintf("Frequent combinations in %s (support >= %.0f%%, %d total)", *region, *support*100, len(res.Sets)),
+		fmt.Sprintf("Frequent combinations in %s (support >= %.0f%%, %d total)", *region, *support*100, total),
 		"Rank", "Combination", "Support")
 	for i, s := range res.Sets {
-		if i >= *top {
-			break
-		}
 		names := make([]string, len(s.Items))
 		for j, id := range s.Items {
 			if *categories {
@@ -306,11 +303,11 @@ func cmdEvolve(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	empirical, err := itemset.MineIndexed(ix, *support, itemset.MineOptions{})
+	empirical, err := itemset.MineSpectrum(ix, *support, itemset.MineOptions{})
 	if err != nil {
 		return err
 	}
-	emp := rankfreq.FromResult(code, empirical)
+	emp := rankfreq.FromSpectrum(code, empirical)
 	dist, err := evomodel.RunEnsembleCtx(ctx, evomodel.EnsembleConfig{
 		Params:     evomodel.ParamsForView(view, kind, cf.seed),
 		Replicates: *replicates,

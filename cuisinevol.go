@@ -304,13 +304,13 @@ func CompareModels(c *Corpus, region string, opts CompareOptions) (*ModelCompari
 	if err != nil {
 		return nil, err
 	}
-	mined, err := itemset.MineIndexed(ix, minSupport, itemset.MineOptions{Workers: opts.Workers})
+	mined, err := itemset.MineSpectrum(ix, minSupport, itemset.MineOptions{Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
 	cmp := &ModelComparison{
 		Region:    region,
-		Empirical: rankfreq.FromResult(region, mined),
+		Empirical: rankfreq.FromSpectrum(region, mined),
 		Models:    make(map[ModelKind]Distribution, len(kinds)),
 		MAE:       make(map[ModelKind]float64, len(kinds)),
 	}

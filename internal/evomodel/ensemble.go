@@ -143,10 +143,11 @@ func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int,
 // is the zero-copy evolve→mine boundary: the pooled machine emits
 // sorted transactions (ingredient or category, per cfg.Categories)
 // directly into its own reusable buffers, b indexes them into its own
-// reused arenas, and MineIndexed mines the index — no per-recipe clone,
-// no second sort, no per-replicate machine or index allocation. The
-// Result owns its itemsets, so nothing outlives the machine or the
-// builder's next build.
+// reused arenas, and MineSpectrum tallies the index's frequent-set
+// counts — no per-recipe clone, no second sort, no per-replicate
+// machine or index allocation, and no itemset built. The spectrum owns
+// its counts, so nothing outlives the machine or the builder's next
+// build.
 func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int, b *itemset.IndexBuilder) (rankfreq.Distribution, error) {
 	p := cfg.Params
 	p.Seed = replicateSeed(p.Seed, rep)
@@ -166,11 +167,11 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	res, err := itemset.MineIndexed(ix, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
+	sp, err := itemset.MineSpectrum(ix, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	return rankfreq.FromResult(label, res), nil
+	return rankfreq.FromSpectrum(label, sp), nil
 }
 
 // replicateSeed derives the seed for replicate rep from the base seed

@@ -162,12 +162,12 @@ func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *
 	return panel, nil
 }
 
-// mineView mines a corpus view's frequent combinations through the
-// shared index cache and returns the rank-frequency distribution
+// mineView mines a corpus view's frequent-combination spectrum through
+// the shared index cache and returns the rank-frequency distribution
 // labeled with the view's region. The key matches the serving layer's
 // (AllView's region is ""), so a panel built by a request handler and
 // one built here converge on the same prebuilt indexes. The kernel is
-// forwarded to MineIndexed — KernelAuto lets every view pick the
+// forwarded to MineSpectrum — KernelAuto lets every view pick the
 // cheaper kernel for its own shape (category transactions are far
 // denser than ingredient ones) without changing the result.
 func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool, kernel itemset.Kernel) (rankfreq.Distribution, error) {
@@ -181,11 +181,11 @@ func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSuppo
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	result, err := itemset.MineIndexed(ix, minSupport, itemset.MineOptions{Kernel: kernel})
+	sp, err := itemset.MineSpectrum(ix, minSupport, itemset.MineOptions{Kernel: kernel})
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	return rankfreq.FromResult(view.Region(), result), nil
+	return rankfreq.FromSpectrum(view.Region(), sp), nil
 }
 
 // writeMatrixCSV writes a labeled square matrix as CSV.

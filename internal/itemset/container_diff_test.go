@@ -71,10 +71,10 @@ func TestContainerLayoutPins(t *testing.T) {
 	}{
 		{"singleton-array", []int{0}, containerArray},
 		{"full-range-run", all, containerRun},
-		{"alternating-bitset", evens, containerBitset}, // 96 runs of 1: bitset (6) < array (96) < run (192)
-		{"short-prefix-run", []int{0, 1, 2, 3, 4, 5}, containerRun},                        // run (2) < array (6) = bitset (6)
-		{"scattered-tie-array", []int{0, 32, 64, 96, 128, 160}, containerArray},            // array (6) = bitset (6): array wins ties
-		{"paired-tie-array", []int{0, 1, 64, 65, 128, 129}, containerArray},                // array (6) = run (6): array wins ties
+		{"alternating-bitset", evens, containerBitset},                                         // 96 runs of 1: bitset (6) < array (96) < run (192)
+		{"short-prefix-run", []int{0, 1, 2, 3, 4, 5}, containerRun},                            // run (2) < array (6) = bitset (6)
+		{"scattered-tie-array", []int{0, 32, 64, 96, 128, 160}, containerArray},                // array (6) = bitset (6): array wins ties
+		{"paired-tie-array", []int{0, 1, 64, 65, 128, 129}, containerArray},                    // array (6) = run (6): array wins ties
 		{"runs-tie-over-bitset", []int{0, 1, 2, 64, 65, 66, 128, 129, 130, 131}, containerRun}, // run (6) = bitset (6) < array (10): run wins
 		{"word-edge-array", []int{63, 64}, containerArray},
 		{"word-edge-run", []int{63, 64, 65}, containerRun}, // a run crossing the word boundary

@@ -102,8 +102,11 @@ func depthBuf[T any](bufs *[][]T, depth, n int) []T {
 }
 
 // emitWith records the itemset suffix∪{item} with the given count as
-// its ascending item positions.
+// its ascending item positions, unless the sink's gate drops it.
 func (s *eclatScratch) emitWith(item int32, count int) {
+	if !s.out.keep(count) {
+		return
+	}
 	dst := s.out.add(len(s.suffix)+1, count)
 	for i, idx := range s.suffix {
 		dst[i] = s.sh.pos[idx]
@@ -272,8 +275,8 @@ func (q *eclatQuery) release(ix *Index) {
 // prebuilt Index: frequent items are filtered from the index's support
 // counts at the requested threshold and their posting bitmaps are used
 // in place — no counting pass, no dedup, no bitmap build, no raw
-// transactions.
-func eclatMineIndexed(ix *Index, minSupport float64, workers int) (*Result, error) {
+// transactions. A non-nil gate arms every worker's sink.
+func eclatMineIndexed(ix *Index, minSupport float64, workers int, g *gate) (*Result, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, ErrBadSupport
 	}
@@ -315,17 +318,17 @@ func eclatMineIndexed(ix *Index, minSupport float64, workers int) (*Result, erro
 		sh.posts = append(sh.posts, ix.postingAt(int(p)))
 	}
 
-	if err := q.run(ix, workers); err != nil {
+	if err := q.run(ix, workers, g); err != nil {
 		return nil, err
 	}
-	res.Sets = q.order.assemble(ix.items, q.sinks...)
+	res.Sets = q.order.finish(ix.items, g, q.sinks...)
 	return res, nil
 }
 
 // run is the expansion phase: singletons from the frequent-item counts,
 // then every top-level prefix partition, serially or fanned out over
 // the scheduler, each worker emitting into its own sink.
-func (q *eclatQuery) run(ix *Index, workers int) error {
+func (q *eclatQuery) run(ix *Index, workers int, g *gate) error {
 	sh := &q.shared
 	k := len(sh.pos)
 	if workers < 1 || k < 3 {
@@ -341,11 +344,17 @@ func (q *eclatQuery) run(ix *Index, workers int) error {
 		w.sh = sh
 		w.suffix = w.suffix[:0]
 		w.out.reset()
+		if g != nil {
+			w.out.arm(g.top, sh.mc, ix.items)
+		}
 		q.sinks = append(q.sinks, &w.out)
 	}
 	// Singletons come straight from the global counts.
+	out := &q.workers[0].out
 	for _, p := range sh.pos {
-		q.workers[0].out.add(1, ix.items[p].count)[0] = p
+		if c := ix.items[p].count; out.keep(c) {
+			out.add(1, c)[0] = p
+		}
 	}
 
 	if workers == 1 {

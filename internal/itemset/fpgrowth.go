@@ -154,16 +154,16 @@ type fpMiner struct {
 // items come from the index's support counts and the initial tree is
 // built straight from the deduped weighted arena — no counting pass, no
 // second dedup (identical projected prefixes merge on insertion).
-func fpGrowthIndexed(ix *Index, minSupport float64) (*Result, error) {
+func fpGrowthIndexed(ix *Index, minSupport float64, g *gate) (*Result, error) {
 	m := minerPool.Get().(*fpMiner)
-	res, err := m.mineIndexed(ix, minSupport)
+	res, err := m.mineIndexed(ix, minSupport, g)
 	m.out.trim()
 	m.order.trim()
 	minerPool.Put(m)
 	return res, err
 }
 
-func (m *fpMiner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
+func (m *fpMiner) mineIndexed(ix *Index, minSupport float64, g *gate) (*Result, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, ErrBadSupport
 	}
@@ -215,8 +215,11 @@ func (m *fpMiner) mineIndexed(ix *Index, minSupport float64) (*Result, error) {
 
 	m.suffix = m.suffix[:0]
 	m.out.reset()
+	if g != nil {
+		m.out.arm(g.top, m.mc, ix.items)
+	}
 	m.mine(tree, 1)
-	res.Sets = m.order.assemble(ix.items, &m.out)
+	res.Sets = m.order.finish(ix.items, g, &m.out)
 	return res, nil
 }
 
@@ -251,7 +254,9 @@ func (m *fpMiner) mine(tree *flatTree, depth int) {
 			continue
 		}
 		m.suffix = append(m.suffix, int32(it))
-		m.emit(m.suffix, tree.counts[it])
+		if m.out.keep(tree.counts[it]) {
+			m.emit(m.suffix, tree.counts[it])
+		}
 
 		// Conditional pattern base for it. Every ancestor has a smaller
 		// item index, so the conditional tree only needs the range [0, it).
@@ -278,29 +283,32 @@ func (m *fpMiner) mine(tree *flatTree, depth int) {
 
 // emitPathCombinations adds every non-empty combination of the single
 // path's nodes (with the path's minimum count along the combination)
-// appended to the current suffix.
+// appended to the current suffix. The count comes first, so a set the
+// gate drops is never built.
 func (m *fpMiner) emitPathCombinations(tree *flatTree, path []int32) {
 	n := len(path)
 	for mask := 1; mask < 1<<n; mask++ {
 		count := 1 << 62
+		for b := 0; b < n; b++ {
+			if mask&(1<<b) != 0 {
+				count = min(count, tree.nodes[path[b]].count)
+			}
+		}
+		if count < m.mc || !m.out.keep(count) {
+			continue
+		}
 		m.combo = append(m.combo[:0], m.suffix...)
 		for b := 0; b < n; b++ {
 			if mask&(1<<b) != 0 {
-				node := &tree.nodes[path[b]]
-				m.combo = append(m.combo, node.item)
-				if node.count < count {
-					count = node.count
-				}
+				m.combo = append(m.combo, tree.nodes[path[b]].item)
 			}
 		}
-		if count >= m.mc {
-			m.emit(m.combo, count)
-		}
+		m.emit(m.combo, count)
 	}
 }
 
-// emit records a frequent itemset, translating item indices back to
-// ascending Index positions.
+// emit records a frequent itemset the sink's gate kept, translating
+// item indices back to ascending Index positions.
 func (m *fpMiner) emit(itemIdx []int32, count int) {
 	dst := m.out.add(len(itemIdx), count)
 	for i, idx := range itemIdx {

@@ -72,7 +72,8 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 // canonical result, on the decoded IDs and spread over the int32
 // range; that the radix assembly orders the mined sets as the
 // comparator does; that Eclat with 2, 4 and 8 workers equals the
-// serial walk; that every reported itemset's count matches a
+// serial walk; that MineTop and MineSpectrum agree with the full mine
+// for every kernel; that every reported itemset's count matches a
 // brute-force recount over the raw transactions, and that a reused
 // IndexBuilder indexes the input exactly as a fresh build does. The seed corpus in
 // testdata/fuzz/FuzzMineKernels covers the shapes that distinguish the
@@ -106,6 +107,18 @@ func FuzzMineKernels(f *testing.F) {
 		res := allKernels(t, txs, minSupport, "fuzz")
 		// The same corpus over IDs spread across the whole int32 range.
 		allKernels(t, spreadIDs(txs), minSupport, "fuzz-spread")
+		// Count-gated mines: for every kernel, over one and four workers,
+		// the first top sets — top drawn from [1, total+2] — must be the
+		// full mine's, with its total, and the spectrum its counts.
+		ix, err := BuildIndex(txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		draw := 0
+		for _, b := range data {
+			draw += int(b)
+		}
+		assertGatedMines(t, ix, minSupport, res, []int{1 + draw%(len(res.Sets)+2)}, "fuzz")
 		// Canonical order: the radix assembly must order the mined sets
 		// exactly as the comparator does, with their IDs spread over
 		// negative values and the int32 extremes, with their own counts

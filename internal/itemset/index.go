@@ -225,8 +225,8 @@ func (ix *Index) postingAt(p int) posting {
 // weighted arena instead of raw transactions. It mines in position
 // space — every Items slice below holds Index item positions, which
 // ascend with the IDs — so its sets go to the canonical assembly as
-// they are.
-func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
+// they are. A non-nil gate arms its sink.
+func aprioriIndexed(ix *Index, minSupport float64, g *gate) (*Result, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, ErrBadSupport
 	}
@@ -236,8 +236,14 @@ func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
 	}
 	mc := minCount(ix.n, minSupport)
 	var out setSink
+	if g != nil {
+		out.arm(g.top, mc, ix.items)
+	}
 	collect := func(level []Itemset) {
 		for _, s := range level {
+			if !out.keep(s.Count) {
+				continue
+			}
 			dst := out.add(len(s.Items), s.Count)
 			for i, p := range s.Items {
 				dst[i] = int32(p)
@@ -292,6 +298,6 @@ func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
 		collect(level)
 	}
 
-	res.Sets = new(canonOrder).assemble(ix.items, &out)
+	res.Sets = new(canonOrder).finish(ix.items, g, &out)
 	return res, nil
 }

@@ -11,25 +11,28 @@
 // are queried many times; the replicate ensembles reuse one builder per
 // worker. Index.ChooseKernel picks the cheaper kernel for the corpus
 // shape unless MineOptions.Kernel forces one. Apriori over raw
-// transactions is kept as the independent oracle the differential and
-// fuzz tests check every kernel against.
+// transactions, in the package's tests, is the independent oracle the
+// differential and fuzz tests check every kernel against.
+//
+// Most answers need less than a full Result: MineTop builds only the
+// first K sets (and counts the rest), MineSpectrum only the counts, in
+// order. Both run the same kernels behind a count gate that drops a set
+// before it is written (order.go).
 //
 // Canonical order: every Result lists its sets by count descending,
 // then size ascending, then items in lexicographic order — a total
 // order, so Results are reflect.DeepEqual across kernels, worker counts
 // and runs. The indexed kernels reach it without comparisons: they emit
 // item positions into set sinks, and a linear-time radix assembly
-// (order.go) orders and gathers them into the Result. Only raw Apriori
-// sorts with the comparator, sortCanonical, which the tests also use
-// as the reference for the radix order.
+// (order.go) orders and gathers them into the Result. Only the tests'
+// raw Apriori sorts with the comparator, sortCanonical, which is also
+// their reference for the radix order.
 package itemset
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"cuisinevol/internal/ingredient"
@@ -97,22 +100,6 @@ func minCount(n int, minSupport float64) int {
 	return mc
 }
 
-// sortCanonical orders itemsets by descending count, then ascending size,
-// then lexicographically — a total order that makes results comparable
-// across miners and runs. Raw Apriori uses it; the indexed kernels reach
-// the same order through canonOrder, and the tests check the two agree.
-func sortCanonical(sets []Itemset) {
-	slices.SortFunc(sets, func(a, b Itemset) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		if len(a.Items) != len(b.Items) {
-			return cmp.Compare(len(a.Items), len(b.Items))
-		}
-		return slices.Compare(a.Items, b.Items)
-	})
-}
-
 // validateTransactions checks that every transaction is strictly
 // ascending (sorted, duplicate-free), as produced by recipe.View.
 func validateTransactions(txs [][]ingredient.ID) error {
@@ -128,78 +115,6 @@ func validateTransactions(txs [][]ingredient.ID) error {
 
 func errNotAscending(i int) error {
 	return fmt.Errorf("itemset: transaction %d is not strictly ascending", i)
-}
-
-// Apriori mines all frequent itemsets of size >= 1 with relative support
-// >= minSupport using the classical level-wise algorithm. Transactions
-// must be sorted ascending without duplicates.
-func Apriori(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, ErrBadSupport
-	}
-	if err := validateTransactions(txs); err != nil {
-		return nil, err
-	}
-	n := len(txs)
-	res := &Result{N: n}
-	if n == 0 {
-		return res, nil
-	}
-	mc := minCount(n, minSupport)
-
-	// L1.
-	counts := make(map[ingredient.ID]int)
-	for _, tx := range txs {
-		for _, it := range tx {
-			counts[it]++
-		}
-	}
-	var level []Itemset
-	for it, c := range counts {
-		if c >= mc {
-			level = append(level, Itemset{Items: []ingredient.ID{it}, Count: c})
-		}
-	}
-	sortLexical(level)
-	res.Sets = append(res.Sets, level...)
-
-	// Filter transactions down to frequent singletons once.
-	frequent := make(map[ingredient.ID]bool, len(level))
-	for _, s := range level {
-		frequent[s.Items[0]] = true
-	}
-	filtered := make([][]ingredient.ID, 0, n)
-	for _, tx := range txs {
-		ftx := make([]ingredient.ID, 0, len(tx))
-		for _, it := range tx {
-			if frequent[it] {
-				ftx = append(ftx, it)
-			}
-		}
-		if len(ftx) >= 2 {
-			filtered = append(filtered, ftx)
-		}
-	}
-
-	for len(level) >= 2 {
-		candidates := aprioriGen(level)
-		if len(candidates) == 0 {
-			break
-		}
-		countCandidates(candidates, filtered, nil)
-		next := candidates[:0]
-		for _, c := range candidates {
-			if c.Count >= mc {
-				next = append(next, c)
-			}
-		}
-		level = append([]Itemset(nil), next...)
-		sortLexical(level)
-		res.Sets = append(res.Sets, level...)
-	}
-
-	sortCanonical(res.Sets)
-	return res, nil
 }
 
 // sortLexical orders same-size itemsets lexicographically, the order

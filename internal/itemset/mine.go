@@ -93,16 +93,6 @@ func Mine(txs [][]ingredient.ID, minSupport float64, opts MineOptions) (*Result,
 	return MineIndexed(ix, minSupport, opts)
 }
 
-// FPGrowth is Mine with the FP-tree kernel forced.
-func FPGrowth(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	return Mine(txs, minSupport, MineOptions{Kernel: KernelFPGrowth})
-}
-
-// Eclat is Mine with the vertical kernel forced.
-func Eclat(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	return Mine(txs, minSupport, MineOptions{Kernel: KernelEclat})
-}
-
 // MineIndexed mines all frequent itemsets of size >= 1 with relative
 // support >= minSupport off a prebuilt Index — the query phase of
 // index/query-split mining. Frequent items are filtered from the
@@ -110,17 +100,52 @@ func Eclat(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
 // raw [][]ingredient.ID. Every kernel returns the same canonical Result
 // (pinned against raw Apriori by the differential layer).
 func MineIndexed(ix *Index, minSupport float64, opts MineOptions) (*Result, error) {
+	return mineGated(ix, minSupport, opts, nil)
+}
+
+// MineTop returns the first top sets of MineIndexed's Result, and how
+// many sets the full Result holds, without building the rest: a count
+// gate (see setSink.keep) drops every set that cannot be among the
+// first top before the kernel writes it. top <= 0 builds no set.
+func MineTop(ix *Index, minSupport float64, top int, opts MineOptions) (res *Result, total int, err error) {
+	g := gate{top: max(top, 0)}
+	res, err = mineGated(ix, minSupport, opts, &g)
+	return res, g.total, err
+}
+
+// Spectrum is a mine's rank-frequency spectrum: the counts of its
+// Result's sets in Result order, highest first, without the sets.
+type Spectrum struct {
+	Counts []int
+	N      int // transactions mined, the Result's N
+}
+
+// MineSpectrum returns the spectrum of MineIndexed's Result. The
+// kernels only tally counts into a histogram, which yields the
+// descending spectrum with no sort; no set is built.
+func MineSpectrum(ix *Index, minSupport float64, opts MineOptions) (Spectrum, error) {
+	var g gate
+	res, err := mineGated(ix, minSupport, opts, &g)
+	if err != nil {
+		return Spectrum{}, err
+	}
+	return Spectrum{Counts: g.spectrum, N: res.N}, nil
+}
+
+// mineGated runs the chosen kernel over the index; a nil gate mines
+// the full Result.
+func mineGated(ix *Index, minSupport float64, opts MineOptions, g *gate) (*Result, error) {
 	k := opts.Kernel
 	if k == KernelAuto {
 		k = ix.ChooseKernel()
 	}
 	switch k {
 	case KernelEclat:
-		return eclatMineIndexed(ix, minSupport, opts.Workers)
+		return eclatMineIndexed(ix, minSupport, opts.Workers, g)
 	case KernelApriori:
-		return aprioriIndexed(ix, minSupport)
+		return aprioriIndexed(ix, minSupport, g)
 	default:
-		return fpGrowthIndexed(ix, minSupport)
+		return fpGrowthIndexed(ix, minSupport, g)
 	}
 }
 

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -30,7 +31,8 @@ import (
 // significant first, so a histogram never grows past 2^16 buckets nor
 // much past the number of keys it sorts.
 
-// setSink collects one kernel worker's emitted itemsets.
+// setSink collects one kernel worker's emitted itemsets, behind an
+// optional count gate (see keep).
 type setSink struct {
 	pos  []int32   // every set's ascending positions, back to back
 	sets []sinkSet // per set, in emission order
@@ -40,6 +42,14 @@ type setSink struct {
 	// mine allocates each buffer once instead of doubling up to it, even
 	// when the parallel walk hands this worker a larger share.
 	wantPos, wantSets int
+
+	// The count gate. Armed, it tallies every emitted count c in
+	// hist[c-lo] and keeps a set only if its count reaches cut, which
+	// never falls below the top-th largest count tallied so far (above
+	// of the tallied counts reach cut). Disarmed, every set is kept.
+	gated               bool
+	top, cut, lo, above int
+	hist                []int
 }
 
 type sinkSet struct {
@@ -51,9 +61,75 @@ type sinkSet struct {
 // so a fresh sink reaches a mine's size in a handful of allocations.
 const minSinkCap = 512
 
-// reset empties the sink, keeping its buffers.
+// reset empties the sink and disarms its gate, keeping its buffers.
 func (s *setSink) reset() {
 	s.pos, s.sets = s.pos[:0], s.sets[:0]
+	s.gated, s.top, s.cut, s.lo, s.above = false, 0, 0, 0, 0
+}
+
+// arm resets the sink and arms its count gate for a mine at minimum
+// count lo of an index with the given item counts. With top > 0 the
+// sink keeps every set that can be among the mine's first top; with
+// top 0 it keeps none and only tallies.
+//
+// A set's count is at most each of its items' counts, so the
+// histogram spans [lo, largest item count]. Every frequent item is a
+// set of the mine, so the top-th largest item count is at most c_K and
+// cut starts there: kernels that emit singletons in ascending count,
+// or late, then keep no more than the sets that can win.
+func (s *setSink) arm(top, lo int, items []itemCount) {
+	s.reset()
+	hi := 0
+	for _, ic := range items {
+		hi = max(hi, ic.count)
+	}
+	s.gated, s.top, s.lo, s.cut = true, top, lo, math.MaxInt
+	s.hist = zeroed(s.hist, max(hi-lo+1, 0))
+	if top > 0 {
+		for _, ic := range items {
+			if ic.count >= lo {
+				s.hist[ic.count-lo]++
+			}
+		}
+		s.cut = kthCount(s.hist, lo, top)
+		clear(s.hist)
+	}
+}
+
+// kthCount returns the top-th largest count the histogram holds
+// (hist[c-lo] counts of c), or lo when it holds fewer.
+func kthCount(hist []int, lo, top int) int {
+	seen := 0
+	for i := len(hist) - 1; i >= 0; i-- {
+		if seen += hist[i]; seen >= top {
+			return lo + i
+		}
+	}
+	return lo
+}
+
+// keep tallies count if the gate is armed and reports whether the
+// kernel should add the set. Kernels ask before they write or order any
+// position, so a dropped set costs one histogram increment.
+//
+// cut rises while the tallied counts above it alone number top, so it
+// is the larger of its start (see arm) and the top-th largest count
+// seen. It never falls: over a mine the loop advances at most once per
+// count in the histogram's range, which makes keep amortized O(1).
+func (s *setSink) keep(count int) bool {
+	if !s.gated {
+		return true
+	}
+	s.hist[count-s.lo]++
+	if count < s.cut {
+		return false
+	}
+	s.above++
+	for s.above-s.hist[s.cut-s.lo] >= s.top {
+		s.above -= s.hist[s.cut-s.lo]
+		s.cut++
+	}
+	return count >= s.cut
 }
 
 // add appends a size-k set with the given count and returns its k
@@ -82,11 +158,16 @@ func roomFor[T any](s []T, n, floor int) []T {
 const maxKeptSets = 1 << 13
 
 // trim drops the sink's buffers if they outgrew maxKeptSets,
-// remembering their sizes.
+// remembering their sizes, and disarms its gate.
 func (s *setSink) trim() {
 	if cap(s.sets) > maxKeptSets {
-		*s = setSink{wantPos: len(s.pos) * 3 / 2, wantSets: len(s.sets) * 3 / 2}
+		s.wantPos, s.wantSets = len(s.pos)*3/2, len(s.sets)*3/2
+		s.pos, s.sets = nil, nil
 	}
+	if cap(s.hist) > maxKeptSets {
+		s.hist = nil
+	}
+	s.reset()
 }
 
 // canonOrder is the reusable scratch of the assembly.
@@ -107,18 +188,71 @@ func (o *canonOrder) trim() {
 	}
 }
 
+// A gate asks a mine for less than its full Result (see setSink.keep).
+// top is how many leading sets of the canonical Result to build: none
+// when 0. The mine reports in total how many sets the full Result
+// holds and, when top is 0, in spectrum their counts in Result order.
+// A nil gate asks for the full Result.
+type gate struct {
+	top      int
+	total    int
+	spectrum []int
+}
+
+// finish builds a mine's answer from its kernel's sinks, which g armed
+// (setSink.arm) when it is not nil. The sinks' histograms merge into
+// the counts of every set the full mine holds, the spectrum comes
+// straight from them, highest count first, and c_K, the top-th largest
+// count, is read off them. No sink's cut exceeds c_K — the top-th
+// largest of a subset of the counts is at most that of all of them —
+// so every set counted c_K or more is in a sink, and the first top
+// sets of those are the first top of the full Result.
+func (o *canonOrder) finish(items []itemCount, g *gate, sinks ...*setSink) []Itemset {
+	if g == nil {
+		return o.assemble(items, sinks...)
+	}
+	hist, lo := sinks[0].hist, sinks[0].lo
+	for _, s := range sinks[1:] {
+		for i, c := range s.hist {
+			hist[i] += c
+		}
+	}
+	g.total = 0
+	for _, c := range hist {
+		g.total += c
+	}
+	if g.top == 0 {
+		g.spectrum = make([]int, 0, g.total)
+		for i := len(hist) - 1; i >= 0; i-- {
+			for range hist[i] {
+				g.spectrum = append(g.spectrum, lo+i)
+			}
+		}
+		return nil
+	}
+	return o.assembleTop(items, kthCount(hist, lo, g.top), g.top, sinks...)
+}
+
 // assemble returns every set the sinks hold in canonical order, with
 // positions translated to IDs through items (the Index's item table),
 // or nil when the sinks are empty. The Result's slices are fresh; the
 // sinks and the scratch can be reused right away.
 func (o *canonOrder) assemble(items []itemCount, sinks ...*setSink) []Itemset {
+	return o.assembleTop(items, 0, math.MaxInt, sinks...)
+}
+
+// assembleTop is assemble restricted to the first limit of the sets
+// counted floor or more.
+func (o *canonOrder) assembleTop(items []itemCount, floor, limit int, sinks ...*setSink) []Itemset {
 	maxK, m, np := 0, 0, 0
 	for _, s := range sinks {
 		for _, r := range s.sets {
-			maxK = max(maxK, int(r.size))
+			if r.count >= floor {
+				maxK = max(maxK, int(r.size))
+				m++
+				np += int(r.size)
+			}
 		}
-		m += len(s.sets)
-		np += len(s.pos)
 	}
 	if m == 0 {
 		return nil
@@ -129,7 +263,9 @@ func (o *canonOrder) assemble(items []itemCount, sinks ...*setSink) []Itemset {
 	starts, posStarts := zeroed(o.starts, maxK+2), grown(o.posStarts, maxK+1)
 	for _, s := range sinks {
 		for _, r := range s.sets {
-			starts[r.size+1]++
+			if r.count >= floor {
+				starts[r.size+1]++
+			}
 		}
 	}
 	posStarts[0] = 0
@@ -143,6 +279,10 @@ func (o *canonOrder) assemble(items []itemCount, sinks ...*setSink) []Itemset {
 		off := 0
 		for _, r := range s.sets {
 			k := int(r.size)
+			if r.count < floor {
+				off += k
+				continue
+			}
 			i := fill[k]
 			fill[k]++
 			copy(pos[posStarts[k]+(i-starts[k])*k:], s.pos[off:off+k])
@@ -204,12 +344,19 @@ func (o *canonOrder) assemble(items []itemCount, sinks ...*setSink) []Itemset {
 		refs, tmp = tmp, refs
 	}
 
-	// Gather.
-	sets := make([]Itemset, m)
+	// Gather the first limit.
+	sizeOf := func(r int32) int { return sort.SearchInts(starts, int(r)+1) - 1 }
+	if limit < m {
+		refs, np = refs[:limit], 0
+		for _, r := range refs {
+			np += sizeOf(r)
+		}
+	}
+	sets := make([]Itemset, len(refs))
 	arena := make([]ingredient.ID, np)
 	off := 0
 	for i, r := range refs {
-		k := sort.SearchInts(starts, int(r)+1) - 1
+		k := sizeOf(r)
 		src := pos[posStarts[k]+(int(r)-starts[k])*k:][:k]
 		dst := arena[off : off+k : off+k]
 		for j, p := range src {

@@ -29,6 +29,17 @@ func FromResult(label string, res *itemset.Result) Distribution {
 	return Distribution{Label: label, Freqs: res.Supports()}
 }
 
+// FromSpectrum converts a mine's spectrum into a rank-frequency
+// distribution: the same series FromResult builds from the full
+// Result, with no set built and no sort.
+func FromSpectrum(label string, sp itemset.Spectrum) Distribution {
+	freqs := make([]float64, len(sp.Counts))
+	for i, c := range sp.Counts {
+		freqs[i] = float64(c) / float64(sp.N)
+	}
+	return Distribution{Label: label, Freqs: freqs}
+}
+
 // FromCounts builds a distribution from raw occurrence counts (e.g.
 // per-ingredient document frequencies) normalized by n, dropping zeros
 // and sorting descending.

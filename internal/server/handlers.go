@@ -346,16 +346,14 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := itemset.MineIndexed(ix, support, itemset.MineOptions{Kernel: kernel, Workers: s.mineWorkers()})
+		// MineTop builds only the first top sets; total counts them all.
+		res, total, err := itemset.MineTop(ix, support, top, itemset.MineOptions{Kernel: kernel, Workers: s.mineWorkers()})
 		if err != nil {
 			return nil, err
 		}
 		lex := sel.corpus.Lexicon()
-		sets := make([]minedSet, 0, min(top, len(res.Sets)))
-		for i, set := range res.Sets {
-			if i >= top {
-				break
-			}
+		sets := make([]minedSet, 0, len(res.Sets))
+		for _, set := range res.Sets {
 			names := make([]string, len(set.Items))
 			for j, id := range set.Items {
 				if categories {
@@ -366,7 +364,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			}
 			sets = append(sets, minedSet{Items: names, Count: set.Count, Support: set.Support(res.N)})
 		}
-		return map[string]any{"region": region, "total": len(res.Sets), "sets": sets}, nil
+		return map[string]any{"region": region, "total": total, "sets": sets}, nil
 	})
 }
 
@@ -444,11 +442,11 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		empirical, err := itemset.MineIndexed(ix, support, itemset.MineOptions{})
+		empirical, err := itemset.MineSpectrum(ix, support, itemset.MineOptions{})
 		if err != nil {
 			return nil, err
 		}
-		emp := rankfreq.FromResult(region, empirical)
+		emp := rankfreq.FromSpectrum(region, empirical)
 		dist, err := evomodel.RunEnsembleCtx(ctx, evomodel.EnsembleConfig{
 			Params:     evomodel.ParamsForView(view, kind, s.opts.Seed),
 			Replicates: replicates,
