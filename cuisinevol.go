@@ -315,9 +315,12 @@ func CompareModels(c *Corpus, region string, opts CompareOptions) (*ModelCompari
 		MAE:       make(map[ModelKind]float64, len(kinds)),
 	}
 	best := -1.0
+	base := evomodel.ParamsForView(view, kinds[0], seed)
 	for _, kind := range kinds {
+		params := base
+		params.Kind = kind
 		dist, err := evomodel.RunEnsemble(evomodel.EnsembleConfig{
-			Params:     evomodel.ParamsForView(view, kind, seed),
+			Params:     params,
 			Replicates: replicates,
 			MinSupport: minSupport,
 			Categories: opts.Categories,

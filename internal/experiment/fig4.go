@@ -119,8 +119,12 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 		if view.Len() == 0 {
 			return nil, fmt.Errorf("experiment: region %s missing from corpus", code)
 		}
+		// The view statistics are the same for every kind: derive them
+		// once per region.
+		base := evomodel.ParamsForView(view, kinds[0], cfg.Seed)
 		for k, kind := range kinds {
-			params := evomodel.ParamsForView(view, kind, cfg.Seed)
+			params := base
+			params.Kind = kind
 			params.FixedIterations = opts.FixedIterations
 			params.NullFromFullLexicon = opts.NullFromFullLexicon
 			if opts.MixtureRatio > 0 {

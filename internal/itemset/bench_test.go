@@ -150,6 +150,33 @@ func BenchmarkEclatReplicateSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkEclatReplicateSpectrum is the Fig 4 replicate's mine on its
+// own: a duplicate-heavy pool indexed once into a reused IndexBuilder,
+// then the Eclat spectrum at the replicates' support, so every bitset
+// intersection takes the weighted count. Mining with the builder's
+// query state keeps its allocs steady enough for the alloc gate.
+func BenchmarkEclatReplicateSpectrum(b *testing.B) {
+	var ib IndexBuilder
+	ix, err := ib.Build(replicatePool(7, 30, 3000, 9, 300))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !ix.weighted {
+		b.Fatal("replicate pool indexed unweighted")
+	}
+	opts := MineOptions{Kernel: KernelEclat}
+	if _, err := MineSpectrum(ix, 0.05, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MineSpectrum(ix, 0.05, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEclatParallelReplicatePool runs the same pool through the
 // prefix-partitioned parallel path (the /v1/mine configuration).
 func BenchmarkEclatParallelReplicatePool(b *testing.B) {

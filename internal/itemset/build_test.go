@@ -3,6 +3,7 @@ package itemset
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -157,6 +158,77 @@ func TestIndexBuilderReuse(t *testing.T) {
 		}
 		if !reflect.DeepEqual(withoutQuery(got), want) {
 			t.Fatalf("dense-only %s: reused build differs from a fresh one", c.name)
+		}
+	}
+}
+
+// TestIndexBuilderReuseWeightedMines: one builder mines a weighted
+// index, an unweighted one, a weighted one over fewer words, then the
+// same transactions reversed, which numbers the unique transactions
+// differently over the same words. Each Eclat spectrum and Result must
+// equal MineIndexed's on a fresh BuildIndex, and after each weighted
+// mine the query's heavy mask must hold exactly the new index's
+// weight > 1 transactions — none carried over from an earlier index.
+func TestIndexBuilderReuseWeightedMines(t *testing.T) {
+	fewer := replicatePool(3, 5, 400, 6, 40)
+	reversed := slices.Clone(fewer)
+	slices.Reverse(reversed)
+	corpora := []namedCorpus{
+		{"weighted", replicatePool(7, 30, 3000, 9, 300)},
+		{"unweighted", distinctCorpus(300)},
+		{"weighted-fewer-words", fewer},
+		{"weighted-renumbered", reversed},
+	}
+	var b IndexBuilder
+	var words []int
+	for i, c := range corpora {
+		fresh, err := BuildIndex(c.txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantWeighted := i != 1; fresh.weighted != wantWeighted {
+			t.Fatalf("%s: weighted=%v, want %v", c.name, fresh.weighted, wantWeighted)
+		}
+		words = append(words, fresh.words)
+		if i == 2 && words[2] >= words[0] || i == 3 && words[3] != words[2] {
+			t.Fatalf("%s: index words %v, want the third below the first and the fourth equal to the third", c.name, words)
+		}
+		for _, opts := range []MineOptions{{Kernel: KernelEclat}, {Kernel: KernelEclat, Workers: 4}} {
+			label := fmt.Sprintf("%s/workers=%d", c.name, opts.Workers)
+			want, err := MineIndexed(fresh, 0.02, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := b.Build(c.txs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := MineSpectrum(ix, 0.02, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCounts := make([]int, len(want.Sets))
+			for k, s := range want.Sets {
+				wantCounts[k] = s.Count
+			}
+			if !reflect.DeepEqual(spec, Spectrum{Counts: wantCounts, N: want.N}) {
+				t.Fatalf("%s: builder spectrum differs from a fresh index's Result", label)
+			}
+			if got, err := MineIndexed(ix, 0.02, opts); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: builder Result differs from a fresh index's (err %v)", label, err)
+			}
+			if !fresh.weighted {
+				continue
+			}
+			wantHeavy := make([]uint64, fresh.words)
+			for u, w := range fresh.weights[:fresh.uniques] {
+				if w > 1 {
+					wantHeavy[u>>6] |= 1 << (u & 63)
+				}
+			}
+			if !reflect.DeepEqual(b.query.shared.heavy, wantHeavy) {
+				t.Fatalf("%s: heavy mask %x, want %x", label, b.query.shared.heavy, wantHeavy)
+			}
 		}
 	}
 }

@@ -34,9 +34,7 @@ const (
 // posting is a read-only view of one tidset container: an item's
 // posting inside an Index, or an intermediate produced by intersection
 // (always array or bitset — runs exist only at build time). card is the
-// exact cardinality for array and run containers and for unweighted
-// bitset intersections; weighted bitset intermediates leave it -1
-// (nothing downstream consults it).
+// exact cardinality of every container.
 type posting struct {
 	kind containerKind
 	card int32
@@ -71,8 +69,8 @@ func resultIsBitset(a, b posting) bool {
 
 // pairArrayBound returns an upper bound on the cardinality of a ∩ b for
 // pairs producing an array result — the scratch the caller must
-// reserve. At least one side is compressed (card >= 0) by the
-// resultIsBitset contract.
+// reserve. At least one side is compressed by the resultIsBitset
+// contract.
 func pairArrayBound(a, b posting) int {
 	switch {
 	case a.kind == containerBitset:
@@ -245,33 +243,38 @@ func runsAndRuns(ra, rb, dst []uint32) int {
 }
 
 // intersectBits is the dense×dense kernel, byte-for-byte the old
-// intersectCount: word AND into dst with a popcount (or weight sum over
-// set bits when unique transactions carry multiplicities). The returned
-// posting's card is the exact cardinality when unweighted, -1 when
-// weighted (never consulted).
+// intersectCount: word AND into dst with a popcount. When unique
+// transactions carry multiplicities, the weighted support is
+// Σ_{u∈A∩B} w_u = |A∩B| + Σ_{u∈A∩B, w_u>1} (w_u − 1): the same popcount
+// plus an excess walked only over the surviving bits that are also
+// heavy, so a duplicate-light replicate pays a few weight lookups per
+// intersection instead of one per set bit. The returned posting's card
+// is the exact cardinality either way.
 func (sh *eclatShared) intersectBits(a, b posting, dst []uint64) (posting, int) {
 	av := a.bits
 	bv := b.bits[:len(av)]
 	dst = dst[:len(av)]
-	cnt := 0
+	card := 0
 	if !sh.weighted {
 		for i, w := range av {
 			w &= bv[i]
 			dst[i] = w
-			cnt += bits.OnesCount64(w)
+			card += bits.OnesCount64(w)
 		}
-		return posting{kind: containerBitset, card: int32(cnt), bits: dst}, cnt
+		return posting{kind: containerBitset, card: int32(card), bits: dst}, card
 	}
+	heavy, weights := sh.heavy[:len(av)], sh.weights
+	excess := 0
 	for i, w := range av {
 		w &= bv[i]
 		dst[i] = w
+		card += bits.OnesCount64(w)
 		base := i << 6
-		for w != 0 {
-			cnt += int(sh.weights[base+bits.TrailingZeros64(w)])
-			w &= w - 1
+		for h := w & heavy[i]; h != 0; h &= h - 1 {
+			excess += int(weights[base+bits.TrailingZeros64(h)]) - 1
 		}
 	}
-	return posting{kind: containerBitset, card: -1, bits: dst}, cnt
+	return posting{kind: containerBitset, card: int32(card), bits: dst}, card + excess
 }
 
 // intersectCompressed is the container-pair dispatch for every pair with

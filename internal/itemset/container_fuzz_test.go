@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzPostingContainers fuzzes the container layer end to end: decode
-// arbitrary bytes into two tidsets over a 3-word id space, materialize
-// each in all three container formats, push every format pair through
-// the intersection dispatch (unweighted and weighted), and cross-check
+// arbitrary bytes into two tidsets over a 3-word id space and a second
+// byte string into per-id weights, materialize each tidset in all three
+// container formats, push every format pair through the intersection
+// dispatch (unweighted and weighted), and cross-check
 // build→intersect→cardinality round-trips against a reference merge —
 // then build a real corpus carrying the two tidsets and pin the
 // production container choice, the materialized postings, and the
@@ -49,6 +50,46 @@ func decodeTidsetPair(data []byte) (a, b []uint32) {
 	return a, b
 }
 
+// Weight shapes decodeWeights draws from its first byte.
+const (
+	weightsAllOne   = iota // the weighted path with an empty heavy mask
+	weightsAllHeavy        // every id heavy: 2..257
+	weightsMixed           // odd bytes heavy (2..129), even bytes 1
+	weightsLarge           // powers of two from 1 to 1<<20
+	weightShapes
+)
+
+// decodeWeights folds bytes into per-id multiplicities over the
+// universe: the first byte picks a shape, the rest, cycled over the ids,
+// pick each id's value within it. Empty input is all-1.
+func decodeWeights(data []byte) []int32 {
+	weights := make([]int32, fuzzTidUniverse)
+	shape := weightsAllOne
+	if len(data) > 0 {
+		shape, data = int(data[0])%weightShapes, data[1:]
+	}
+	for u := range weights {
+		v := 0
+		if len(data) > 0 {
+			v = int(data[u%len(data)])
+		}
+		switch shape {
+		case weightsAllOne:
+			weights[u] = 1
+		case weightsAllHeavy:
+			weights[u] = int32(2 + v)
+		case weightsMixed:
+			weights[u] = 1
+			if v&1 == 1 {
+				weights[u] = int32(2 + v>>1)
+			}
+		default:
+			weights[u] = 1 << (v % 21)
+		}
+	}
+	return weights
+}
+
 // Manual container builders: each represents the same tidset in a fixed
 // format, regardless of what choosePostingKind would pick — the fuzz
 // target must hold for every pair the dispatch can ever see.
@@ -78,22 +119,27 @@ func fuzzRunPosting(ids []uint32) posting {
 }
 
 func FuzzPostingContainers(f *testing.F) {
-	f.Add([]byte{})
+	f.Add([]byte{}, []byte{})
 	// Word-edge ids on both sides: A = {63, 64, 127, 128}, B = {64, 128}.
-	f.Add([]byte{63, 64, 64, 128, 127, 64, 128, 128})
-	// A contiguous run meeting an alternating bitset-shaped set.
+	// Weights: mixed, heavy exactly on odd ids.
+	f.Add([]byte{63, 64, 64, 128, 127, 64, 128, 128}, []byte{weightsMixed, 0, 1})
+	// A contiguous run meeting an alternating bitset-shaped set, every
+	// id heavy.
 	run := make([]byte, 0, 192)
 	for i := 0; i < 96; i++ {
 		run = append(run, byte(i), byte((2*i)%fuzzTidUniverse))
 	}
-	f.Add(run)
-	// Identical sets, including the first, last and word-edge ids.
-	f.Add([]byte{0, 0, 63, 63, 64, 64, 191, 191})
+	f.Add(run, []byte{weightsAllHeavy, 0, 7, 255})
+	// Identical sets, including the first, last and word-edge ids, with
+	// weights up to 1<<20.
+	f.Add([]byte{0, 0, 63, 63, 64, 64, 191, 191}, []byte{weightsLarge, 20, 0, 13})
 	// Promotion ties: |A| = 6 scattered (array = bitset cost), |B| = 7
 	// scattered (bitset wins by one).
-	f.Add([]byte{0, 1, 32, 33, 64, 65, 96, 97, 128, 129, 160, 161, 0, 177})
+	f.Add([]byte{0, 1, 32, 33, 64, 65, 96, 97, 128, 129, 160, 161, 0, 177}, []byte{weightsAllOne})
+	// The run pair again, every weight 1<<20.
+	f.Add(run, []byte{weightsLarge, 20})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, wdata []byte) {
 		const words = fuzzTidUniverse / 64
 		a, b := decodeTidsetPair(data)
 
@@ -108,11 +154,8 @@ func FuzzPostingContainers(f *testing.F) {
 				ref = append(ref, id)
 			}
 		}
-		weights := make([]int32, fuzzTidUniverse)
+		weights := decodeWeights(wdata)
 		wantW := 0
-		for i := range weights {
-			weights[i] = int32(i%3) + 1
-		}
 		for _, id := range ref {
 			wantW += int(weights[id])
 		}
@@ -121,7 +164,8 @@ func FuzzPostingContainers(f *testing.F) {
 			return []posting{fuzzArrayPosting(ids), fuzzBitsetPosting(ids, words), fuzzRunPosting(ids)}
 		}
 		plain := &eclatShared{words: words}
-		weighted := &eclatShared{words: words, weighted: true, weights: weights}
+		weighted := &eclatShared{words: words}
+		weighted.setWeights(true, weights, words)
 		for _, pa := range reps(a) {
 			for _, pb := range reps(b) {
 				for _, sh := range []*eclatShared{plain, weighted} {

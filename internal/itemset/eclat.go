@@ -33,8 +33,31 @@ type eclatShared struct {
 	words    int       // dense bitmap length in uint64 words
 	weighted bool      // any unique transaction with weight > 1
 	weights  []int32   // per unique-transaction multiplicity
+	heavy    []uint64  // weighted only: bit u set iff weights[u] > 1
 	posts    []posting // per frequent item: its tidset container
 	mc       int
+}
+
+// setWeights points the state at the multiplicities of an index's
+// unique transactions, over a words-wide id space. On a weighted index
+// it also derives heavy, the mask of weight > 1 transactions whose
+// excess intersectBits adds to a popcount. The mask lives in an arena
+// the query keeps across mines and is cleared first, so no bit of an
+// earlier index survives. It is not part of the Index, so index bytes
+// and cache budgets do not count it.
+func (sh *eclatShared) setWeights(weighted bool, weights []int32, words int) {
+	sh.weighted = weighted
+	sh.weights = nil
+	if !weighted {
+		return
+	}
+	sh.weights = weights
+	sh.heavy = zeroed(sh.heavy, words)
+	for u, w := range weights {
+		if w > 1 {
+			sh.heavy[u>>6] |= 1 << (u & 63)
+		}
+	}
 }
 
 // eclatExt is one member of a prefix equivalence class: an extension
@@ -289,8 +312,7 @@ func eclatMineIndexed(ix *Index, minSupport float64, workers int, g *gate) (*Res
 	sh := &q.shared
 	sh.mc = minCount(ix.n, minSupport)
 	sh.words = ix.words
-	sh.weighted = ix.weighted
-	sh.weights = ix.weights
+	sh.setWeights(ix.weighted, ix.weights[:ix.uniques], ix.words)
 
 	// Frequent item positions in the standard Eclat order (ascending
 	// count, ties by ascending ID — positions ascend with IDs, so the
