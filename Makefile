@@ -20,9 +20,10 @@ FUZZTIME ?= 30s
 # the Fig 3/4 pipelines they feed, the arena simulation kernel behind
 # them, and the build-once corpus index (build cost, warm-index queries,
 # and the cold-mine point they beat, and the low-support mines of the
-# append_reads serving workload) — see DESIGN.md §7 ("Performance
-# architecture"), §10 and §12.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport
+# append_reads serving workload), and one served cache hit per hot
+# endpoint (ServeHit) — see DESIGN.md §7 ("Performance architecture"),
+# §8, §10 and §12.
+BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|ServeHit
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build
@@ -32,10 +33,12 @@ BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|
 # per-query allocations, and MineLowSupport keeps a 15k–37k-set mine's
 # canonical assembly, and its count-gated top=25 answer, at a handful
 # of allocations. EclatReplicateSpectrum keeps the weighted replicate
-# mine, off a reused builder, at two. The one-shot EclatReplicatePool
+# mine, off a reused builder, at two. ServeHit keeps a served cache
+# hit (query parse, cache key, cached body) and a 304 revalidation
+# from growing per-request allocations. The one-shot EclatReplicatePool
 # and MineAutoReplicatePool mines draw pooled state and flap between
 # 80 and 121 allocs, so they stay out.
-ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites|MineLowSupport|EclatReplicateSpectrum
+ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites|MineLowSupport|EclatReplicateSpectrum|ServeHit
 
 .PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test
 

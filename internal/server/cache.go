@@ -11,11 +11,11 @@ import (
 // answers — same corpus, same computation, same parameters — so the
 // cache never needs invalidation, only eviction.
 func resultKey(fingerprint, endpoint, params string) string {
-	h := sha256.New()
-	h.Write([]byte(fingerprint))
-	h.Write([]byte{0})
-	h.Write([]byte(endpoint))
-	h.Write([]byte{0})
-	h.Write([]byte(params))
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [256]byte
+	b := append(append(buf[:0], fingerprint...), 0)
+	b = append(append(b, endpoint...), 0)
+	sum := sha256.Sum256(append(b, params...))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }

@@ -104,7 +104,8 @@ func corpusError(err error) error {
 // the required name parameter. Responds 201 with the fingerprint, the
 // ingest statistics, and a sample of per-record errors.
 func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) {
-	name := strings.TrimSpace(r.URL.Query().Get("name"))
+	q := newQuery(r)
+	name := strings.TrimSpace(q.get("name"))
 	if name == "" {
 		s.writeError(w, badRequest("missing required parameter name"))
 		return
@@ -113,7 +114,7 @@ func (s *Server) handleCorpusUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, corpusError(err))
 		return
 	}
-	format, err := corpusstore.ParseFormat(r.URL.Query().Get("format"))
+	format, err := corpusstore.ParseFormat(q.get("format"))
 	if err != nil {
 		s.writeError(w, badRequest("%v", err))
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"runtime"
 	"slices"
 	"sort"
@@ -75,12 +76,9 @@ type cuisineInfo struct {
 }
 
 func (s *Server) handleCuisines(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveComputed(w, r, sel.fingerprint, "/v1/cuisines", "", func(ctx context.Context) (any, error) {
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/cuisines", "", func(ctx context.Context) (any, error) {
 		// Paper cuisines come first in Table I order (all 25 for the
 		// default corpus, the non-empty ones for an uploaded corpus);
 		// region codes outside the paper's set follow, sorted, with the
@@ -132,12 +130,9 @@ type table1Row struct {
 }
 
 func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveComputed(w, r, sel.fingerprint, "/v1/table1", "", func(ctx context.Context) (any, error) {
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/table1", "", func(ctx context.Context) (any, error) {
 		res, err := experiment.RunTableI(s.config(sel, s.opts.Replicates))
 		if err != nil {
 			return nil, err
@@ -164,23 +159,17 @@ func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFig1(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveComputed(w, r, sel.fingerprint, "/v1/fig1", "", func(ctx context.Context) (any, error) {
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/fig1", "", func(ctx context.Context) (any, error) {
 		return experiment.RunFig1(s.config(sel, s.opts.Replicates))
 	})
 }
 
 func (s *Server) handleFig2(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveComputed(w, r, sel.fingerprint, "/v1/fig2", "", func(ctx context.Context) (any, error) {
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/fig2", "", func(ctx context.Context) (any, error) {
 		res, err := experiment.RunFig2(s.config(sel, s.opts.Replicates))
 		if err != nil {
 			return nil, err
@@ -215,14 +204,11 @@ func toPanel(p experiment.Fig3Panel) figPanel {
 }
 
 func (s *Server) handleFig3(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	support, serr := parseFloat(r, "support", s.opts.MinSupport, 0, 1)
-	if err = firstErr(err, serr); err != nil {
-		s.writeError(w, err)
-		return
-	}
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	support := q.float("support", s.opts.MinSupport, 0, 1)
 	canon := canonicalParams("support", support)
-	s.serveComputed(w, r, sel.fingerprint, "/v1/fig3", canon, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/fig3", canon, func(ctx context.Context) (any, error) {
 		cfg := s.config(sel, s.opts.Replicates)
 		cfg.MinSupport = support
 		res, err := experiment.RunFig3Ctx(ctx, cfg)
@@ -244,26 +230,19 @@ type fig4Row struct {
 }
 
 func (s *Server) handleFig4(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	replicates, err := parseInt(r, "replicates", s.opts.Replicates, 1, 10000)
-	categories, cerr := parseBool(r, "categories", false)
-	regions, rerr := parseRegions(r, sel.corpus.Regions())
-	dists, derr := parseBool(r, "dists", false)
-	if err = firstErr(err, cerr, rerr, derr); err != nil {
-		s.writeError(w, err)
-		return
-	}
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	replicates := q.int("replicates", s.opts.Replicates, 1, 10000)
+	categories := q.bool("categories", false)
+	regions := q.regions(sel)
+	dists := q.bool("dists", false)
 	canon := canonicalParams(
 		"categories", categories,
 		"dists", dists,
 		"regions", strings.Join(regions, ","),
 		"replicates", replicates,
 	)
-	s.serveComputed(w, r, sel.fingerprint, "/v1/fig4", canon, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/fig4", canon, func(ctx context.Context) (any, error) {
 		cfg := s.config(sel, replicates)
 		res, err := experiment.RunFig4Ctx(ctx, cfg, experiment.Fig4Options{
 			Categories: categories,
@@ -319,20 +298,13 @@ type minedSet struct {
 }
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	region, err := parseRegion(r, sel)
-	support, serr := parseFloat(r, "support", s.opts.MinSupport, 0, 1)
-	top, terr := parseInt(r, "top", 25, 1, 100000)
-	categories, cerr := parseBool(r, "categories", false)
-	kernel, kerr := parseKernel(r)
-	if err = firstErr(err, serr, terr, cerr, kerr); err != nil {
-		s.writeError(w, err)
-		return
-	}
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	region := q.region(sel)
+	support := q.float("support", s.opts.MinSupport, 0, 1)
+	top := q.int("top", 25, 1, 100000)
+	categories := q.bool("categories", false)
+	kernel := q.kernel()
 	// The kernel is part of the cache key even though every kernel
 	// returns byte-identical bodies: the key addresses the computation
 	// that was requested, and collapsing kernels in the key would make
@@ -341,7 +313,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	// handler tests pin both properties: identical bodies, distinct
 	// keys.
 	canon := canonicalParams("categories", categories, "kernel", kernel.String(), "region", region, "support", support, "top", top)
-	s.serveComputed(w, r, sel.fingerprint, "/v1/mine", canon, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/mine", canon, func(ctx context.Context) (any, error) {
 		ix, err := s.viewIndex(sel, region, categories)
 		if err != nil {
 			return nil, err
@@ -376,19 +348,12 @@ type overrepRow struct {
 }
 
 func (s *Server) handleOverrep(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	region, err := parseRegion(r, sel)
-	k, kerr := parseInt(r, "k", 10, 1, 1000)
-	if err = firstErr(err, kerr); err != nil {
-		s.writeError(w, err)
-		return
-	}
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	region := q.region(sel)
+	k := q.int("k", 10, 1, 1000)
 	canon := canonicalParams("k", k, "region", region)
-	s.serveComputed(w, r, sel.fingerprint, "/v1/overrep", canon, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/overrep", canon, func(ctx context.Context) (any, error) {
 		// Both document-frequency tables come off shared indexes: the
 		// whole-corpus one carries Eq 1's global counts, the region one
 		// its numerator — no per-request corpus rescan.
@@ -418,25 +383,14 @@ func (s *Server) handleOverrep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
-	sel, err := s.selectCorpus(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	region, err := parseRegion(r, sel)
-	model := r.URL.Query().Get("model")
-	if model == "" {
-		model = "CM-R"
-	}
-	kind, merr := parseModelKind(model)
-	replicates, rerr := parseInt(r, "replicates", s.opts.Replicates, 1, 10000)
-	support, serr := parseFloat(r, "support", s.opts.MinSupport, 0, 1)
-	if err = firstErr(err, merr, rerr, serr); err != nil {
-		s.writeError(w, err)
-		return
-	}
+	q := newQuery(r)
+	sel := s.selectCorpus(q)
+	region := q.region(sel)
+	kind := q.model()
+	replicates := q.int("replicates", s.opts.Replicates, 1, 10000)
+	support := q.float("support", s.opts.MinSupport, 0, 1)
 	canon := canonicalParams("model", kind.String(), "region", region, "replicates", replicates, "support", support)
-	s.serveComputed(w, r, sel.fingerprint, "/v1/evolve", canon, func(ctx context.Context) (any, error) {
+	s.serveComputed(w, r, q, sel.fingerprint, "/v1/evolve", canon, func(ctx context.Context) (any, error) {
 		view := sel.corpus.Region(region)
 		ix, err := s.viewIndex(sel, region, false)
 		if err != nil {
@@ -473,81 +427,104 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 
 // --- parameter parsing -------------------------------------------------
 
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// query is one request's parameters, parsed once. Its readers take
+// parameters in the order a handler calls them and keep the first
+// failure in err; after a failure every reader returns its default, so
+// a handler reads all its parameters and serveComputed answers with
+// err before it builds anything from them.
+type query struct {
+	vals url.Values
+	err  error
 }
 
-func parseFloat(r *http.Request, name string, def, lo, hi float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
+// newQuery parses the request's query string. A malformed pair, such as
+// one containing ';', is dropped and the parse error ignored.
+func newQuery(r *http.Request) *query { return &query{vals: r.URL.Query()} }
+
+// get returns the first value of name, or "" when it is absent or an
+// earlier parameter failed.
+func (q *query) get(name string) string {
+	if vs := q.vals[name]; q.err == nil && len(vs) > 0 {
+		return vs[0]
+	}
+	return ""
+}
+
+// fail records err unless an earlier parameter already failed.
+func (q *query) fail(err error) {
+	if q.err == nil {
+		q.err = err
+	}
+}
+
+// float reads a number in (lo, hi]. NaN fails the range check, since
+// every comparison with it is false.
+func (q *query) float(name string, def, lo, hi float64) float64 {
+	raw := q.get(name)
 	if raw == "" {
-		return def, nil
+		return def
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, badRequest("invalid %s %q: %v", name, raw, err)
+	switch {
+	case err != nil:
+		q.fail(badRequest("invalid %s %q: %v", name, raw, err))
+	case !(v > lo && v <= hi):
+		q.fail(badRequest("%s must be in (%g, %g], got %g", name, lo, hi, v))
 	}
-	if v <= lo || v > hi {
-		return 0, badRequest("%s must be in (%g, %g], got %g", name, lo, hi, v)
-	}
-	return v, nil
+	return v
 }
 
-func parseInt(r *http.Request, name string, def, lo, hi int) (int, error) {
-	raw := r.URL.Query().Get(name)
+// int reads an integer in [lo, hi].
+func (q *query) int(name string, def, lo, hi int) int {
+	raw := q.get(name)
 	if raw == "" {
-		return def, nil
+		return def
 	}
 	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, badRequest("invalid %s %q: %v", name, raw, err)
+	switch {
+	case err != nil:
+		q.fail(badRequest("invalid %s %q: %v", name, raw, err))
+	case v < lo || v > hi:
+		q.fail(badRequest("%s must be in [%d, %d], got %d", name, lo, hi, v))
 	}
-	if v < lo || v > hi {
-		return 0, badRequest("%s must be in [%d, %d], got %d", name, lo, hi, v)
-	}
-	return v, nil
+	return v
 }
 
-func parseBool(r *http.Request, name string, def bool) (bool, error) {
-	raw := r.URL.Query().Get(name)
+func (q *query) bool(name string, def bool) bool {
+	raw := q.get(name)
 	if raw == "" {
-		return def, nil
+		return def
 	}
 	v, err := strconv.ParseBool(raw)
 	if err != nil {
-		return false, badRequest("invalid %s %q: %v", name, raw, err)
+		q.fail(badRequest("invalid %s %q: %v", name, raw, err))
 	}
-	return v, nil
+	return v
 }
 
-// parseRegion reads and validates the region parameter against the
-// selected corpus; a missing region is a 400, an unknown cuisine a 404
-// — the resource (that cuisine's recipes) does not exist.
-func parseRegion(r *http.Request, sel corpusSel) (string, error) {
-	code := strings.ToUpper(strings.TrimSpace(r.URL.Query().Get("region")))
-	if code == "" {
-		return "", badRequest("missing required parameter region")
+// region reads and validates the region parameter against the selected
+// corpus; a missing region is a 400, an unknown cuisine a 404 — the
+// resource (that cuisine's recipes) does not exist.
+func (q *query) region(sel corpusSel) string {
+	code := strings.ToUpper(strings.TrimSpace(q.get("region")))
+	switch {
+	case code == "":
+		q.fail(badRequest("missing required parameter region"))
+	case sel.corpus.RegionLen(code) == 0:
+		q.fail(notFound("unknown cuisine %q", code))
 	}
-	if sel.corpus.Region(code).Len() == 0 {
-		return "", notFound("unknown cuisine %q", code)
-	}
-	return code, nil
+	return code
 }
 
-// parseKernel reads the mining-kernel parameter; the default is
-// adaptive selection.
-func parseKernel(r *http.Request) (itemset.Kernel, error) {
-	raw := r.URL.Query().Get("kernel")
+// kernel reads the mining-kernel parameter; the default is adaptive
+// selection.
+func (q *query) kernel() itemset.Kernel {
+	raw := q.get("kernel")
 	k, err := itemset.ParseKernel(raw)
 	if err != nil {
-		return 0, badRequest("invalid kernel %q (use auto, fpgrowth, eclat or apriori)", raw)
+		q.fail(badRequest("invalid kernel %q (use auto, fpgrowth, eclat or apriori)", raw))
 	}
-	return k, nil
+	return k
 }
 
 // mineWorkers resolves the worker budget a single /v1/mine computation
@@ -560,33 +537,35 @@ func (s *Server) mineWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parseModelKind maps a model name to its evomodel.Kind.
-func parseModelKind(s string) (evomodel.Kind, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "CM-R", "CMR", "RANDOM":
-		return evomodel.CMRandom, nil
-	case "CM-C", "CMC", "CATEGORY":
-		return evomodel.CMCategory, nil
-	case "CM-M", "CMM", "MIXTURE":
-		return evomodel.CMMixture, nil
-	case "NM", "NULL":
-		return evomodel.NullModel, nil
+// model maps the model parameter to its evomodel.Kind; the default is
+// CM-R.
+func (q *query) model() evomodel.Kind {
+	name := q.get("model")
+	if name == "" {
+		return evomodel.CMRandom
 	}
-	return 0, badRequest("unknown model %q (use CM-R, CM-C, CM-M or NM)", s)
+	switch strings.ToUpper(strings.TrimSpace(name)) {
+	case "CM-R", "CMR", "RANDOM":
+		return evomodel.CMRandom
+	case "CM-C", "CMC", "CATEGORY":
+		return evomodel.CMCategory
+	case "CM-M", "CMM", "MIXTURE":
+		return evomodel.CMMixture
+	case "NM", "NULL":
+		return evomodel.NullModel
+	}
+	q.fail(badRequest("unknown model %q (use CM-R, CM-C, CM-M or NM)", name))
+	return 0
 }
 
-// parseRegions reads the comma-separated regions parameter, defaulting
-// to every cuisine in the paper's Table I order, validating each code
+// regions reads the comma-separated regions parameter, defaulting to
+// every cuisine in the paper's Table I order, validating each code
 // against the corpus. Codes are upper-cased, sorted and deduplicated,
 // so every spelling of one region set shares one cache entry.
-func parseRegions(r *http.Request, known []string) ([]string, error) {
-	raw := r.URL.Query().Get("regions")
+func (q *query) regions(sel corpusSel) []string {
+	raw := q.get("regions")
 	if raw == "" {
-		return nil, nil // RunFig4 defaults to all 25
-	}
-	knownSet := make(map[string]bool, len(known))
-	for _, code := range known {
-		knownSet[code] = true
+		return nil // RunFig4 defaults to all 25
 	}
 	parts := strings.Split(raw, ",")
 	out := make([]string, 0, len(parts))
@@ -595,14 +574,16 @@ func parseRegions(r *http.Request, known []string) ([]string, error) {
 		if code == "" {
 			continue
 		}
-		if !knownSet[code] {
-			return nil, notFound("unknown cuisine %q", code)
+		if sel.corpus.RegionLen(code) == 0 {
+			q.fail(notFound("unknown cuisine %q", code))
+			return nil
 		}
 		out = append(out, code)
 	}
 	if len(out) == 0 {
-		return nil, badRequest("regions parameter is empty")
+		q.fail(badRequest("regions parameter is empty"))
+		return nil
 	}
 	sort.Strings(out)
-	return slices.Compact(out), nil
+	return slices.Compact(out)
 }

@@ -67,7 +67,7 @@ func (s *Server) handleCorpusAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, corpusError(err))
 		return
 	}
-	format, err := corpusstore.ParseFormat(r.URL.Query().Get("format"))
+	format, err := corpusstore.ParseFormat(newQuery(r).get("format"))
 	if err != nil {
 		s.writeError(w, badRequest("%v", err))
 		return

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -287,25 +286,26 @@ type corpusSel struct {
 // default corpus. The fingerprint of whatever is selected flows into
 // the result-cache keys, so two references to the same content — a
 // name, a pinned name@version, a raw fingerprint — share cache entries,
-// and distinct corpora can never collide.
-func (s *Server) selectCorpus(r *http.Request) (corpusSel, error) {
-	ref := strings.TrimSpace(r.URL.Query().Get("corpus"))
+// and distinct corpora can never collide. A failure is recorded in q.
+func (s *Server) selectCorpus(q *query) corpusSel {
+	ref := strings.TrimSpace(q.get("corpus"))
 	if ref == "" || ref == "default" {
-		return corpusSel{corpus: s.corpus, fingerprint: s.fingerprint, def: true}, nil
+		return corpusSel{corpus: s.corpus, fingerprint: s.fingerprint, def: true}
 	}
 	corpus, info, err := s.registry.Resolve(ref)
 	switch {
 	case err == nil:
-		return corpusSel{corpus: corpus, fingerprint: info.ID}, nil
+		return corpusSel{corpus: corpus, fingerprint: info.ID}
 	case errors.Is(err, corpusstore.ErrNotFound):
-		return corpusSel{}, notFound("unknown corpus %q", ref)
+		q.fail(notFound("unknown corpus %q", ref))
 	case errors.Is(err, corpusstore.ErrBadRef):
-		return corpusSel{}, badRequest("invalid corpus reference %q", ref)
+		q.fail(badRequest("invalid corpus reference %q", ref))
 	default:
 		// Remaining typed store failures (e.g. ErrCorrupt) keep their
 		// canonical status mapping on the analytics endpoints too.
-		return corpusSel{}, corpusError(err)
+		q.fail(corpusError(err))
 	}
+	return corpusSel{}
 }
 
 // viewIndex returns the shared corpus index for one region slice
@@ -388,20 +388,29 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 }
 
 // serveComputed is the shared compute path: cache lookup, then
-// singleflight coalescing, then the semaphore-gated computation. canon
-// must be the canonicalized parameter string — requests that differ
-// only in parameter spelling share a key — and fingerprint the selected
+// singleflight coalescing, then the semaphore-gated computation. A
+// request whose query recorded an invalid parameter gets that error
+// instead, before anything is looked up. canon must be the
+// canonicalized parameter string — requests that differ only in
+// parameter spelling share a key — and fingerprint the selected
 // corpus's content fingerprint, which content-addresses the cache entry
 // (the corpus= spelling never reaches the key). compute returns the
 // response value to be rendered as deterministic JSON.
-func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, fingerprint, endpoint, canon string, compute func(ctx context.Context) (any, error)) {
+func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, q *query, fingerprint, endpoint, canon string, compute func(ctx context.Context) (any, error)) {
+	if q.err != nil {
+		s.writeError(w, q.err)
+		return
+	}
 	key := resultKey(fingerprint, endpoint, canon)
 	etag := `"` + key[:32] + `"`
 	if match := r.Header.Get("If-None-Match"); match != "" && match == etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	fault := s.chaos.faultFor(endpoint + "?" + canon)
+	fault := FaultNone
+	if s.chaos != nil {
+		fault = s.chaos.faultFor(endpoint + "?" + canon)
+	}
 	if fault == FaultCancel {
 		// The simulated client vanished before anything was computed or
 		// served; report the 499 the real disconnect path produces.
@@ -445,9 +454,9 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, fingerpri
 		ctx, cancel = context.WithTimeoutCause(ctx, d, errDeadline)
 		defer cancel()
 	}
-	if s.chaos != nil {
-		compute = s.chaos.wrapCompute(endpoint+"?"+canon, fault, compute)
-	}
+	// A new variable, not compute reassigned: a reassigned parameter the
+	// closure below captures would move to the heap on every request.
+	run := s.chaos.wrapCompute(endpoint+"?"+canon, fault, compute)
 	for {
 		body, err, shared := s.flight.Do(ctx, key, func(cctx context.Context) ([]byte, error) {
 			// Double-check the cache: a computation that completed between
@@ -462,7 +471,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, fingerpri
 			}
 			defer s.admit.Release()
 			s.metrics.computations.Add(1)
-			v, err := compute(cctx)
+			v, err := run(cctx)
 			if err != nil {
 				return nil, err
 			}
@@ -545,33 +554,38 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// canonicalParams renders parsed parameters in a fixed order and fixed
-// formatting, so every spelling of the same request ("0.05", "0.050",
-// "5e-2") maps to one cache key.
+// canonicalParams renders parsed parameters in fixed formatting, so
+// every spelling of the same request ("0.05", "0.050", "5e-2") maps to
+// one cache key. Callers pass names in ascending order, and the pairs
+// are appended in that order with no sort; a name out of order panics,
+// as an odd pair count does.
 func canonicalParams(pairs ...any) string {
 	if len(pairs)%2 != 0 {
 		panic("canonicalParams: odd pair count")
 	}
-	parts := make([]string, 0, len(pairs)/2)
+	var buf [128]byte
+	b := buf[:0]
 	for i := 0; i < len(pairs); i += 2 {
 		name := pairs[i].(string)
-		var val string
+		if i > 0 {
+			if prev := pairs[i-2].(string); name <= prev {
+				panic("canonicalParams: " + name + " after " + prev)
+			}
+			b = append(b, '&')
+		}
+		b = append(append(b, name...), '=')
 		switch v := pairs[i+1].(type) {
 		case string:
-			val = v
+			b = append(b, v...)
 		case bool:
-			val = strconv.FormatBool(v)
+			b = strconv.AppendBool(b, v)
 		case int:
-			val = strconv.Itoa(v)
-		case uint64:
-			val = strconv.FormatUint(v, 10)
+			b = strconv.AppendInt(b, int64(v), 10)
 		case float64:
-			val = strconv.FormatFloat(v, 'g', -1, 64)
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
 		default:
-			panic(fmt.Sprintf("canonicalParams: unsupported type %T", v))
+			panic("canonicalParams: unsupported type for " + name)
 		}
-		parts = append(parts, name+"="+val)
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "&")
+	return string(b)
 }

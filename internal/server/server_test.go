@@ -22,7 +22,7 @@ var (
 // testCorpus generates one scaled-down corpus shared by every test;
 // servers are cheap to build on top of it, so each test gets a fresh
 // Server (fresh cache, fresh counters) without re-paying generation.
-func testCorpus(t *testing.T) *recipe.Corpus {
+func testCorpus(t testing.TB) *recipe.Corpus {
 	t.Helper()
 	corpusOnce.Do(func() {
 		gen := synth.DefaultConfig(42)
@@ -95,7 +95,7 @@ func TestEndpointsRespond(t *testing.T) {
 }
 
 func TestBadParamsAre400(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	paths := []string{
 		"/v1/fig3?support=abc",
 		"/v1/fig3?support=2",
@@ -110,6 +110,15 @@ func TestBadParamsAre400(t *testing.T) {
 		"/v1/overrep?region=ITA&k=100000",  // above range
 		"/v1/evolve?region=ITA&model=FOO",  // unknown model
 		"/v1/evolve?region=ITA&support=-1", // negative support
+		// Non-finite supports. NaN fails every comparison, so the range
+		// check must accept values inside it, not reject those outside.
+		"/v1/mine?region=ITA&support=NaN",
+		"/v1/mine?region=ITA&support=%2BInf",
+		"/v1/mine?region=ITA&support=-Inf",
+		"/v1/fig3?support=nan",
+		"/v1/fig3?support=inf",
+		"/v1/evolve?region=ITA&support=NaN",
+		"/v1/evolve?region=ITA&support=-inf",
 	}
 	for _, path := range paths {
 		resp, body := get(t, ts, path)
@@ -120,6 +129,9 @@ func TestBadParamsAre400(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
 			t.Fatalf("GET %s: error body %s", path, body)
 		}
+	}
+	if n := srv.Computations(); n != 0 {
+		t.Fatalf("%d computations behind invalid parameters", n)
 	}
 }
 
