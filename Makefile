@@ -1,7 +1,8 @@
 # Development targets for the cuisinevol reproduction.
 #
 #   make check           CI-grade gate: gofmt + vet + build + race tests + bench smoke
-#   make ci              what .github/workflows/ci.yml runs: gofmt + vet + build + race tests
+#                        + live-index soak + servebench self-test + corpus roundtrip
+#   make ci              the test job of .github/workflows/ci.yml: gofmt + vet + build + race tests
 #   make serve           run the HTTP analytics service on :8080
 #   make fuzz            run every fuzz target for FUZZTIME (default 30s) each
 #   make loadtest        race-enabled overload/loadtest suite for the server
@@ -42,10 +43,13 @@ ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUn
 
 .PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test
 
-check: fmt vet build race bench-smoke corpus-roundtrip
+check: fmt vet build race bench-smoke corpus-roundtrip soak servebench-test
 
-# ci mirrors .github/workflows/ci.yml exactly: the race detector gates
-# the server's cache/coalescing code.
+# ci mirrors only the test job of .github/workflows/ci.yml: the race
+# detector gates the server's cache/coalescing code. The workflow's
+# other jobs run the loadtest-cluster, soak, fuzz, servebench-test,
+# corpus-roundtrip, benchgate and benchgate-allocs targets, and its
+# loadtest job runs the server suites with -count=3.
 ci: fmt vet build race
 
 # serve runs the HTTP analytics service (see DESIGN.md §8); Ctrl-C

@@ -51,7 +51,7 @@ func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 // keep one builder per worker so back-to-back replicate indexes reuse
 // the same arenas.
 //
-// The hot loops are map-free. Counting and position lookup use dense
+// The build holds no map. Counting and position lookup use dense
 // slices indexed by id−minID; dedup is an open-addressing table over
 // the position sequences, compared against the arena itself; the
 // fingerprint is streamed through a fixed buffer. When the ID range is
@@ -73,7 +73,6 @@ type IndexBuilder struct {
 
 	// Arenas the Index fields are carved from, reused across builds.
 	items     []itemCount
-	pos       map[ingredient.ID]int32
 	txArena   []int32
 	txOff     []int32
 	weights   []int32
@@ -199,14 +198,6 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 		}
 		b.sorted = sorted
 	}
-	if b.pos == nil {
-		b.pos = make(map[ingredient.ID]int32, len(items))
-	} else {
-		clear(b.pos)
-	}
-	for p, ic := range items {
-		b.pos[ic.item] = int32(p)
-	}
 
 	// Pass 3: dedup identical transactions into (transaction, weight)
 	// pairs in first-occurrence order. Each transaction's positions are
@@ -218,9 +209,9 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 	}
 	table := zeroed(b.table, size)
 	mask := uint64(size - 1)
-	arena := b.txArena[:0]
-	off := append(b.txOff[:0], 0)
-	weights, hashes := b.weights[:0], b.hashes[:0]
+	arena := reuse(b.txArena, total)
+	off := append(reuse(b.txOff, nonEmpty+1), 0)
+	weights, hashes := reuse(b.weights, nonEmpty), reuse(b.hashes, nonEmpty)
 	for _, tx := range txs {
 		if len(tx) == 0 {
 			continue
@@ -253,7 +244,17 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 			}
 		}
 	}
-	b.items, b.txArena, b.txOff, b.table, b.hashes = items, arena, off, table, hashes
+	uniques := len(weights)
+	weighted := slices.ContainsFunc(weights, func(w int32) bool { return w > 1 })
+	words := (uniques + 63) / 64
+	if weighted {
+		// Pad to a whole word so the weighted intersect loop can index by
+		// bit position without bounds branches.
+		for len(weights) < words*64 {
+			weights = append(weights, 0)
+		}
+	}
+	b.items, b.txArena, b.txOff, b.weights, b.table, b.hashes = items, arena, off, weights, table, hashes
 
 	if b.ix == nil {
 		b.ix = new(Index)
@@ -263,45 +264,19 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 		n:        len(txs),
 		totalOcc: total,
 		items:    items,
-		pos:      b.pos,
 		txOff:    off,
+		uniques:  uniques,
+		weighted: weighted,
+		words:    words,
 		fp:       string(b.hexBuf[:]),
 		query:    &b.query,
 	}
-	if len(weights) > 0 {
+	if uniques > 0 {
 		ix.txArena, ix.weights = arena, weights
 	}
-	b.finalize(ix, denseOnly)
-	if ix.weights != nil {
-		b.weights = ix.weights
-	}
-	return ix, nil
-}
-
-// finalize derives everything downstream of the deduped arena — the
-// unique count, the weighted flag, the posting containers, the weight
-// padding, and the byte accounting. Builds and LiveIndex.Snapshot both
-// end here, which is what makes the snapshot identity proof a property
-// of one code path instead of two kept in sync by hand.
-func (b *IndexBuilder) finalize(ix *Index, denseOnly bool) {
-	ix.uniques = len(ix.weights)
-	ix.weighted = false
-	for _, w := range ix.weights {
-		if w > 1 {
-			ix.weighted = true
-			break
-		}
-	}
-	ix.words = (ix.uniques + 63) / 64
 	b.buildPostings(ix, denseOnly)
-	if ix.weighted {
-		// Pad to a whole word so the weighted intersect loop can index by
-		// bit position without bounds branches.
-		for len(ix.weights) < ix.words*64 {
-			ix.weights = append(ix.weights, 0)
-		}
-	}
 	ix.bytes = ix.accountBytes()
+	return ix, nil
 }
 
 // buildPostings lays out one posting container per item over the unique

@@ -42,9 +42,9 @@ func legacyBuildIndex(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 		ix.items = append(ix.items, itemCount{it, c})
 	}
 	sort.Slice(ix.items, func(i, j int) bool { return ix.items[i].item < ix.items[j].item })
-	ix.pos = make(map[ingredient.ID]int32, len(ix.items))
+	pos := make(map[ingredient.ID]int32, len(ix.items))
 	for p, ic := range ix.items {
-		ix.pos[ic.item] = int32(p)
+		pos[ic.item] = int32(p)
 	}
 
 	dedup := make(map[string]int32, len(txs))
@@ -58,7 +58,7 @@ func legacyBuildIndex(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 		}
 		buf = buf[:0]
 		for _, it := range tx {
-			buf = append(buf, ix.pos[it])
+			buf = append(buf, pos[it])
 		}
 		keyBuf = keyBuf[:0]
 		if wide {

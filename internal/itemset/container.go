@@ -19,8 +19,7 @@ import "math/bits"
 //
 // The choice is a pure cost minimum in uint32 units (array = card,
 // bitset = 2·words, run = 2·runs), with ties broken array before run
-// before bitset, so identical tidsets always pick identical containers —
-// the property the LiveIndex snapshot identity proof rides on.
+// before bitset, so identical tidsets always pick identical containers.
 
 // containerKind tags one posting container's format.
 type containerKind uint8

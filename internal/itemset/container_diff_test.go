@@ -94,7 +94,7 @@ func TestContainerLayoutPins(t *testing.T) {
 		t.Fatalf("corpus shape: uniques = %d, words = %d (want 192, 3)", ix.UniqueTransactions(), ix.words)
 	}
 	for i, c := range cases {
-		p := ix.pos[ingredient.ID(i)]
+		p, _ := ix.position(ingredient.ID(i))
 		if got := ix.postKind[p]; got != c.kind {
 			t.Errorf("%s: container kind %d, want %d", c.name, got, c.kind)
 		}

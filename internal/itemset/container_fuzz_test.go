@@ -207,7 +207,7 @@ func FuzzPostingContainers(f *testing.F) {
 		}
 		assertDenseCompressedTwins(t, dense, comp, "fuzz")
 		for i, want := range [][]uint32{a, b} {
-			p, ok := comp.pos[ingredient.ID(i)]
+			p, ok := comp.position(ingredient.ID(i))
 			if !ok {
 				if len(want) != 0 {
 					t.Fatalf("item %d missing from index with %d tids", i, len(want))

@@ -23,13 +23,12 @@ import (
 //
 // An Index is immutable once built and safe for concurrent use by any
 // number of queries; an IndexBuilder's index lives until that builder's
-// next build. LiveIndex mutates by replacing whole Index values, never
-// by editing one in place.
+// next build. A LiveIndex snapshot is a BuildIndex over the live
+// transactions: a mutation yields a new Index, never an edit to one.
 type Index struct {
 	n        int         // transactions indexed, duplicates and empties included
 	totalOcc int         // total item occurrences across all indexed transactions
 	items    []itemCount // every distinct item with its support count, ascending ID
-	pos      map[ingredient.ID]int32
 
 	// Unique transactions, flattened: transaction u occupies
 	// txArena[txOff[u]:txOff[u+1]] (strictly ascending item positions)
@@ -63,32 +62,18 @@ type Index struct {
 }
 
 // accountBytes computes the index's real retained size: the struct
-// header, every slice's backing array at its true element size, the
-// position map, and the fingerprint string. This is the unit of the
-// IndexCache byte budget, so under-accounting here directly translates
-// into budget overshoot fleet-wide.
+// header, every slice's backing array at its true element size, and the
+// fingerprint string. This is the unit of the IndexCache byte budget, so
+// under-accounting here directly translates into budget overshoot
+// fleet-wide.
 func (ix *Index) accountBytes() int64 {
 	b := int64(unsafe.Sizeof(*ix))
 	b += int64(len(ix.txArena))*4 + int64(len(ix.txOff))*4 + int64(len(ix.weights))*4
 	b += int64(len(ix.items)) * int64(unsafe.Sizeof(itemCount{}))
-	b += mapRetainedBytes(len(ix.pos))
 	b += int64(len(ix.postKind)) + int64(len(ix.postCard)+len(ix.postOff)+len(ix.postLen))*4
 	b += int64(len(ix.idArena))*4 + int64(len(ix.bitsArena))*8
 	b += int64(len(ix.fp)) + int64(unsafe.Sizeof(""))
 	return b
-}
-
-// mapRetainedBytes estimates the retained heap size of a
-// map[ingredient.ID]int32 with n entries: 8-slot groups of 8-byte
-// (key, elem) pairs plus one control byte per slot, at the ~7/8
-// post-growth load factor go's swiss tables settle near, plus the map
-// header and directory. The estimate is pinned against a measured
-// retained size in TestIndexBytesAccounting.
-func mapRetainedBytes(n int) int64 {
-	if n == 0 {
-		return 48
-	}
-	return 64 + int64(float64(n)*(8+1)/0.7)
 }
 
 // N returns the number of indexed transactions (the denominator of
@@ -120,10 +105,17 @@ func (ix *Index) Bytes() int64 { return ix.bytes }
 // Support returns the number of indexed transactions containing the
 // item (its absolute support; zero for items never seen).
 func (ix *Index) Support(it ingredient.ID) int {
-	if p, ok := ix.pos[it]; ok {
+	if p, ok := ix.position(it); ok {
 		return ix.items[p].count
 	}
 	return 0
+}
+
+// position returns the item table position of it, and whether the index
+// holds it at all.
+func (ix *Index) position(it ingredient.ID) (int32, bool) {
+	p := itemPosition(ix.items, it)
+	return p, int(p) < len(ix.items) && ix.items[p].item == it
 }
 
 // AddSupportCounts adds every item's support count into dst, indexed by

@@ -13,18 +13,23 @@ import (
 // This file is the incremental-mining surface: POST
 // /v1/corpora/{id}/append streams records through the importer into a
 // new corpus version whose whole-corpus index is derived from the
-// parent's LiveIndex head in O(delta) instead of rebuilt from scratch.
+// parent's LiveIndex head.
 //
 // The server keeps a small set of live heads keyed by corpus
 // fingerprint: appending to a corpus takes its head (or seeds one from
 // the parent on first touch), applies the delta, snapshots, re-keys the
 // head under the child fingerprint and inserts the snapshot into the
 // IndexCache under IndexKey(childFP, "", false) — the exact key
-// viewIndex uses, and the snapshot is structurally identical to what a
-// from-scratch build would cache there (the LiveIndex contract), so
-// queries cannot tell the two paths apart. Region and category views
-// stay lazily built per view; only the whole-corpus ingredient index
-// rides the incremental path.
+// viewIndex uses. A snapshot is BuildIndex over the head's log, so it
+// is exactly what a from-scratch build would cache there and queries
+// cannot tell the two paths apart. Region and category views stay
+// lazily built per view; only the whole-corpus ingredient index rides
+// the incremental path.
+//
+// Heads stay because the log already holds the lineage's transactions:
+// an append adds only the delta, where a headless append would first
+// re-extract the child's AllView().Transactions() from its recipes, a
+// pass of ~0.1 s at paper scale (158,460 recipes, 2-vCPU VM).
 
 // maxLiveHeads bounds how many corpus lineages keep a warm write head:
 // it is the budget of the server's live LRU, where each head costs 1.
