@@ -3,10 +3,13 @@ package cuisinevol
 // Simulation-kernel benchmarks: the evolve step alone (BenchmarkEvolveRun)
 // and the full evolve→mine replicate ensemble (BenchmarkEnsembleReplicates),
 // per model kind on the KOR view — the per-component view behind the
-// Fig 4 pipeline benches in bench_test.go. Each warms the machine pool
-// on every P before the timer (warmOnEveryP) so cold sync.Pool fills
-// don't inflate the steady-state allocs/op these benches gate (see
-// `make benchgate-allocs`).
+// Fig 4 pipeline benches in bench_test.go. Each warms its reused state
+// on every P before the timer (warmOnEveryP) — EvolveRun's machines,
+// the mining kernels' pooled scratch — so cold fills don't inflate the
+// steady-state allocs/op these benches gate (see `make
+// benchgate-allocs`). An ensemble's machines and index builders live
+// in a per-call free list, so every RunEnsemble counts their
+// construction.
 //
 // Run with: go test -bench='EvolveRun|EnsembleReplicates' -benchmem
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
@@ -100,12 +102,12 @@ func runEnsemble(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexico
 	}
 
 	dists := make([]rankfreq.Distribution, cfg.Replicates)
-	var builders itemset.Builders
+	var reps Replicators
 	if err := sched.RunCtx(ctx, cfg.Workers, cfg.Replicates, func(rep int) error {
-		b := builders.Get()
-		defer builders.Put(b)
+		r := reps.get()
+		defer reps.put(r)
 		var err error
-		dists[rep], err = runReplicate(cfg, lex, label, rep, b)
+		dists[rep], err = runReplicate(cfg, lex, label, rep, r)
 		if err != nil {
 			return &ReplicateError{Model: label, Replicate: rep, Err: err}
 		}
@@ -129,41 +131,74 @@ func runEnsemble(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexico
 // into one (cuisine × kind × replicate) grid. Replicate rep derives its
 // seed exactly as RunEnsemble does, so dispatching replicates
 // individually and aggregating with rankfreq.Aggregate reproduces
-// RunEnsemble's output bit for bit. The replicate's index is built with
-// b, which the caller owns (one per worker, see itemset.Builders).
-func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int, b *itemset.IndexBuilder) (rankfreq.Distribution, error) {
+// RunEnsemble's output bit for bit. The replicate runs in a state taken
+// from reps, which the caller declares once per fan-out.
+func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int, reps *Replicators) (rankfreq.Distribution, error) {
 	label := cfg.Label
 	if label == "" {
 		label = cfg.Params.Kind.String()
 	}
-	return runReplicate(cfg, lex, label, rep, b)
+	r := reps.get()
+	defer reps.put(r)
+	return runReplicate(cfg, lex, label, rep, r)
 }
 
-// runReplicate executes one model run and mines its combinations. This
-// is the zero-copy evolve→mine boundary: the pooled machine emits
-// sorted transactions (ingredient or category, per cfg.Categories)
-// directly into its own reusable buffers, b indexes them into its own
-// reused arenas, and MineSpectrum tallies the index's frequent-set
-// counts — no per-recipe clone, no second sort, no per-replicate
-// machine or index allocation, and no itemset built. The spectrum owns
-// its counts, so nothing outlives the machine or the builder's next
-// build.
-func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int, b *itemset.IndexBuilder) (rankfreq.Distribution, error) {
+// Replicators is a free list of replicate states scoped to one fan-out,
+// shaped like itemset.Builders: the caller declares one per call, each
+// work item takes a state and returns it, so the list never holds more
+// states than the fan-out ran at once, and all of them are garbage once
+// the call is done. A state is one worker's machine, the IndexBuilder
+// its replicates are indexed with, and the buffers between the two. The
+// zero value is an empty list; Replicators is safe for concurrent use.
+type Replicators struct {
+	mu   sync.Mutex
+	free []*replicator
+}
+
+// replicator is one worker's replicate state.
+type replicator struct {
+	m     machine
+	b     itemset.IndexBuilder
+	heads [][]ingredient.ID // one transaction header per recipe
+}
+
+// get returns a free state, or a new one when all are in use.
+func (l *Replicators) get() *replicator {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		r := l.free[n-1]
+		l.free = l.free[:n-1]
+		return r
+	}
+	return new(replicator)
+}
+
+// put returns r to the list, its machine released.
+func (l *Replicators) put(r *replicator) {
+	r.m.release()
+	l.mu.Lock()
+	l.free = append(l.free, r)
+	l.mu.Unlock()
+}
+
+// runReplicate executes one model run in r and mines its combinations.
+// This is the zero-copy evolve→mine boundary: the builder indexes the
+// machine's recipes as they sit in its arena (or their category sets),
+// unsorted and with no fingerprint, into its reused arenas, and
+// MineSpectrum tallies the index's frequent-set counts — no per-recipe
+// clone, no sort, no per-replicate machine or index allocation, and no
+// itemset built. The spectrum owns its counts, so nothing outlives the
+// machine's next reset or the builder's next build.
+func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int, r *replicator) (rankfreq.Distribution, error) {
 	p := cfg.Params
 	p.Seed = replicateSeed(p.Seed, rep)
 	if err := p.validate(); err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	m := acquireMachine(p, lex, randx.New(p.Seed))
-	defer releaseMachine(m)
-	m.evolve()
-	var txs [][]ingredient.ID
-	if cfg.Categories {
-		txs = m.emitCategoryTransactions()
-	} else {
-		txs = m.emitTransactions()
-	}
-	ix, err := b.Build(txs)
+	r.m.reset(p, lex, randx.New(p.Seed))
+	r.m.evolve()
+	ix, err := r.b.BuildSets(r.recipes(cfg.Categories))
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
@@ -174,6 +209,40 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	return rankfreq.FromSpectrum(label, sp), nil
 }
 
+// A recipe's category set is a uint32 mask.
+var _ [32 - ingredient.NumCategories]struct{}
+
+// recipes returns the machine's recipe pool as transactions for
+// IndexBuilder.BuildSets, valid until the machine's next reset. In
+// ingredient mode each header slices the arena in place, items in
+// arena order. In category mode each recipe becomes its category set:
+// a mask of the recipe's categories, written out bit by bit in
+// ascending order over the recipe's own arena slots, which it never
+// outgrows — so category mode consumes the arena, and nothing may read
+// the recipes after it.
+func (r *replicator) recipes(categories bool) [][]ingredient.ID {
+	m := &r.m
+	if cap(r.heads) < len(m.recs) {
+		r.heads = make([][]ingredient.ID, len(m.recs))
+	}
+	heads := r.heads[:len(m.recs)]
+	for i, h := range m.recs {
+		tx := m.arena[h.off : h.off+h.n : h.off+h.n]
+		if categories {
+			var mask uint32
+			for _, id := range tx {
+				mask |= 1 << m.lex.CategoryOf(id)
+			}
+			tx = tx[:0]
+			for ; mask != 0; mask &= mask - 1 {
+				tx = append(tx, ingredient.ID(bits.TrailingZeros32(mask)))
+			}
+		}
+		heads[i] = tx
+	}
+	return heads
+}
+
 // replicateSeed derives the seed for replicate rep from the base seed
 // (SplitMix64 step keyed by the replicate index).
 func replicateSeed(base uint64, rep int) uint64 {
@@ -181,25 +250,4 @@ func replicateSeed(base uint64, rep int) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// toCategoryTransactions maps ingredient transactions to sorted distinct
-// category sets (as ingredient.ID-compatible ints), the representation
-// used by the category-combination analyses.
-func toCategoryTransactions(txs [][]ingredient.ID, lex *ingredient.Lexicon) [][]ingredient.ID {
-	out := make([][]ingredient.ID, len(txs))
-	for i, tx := range txs {
-		var present [ingredient.NumCategories]bool
-		for _, id := range tx {
-			present[lex.CategoryOf(id)] = true
-		}
-		cats := make([]ingredient.ID, 0, 8)
-		for c, ok := range present {
-			if ok {
-				cats = append(cats, ingredient.ID(c))
-			}
-		}
-		out[i] = cats
-	}
-	return out
 }

@@ -129,6 +129,27 @@ func TestReplicateSeedsDistinct(t *testing.T) {
 	}
 }
 
+// toCategoryTransactions maps ingredient transactions to sorted distinct
+// category sets (as ingredient.ID-compatible ints), the representation
+// used by the category-combination analyses.
+func toCategoryTransactions(txs [][]ingredient.ID, lex *ingredient.Lexicon) [][]ingredient.ID {
+	out := make([][]ingredient.ID, len(txs))
+	for i, tx := range txs {
+		var present [ingredient.NumCategories]bool
+		for _, id := range tx {
+			present[lex.CategoryOf(id)] = true
+		}
+		cats := make([]ingredient.ID, 0, 8)
+		for c, ok := range present {
+			if ok {
+				cats = append(cats, ingredient.ID(c))
+			}
+		}
+		out[i] = cats
+	}
+	return out
+}
+
 func TestToCategoryTransactions(t *testing.T) {
 	tomato := lex.MustID("tomato")
 	onion := lex.MustID("onion")

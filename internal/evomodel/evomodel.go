@@ -11,10 +11,11 @@
 //
 // The simulation kernel is arena-backed and reusable: recipes live in a
 // single flat []ingredient.ID arena addressed by (offset, length)
-// headers, machines reset instead of reallocating (a sync.Pool hands the
-// same machine to each scheduler worker across all the replicates it
-// runs), and the evolve→mine boundary emits sorted transactions directly
-// into machine-owned packed buffers. The kernel is pinned byte-for-byte
+// headers, machines reset instead of reallocating (a per-call free list,
+// Replicators, hands the same machine and index builder to each
+// scheduler worker across all the replicates it runs), and the
+// evolve→mine boundary hands the recipes to the builder as they sit in
+// the arena, unsorted and uncopied. The kernel is pinned byte-for-byte
 // against the retained per-recipe-slice reference implementation (see
 // reference_test.go and the differential tests): every RNG draw happens in
 // the same order, so outputs are identical at every seed.
@@ -23,7 +24,6 @@ package evomodel
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/randx"
@@ -223,11 +223,19 @@ func Run(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	m := acquireMachine(p, lex, randx.New(p.Seed))
-	defer releaseMachine(m)
+	r := runs.get()
+	defer runs.put(r)
+	m := &r.m
+	m.reset(p, lex, randx.New(p.Seed))
 	m.evolve()
 	return m.cloneTransactions(), nil
 }
+
+// runs is the free list behind Run, Inspect and RunWithLineage: a
+// process-wide list, so back-to-back single runs reuse one machine (the
+// BenchmarkEvolveRun alloc gate), holding at most as many states as
+// single runs ever ran at once. Ensembles keep their own per-call list.
+var runs Replicators
 
 // span addresses one recipe inside the machine's arena. Offsets are
 // int32: the largest corpus the models target (158k recipes × ≤38
@@ -238,12 +246,12 @@ type span struct{ off, n int32 }
 // all per-ingredient state (fitness, pool membership, usage) is held in
 // dense slices indexed by the raw ingredient ID, recipes live in a
 // single growable arena addressed by spans instead of one heap slice
-// each, and every scratch buffer (sampling, shuffling, weighted draws,
-// transaction emission) is retained between runs. reset(p, lex, src)
-// reinitializes the machine for new parameters without discarding any
-// backing storage; acquireMachine/releaseMachine wrap a sync.Pool so
-// each scheduler worker effectively reuses one machine across all the
-// replicates it executes.
+// each, and every scratch buffer (sampling, shuffling, weighted draws)
+// is retained between runs. reset(p, lex, src) reinitializes the
+// machine for new parameters without discarding any backing storage
+// and presizes it for the run, so even a fresh machine allocates a
+// handful of times; a Replicators free list hands each scheduler worker
+// one machine across all the replicates it executes.
 type machine struct {
 	p   Params
 	lex *ingredient.Lexicon
@@ -254,7 +262,10 @@ type machine struct {
 	pool    []ingredient.ID // I₀, growing
 	inPool  bitset          // per ID: pool membership
 	// poolByCategory supports CM-C/CM-M draws; grown alongside pool.
+	// Each bucket is carved from catPool, capped at its category's share
+	// of I, so appends never reallocate.
 	poolByCategory [ingredient.NumCategories][]ingredient.ID
+	catPool        []ingredient.ID
 
 	arena []ingredient.ID // every recipe's items, packed (unsorted item order)
 	recs  []span          // the recipe pool R₀: one header per recipe
@@ -273,36 +284,16 @@ type machine struct {
 	shuffle []ingredient.ID // scratch: clone of I for the initial shuffle
 	sample  randx.SampleBuf // scratch: uniform without-replacement draws
 	taken   []bool          // scratch: weighted without-replacement draws
-
-	// Emission buffers: sorted transactions handed to the miner without
-	// per-recipe allocation (see emitTransactions).
-	txArena []ingredient.ID
-	txHeads [][]ingredient.ID
 }
 
-// machinePool recycles machines across runs and replicates. Workers of
-// the shared scheduler each Get a machine per replicate; because Put
-// happens on the same goroutine, steady state is one machine per
-// worker, reset between replicates.
-var machinePool = sync.Pool{New: func() any { return new(machine) }}
-
-// acquireMachine returns a pooled machine reset to the given
-// (validated) parameters.
-func acquireMachine(p Params, lex *ingredient.Lexicon, src *randx.Source) *machine {
-	m := machinePool.Get().(*machine)
-	m.reset(p, lex, src)
-	return m
-}
-
-// releaseMachine drops the machine's references to caller-owned data
-// and returns it to the pool. Buffers are retained.
-func releaseMachine(m *machine) {
+// release drops the machine's references to caller-owned data, so a
+// free machine pins none of it. Buffers are retained.
+func (m *machine) release() {
 	m.p = Params{}
 	m.lex = nil
 	m.src = nil
 	m.usage = nil
 	m.lineage = nil
-	machinePool.Put(m)
 }
 
 // bitset is a dense membership set keyed by ingredient ID.
@@ -345,11 +336,22 @@ func (m *machine) reset(p Params, lex *ingredient.Lexicon, src *randx.Source) {
 		m.inPool = m.inPool[:words]
 		clear(m.inPool)
 	}
-	m.pool = m.pool[:0]
-	for c := range m.poolByCategory {
-		m.poolByCategory[c] = m.poolByCategory[c][:0]
+	// Presize what the run grows into: the pools hold at most I, and
+	// the fixed-size dynamics commit at most N recipes of at most s̄
+	// ingredients.
+	m.pool = reuse(m.pool, len(p.Ingredients))
+	var perCategory [ingredient.NumCategories]int
+	for _, id := range p.Ingredients {
+		perCategory[lex.CategoryOf(id)]++
 	}
-	m.arena, m.recs = m.arena[:0], m.recs[:0]
+	m.catPool = reuse(m.catPool, len(p.Ingredients))[:len(p.Ingredients)]
+	off := 0
+	for c, k := range perCategory {
+		m.poolByCategory[c] = m.catPool[off : off : off+k]
+		off += k
+	}
+	m.arena = reuse(m.arena, p.TargetRecipes*p.MeanRecipeSize)
+	m.recs = reuse(m.recs, p.TargetRecipes)
 	m.usage, m.lineage, m.lastMother = nil, nil, -1
 
 	// Step 1: fitness ~ Uniform(0,1) for every ingredient in I.
@@ -363,7 +365,7 @@ func (m *machine) reset(p Params, lex *ingredient.Lexicon, src *randx.Source) {
 	for _, id := range all[:p.InitialPool] {
 		m.addToPool(id)
 	}
-	m.reserve = append(m.reserve[:0], all[p.InitialPool:]...)
+	m.reserve = all[p.InitialPool:] // the shuffle is done with its tail
 	if p.Kind == PreferentialAttachment {
 		if cap(m.usageBuf) < size {
 			m.usageBuf = make([]int, size)
@@ -569,61 +571,6 @@ func (m *machine) cloneTransactions() [][]ingredient.ID {
 	return out
 }
 
-// emitTransactions writes the recipe pool, each recipe sorted
-// ascending, into the machine-owned emission buffers and returns the
-// headers — the zero-copy handoff the replicate pipeline feeds straight
-// into its worker's itemset.IndexBuilder. The result is valid until the
-// machine is reset or released; callers that outlive the machine use
-// cloneTransactions.
-func (m *machine) emitTransactions() [][]ingredient.ID {
-	m.txArena = append(m.txArena[:0], m.arena...)
-	out := m.emitHeaders(len(m.recs))
-	for i, h := range m.recs {
-		tx := m.txArena[h.off : h.off+h.n : h.off+h.n]
-		sortIDs(tx)
-		out[i] = tx
-	}
-	return out
-}
-
-// emitCategoryTransactions is emitTransactions for the §VI control
-// analyses: each recipe becomes its sorted distinct category set (as
-// ingredient.ID-compatible ints), emitted directly from the arena
-// without materializing the ingredient transactions first.
-func (m *machine) emitCategoryTransactions() [][]ingredient.ID {
-	// Presize so appends never reallocate mid-emission (earlier headers
-	// alias the buffer): a recipe's category set is never larger than
-	// the recipe itself, so the arena length bounds the total.
-	if cap(m.txArena) < len(m.arena) {
-		m.txArena = make([]ingredient.ID, 0, len(m.arena))
-	} else {
-		m.txArena = m.txArena[:0]
-	}
-	out := m.emitHeaders(len(m.recs))
-	for i, h := range m.recs {
-		var present [ingredient.NumCategories]bool
-		for _, id := range m.arena[h.off : h.off+h.n] {
-			present[m.lex.CategoryOf(id)] = true
-		}
-		off := len(m.txArena)
-		for c, ok := range present {
-			if ok {
-				m.txArena = append(m.txArena, ingredient.ID(c))
-			}
-		}
-		out[i] = m.txArena[off:len(m.txArena):len(m.txArena)]
-	}
-	return out
-}
-
-// emitHeaders returns the reusable header slice sized to n.
-func (m *machine) emitHeaders(n int) [][]ingredient.ID {
-	if cap(m.txHeads) < n {
-		m.txHeads = make([][]ingredient.ID, n)
-	}
-	return m.txHeads[:n]
-}
-
 func sortIDs(xs []ingredient.ID) {
 	// insertion sort: recipes have at most a few dozen ingredients.
 	for i := 1; i < len(xs); i++ {
@@ -648,12 +595,22 @@ func Inspect(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, PoolSta
 	if err := p.validate(); err != nil {
 		return nil, PoolState{}, err
 	}
-	m := acquireMachine(p, lex, randx.New(p.Seed))
-	defer releaseMachine(m)
+	r := runs.get()
+	defer runs.put(r)
+	m := &r.m
+	m.reset(p, lex, randx.New(p.Seed))
 	m.evolve()
 	return m.cloneTransactions(), PoolState{
 		IngredientPool: len(m.pool),
 		RecipePool:     len(m.recs),
 		ReserveLeft:    len(m.reserve),
 	}, nil
+}
+
+// reuse returns s emptied with room for n elements.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }

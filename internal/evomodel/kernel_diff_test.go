@@ -4,12 +4,13 @@ package evomodel
 // retained reference implementation (reference_test.go) on randomized
 // parameters — the same cross-kernel proof pattern the itemset package
 // uses for FP-Growth vs Eclat. Because consecutive Run calls on one
-// goroutine recycle the same pooled machine, every iteration of these
+// goroutine recycle the same free-listed machine, every iteration of these
 // loops also exercises reset-after-reuse across differing parameter
 // shapes; any state leaking between runs shows up as a divergence from
 // the freshly constructed reference machine.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/randx"
 	"cuisinevol/internal/rankfreq"
+	"cuisinevol/internal/synth"
 )
 
 // allKinds is every model variant, paper and extended.
@@ -160,41 +162,103 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 }
 
 // TestReplicateBuilderReuse pins the replicate pipeline's index reuse:
-// one IndexBuilder, handed replicate corpus after replicate corpus
-// exactly as a scheduler worker is — ingredient and category
-// emissions interleaved, across every model kind and randomized shapes —
-// must build every index reflect.DeepEqual to a fresh builder's
-// one-shot build. (A kept BuildIndex index differs from both in one
-// field only: it drops the link to its builder's query state.)
+// one replicate state, handed replicate after replicate exactly as a
+// scheduler worker is — ingredient and category emissions interleaved,
+// across every model kind and randomized shapes — must build every
+// index reflect.DeepEqual to a fresh builder's BuildSets over the same
+// recipes, and that index carries no fingerprint.
 func TestReplicateBuilderReuse(t *testing.T) {
 	src := randx.New(0xB111D)
-	var b itemset.IndexBuilder
+	var reps Replicators
 	for trial := 0; trial < 8; trial++ {
 		for _, kind := range allKinds() {
 			p := randomDiffParams(src, kind)
 			if err := p.validate(); err != nil {
 				t.Fatal(err)
 			}
-			m := acquireMachine(p, lex, randx.New(p.Seed))
-			m.evolve()
+			r := reps.get()
+			r.m.reset(p, lex, randx.New(p.Seed))
+			r.m.evolve()
 			for _, categories := range []bool{false, true} {
-				txs := m.emitTransactions()
-				if categories {
-					txs = m.emitCategoryTransactions()
-				}
-				want, err := new(itemset.IndexBuilder).Build(txs)
+				txs := r.recipes(categories)
+				want, err := new(itemset.IndexBuilder).BuildSets(txs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := b.Build(txs)
+				got, err := r.b.BuildSets(txs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v trial %d categories=%v: reused builder's index differs from a fresh build", kind, trial, categories)
 				}
+				if got.Fingerprint() != "" {
+					t.Fatalf("%v trial %d categories=%v: a set build has fingerprint %q", kind, trial, categories, got.Fingerprint())
+				}
 			}
-			releaseMachine(m)
+			reps.put(r)
+		}
+	}
+}
+
+// TestReplicateSpectrumDifferential is the replicate contract: over
+// every kind, ingredient and category mode, one and three workers, and
+// several seeds and regions, each replicate's distribution — mined off
+// a BuildSets index of the unsorted arena — must equal the one mined
+// off a BuildIndex of the replicate's sorted recipes (cloneTransactions,
+// mapped to category sets in category mode).
+func TestReplicateSpectrumDifferential(t *testing.T) {
+	gen := synth.DefaultConfig(42)
+	gen.RecipeScale = 0.05
+	corpus, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, region := range []string{"ITA", "KOR", "MEX"} {
+		view := corpus.Region(region)
+		for _, seed := range []uint64{1, 77} {
+			for _, kind := range allKinds() {
+				for _, categories := range []bool{false, true} {
+					cfg := EnsembleConfig{
+						Params:     ParamsForView(view, kind, seed),
+						Replicates: 3,
+						MinSupport: 0.05,
+						Categories: categories,
+					}
+					want := make([]rankfreq.Distribution, cfg.Replicates)
+					for rep := range want {
+						p := cfg.Params
+						p.Seed = replicateSeed(p.Seed, rep)
+						txs, err := Run(p, corpus.Lexicon())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if categories {
+							txs = toCategoryTransactions(txs, corpus.Lexicon())
+						}
+						ix, err := itemset.BuildIndex(txs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sp, err := itemset.MineSpectrum(ix, cfg.MinSupport, itemset.MineOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[rep] = rankfreq.FromSpectrum(kind.String(), sp)
+					}
+					for _, workers := range []int{1, 3} {
+						label := fmt.Sprintf("%s seed %d %v categories=%v workers=%d", region, seed, kind, categories, workers)
+						cfg.Workers = workers
+						got, err := RunEnsembleDetailed(cfg, corpus.Lexicon())
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !reflect.DeepEqual(got.Replicates, want) {
+							t.Fatalf("%s: replicate spectra differ from BuildIndex over the sorted recipes", label)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -222,7 +286,7 @@ func TestKernelDifferentialEnsemble(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialInterleaved hammers pooled-machine reuse: the
+// TestKernelDifferentialInterleaved hammers machine reuse: the
 // same goroutine runs wildly differing parameter shapes back-to-back
 // (large then small ingredient sets, lineage on and off, category
 // emission between ingredient emissions) and every single output must
@@ -286,6 +350,6 @@ func TestEmittedTransactionsIndependent(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(got, snapshot) {
-		t.Fatal("Run output mutated by subsequent pooled runs")
+		t.Fatal("Run output mutated by subsequent runs on the reused machine")
 	}
 }

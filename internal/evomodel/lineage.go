@@ -97,10 +97,12 @@ func RunWithLineage(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, 
 	if err := p.validate(); err != nil {
 		return nil, nil, err
 	}
-	m := acquireMachine(p, lex, randx.New(p.Seed))
-	defer releaseMachine(m)
-	// The lineage outlives the pooled machine, so it is allocated per
-	// call (releaseMachine nils the machine's pointer to it).
+	r := runs.get()
+	defer runs.put(r)
+	m := &r.m
+	m.reset(p, lex, randx.New(p.Seed))
+	// The lineage outlives the reused machine, so it is allocated per
+	// call (release nils the machine's pointer to it).
 	lin := &Lineage{InitialPool: len(m.recs)}
 	lin.Mothers = make([]int32, len(m.recs), p.TargetRecipes)
 	for i := range lin.Mothers {

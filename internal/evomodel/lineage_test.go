@@ -159,7 +159,7 @@ func TestLineageMothersWellFormedUnderArena(t *testing.T) {
 }
 
 // TestLineageStableAcrossPooledReuse: the genealogy must not change when
-// the machine that records it is a pool veteran carrying buffers from
+// the machine that records it is a reused one carrying buffers from
 // unrelated runs.
 func TestLineageStableAcrossPooledReuse(t *testing.T) {
 	p := testParams(CMMixture, 58)
@@ -167,7 +167,7 @@ func TestLineageStableAcrossPooledReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty the pooled machines with differently shaped runs, with and
+	// Dirty the reused machines with differently shaped runs, with and
 	// without lineage.
 	for s := uint64(0); s < 3; s++ {
 		if _, err := Run(testParams(NullModel, s), lex); err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"cuisinevol/internal/cuisine"
 	"cuisinevol/internal/evomodel"
-	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/plot"
 	"cuisinevol/internal/rankfreq"
 	"cuisinevol/internal/report"
@@ -163,12 +162,10 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 	for e := range repDists {
 		repDists[e] = make([]rankfreq.Distribution, replicates)
 	}
-	var builders itemset.Builders
+	var reps evomodel.Replicators
 	if err := sched.RunCtx(ctx, cfg.Workers, len(ensembles)*replicates, func(i int) error {
 		e, rep := i/replicates, i%replicates
-		b := builders.Get()
-		d, err := evomodel.ReplicateDistribution(ensembles[e], lex, rep, b)
-		builders.Put(b)
+		d, err := evomodel.ReplicateDistribution(ensembles[e], lex, rep, &reps)
 		if err != nil {
 			return &evomodel.ReplicateError{
 				Cuisine:   regions[e/nK],

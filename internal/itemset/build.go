@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"slices"
@@ -23,10 +24,10 @@ func BuildIndex(txs [][]ingredient.ID) (*Index, error) {
 		return nil, err
 	}
 	// A kept index (cached, served, snapshotted) retains exactly what it
-	// uses: drop the growth slack of the slices the build appended to,
-	// and the builder's query state, which concurrent queries could not
-	// share anyway.
-	ix.txArena, ix.txOff, ix.weights = slices.Clone(ix.txArena), slices.Clone(ix.txOff), slices.Clone(ix.weights)
+	// uses: drop the growth slack of the weights, the one slice the build
+	// appended to, and the builder's query state, which concurrent
+	// queries could not share anyway.
+	ix.weights = slices.Clone(ix.weights)
 	ix.query = nil
 	return ix, nil
 }
@@ -37,7 +38,7 @@ func BuildIndex(txs [][]ingredient.ID) (*Index, error) {
 // use as the second side of the identity proof. Production callers
 // always pass false.
 func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
-	ix, err := new(IndexBuilder).build(txs, denseOnly)
+	ix, err := new(IndexBuilder).build(txs, true, denseOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -51,18 +52,31 @@ func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 // keep one builder per worker so back-to-back replicate indexes reuse
 // the same arenas.
 //
+// Build and BuildSets are two thin entries to one core. Build takes
+// strictly ascending transactions and fingerprints them; BuildSets
+// takes each transaction's items in any order, rejects a transaction
+// that repeats an item, and computes no fingerprint (its Index's
+// Fingerprint is ""). Over the same item sets both build the same
+// Index otherwise: dedup is by item set, and unique transactions keep
+// their first-occurrence order.
+//
 // The build holds no map. Counting and position lookup use dense
-// slices indexed by id−minID; dedup is an open-addressing table over
-// the position sequences, compared against the arena itself; the
-// fingerprint is streamed through a fixed buffer. When the ID range is
-// wide compared to the occurrence count (negative or scattered IDs),
+// slices indexed by id−minID; dedup is an open-addressing table keyed
+// by an order-independent hash (a sum of per-position random keys) and
+// confirmed by a set compare against a per-position stamp, the same
+// stamp that catches a repeated item. The pass that dedups also
+// measures each item's posting cardinality and run count, so one more
+// pass over the unique transactions' rows (their positions, kept in the
+// builder's scratch) fills the containers. When the ID range is wide
+// compared to the occurrence count (negative or scattered IDs),
 // positions come from a sorted copy of the occurrences instead, so
 // memory stays bounded by the input size. The Index is identical either
 // way, and identical to a fresh build's — reflect.DeepEqual, nil and
 // empty slices included — whatever the builder built before.
 //
-// The Index a Build returns aliases the builder's arenas: it is valid
-// until that builder's next Build. Results mined from it never alias
+// The rows are build scratch: the Index keeps only its item table,
+// weights and postings. The Index a build returns aliases the
+// builder's arenas: it is valid until that builder's next build. Results mined from it never alias
 // the arenas. The builder also owns the Eclat query state its indexes
 // are mined with, so a builder's mines draw nothing from a
 // process-global pool. The zero value is ready to use; an IndexBuilder
@@ -73,8 +87,6 @@ type IndexBuilder struct {
 
 	// Arenas the Index fields are carved from, reused across builds.
 	items     []itemCount
-	txArena   []int32
-	txOff     []int32
 	weights   []int32
 	postKind  []containerKind
 	postCard  []int32
@@ -84,11 +96,14 @@ type IndexBuilder struct {
 	bitsArena []uint64
 
 	// Build scratch, never referenced by an Index.
+	rows   []int32         // unique transaction u's positions: rows[rowOff[u]:rowOff[u+1]]
+	rowOff []int32         // per unique transaction, plus one
 	counts []int32         // occurrences per id−minID (dense range)
 	slot   []int32         // item position per id−minID (dense range)
 	sorted []ingredient.ID // every occurrence, sorted (wide range)
-	table  []int32         // dedup slots: unique transaction + 1, 0 = empty
-	hashes []uint64        // per unique transaction
+	keys   []uint64        // per item position: its random dedup-hash key
+	stamp  []int32         // per item position: 1 + the last transaction holding it
+	table  []uint64        // dedup slots: hash<<32 | unique transaction + 1, 0 = empty
 	nruns  []int32         // per item position: run count, then fill cursor
 	last   []int32         // per item position: last unique transaction seen
 	sha    hash.Hash
@@ -109,50 +124,54 @@ const (
 // Build indexes txs; see BuildIndex for the input contract and
 // IndexBuilder for the lifetime of the result.
 func (b *IndexBuilder) Build(txs [][]ingredient.ID) (*Index, error) {
-	return b.build(txs, false)
+	return b.build(txs, true, false)
 }
 
-func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
-	// Pass 1: validate, measure the ID range and stream the fingerprint
-	// (each item as 4 little-endian bytes, 0xff after every transaction).
-	if b.sha == nil {
-		b.sha = sha256.New()
+// BuildSets indexes txs whose transactions list their items in any
+// order, as a model holds its recipes. A transaction that repeats an
+// item is an error. The Index equals Build's over the same
+// transactions sorted, except that it has no fingerprint: Fingerprint
+// returns "". The input slices are read, never retained or modified;
+// the Index lives as long as one from Build.
+func (b *IndexBuilder) BuildSets(txs [][]ingredient.ID) (*Index, error) {
+	return b.build(txs, false, false)
+}
+
+// build is the one core behind Build and BuildSets: ascending selects
+// Build's contract (the ascending check and the fingerprint), and
+// denseOnly pins every container to the bitset format (test hook, see
+// buildIndexWith).
+func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (*Index, error) {
+	// Pass 1: validate and fingerprint ascending input, and measure the
+	// ID range.
+	fp := ""
+	if ascending {
+		if err := b.fingerprint(txs); err != nil {
+			return nil, err
+		}
+		fp = string(b.hexBuf[:])
 	}
-	b.sha.Reset()
-	buf, fill := b.shaBuf[:], 0
 	total, nonEmpty := 0, 0
 	minID, maxID := ingredient.ID(math.MaxInt32), ingredient.ID(math.MinInt32)
-	for i, tx := range txs {
-		for j, it := range tx {
-			if j > 0 && tx[j-1] >= it {
-				return nil, errNotAscending(i)
-			}
-			if fill > len(buf)-4 {
-				b.sha.Write(buf[:fill])
-				fill = 0
-			}
-			binary.LittleEndian.PutUint32(buf[fill:], uint32(it))
-			fill += 4
+	for _, tx := range txs {
+		if len(tx) == 0 {
+			continue
 		}
-		if fill == len(buf) {
-			b.sha.Write(buf[:fill])
-			fill = 0
-		}
-		buf[fill] = 0xff
-		fill++
-		if len(tx) > 0 {
-			total += len(tx)
-			nonEmpty++
+		total += len(tx)
+		nonEmpty++
+		if ascending {
 			minID = min(minID, tx[0])
 			maxID = max(maxID, tx[len(tx)-1])
+			continue
+		}
+		for _, it := range tx {
+			minID = min(minID, it)
+			maxID = max(maxID, it)
 		}
 	}
-	b.sha.Write(buf[:fill])
-	hex.Encode(b.hexBuf[:], b.sha.Sum(b.sum[:0])[:16])
 
 	// Pass 2: the item table in ascending ID order — a fixed,
-	// threshold-independent order, so a transaction's ascending IDs map
-	// to ascending positions.
+	// threshold-independent order.
 	span := 0
 	if total > 0 {
 		span = int(int64(maxID) - int64(minID) + 1)
@@ -198,48 +217,80 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 		}
 		b.sorted = sorted
 	}
+	b.items = items
 
-	// Pass 3: dedup identical transactions into (transaction, weight)
-	// pairs in first-occurrence order. Each transaction's positions are
-	// appended to the arena, then looked up in the open-addressing table
-	// by hash; a duplicate bumps its weight and is truncated away.
+	// Pass 3: dedup identical item sets into (transaction, weight) pairs
+	// in first-occurrence order. Each transaction's positions are
+	// stamped, summed into its hash and appended to the rows, then
+	// looked up in the open-addressing table; a duplicate bumps its
+	// weight and is truncated away, and a new unique transaction counts
+	// towards its items' posting cardinalities and run counts.
+	m := len(items)
+	b.keys = slices.Grow(b.keys, max(m-len(b.keys), 0))
+	for p := len(b.keys); p < m; p++ {
+		b.keys = append(b.keys, mix64(uint64(p)+0x9e3779b97f4a7c15))
+	}
+	keys, slot := b.keys[:m], b.slot
+	stamp := zeroed(b.stamp, m)
+	card, nruns, last := zeroed(b.postCard, m), zeroed(b.nruns, m), grown(b.last, m)
+	for p := range last {
+		last[p] = -2
+	}
+	b.stamp, b.postCard, b.nruns, b.last = stamp, card, nruns, last
 	size := 8
 	for size < 2*nonEmpty {
 		size <<= 1
 	}
 	table := zeroed(b.table, size)
 	mask := uint64(size - 1)
-	arena := reuse(b.txArena, total)
-	off := append(reuse(b.txOff, nonEmpty+1), 0)
-	weights, hashes := reuse(b.weights, nonEmpty), reuse(b.hashes, nonEmpty)
-	for _, tx := range txs {
+	rows := reuse(b.rows, total)
+	rowOff := append(reuse(b.rowOff, nonEmpty+1), 0)
+	weights := reuse(b.weights, nonEmpty)
+	for i, tx := range txs {
 		if len(tx) == 0 {
 			continue
 		}
-		start := len(arena)
-		if dense {
-			for _, it := range tx {
-				arena = append(arena, b.slot[it-minID])
+		tok := int32(i) + 1
+		start := len(rows)
+		var h uint64
+		for _, it := range tx {
+			var p int32
+			if dense {
+				p = slot[it-minID]
+			} else {
+				p = itemPosition(items, it)
 			}
-		} else {
-			for _, it := range tx {
-				arena = append(arena, itemPosition(items, it))
+			if stamp[p] == tok {
+				return nil, fmt.Errorf("itemset: transaction %d repeats item %d", i, it)
 			}
+			stamp[p] = tok
+			h += keys[p]
+			rows = append(rows, p)
 		}
-		seq := arena[start:]
-		h := hashPositions(seq)
-		for i := h & mask; ; i = (i + 1) & mask {
-			u := table[i] - 1
-			if u < 0 {
-				table[i] = int32(len(weights)) + 1
-				hashes = append(hashes, h)
+		// A slot keeps the hash's high half as a tag next to its unique
+		// transaction, so a probe reads no other memory until the tags
+		// match; the low half picks the slot.
+		seq, tag := rows[start:], h>>32<<32
+		for s := h & mask; ; s = (s + 1) & mask {
+			e := table[s]
+			if e == 0 {
+				u := int32(len(weights))
+				table[s] = tag | uint64(u+1)
 				weights = append(weights, 1)
-				off = append(off, int32(len(arena)))
+				rowOff = append(rowOff, int32(len(rows)))
+				for _, p := range seq {
+					card[p]++
+					// A new run unless p held the previous unique
+					// transaction: d|-d is negative exactly when d != 0.
+					d := last[p] - (u - 1)
+					nruns[p] += int32(uint32(d|-d) >> 31)
+					last[p] = u
+				}
 				break
 			}
-			if hashes[u] == h && slices.Equal(arena[off[u]:off[u+1]], seq) {
+			if u := int32(uint32(e)) - 1; e&^0xffffffff == tag && stampedSet(rows[rowOff[u]:rowOff[u+1]], len(seq), stamp, tok) {
 				weights[u]++
-				arena = arena[:start]
+				rows = rows[:start]
 				break
 			}
 		}
@@ -254,7 +305,7 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 			weights = append(weights, 0)
 		}
 	}
-	b.items, b.txArena, b.txOff, b.weights, b.table, b.hashes = items, arena, off, weights, table, hashes
+	b.rows, b.rowOff, b.weights, b.table = rows, rowOff, weights, table
 
 	if b.ix == nil {
 		b.ix = new(Index)
@@ -264,53 +315,86 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 		n:        len(txs),
 		totalOcc: total,
 		items:    items,
-		txOff:    off,
 		uniques:  uniques,
 		weighted: weighted,
 		words:    words,
-		fp:       string(b.hexBuf[:]),
+		postCard: card,
+		fp:       fp,
 		query:    &b.query,
 	}
 	if uniques > 0 {
-		ix.txArena, ix.weights = arena, weights
+		ix.weights = weights
 	}
 	b.buildPostings(ix, denseOnly)
 	ix.bytes = ix.accountBytes()
 	return ix, nil
 }
 
+// fingerprint checks that every transaction ascends strictly and
+// streams the fingerprint into hexBuf: each item as 4 little-endian
+// bytes, 0xff after every transaction.
+func (b *IndexBuilder) fingerprint(txs [][]ingredient.ID) error {
+	if b.sha == nil {
+		b.sha = sha256.New()
+	}
+	b.sha.Reset()
+	buf, fill := b.shaBuf[:], 0
+	for i, tx := range txs {
+		for j, it := range tx {
+			if j > 0 && tx[j-1] >= it {
+				return errNotAscending(i)
+			}
+			if fill > len(buf)-4 {
+				b.sha.Write(buf[:fill])
+				fill = 0
+			}
+			binary.LittleEndian.PutUint32(buf[fill:], uint32(it))
+			fill += 4
+		}
+		if fill == len(buf) {
+			b.sha.Write(buf[:fill])
+			fill = 0
+		}
+		buf[fill] = 0xff
+		fill++
+	}
+	b.sha.Write(buf[:fill])
+	hex.Encode(b.hexBuf[:], b.sha.Sum(b.sum[:0])[:16])
+	return nil
+}
+
+// stampedSet reports whether row holds exactly the n positions stamped
+// tok: a row never repeats a position, so equal lengths and every
+// position stamped mean equal sets.
+func stampedSet(row []int32, n int, stamp []int32, tok int32) bool {
+	if len(row) != n {
+		return false
+	}
+	for _, p := range row {
+		if stamp[p] != tok {
+			return false
+		}
+	}
+	return true
+}
+
 // buildPostings lays out one posting container per item over the unique
 // transaction ids, every item included: filtering to the frequent
 // subset is the query phase's job, and changing the threshold must not
-// trigger a rebuild. Two passes over the arena: the first measures each
-// item's exact cardinality and run count and picks its container, the
-// second fills the two shared arenas. denseOnly pins every container to
-// the bitset format (test hook, see buildIndexWith).
+// trigger a rebuild. The dedup pass measured each item's exact
+// cardinality (ix.postCard) and run count (b.nruns); this picks each
+// item's container, then one pass over the rows fills the two shared
+// arenas. denseOnly pins every container to the bitset format.
 func (b *IndexBuilder) buildPostings(ix *Index, denseOnly bool) {
 	m := len(ix.items)
-	ix.postKind = zeroed(b.postKind, m)
-	ix.postCard = zeroed(b.postCard, m)
-	ix.postOff = zeroed(b.postOff, m)
-	ix.postLen = zeroed(b.postLen, m)
-	b.postKind, b.postCard, b.postOff, b.postLen = ix.postKind, ix.postCard, ix.postOff, ix.postLen
+	ix.postKind = grown(b.postKind, m)
+	ix.postOff = grown(b.postOff, m)
+	ix.postLen = grown(b.postLen, m)
+	b.postKind, b.postOff, b.postLen = ix.postKind, ix.postOff, ix.postLen
 	if m == 0 {
 		return
 	}
-
-	nruns, last := zeroed(b.nruns, m), grown(b.last, m)
-	b.nruns, b.last = nruns, last
-	for i := range last {
-		last[i] = -2
-	}
-	for t := 0; t+1 < len(ix.txOff); t++ {
-		for _, p := range ix.txArena[ix.txOff[t]:ix.txOff[t+1]] {
-			ix.postCard[p]++
-			if last[p] != int32(t)-1 {
-				nruns[p]++
-			}
-			last[p] = int32(t)
-		}
-	}
+	nruns, last := b.nruns, b.last
 
 	idLen, bitsLen := 0, 0
 	for p := 0; p < m; p++ {
@@ -340,37 +424,33 @@ func (b *IndexBuilder) buildPostings(ix *Index, denseOnly bool) {
 		fill[i] = 0
 		last[i] = -2
 	}
-	for t := 0; t+1 < len(ix.txOff); t++ {
-		for _, p := range ix.txArena[ix.txOff[t]:ix.txOff[t+1]] {
-			switch ix.postKind[p] {
+	kind, off, ids, bits := ix.postKind, ix.postOff, ix.idArena, ix.bitsArena
+	for t := 0; t < ix.uniques; t++ {
+		for _, p := range b.rows[b.rowOff[t]:b.rowOff[t+1]] {
+			switch kind[p] {
 			case containerArray:
-				ix.idArena[ix.postOff[p]+fill[p]] = uint32(t)
+				ids[off[p]+fill[p]] = uint32(t)
 				fill[p]++
 			case containerRun:
 				if last[p] == int32(t)-1 {
-					ix.idArena[ix.postOff[p]+fill[p]-1]++
+					ids[off[p]+fill[p]-1]++
 				} else {
-					ix.idArena[ix.postOff[p]+fill[p]] = uint32(t)
-					ix.idArena[ix.postOff[p]+fill[p]+1] = 1
+					ids[off[p]+fill[p]] = uint32(t)
+					ids[off[p]+fill[p]+1] = 1
 					fill[p] += 2
 				}
 				last[p] = int32(t)
 			default:
-				ix.bitsArena[int(ix.postOff[p])+t>>6] |= 1 << uint(t&63)
+				bits[int(off[p])+t>>6] |= 1 << uint(t&63)
 			}
 		}
 	}
 }
 
-// hashPositions hashes one transaction's position sequence for the
-// dedup table: FNV-style word mixing finished with the murmur3 fmix64
-// avalanche, so the low bits the table masks with depend on every
-// position.
-func hashPositions(seq []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, p := range seq {
-		h = (h ^ uint64(uint32(p))) * 1099511628211
-	}
+// mix64 is the murmur3 fmix64 avalanche: it turns an item position into
+// its dedup-hash key, so a transaction's key sum spreads over all 64
+// bits whatever positions it holds.
+func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

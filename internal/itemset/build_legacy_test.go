@@ -51,7 +51,8 @@ func legacyBuildIndex(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 	wide := len(ix.items) > 0xffff
 	keyBuf := make([]byte, 0, 64)
 	buf := make([]int32, 0, 64)
-	ix.txOff = append(ix.txOff, 0)
+	var txArena []int32
+	txOff := []int32{0}
 	for _, tx := range txs {
 		if len(tx) == 0 {
 			continue
@@ -75,8 +76,8 @@ func legacyBuildIndex(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 			continue
 		}
 		dedup[string(keyBuf)] = int32(len(ix.weights))
-		ix.txArena = append(ix.txArena, buf...)
-		ix.txOff = append(ix.txOff, int32(len(ix.txArena)))
+		txArena = append(txArena, buf...)
+		txOff = append(txOff, int32(len(txArena)))
 		ix.weights = append(ix.weights, 1)
 	}
 
@@ -88,7 +89,7 @@ func legacyBuildIndex(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 		}
 	}
 	ix.words = (ix.uniques + 63) / 64
-	legacyBuildPostings(ix, denseOnly)
+	legacyBuildPostings(ix, txArena, txOff, denseOnly)
 	if ix.weighted {
 		for len(ix.weights) < ix.words*64 {
 			ix.weights = append(ix.weights, 0)
@@ -100,7 +101,7 @@ func legacyBuildIndex(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 
 // legacyBuildPostings is the frozen two-pass container layout of the
 // legacy build (see legacyBuildIndex).
-func legacyBuildPostings(ix *Index, denseOnly bool) {
+func legacyBuildPostings(ix *Index, txArena, txOff []int32, denseOnly bool) {
 	m := len(ix.items)
 	ix.postKind = make([]containerKind, m)
 	ix.postCard = make([]int32, m)
@@ -114,8 +115,8 @@ func legacyBuildPostings(ix *Index, denseOnly bool) {
 	for i := range last {
 		last[i] = -2
 	}
-	for t := 0; t+1 < len(ix.txOff); t++ {
-		for _, p := range ix.txArena[ix.txOff[t]:ix.txOff[t+1]] {
+	for t := 0; t+1 < len(txOff); t++ {
+		for _, p := range txArena[txOff[t]:txOff[t+1]] {
 			ix.postCard[p]++
 			if last[p] != int32(t)-1 {
 				nruns[p]++
@@ -149,8 +150,8 @@ func legacyBuildPostings(ix *Index, denseOnly bool) {
 		fill[i] = 0
 		last[i] = -2
 	}
-	for t := 0; t+1 < len(ix.txOff); t++ {
-		for _, p := range ix.txArena[ix.txOff[t]:ix.txOff[t+1]] {
+	for t := 0; t+1 < len(txOff); t++ {
+		for _, p := range txArena[txOff[t]:txOff[t+1]] {
 			switch ix.postKind[p] {
 			case containerArray:
 				ix.idArena[ix.postOff[p]+fill[p]] = uint32(t)

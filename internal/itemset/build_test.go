@@ -152,7 +152,7 @@ func TestIndexBuilderReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.build(c.txs, true)
+		got, err := b.build(c.txs, true, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,16 +352,17 @@ func assertNoArenaAliasing(t *testing.T, b *IndexBuilder, res *Result, label str
 	}
 	add("items", unsafe.Pointer(unsafe.SliceData(b.items)), uintptr(cap(b.items))*unsafe.Sizeof(itemCount{}))
 	for name, s := range map[string][]int32{
-		"txArena": b.txArena, "txOff": b.txOff, "weights": b.weights, "postCard": b.postCard,
+		"rows": b.rows, "rowOff": b.rowOff, "weights": b.weights, "postCard": b.postCard,
 		"postOff": b.postOff, "postLen": b.postLen, "counts": b.counts, "slot": b.slot,
-		"table": b.table, "nruns": b.nruns, "last": b.last,
+		"stamp": b.stamp, "nruns": b.nruns, "last": b.last,
 	} {
 		add(name, unsafe.Pointer(unsafe.SliceData(s)), uintptr(cap(s))*4)
 	}
 	add("sorted", unsafe.Pointer(unsafe.SliceData(b.sorted)), uintptr(cap(b.sorted))*4)
 	add("idArena", unsafe.Pointer(unsafe.SliceData(b.idArena)), uintptr(cap(b.idArena))*4)
 	add("bitsArena", unsafe.Pointer(unsafe.SliceData(b.bitsArena)), uintptr(cap(b.bitsArena))*8)
-	add("hashes", unsafe.Pointer(unsafe.SliceData(b.hashes)), uintptr(cap(b.hashes))*8)
+	add("table", unsafe.Pointer(unsafe.SliceData(b.table)), uintptr(cap(b.table))*8)
+	add("keys", unsafe.Pointer(unsafe.SliceData(b.keys)), uintptr(cap(b.keys))*8)
 	for _, s := range res.Sets {
 		if len(s.Items) == 0 {
 			continue
@@ -374,4 +375,123 @@ func assertNoArenaAliasing(t *testing.T, b *IndexBuilder, res *Result, label str
 			}
 		}
 	}
+}
+
+// permutedSets returns a copy of txs with each transaction's items in a
+// random order drawn from src.
+func permutedSets(src *randx.Source, txs [][]ingredient.ID) [][]ingredient.ID {
+	out := make([][]ingredient.ID, len(txs))
+	for i, tx := range txs {
+		p := slices.Clone(tx)
+		src.Shuffle(len(p), func(a, b int) { p[a], p[b] = p[b], p[a] })
+		out[i] = p
+	}
+	return out
+}
+
+// assertSetsBuild requires BuildSets over permuted to index exactly what
+// Build indexes over sorted — the same transactions with ascending
+// items — apart from the fingerprint, which a set build leaves empty.
+func assertSetsBuild(t *testing.T, b *IndexBuilder, sorted, permuted [][]ingredient.ID, label string) *Index {
+	t.Helper()
+	want, err := buildIndexWith(sorted, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.BuildSets(permuted)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if got.Fingerprint() != "" {
+		t.Fatalf("%s: set build has fingerprint %q", label, got.Fingerprint())
+	}
+	cmp := withoutQuery(got)
+	cmp.fp = want.fp
+	cmp.bytes = want.bytes - int64(len(want.fp))
+	if got.bytes != cmp.bytes {
+		t.Fatalf("%s: set build accounts %d bytes, want %d", label, got.bytes, cmp.bytes)
+	}
+	cmp.bytes = want.bytes
+	if !reflect.DeepEqual(cmp, want) {
+		t.Fatalf("%s: BuildSets over permuted transactions differs from Build over sorted ones", label)
+	}
+	return got
+}
+
+// TestBuildSetsMatchesBuild: over every corpus shape, one reused
+// builder's BuildSets of randomly permuted transactions indexes what
+// Build does of the sorted ones, and on that index forced FP-Growth and
+// forced Apriori — the two kernels that read rows, through the
+// transposed postings — mine exactly what Eclat and a kept BuildIndex
+// give.
+func TestBuildSetsMatchesBuild(t *testing.T) {
+	src := randx.New(0x5E75)
+	var b IndexBuilder
+	for _, c := range builderCorpora(t) {
+		ix := assertSetsBuild(t, &b, c.txs, permutedSets(src, c.txs), c.name)
+		kept, err := BuildIndex(c.txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sup := range []float64{0.02, 0.1} {
+			want, err := MineIndexed(kept, sup, MineOptions{Kernel: KernelEclat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []Kernel{KernelEclat, KernelFPGrowth, KernelApriori} {
+				got, err := MineIndexed(ix, sup, MineOptions{Kernel: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s support %v: %v on a set build differs from Eclat on a kept index", c.name, sup, k)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBuildSets: decoded transactions, and the same spread over the
+// int32 range, each permuted at random, must BuildSets into the Index
+// Build makes of them sorted, apart from the fingerprint, through a
+// reused builder; and the same input with one item repeated inside one
+// transaction must be rejected.
+func FuzzBuildSets(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 1, 2, 3, 0xff, 3, 2, 0xff, 2, 3, 0xff, 1, 2, 3})
+	f.Add([]byte{2, 5, 6, 7, 0xff, 7, 6, 5, 0xff, 5, 6, 7, 0xff, 7})
+	f.Add([]byte{3, 0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33})
+	f.Add([]byte{4, 0, 0xff, 1, 0xff, 2, 0xff, 0, 1, 0xff, 1, 0})
+	var b IndexBuilder
+	f.Fuzz(func(t *testing.T, data []byte) {
+		txs, _ := decodeFuzzCorpus(data)
+		seed := uint64(len(data))
+		for _, x := range data {
+			seed = seed*31 + uint64(x)
+		}
+		src := randx.New(seed)
+		for _, c := range []namedCorpus{{"decoded", txs}, {"spread", spreadIDs(txs)}} {
+			permuted := permutedSets(src, c.txs)
+			assertSetsBuild(t, &b, c.txs, permuted, c.name)
+
+			var nonEmpty []int
+			for i, tx := range permuted {
+				if len(tx) > 0 {
+					nonEmpty = append(nonEmpty, i)
+				}
+			}
+			if len(nonEmpty) == 0 {
+				continue
+			}
+			i := nonEmpty[src.Intn(len(nonEmpty))]
+			tx := permuted[i]
+			repeated := append(slices.Clone(tx), tx[src.Intn(len(tx))])
+			src.Shuffle(len(repeated), func(a, b int) { repeated[a], repeated[b] = repeated[b], repeated[a] })
+			bad := slices.Clone(permuted)
+			bad[i] = repeated
+			if _, err := b.BuildSets(bad); err == nil {
+				t.Fatalf("%s: transaction %d %v repeats an item, but BuildSets accepted it", c.name, i, repeated)
+			}
+		}
+	})
 }

@@ -317,11 +317,11 @@ func (sh *eclatShared) supportOf(ids []uint32) int {
 	return cnt
 }
 
-// postingIDs materializes a container's member ids in ascending order —
-// the reference enumeration the differential and fuzz layers compare
-// container pairs through. Intended for tests and stats, not hot paths.
-func postingIDs(p posting, words int) []uint32 {
-	var out []uint32
+// appendPostingIDs appends a container's member ids to out in ascending
+// order: the enumeration the row-reading kernels transpose postings
+// with, and the reference the differential and fuzz layers compare
+// container pairs through.
+func appendPostingIDs(out []uint32, p posting, words int) []uint32 {
 	switch p.kind {
 	case containerArray:
 		out = append(out, p.ids...)

@@ -101,7 +101,7 @@ func TestContainerLayoutPins(t *testing.T) {
 		if got := int(ix.postCard[p]); got != len(c.tids) {
 			t.Errorf("%s: cardinality %d, want %d", c.name, got, len(c.tids))
 		}
-		got := postingIDs(ix.postingAt(int(p)), ix.words)
+		got := appendPostingIDs(nil, ix.postingAt(int(p)), ix.words)
 		want := make([]uint32, len(c.tids))
 		for j, tid := range c.tids {
 			want[j] = uint32(tid)
@@ -145,8 +145,8 @@ func assertDenseCompressedTwins(t *testing.T, dense, comp *Index, label string) 
 		t.Errorf("%s: compressed index retains %d bytes > dense %d — cost minimum violated", label, comp.Bytes(), dense.Bytes())
 	}
 	for p := 0; p < comp.DistinctItems(); p++ {
-		dIDs := postingIDs(dense.postingAt(p), dense.words)
-		cIDs := postingIDs(comp.postingAt(p), comp.words)
+		dIDs := appendPostingIDs(nil, dense.postingAt(p), dense.words)
+		cIDs := appendPostingIDs(nil, comp.postingAt(p), comp.words)
 		if !reflect.DeepEqual(dIDs, cIDs) {
 			t.Fatalf("%s: item pos %d: dense tidset %v, compressed %v", label, p, dIDs, cIDs)
 		}

@@ -179,7 +179,7 @@ func FuzzPostingContainers(f *testing.F) {
 							t.Fatalf("%d×%d: result card %d, want %d", pa.kind, pb.kind, res.card, len(ref))
 						}
 					}
-					got := postingIDs(res, words)
+					got := appendPostingIDs(nil, res, words)
 					if len(got) != len(ref) || (len(ref) > 0 && !reflect.DeepEqual(got, ref)) {
 						t.Fatalf("%d×%d (weighted=%v): intersection %v, want %v", pa.kind, pb.kind, sh.weighted, got, ref)
 					}
@@ -214,7 +214,7 @@ func FuzzPostingContainers(f *testing.F) {
 				}
 				continue
 			}
-			got := postingIDs(comp.postingAt(int(p)), comp.words)
+			got := appendPostingIDs(nil, comp.postingAt(int(p)), comp.words)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("item %d: indexed tidset %v, want %v", i, got, want)
 			}

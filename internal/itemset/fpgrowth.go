@@ -8,11 +8,11 @@ import (
 	"cuisinevol/internal/ingredient"
 )
 
-// The FP-Growth kernel (Han et al.) mines off an Index's deduped
-// weighted arena. It is flat-memory: FP-tree nodes live in a single
-// arena slice with index links, and all scratch is pooled across calls,
-// so steady-state mining allocates almost nothing beyond the returned
-// Result.
+// The FP-Growth kernel (Han et al.) mines off an Index's weighted unique
+// transactions, read by transposing its postings. It is flat-memory:
+// FP-tree nodes live in a single arena slice with index links, and all
+// scratch is pooled across calls, so steady-state mining allocates
+// almost nothing beyond the returned Result.
 
 var minerPool = sync.Pool{New: func() any { return new(fpMiner) }}
 
@@ -124,8 +124,9 @@ type itemCount struct {
 }
 
 // fpMiner is the reusable FP-Growth kernel state: the frequent-item
-// order, the FP-tree arenas (one per recursion depth), the
-// suffix/prefix buffers, the set sink and the assembly scratch all
+// order, the transposed rows, the FP-tree arenas (one per recursion
+// depth), the suffix/prefix buffers, the set sink and the assembly
+// scratch all
 // survive across calls, so a worker mining index after index reaches a
 // steady state with near-zero allocation per mine. Not safe for
 // concurrent use; fpGrowthIndexed draws miners from a pool.
@@ -134,9 +135,9 @@ type fpMiner struct {
 	// order; tree items are indices into it.
 	freqPos []int32
 
-	// posOrder maps an Index item position to its frequency-order index
-	// (nilIdx when infrequent).
-	posOrder []int32
+	// rows are the unique transactions' frequent items as indices into
+	// freqPos, ascending (see rowScratch).
+	rows rowScratch
 
 	trees  []*flatTree // conditional-tree scratch, one per depth
 	suffix []int32
@@ -152,8 +153,9 @@ type fpMiner struct {
 
 // fpGrowthIndexed mines an Index with the FP-tree kernel: frequent
 // items come from the index's support counts and the initial tree is
-// built straight from the deduped weighted arena — no counting pass, no
-// second dedup (identical projected prefixes merge on insertion).
+// built from their transposed postings, weighted — no counting pass, no
+// second dedup (identical projected prefixes merge on insertion), and
+// no per-row sort.
 func fpGrowthIndexed(ix *Index, minSupport float64, g *gate) (*Result, error) {
 	m := minerPool.Get().(*fpMiner)
 	res, err := m.mineIndexed(ix, minSupport, g)
@@ -175,43 +177,30 @@ func (m *fpMiner) mineIndexed(ix *Index, minSupport float64, g *gate) (*Result, 
 
 	// Global item order: descending count, ties by ascending ID (and so
 	// by ascending position). Items below the threshold are dropped up
-	// front; posOrder maps every position to its order index.
-	m.posOrder = grown(m.posOrder, len(ix.items))
-	m.prefix = m.prefix[:0]
+	// front.
+	m.freqPos = m.freqPos[:0]
 	for p, ic := range ix.items {
-		m.posOrder[p] = nilIdx
 		if ic.count >= m.mc {
-			m.prefix = append(m.prefix, int32(p))
+			m.freqPos = append(m.freqPos, int32(p))
 		}
 	}
-	slices.SortFunc(m.prefix, func(a, b int32) int {
+	slices.SortFunc(m.freqPos, func(a, b int32) int {
 		if c := cmp.Compare(ix.items[b].count, ix.items[a].count); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	m.freqPos = append(m.freqPos[:0], m.prefix...)
-	for o, p := range m.freqPos {
-		m.posOrder[p] = int32(o)
-	}
 
+	// The frequent items' postings, transposed in frequency order, give
+	// each unique transaction's frequent items already in tree order.
+	m.rows.transpose(ix, m.freqPos)
 	tree := m.treeAt(0)
 	tree.reset(len(m.freqPos))
-	buf := m.prefix[:0]
 	for u := 0; u < ix.uniques; u++ {
-		buf = buf[:0]
-		for _, p := range ix.txArena[ix.txOff[u]:ix.txOff[u+1]] {
-			if o := m.posOrder[p]; o != nilIdx {
-				buf = append(buf, o)
-			}
+		if row := m.rows.row(u); len(row) > 0 {
+			tree.insert(row, int(ix.weights[u]))
 		}
-		if len(buf) == 0 {
-			continue
-		}
-		sortInt32s(buf)
-		tree.insert(buf, int(ix.weights[u]))
 	}
-	m.prefix = buf[:0]
 
 	m.suffix = m.suffix[:0]
 	m.out.reset()

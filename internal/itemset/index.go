@@ -6,20 +6,21 @@ import (
 	"cuisinevol/internal/ingredient"
 )
 
-// Index is the build-once corpus index: the deduped weighted transaction
-// arena plus a full vertical bitmap layout (one tidset bitmap per
-// distinct item — every item, not just the ones frequent at some
-// threshold), the per-item support counts, and a content fingerprint of
-// the indexed transactions.
+// Index is the build-once corpus index: the item table (every distinct
+// item with its support count, ascending ID), the weights of the
+// deduped unique transactions, and one posting container per distinct
+// item over the unique-transaction ids — every item, not just the ones
+// frequent at some threshold — plus a content fingerprint of the
+// indexed transactions. The postings are the index: it keeps no rows,
+// and the few readers that want rows (FP-Growth, indexed Apriori)
+// transpose the postings of their frequent items (see rowScratch).
 //
 // The index depends only on the corpus, never on a mining threshold or
 // kernel, so one build amortizes across every (minSupport, kernel)
 // query: MineIndexed filters the frequent items at query time and mines
-// straight off the arena and posting containers without ever touching
-// raw [][]ingredient.ID again. The per-item containers double as
-// posting lists over the unique-transaction space (container
-// intersection is the query primitive), which is what the search and
-// incremental-mining roadmap items build on.
+// straight off the posting containers without ever touching raw
+// [][]ingredient.ID again. Container intersection is the query
+// primitive.
 //
 // An Index is immutable once built and safe for concurrent use by any
 // number of queries; an IndexBuilder's index lives until that builder's
@@ -29,15 +30,9 @@ type Index struct {
 	n        int         // transactions indexed, duplicates and empties included
 	totalOcc int         // total item occurrences across all indexed transactions
 	items    []itemCount // every distinct item with its support count, ascending ID
+	uniques  int         // unique transactions after dedup: the posting id space
 
-	// Unique transactions, flattened: transaction u occupies
-	// txArena[txOff[u]:txOff[u+1]] (strictly ascending item positions)
-	// and occurred weights[u] times in the input.
-	txArena []int32
-	txOff   []int32
-	uniques int
-
-	weights  []int32 // per unique transaction; padded to words*64 when weighted
+	weights  []int32 // per unique transaction, its input multiplicity; padded to words*64 when weighted
 	weighted bool
 	words    int // dense bitmap length in uint64 words
 
@@ -52,7 +47,7 @@ type Index struct {
 	idArena   []uint32
 	bitsArena []uint64
 
-	fp    string
+	fp    string // "" for an IndexBuilder.BuildSets index
 	bytes int64
 
 	// query is the building IndexBuilder's Eclat query state, reused by
@@ -68,7 +63,7 @@ type Index struct {
 // fleet-wide.
 func (ix *Index) accountBytes() int64 {
 	b := int64(unsafe.Sizeof(*ix))
-	b += int64(len(ix.txArena))*4 + int64(len(ix.txOff))*4 + int64(len(ix.weights))*4
+	b += int64(len(ix.weights)) * 4
 	b += int64(len(ix.items)) * int64(unsafe.Sizeof(itemCount{}))
 	b += int64(len(ix.postKind)) + int64(len(ix.postCard)+len(ix.postOff)+len(ix.postLen))*4
 	b += int64(len(ix.idArena))*4 + int64(len(ix.bitsArena))*8
@@ -95,7 +90,8 @@ func (ix *Index) TotalOccurrences() int { return ix.totalOcc }
 
 // Fingerprint returns the 128-bit hex content hash of the indexed
 // transactions. Two indexes over identical transaction databases share
-// a fingerprint regardless of how the databases were obtained.
+// a fingerprint regardless of how the databases were obtained. An index
+// from IndexBuilder.BuildSets has none and returns "".
 func (ix *Index) Fingerprint() string { return ix.fp }
 
 // Bytes returns the index's retained size estimate, the unit of the
@@ -212,9 +208,61 @@ func (ix *Index) postingAt(p int) posting {
 	return pt
 }
 
+// rowScratch holds the rows the row-reading kernels mine from: unique
+// transaction u's row is rows[off[u]:off[u+1]]. A miner keeps one and
+// refills it per mine, so its arenas are reused.
+type rowScratch struct {
+	off  []int32
+	rows []int32
+	ids  []uint32 // one posting's ids, expanded from a run or bitset
+}
+
+// transpose fills the rows from the postings of the items at the
+// positions in order, walked in that order: row u lists the indices
+// into order of the items unique transaction u holds, ascending. Items
+// not in order are never read, and a transaction holding none of them
+// gets an empty row.
+func (s *rowScratch) transpose(ix *Index, order []int32) {
+	off := zeroed(s.off, ix.uniques+1)
+	for _, p := range order {
+		for _, t := range s.tids(ix.postingAt(int(p)), ix.words) {
+			off[t+1]++
+		}
+	}
+	for u := 0; u < ix.uniques; u++ {
+		off[u+1] += off[u]
+	}
+	rows := grown(s.rows, int(off[ix.uniques]))
+	// Fill with off[u] as row u's cursor: afterwards off[u] is where row
+	// u+1 starts, so one shift restores the offsets.
+	for o, p := range order {
+		for _, t := range s.tids(ix.postingAt(int(p)), ix.words) {
+			rows[off[t]] = int32(o)
+			off[t]++
+		}
+	}
+	copy(off[1:], off[:ix.uniques])
+	off[0] = 0
+	s.off, s.rows = off, rows
+}
+
+// row returns unique transaction u's row.
+func (s *rowScratch) row(u int) []int32 { return s.rows[s.off[u]:s.off[u+1]] }
+
+// tids returns a posting's ids ascending: an array container's own ids,
+// or the others expanded into the scratch.
+func (s *rowScratch) tids(pt posting, words int) []uint32 {
+	if pt.kind == containerArray {
+		return pt.ids
+	}
+	s.ids = appendPostingIDs(s.ids[:0], pt, words)
+	return s.ids
+}
+
 // aprioriIndexed is the level-wise kernel's query phase: L1 comes from
-// the index's support counts and candidate counting scans the deduped
-// weighted arena instead of raw transactions. It mines in position
+// the index's support counts and candidate counting scans the weighted
+// unique transactions, transposed from the frequent items' postings,
+// instead of raw transactions. It mines in position
 // space — every Items slice below holds Index item positions, which
 // ascend with the IDs — so its sets go to the canonical assembly as
 // they are. A non-nil gate arms its sink.
@@ -244,33 +292,36 @@ func aprioriIndexed(ix *Index, minSupport float64, g *gate) (*Result, error) {
 	}
 
 	// L1 straight from the index counts, in ascending position order.
-	frequent := make([]bool, len(ix.items))
 	var level []Itemset
 	for p, ic := range ix.items {
 		if ic.count >= mc {
-			frequent[p] = true
 			level = append(level, Itemset{Items: []ingredient.ID{ingredient.ID(p)}, Count: ic.count})
 		}
 	}
 	collect(level)
 
 	// Project the unique transactions onto the frequent items once,
-	// keeping their multiplicities; arena positions ascend, so the
-	// projected slices are sorted by construction.
+	// keeping their multiplicities: the frequent items' postings,
+	// transposed in ascending position order, give sorted rows.
+	order := make([]int32, 0, len(level))
+	for _, s := range level {
+		order = append(order, int32(s.Items[0]))
+	}
+	var rs rowScratch
+	rs.transpose(ix, order)
 	filtered := make([][]ingredient.ID, 0, ix.uniques)
 	weights := make([]int32, 0, ix.uniques)
 	for u := 0; u < ix.uniques; u++ {
-		span := ix.txArena[ix.txOff[u]:ix.txOff[u+1]]
-		ftx := make([]ingredient.ID, 0, len(span))
-		for _, p := range span {
-			if frequent[p] {
-				ftx = append(ftx, ingredient.ID(p))
-			}
+		row := rs.row(u)
+		if len(row) < 2 {
+			continue
 		}
-		if len(ftx) >= 2 {
-			filtered = append(filtered, ftx)
-			weights = append(weights, ix.weights[u])
+		ftx := make([]ingredient.ID, len(row))
+		for i, o := range row {
+			ftx[i] = ingredient.ID(order[o])
 		}
+		filtered = append(filtered, ftx)
+		weights = append(weights, ix.weights[u])
 	}
 
 	for len(level) >= 2 {

@@ -3,10 +3,12 @@
 // at least 5% of all recipes in a cuisine" (paper, §IV).
 //
 // Every mine has one shape: an IndexBuilder turns the transactions into
-// an Index — validated, fingerprinted, deduped into a weighted arena,
-// with one posting container per item — and MineIndexed runs a kernel
-// over it: FP-Growth, the Eclat vertical kernel, or level-wise Apriori,
-// all producing byte-identical canonical results. Mine is the one-shot
+// an Index — validated, fingerprinted, deduped into weighted unique
+// transactions, with one posting container per item — and MineIndexed
+// runs a kernel over it: FP-Growth, the Eclat vertical kernel, or
+// level-wise Apriori, all producing byte-identical canonical results.
+// IndexBuilder.BuildSets indexes unsorted item sets, such as a model's
+// recipes, without a fingerprint. Mine is the one-shot
 // form (build, then mine); BuildIndex and IndexCache serve indexes that
 // are queried many times; the replicate ensembles reuse one builder per
 // worker. Index.ChooseKernel picks the cheaper kernel for the corpus

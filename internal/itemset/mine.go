@@ -76,7 +76,7 @@ type MineOptions struct {
 
 // Mine mines all frequent itemsets of size >= 1 with relative support
 // >= minSupport: a one-shot index build followed by MineIndexed, so
-// every kernel mines off the same deduped arena and posting containers.
+// every kernel mines off the same weighted posting containers.
 // Transactions must be sorted strictly ascending; they are read, never
 // retained or modified.
 func Mine(txs [][]ingredient.ID, minSupport float64, opts MineOptions) (*Result, error) {

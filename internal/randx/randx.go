@@ -221,6 +221,9 @@ func (s *Source) SampleIntsBuf(n, k int, buf *SampleBuf) []int {
 		// Floyd's algorithm. The chosen set is exactly the elements of
 		// out, so membership is a linear scan instead of a map; k is
 		// small (recipe-sized) by the branch condition.
+		if cap(buf.out) < k {
+			buf.out = make([]int, 0, k)
+		}
 		out := buf.out[:0]
 		for j := n - k; j < n; j++ {
 			t := s.Intn(j + 1)
@@ -237,7 +240,9 @@ func (s *Source) SampleIntsBuf(n, k int, buf *SampleBuf) []int {
 		return out
 	}
 	if cap(buf.perm) < n {
-		buf.perm = make([]int, n)
+		// This path runs only while n < 4k, so room for 4k ids serves
+		// every n a growing caller will pass before Floyd takes over.
+		buf.perm = make([]int, n, 4*k)
 	}
 	p := buf.perm[:n]
 	for i := range p {
