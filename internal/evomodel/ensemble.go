@@ -143,16 +143,21 @@ func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int,
 	return runReplicate(cfg, lex, label, rep, r)
 }
 
-// Replicators is a free list of replicate states scoped to one fan-out,
-// shaped like itemset.Builders: the caller declares one per call, each
-// work item takes a state and returns it, so the list never holds more
-// states than the fan-out ran at once, and all of them are garbage once
-// the call is done. A state is one worker's machine, the IndexBuilder
-// its replicates are indexed with, and the buffers between the two. The
-// zero value is an empty list; Replicators is safe for concurrent use.
+// Replicators is a free list of replicate states scoped to one fan-out:
+// the caller declares one per call, each work item takes a state and
+// returns it, so the list never holds more states than the fan-out ran
+// at once, and all of them are garbage once the call is done. A
+// process-global sync.Pool would instead keep the states' arenas alive
+// past the call, and lose them to any GC. A state is one worker's
+// machine, the IndexBuilder its replicates are indexed with, and the
+// buffers between the two. The zero value is an empty list;
+// Replicators is safe for concurrent use.
 type Replicators struct {
 	mu   sync.Mutex
 	free []*replicator
+	// keep, when positive, bounds the free states the list retains: a
+	// state put back into a full list is dropped.
+	keep int
 }
 
 // replicator is one worker's replicate state.
@@ -174,11 +179,14 @@ func (l *Replicators) get() *replicator {
 	return new(replicator)
 }
 
-// put returns r to the list, its machine released.
+// put returns r to the list, its machine released, or drops it when
+// the list already keeps its bound.
 func (l *Replicators) put(r *replicator) {
 	r.m.release()
 	l.mu.Lock()
-	l.free = append(l.free, r)
+	if l.keep <= 0 || len(l.free) < l.keep {
+		l.free = append(l.free, r)
+	}
 	l.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package evomodel
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cuisinevol/internal/ingredient"
@@ -163,6 +164,29 @@ func TestToCategoryTransactions(t *testing.T) {
 	// Output must be ascending category indices; Vegetable=0 < Herb.
 	if len(got[0]) != 2 || got[0][0] != want[0] || got[0][1] != want[1] {
 		t.Fatalf("category tx = %v, want %v", got[0], want)
+	}
+}
+
+// TestReplicatorsKeepBound pins the retention of the process-wide list
+// behind Run: a bounded list drops a state put back once it is full,
+// and runs keeps at most GOMAXPROCS free states. A per-call list (keep
+// 0) keeps every state its call ran at once.
+func TestReplicatorsKeepBound(t *testing.T) {
+	bounded := Replicators{keep: 2}
+	unbounded := Replicators{}
+	var states []*replicator
+	for range 3 {
+		states = append(states, bounded.get())
+	}
+	for _, r := range states {
+		bounded.put(r)
+		unbounded.put(r)
+	}
+	if len(bounded.free) != 2 || len(unbounded.free) != 3 {
+		t.Fatalf("free states: bounded %d (want 2), unbounded %d (want 3)", len(bounded.free), len(unbounded.free))
+	}
+	if runs.keep != runtime.GOMAXPROCS(0) {
+		t.Fatalf("runs keeps %d free states, want GOMAXPROCS = %d", runs.keep, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -24,6 +24,7 @@ package evomodel
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/randx"
@@ -233,9 +234,11 @@ func Run(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, error) {
 
 // runs is the free list behind Run, Inspect and RunWithLineage: a
 // process-wide list, so back-to-back single runs reuse one machine (the
-// BenchmarkEvolveRun alloc gate), holding at most as many states as
-// single runs ever ran at once. Ensembles keep their own per-call list.
-var runs Replicators
+// BenchmarkEvolveRun alloc gate). Unlike a per-call list it outlives
+// every call, so it keeps at most GOMAXPROCS free states, each holding
+// the buffers of the largest run it served. Ensembles keep their own
+// per-call list.
+var runs = Replicators{keep: runtime.GOMAXPROCS(0)}
 
 // span addresses one recipe inside the machine's arena. Offsets are
 // int32: the largest corpus the models target (158k recipes × ≤38

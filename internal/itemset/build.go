@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"math/bits"
 	"slices"
-	"sync"
 
 	"cuisinevol/internal/ingredient"
 )
@@ -103,7 +103,7 @@ type IndexBuilder struct {
 	sorted []ingredient.ID // every occurrence, sorted (wide range)
 	keys   []uint64        // per item position: its random dedup-hash key
 	stamp  []int32         // per item position: 1 + the last transaction holding it
-	table  []uint64        // dedup slots: hash<<32 | unique transaction + 1, 0 = empty
+	table  []uint32        // dedup slots: hash tag | unique transaction + 1, 0 = empty
 	nruns  []int32         // per item position: run count, then fill cursor
 	last   []int32         // per item position: last unique transaction seen
 	sha    hash.Hash
@@ -243,6 +243,13 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 	}
 	table := zeroed(b.table, size)
 	mask := uint64(size - 1)
+	// A slot keeps its unique transaction + 1 in the low ubits bits and
+	// the top 32−ubits bits of the hash as a tag, so a probe reads no
+	// other memory until the tags match, and the table stays half the
+	// size of one that stored whole hashes; the hash's low bits pick the
+	// slot. nonEmpty < 2³¹, so the tag keeps at least one bit.
+	ubits := bits.Len32(uint32(nonEmpty))
+	tagShift, tagMask := 64-(32-ubits), ^uint32(0)<<ubits
 	rows := reuse(b.rows, total)
 	rowOff := append(reuse(b.rowOff, nonEmpty+1), 0)
 	weights := reuse(b.weights, nonEmpty)
@@ -267,15 +274,12 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 			h += keys[p]
 			rows = append(rows, p)
 		}
-		// A slot keeps the hash's high half as a tag next to its unique
-		// transaction, so a probe reads no other memory until the tags
-		// match; the low half picks the slot.
-		seq, tag := rows[start:], h>>32<<32
+		seq, tag := rows[start:], uint32(h>>tagShift)<<ubits
 		for s := h & mask; ; s = (s + 1) & mask {
 			e := table[s]
 			if e == 0 {
 				u := int32(len(weights))
-				table[s] = tag | uint64(u+1)
+				table[s] = tag | uint32(u+1)
 				weights = append(weights, 1)
 				rowOff = append(rowOff, int32(len(rows)))
 				for _, p := range seq {
@@ -288,7 +292,7 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 				}
 				break
 			}
-			if u := int32(uint32(e)) - 1; e&^0xffffffff == tag && stampedSet(rows[rowOff[u]:rowOff[u+1]], len(seq), stamp, tok) {
+			if u := int32(e&^tagMask) - 1; e&tagMask == tag && stampedSet(rows[rowOff[u]:rowOff[u+1]], len(seq), stamp, tok) {
 				weights[u]++
 				rows = rows[:start]
 				break
@@ -494,36 +498,4 @@ func zeroed[T any](s []T, n int) []T {
 	s = grown(s, n)
 	clear(s)
 	return s
-}
-
-// Builders is a free list of IndexBuilders scoped to one fan-out: the
-// caller declares one per request, each work item takes a builder with
-// Get and returns it with Put, so the list never holds more builders
-// than the fan-out ran concurrently, and all of them are garbage once
-// the request is done. A process-global sync.Pool would instead keep
-// the builders' arenas alive past the request. The zero value is an
-// empty list; Builders is safe for concurrent use.
-type Builders struct {
-	mu   sync.Mutex
-	free []*IndexBuilder
-}
-
-// Get returns a free builder, or a new one when all are in use.
-func (l *Builders) Get() *IndexBuilder {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		b := l.free[n-1]
-		l.free = l.free[:n-1]
-		return b
-	}
-	return new(IndexBuilder)
-}
-
-// Put returns b to the list. The Index b last built is invalid from
-// here on.
-func (l *Builders) Put(b *IndexBuilder) {
-	l.mu.Lock()
-	l.free = append(l.free, b)
-	l.mu.Unlock()
 }

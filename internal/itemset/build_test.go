@@ -361,7 +361,7 @@ func assertNoArenaAliasing(t *testing.T, b *IndexBuilder, res *Result, label str
 	add("sorted", unsafe.Pointer(unsafe.SliceData(b.sorted)), uintptr(cap(b.sorted))*4)
 	add("idArena", unsafe.Pointer(unsafe.SliceData(b.idArena)), uintptr(cap(b.idArena))*4)
 	add("bitsArena", unsafe.Pointer(unsafe.SliceData(b.bitsArena)), uintptr(cap(b.bitsArena))*8)
-	add("table", unsafe.Pointer(unsafe.SliceData(b.table)), uintptr(cap(b.table))*8)
+	add("table", unsafe.Pointer(unsafe.SliceData(b.table)), uintptr(cap(b.table))*4)
 	add("keys", unsafe.Pointer(unsafe.SliceData(b.keys)), uintptr(cap(b.keys))*8)
 	for _, s := range res.Sets {
 		if len(s.Items) == 0 {
@@ -449,6 +449,40 @@ func TestBuildSetsMatchesBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBuildDedupUnderHashCollisions zeroes a builder's dedup-hash keys,
+// so every transaction hashes to the same slot and tag, and only the
+// stamped set compare can tell item sets apart: Build and BuildSets
+// must still index what a builder with real keys does.
+func TestBuildDedupUnderHashCollisions(t *testing.T) {
+	src := randx.New(0xC011)
+	txs := make([][]ingredient.ID, 0, 300)
+	for len(txs) < cap(txs) {
+		if len(txs) > 0 && src.Intn(3) == 0 {
+			txs = append(txs, slices.Clone(txs[src.Intn(len(txs))]))
+			continue
+		}
+		tx := []ingredient.ID{ingredient.ID(src.Intn(12)), ingredient.ID(12 + src.Intn(12)), ingredient.ID(24 + src.Intn(12))}
+		txs = append(txs, tx[:1+src.Intn(3)])
+	}
+	want, err := buildIndexWith(txs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b IndexBuilder
+	b.keys = make([]uint64, 64)
+	got, err := b.Build(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(withoutQuery(got), want) {
+		t.Fatal("Build with colliding dedup hashes differs from a fresh build")
+	}
+	if want.uniques == len(txs) || want.uniques < 50 {
+		t.Fatalf("corpus has %d unique of %d transactions: want both duplicates and many distinct sets", want.uniques, len(txs))
+	}
+	assertSetsBuild(t, &b, txs, permutedSets(src, txs), "colliding hashes")
 }
 
 // FuzzBuildSets: decoded transactions, and the same spread over the
