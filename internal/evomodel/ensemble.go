@@ -204,7 +204,9 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	if err := p.validate(); err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	r.m.reset(p, lex, randx.New(p.Seed))
+	if err := r.m.reset(p, lex, randx.New(p.Seed)); err != nil {
+		return rankfreq.Distribution{}, err
+	}
 	r.m.evolve()
 	ix, err := r.b.BuildSets(r.recipes(cfg.Categories))
 	if err != nil {

@@ -156,17 +156,12 @@ func ParamsForView(view recipe.View, kind Kind, seed uint64) Params {
 	}
 }
 
-// validate normalizes defaults and rejects unusable parameters.
+// validate normalizes defaults and rejects unusable parameters. A
+// repeated ingredient in I is left to machine.reset, which finds it
+// with the machine's own per-ID state instead of a set built per call.
 func (p *Params) validate() error {
 	if len(p.Ingredients) == 0 {
 		return fmt.Errorf("evomodel: empty ingredient list")
-	}
-	seen := make(map[ingredient.ID]struct{}, len(p.Ingredients))
-	for _, id := range p.Ingredients {
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("evomodel: duplicate ingredient %d in I", id)
-		}
-		seen[id] = struct{}{}
 	}
 	if p.MeanRecipeSize < 1 {
 		return fmt.Errorf("evomodel: MeanRecipeSize must be >= 1, got %d", p.MeanRecipeSize)
@@ -227,7 +222,9 @@ func Run(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, error) {
 	r := runs.get()
 	defer runs.put(r)
 	m := &r.m
-	m.reset(p, lex, randx.New(p.Seed))
+	if err := m.reset(p, lex, randx.New(p.Seed)); err != nil {
+		return nil, err
+	}
 	m.evolve()
 	return m.cloneTransactions(), nil
 }
@@ -320,10 +317,11 @@ func maxIngredientID(ids []ingredient.ID) ingredient.ID {
 }
 
 // reset reinitializes the machine for the given parameters, reusing all
-// backing storage. The RNG draw order — fitness assignment, pool
-// shuffle, initial recipe sampling — exactly matches the reference
-// implementation's construction, which the differential tests pin.
-func (m *machine) reset(p Params, lex *ingredient.Lexicon, src *randx.Source) {
+// backing storage, or fails when I repeats an ingredient. The RNG draw
+// order — fitness assignment, pool shuffle, initial recipe sampling —
+// exactly matches the reference implementation's construction, which
+// the differential tests pin.
+func (m *machine) reset(p Params, lex *ingredient.Lexicon, src *randx.Source) error {
 	m.p, m.lex, m.src = p, lex, src
 	size := int(maxIngredientID(p.Ingredients)) + 1
 	if cap(m.fitness) < size {
@@ -357,10 +355,17 @@ func (m *machine) reset(p Params, lex *ingredient.Lexicon, src *randx.Source) {
 	m.recs = reuse(m.recs, p.TargetRecipes)
 	m.usage, m.lineage, m.lastMother = nil, nil, -1
 
-	// Step 1: fitness ~ Uniform(0,1) for every ingredient in I.
+	// Step 1: fitness ~ Uniform(0,1) for every ingredient in I. The
+	// pool bitset, empty until step 2, marks I on the way, so a repeated
+	// ingredient shows without a set of its own.
 	for _, id := range p.Ingredients {
+		if m.inPool.has(id) {
+			return fmt.Errorf("evomodel: duplicate ingredient %d in I", id)
+		}
+		m.inPool.set(id)
 		m.fitness[id] = src.Float64()
 	}
+	clear(m.inPool)
 	// Step 2: I₀ = m random ingredients from I; I ← I − I₀.
 	m.shuffle = append(m.shuffle[:0], p.Ingredients...)
 	all := m.shuffle
@@ -382,6 +387,7 @@ func (m *machine) reset(p Params, lex *ingredient.Lexicon, src *randx.Source) {
 	for i := 0; i < p.InitialRecipes; i++ {
 		m.sampleRecipeInto(m.pool)
 	}
+	return nil
 }
 
 // recipeAt returns recipe i's items (unsorted, live in the arena).
@@ -601,7 +607,9 @@ func Inspect(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, PoolSta
 	r := runs.get()
 	defer runs.put(r)
 	m := &r.m
-	m.reset(p, lex, randx.New(p.Seed))
+	if err := m.reset(p, lex, randx.New(p.Seed)); err != nil {
+		return nil, PoolState{}, err
+	}
 	m.evolve()
 	return m.cloneTransactions(), PoolState{
 		IngredientPool: len(m.pool),

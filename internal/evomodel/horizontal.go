@@ -88,7 +88,9 @@ func RunHorizontal(cfg HorizontalConfig, lex *ingredient.Lexicon) (map[string][]
 		// fitness from src first — those draws are part of the pinned RNG
 		// stream — and the override replaces the values afterwards.
 		m := new(machine)
-		m.reset(p, lex, src)
+		if err := m.reset(p, lex, src); err != nil {
+			return nil, fmt.Errorf("evomodel: region %s: %w", label, err)
+		}
 		m.fitness = sharedFitness
 		machines = append(machines, m)
 	}

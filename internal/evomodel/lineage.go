@@ -100,7 +100,9 @@ func RunWithLineage(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, 
 	r := runs.get()
 	defer runs.put(r)
 	m := &r.m
-	m.reset(p, lex, randx.New(p.Seed))
+	if err := m.reset(p, lex, randx.New(p.Seed)); err != nil {
+		return nil, nil, err
+	}
 	// The lineage outlives the reused machine, so it is allocated per
 	// call (release nils the machine's pointer to it).
 	lin := &Lineage{InitialPool: len(m.recs)}

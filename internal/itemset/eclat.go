@@ -2,6 +2,7 @@ package itemset
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,12 +30,12 @@ import (
 // top-level prefix partitions (safely — nothing here is written after
 // construction).
 type eclatShared struct {
-	pos      []int32   // frequent item positions, ascending count then position
-	words    int       // dense bitmap length in uint64 words
-	weighted bool      // any unique transaction with weight > 1
-	weights  []int32   // per unique-transaction multiplicity
-	heavy    []uint64  // weighted only: bit u set iff weights[u] > 1
-	posts    []posting // per frequent item: its tidset container
+	pos      []int32    // frequent item positions, ascending count then position
+	words    int        // dense bitmap length in uint64 words
+	weighted bool       // any unique transaction with weight > 1
+	weights  []int32    // per unique-transaction multiplicity
+	heavy    []uint64   // weighted only: bit u set iff weights[u] > 1
+	root     []eclatExt // per frequent item: its tidset container and count
 	mc       int
 }
 
@@ -68,17 +69,20 @@ type eclatExt struct {
 	count int
 }
 
-// eclatScratch is the per-worker expansion state: the suffix stack, one
-// bitset buffer, one id buffer and one class slice per recursion depth,
-// and the sink the worker's itemsets go to. The query owns one scratch
-// per worker and keeps them across partitions and mines.
+// eclatScratch is the per-worker expansion state: the suffix stack, the
+// perfect-extension stack, one bitset buffer, one id buffer and one
+// class slice per recursion depth, and the sink the worker's itemsets
+// go to. The query owns one scratch per worker and keeps them across
+// partitions and mines.
 type eclatScratch struct {
-	sh       *eclatShared
-	suffix   []int32
-	levels   [][]uint64   // per-depth word buffers for bitset candidates
-	levelIDs [][]uint32   // per-depth id buffers for array candidates
-	class    [][]eclatExt // per-depth class scratch
-	out      setSink
+	sh              *eclatShared
+	suffix          []int32
+	pe              []int32      // perfect extensions of the prefixes on the suffix stack
+	levels          [][]uint64   // per-depth word buffers for bitset candidates
+	levelIDs        [][]uint32   // per-depth id buffers for array candidates
+	class           [][]eclatExt // per-depth class scratch
+	base, ext, comb []int32      // emitUnions scratch: the set, the extensions' sorted positions, a subset
+	out             setSink
 }
 
 // levelAt returns the depth's bitset buffer with room for n words.
@@ -124,50 +128,145 @@ func depthBuf[T any](bufs *[][]T, depth, n int) []T {
 	return b[:cap(b)]
 }
 
-// emitWith records the itemset suffix∪{item} with the given count as
-// its ascending item positions, unless the sink's gate drops it.
+// maxFamilyBits bounds the perfect extensions one emitted set may stand
+// with: a family of 2^maxFamilyBits sets still leaves an int room to
+// add others. A larger family makes the mine fail with ErrTooManySets.
+const maxFamilyBits = bits.UintSize - 3
+
+// emitWith records the family of suffix∪{item}: the set and its unions
+// with the non-empty subsets of the perfect-extension stack, 2^len(pe)
+// sets that all have the given count. The sink's gate tallies them all
+// at once; when it keeps the count, the set is written first and its
+// unions after it (emitUnions).
 func (s *eclatScratch) emitWith(item int32, count int) {
-	if !s.out.keep(count) {
+	e := len(s.pe)
+	if e > maxFamilyBits {
+		s.out.overflow = true
 		return
 	}
-	dst := s.out.add(len(s.suffix)+1, count)
-	for i, idx := range s.suffix {
-		dst[i] = s.sh.pos[idx]
+	if !s.out.keepN(count, 1<<e) {
+		return
 	}
-	dst[len(dst)-1] = s.sh.pos[item]
-	sortInt32s(dst)
+	sh := s.sh
+	n := len(s.suffix) + 1
+	set := s.out.add(n, count)
+	for i, idx := range s.suffix {
+		set[i] = sh.pos[idx]
+	}
+	set[n-1] = sh.pos[item]
+	sortInt32s(set)
+	if e > 0 {
+		s.emitUnions(set, count)
+	}
 }
 
-// top expands the top-level prefix partition rooted at frequent item a:
-// all itemsets whose first (in item order) member is a and that contain
-// at least one later item. Partitions are independent, which is what
-// the parallel path exploits.
+// emitUnions writes the unions of the ascending set with the non-empty
+// subsets of the perfect-extension stack in canonical order — by size,
+// then lexicographically over the extensions' positions, which for
+// unions of one size is the order of the unions themselves — until the
+// family, set included, numbers the gate's top: no later member can be
+// among the mine's first top, since every member before it in this
+// order precedes it in the Result too. Ungated, every union is written.
+func (s *eclatScratch) emitUnions(set []int32, count int) {
+	e := len(s.pe)
+	limit := 1 << e
+	if s.out.gated {
+		limit = min(limit, s.out.top)
+	}
+	// set lives in the sink, which the writes below may move.
+	base := append(s.base[:0], set...)
+	ext := s.ext[:0]
+	for _, it := range s.pe {
+		ext = append(ext, s.sh.pos[it])
+	}
+	sortInt32s(ext)
+	s.base, s.ext = base, ext
+	written := 1
+	for k := 1; k <= e; k++ {
+		comb := s.comb[:0]
+		for i := range int32(k) {
+			comb = append(comb, i)
+		}
+		s.comb = comb
+		for {
+			if written == limit {
+				return
+			}
+			written++
+			// Merge the set with the chosen extensions.
+			dst := s.out.add(len(base)+k, count)
+			i, j := 0, 0
+			for d := range dst {
+				if j == k || (i < len(base) && base[i] < ext[comb[j]]) {
+					dst[d] = base[i]
+					i++
+				} else {
+					dst[d] = ext[comb[j]]
+					j++
+				}
+			}
+			// The next k-subset in lexicographic order.
+			c := k - 1
+			for c >= 0 && int(comb[c]) == e-k+c {
+				c--
+			}
+			if c < 0 {
+				break
+			}
+			comb[c]++
+			for j := c + 1; j < k; j++ {
+				comb[j] = comb[j-1] + 1
+			}
+		}
+	}
+}
+
+// node expands the prefix suffix∪{exts[a].item}, the class member a of
+// a depth's class exts: every later member b is intersected against a
+// via the container-pair dispatch. A member whose support equals the
+// prefix's is a perfect extension (Borgelt): every transaction of the
+// prefix holds it, so it joins every set below the prefix for free. It
+// is emitted at once, as the family of prefix∪{b} over the extensions
+// found before it, and pushed on the perfect-extension stack instead
+// of joining the next class. The other frequent members form the next
+// class; once the class loop knows all of the prefix's extensions,
+// each member is emitted as the family over the whole stack and
+// expanded in turn. So every frequent set below the prefix is emitted
+// exactly once, as a member of one family, and the walk visits only
+// the sets without perfect extensions — at low support, a fraction of
+// them.
 //
 // A sizing pass over the candidates reserves the depth's scratch
 // exactly — words for every bitset×bitset pair, the pair's cardinality
 // bound for every pair with a compressed side — so every candidate
-// container is carved from a stable buffer: a failed candidate's space
-// is simply reused for the next one, and a whole depth's buffers are
-// reused across siblings once their subtree is done.
-func (s *eclatScratch) top(a int) {
+// container is carved from a stable buffer: a failed or perfect
+// candidate's space is simply reused for the next one, and a whole
+// depth's buffers are reused across siblings once their subtree is
+// done. Sparse subtrees stay sparse: once an intersection drops to an
+// array it never re-densifies, so the per-pair cost follows the
+// shrinking cardinalities instead of the fixed bitmap width.
+func (s *eclatScratch) node(exts []eclatExt, a, depth int) {
+	if s.out.overflow {
+		return
+	}
 	sh := s.sh
-	k := len(sh.pos)
-	s.suffix = append(s.suffix[:0], int32(a))
-	pa := sh.posts[a]
+	pa, own := exts[a].p, exts[a].count
+	s.suffix = append(s.suffix, exts[a].item)
+	pe := len(s.pe)
 	needW, needI := 0, 0
-	for b := a + 1; b < k; b++ {
-		if resultIsBitset(pa, sh.posts[b]) {
+	for b := a + 1; b < len(exts); b++ {
+		if resultIsBitset(pa, exts[b].p) {
 			needW += sh.words
 		} else {
-			needI += pairArrayBound(pa, sh.posts[b])
+			needI += pairArrayBound(pa, exts[b].p)
 		}
 	}
-	wbuf := s.levelAt(0, needW)
-	ibuf := s.levelIDsAt(0, needI)
-	class := s.classAt(0, k-a-1)
+	wbuf := s.levelAt(depth, needW)
+	ibuf := s.levelIDsAt(depth, needI)
+	class := s.classAt(depth, len(exts)-a-1)
 	woff, ioff := 0, 0
-	for b := a + 1; b < k; b++ {
-		pb := sh.posts[b]
+	for b := a + 1; b < len(exts); b++ {
+		pb := exts[b].p
 		var res posting
 		var cnt int
 		if resultIsBitset(pa, pb) {
@@ -176,9 +275,12 @@ func (s *eclatScratch) top(a int) {
 			bound := pairArrayBound(pa, pb)
 			res, cnt = sh.intersectCompressed(pa, pb, ibuf[ioff:ioff+bound])
 		}
-		if cnt >= sh.mc {
-			s.emitWith(int32(b), cnt)
-			class = append(class, eclatExt{item: int32(b), p: res, count: cnt})
+		switch {
+		case cnt == own:
+			s.emitWith(exts[b].item, cnt)
+			s.pe = append(s.pe, exts[b].item)
+		case cnt >= sh.mc:
+			class = append(class, eclatExt{item: exts[b].item, p: res, count: cnt})
 			if res.kind == containerBitset {
 				woff += sh.words
 			} else {
@@ -186,64 +288,15 @@ func (s *eclatScratch) top(a int) {
 			}
 		}
 	}
-	s.class[0] = class
-	if len(class) >= 2 {
-		s.expand(class, 1)
+	s.class[depth] = class
+	for _, x := range class {
+		s.emitWith(x.item, x.count)
 	}
-	s.suffix = s.suffix[:0]
-}
-
-// expand walks one prefix equivalence class depth-first: for each
-// member a, the prefix grows by a's item and every later member b is
-// intersected against it via the container-pair dispatch; survivors
-// form the next class. Candidate containers for a depth live in that
-// depth's buffers (see top for the sizing discipline). Sparse subtrees
-// stay sparse: once an intersection drops to an array it never
-// re-densifies, so the per-pair cost follows the shrinking
-// cardinalities instead of the fixed bitmap width.
-func (s *eclatScratch) expand(exts []eclatExt, depth int) {
-	sh := s.sh
-	for a := 0; a+1 < len(exts); a++ {
-		s.suffix = append(s.suffix, exts[a].item)
-		pa := exts[a].p
-		needW, needI := 0, 0
-		for b := a + 1; b < len(exts); b++ {
-			if resultIsBitset(pa, exts[b].p) {
-				needW += sh.words
-			} else {
-				needI += pairArrayBound(pa, exts[b].p)
-			}
-		}
-		wbuf := s.levelAt(depth, needW)
-		ibuf := s.levelIDsAt(depth, needI)
-		class := s.classAt(depth, len(exts)-a-1)
-		woff, ioff := 0, 0
-		for b := a + 1; b < len(exts); b++ {
-			pb := exts[b].p
-			var res posting
-			var cnt int
-			if resultIsBitset(pa, pb) {
-				res, cnt = sh.intersectBits(pa, pb, wbuf[woff:woff+sh.words])
-			} else {
-				bound := pairArrayBound(pa, pb)
-				res, cnt = sh.intersectCompressed(pa, pb, ibuf[ioff:ioff+bound])
-			}
-			if cnt >= sh.mc {
-				s.emitWith(exts[b].item, cnt)
-				class = append(class, eclatExt{item: exts[b].item, p: res, count: cnt})
-				if res.kind == containerBitset {
-					woff += sh.words
-				} else {
-					ioff += len(res.ids)
-				}
-			}
-		}
-		s.class[depth] = class
-		if len(class) >= 2 {
-			s.expand(class, depth+1)
-		}
-		s.suffix = s.suffix[:len(s.suffix)-1]
+	for c := 0; c+1 < len(class); c++ {
+		s.node(class, c, depth+1)
 	}
+	s.pe = s.pe[:pe]
+	s.suffix = s.suffix[:len(s.suffix)-1]
 }
 
 // eclatQuery is the per-query state of indexed mining: the shared view
@@ -278,8 +331,8 @@ func acquireEclatQuery(ix *Index) *eclatQuery {
 // query back to its builder or the pool.
 func (q *eclatQuery) release(ix *Index) {
 	sh := &q.shared
-	clear(sh.posts)
-	sh.posts = sh.posts[:0]
+	clear(sh.root)
+	sh.root = sh.root[:0]
 	sh.weights = nil
 	for i := range q.workers {
 		q.workers[i].sh = nil
@@ -335,15 +388,19 @@ func eclatMineIndexed(ix *Index, minSupport float64, workers int, g *gate) (*Res
 		}
 		return cmp.Compare(a, b)
 	})
-	sh.posts = reuse(sh.posts, f)
-	for _, p := range sh.pos {
-		sh.posts = append(sh.posts, ix.postingAt(int(p)))
+	sh.root = reuse(sh.root, f)
+	for i, p := range sh.pos {
+		sh.root = append(sh.root, eclatExt{item: int32(i), p: ix.postingAt(int(p)), count: ix.items[p].count})
 	}
 
 	if err := q.run(ix, workers, g); err != nil {
 		return nil, err
 	}
-	res.Sets = q.order.finish(ix.items, g, q.sinks...)
+	sets, err := q.order.finish(ix.items, g, q.sinks...)
+	if err != nil {
+		return nil, err
+	}
+	res.Sets = sets
 	return res, nil
 }
 
@@ -364,7 +421,12 @@ func (q *eclatQuery) run(ix *Index, workers int, g *gate) error {
 	for i := range q.workers[:workers] {
 		w := &q.workers[i]
 		w.sh = sh
-		w.suffix = w.suffix[:0]
+		// A stack or family holds at most every frequent item once, so
+		// sized to k up front, none of them grows during the walk: a
+		// warm worker's allocations do not depend on which partitions
+		// it happens to claim.
+		w.suffix, w.pe = reuse(w.suffix, k), reuse(w.pe, k)
+		w.base, w.ext, w.comb = reuse(w.base, k), reuse(w.ext, k), reuse(w.comb, k)
 		w.out.reset()
 		if g != nil {
 			w.out.arm(g.top, sh.mc, ix.items)
@@ -381,7 +443,7 @@ func (q *eclatQuery) run(ix *Index, workers int, g *gate) error {
 
 	if workers == 1 {
 		for a := 0; a+1 < k; a++ {
-			q.workers[0].top(a)
+			q.workers[0].node(sh.root, a, 0)
 		}
 		return nil
 	}
@@ -393,7 +455,7 @@ func (q *eclatQuery) run(ix *Index, workers int, g *gate) error {
 	return sched.Run(workers, workers, func(w int) error {
 		s := &q.workers[w]
 		for a := int(next.Add(1)) - 1; a+1 < k; a = int(next.Add(1)) - 1 {
-			s.top(a)
+			s.node(sh.root, a, 0)
 		}
 		return nil
 	})

@@ -208,7 +208,11 @@ func (m *fpMiner) mineIndexed(ix *Index, minSupport float64, g *gate) (*Result, 
 		m.out.arm(g.top, m.mc, ix.items)
 	}
 	m.mine(tree, 1)
-	res.Sets = m.order.finish(ix.items, g, &m.out)
+	sets, err := m.order.finish(ix.items, g, &m.out)
+	if err != nil {
+		return nil, err
+	}
+	res.Sets = sets
 	return res, nil
 }
 

@@ -341,6 +341,10 @@ func aprioriIndexed(ix *Index, minSupport float64, g *gate) (*Result, error) {
 		collect(level)
 	}
 
-	res.Sets = new(canonOrder).finish(ix.items, g, &out)
+	sets, err := new(canonOrder).finish(ix.items, g, &out)
+	if err != nil {
+		return nil, err
+	}
+	res.Sets = sets
 	return res, nil
 }

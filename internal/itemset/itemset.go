@@ -92,6 +92,13 @@ func (r *Result) MaxSize() int {
 // ErrBadSupport is returned when minSupport lies outside (0, 1].
 var ErrBadSupport = errors.New("itemset: minSupport must be in (0, 1]")
 
+// ErrTooManySets is returned by a mine whose frequent sets outnumber an
+// int, so that neither their total nor their spectrum can be told, and
+// by MineSpectrum when the spectrum would not fit in memory: a support
+// so low that the many items some transactions share make 2^k of their
+// combinations frequent.
+var ErrTooManySets = errors.New("itemset: too many frequent sets to count at this support")
+
 // minCount converts a relative threshold to the smallest absolute count
 // satisfying count/n >= minSupport.
 func minCount(n int, minSupport float64) int {

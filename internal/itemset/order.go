@@ -46,10 +46,15 @@ type setSink struct {
 	// The count gate. Armed, it tallies every emitted count c in
 	// hist[c-lo] and keeps a set only if its count reaches cut, which
 	// never falls below the top-th largest count tallied so far (above
-	// of the tallied counts reach cut). Disarmed, every set is kept.
-	gated               bool
-	top, cut, lo, above int
-	hist                []int
+	// of the tallied counts reach cut, tallied in all). Disarmed, every
+	// set is kept.
+	gated                        bool
+	top, cut, lo, above, tallied int
+	hist                         []int
+
+	// overflow marks a mine whose sets outnumber an int: a family too
+	// large to count (eclatScratch.emitWith) or a tally that would wrap.
+	overflow bool
 }
 
 type sinkSet struct {
@@ -64,7 +69,8 @@ const minSinkCap = 512
 // reset empties the sink and disarms its gate, keeping its buffers.
 func (s *setSink) reset() {
 	s.pos, s.sets = s.pos[:0], s.sets[:0]
-	s.gated, s.top, s.cut, s.lo, s.above = false, 0, 0, 0, 0
+	s.gated, s.top, s.cut, s.lo, s.above, s.tallied = false, 0, 0, 0, 0, 0
+	s.overflow = false
 }
 
 // arm resets the sink and arms its count gate for a mine at minimum
@@ -111,20 +117,37 @@ func kthCount(hist []int, lo, top int) int {
 // keep tallies count if the gate is armed and reports whether the
 // kernel should add the set. Kernels ask before they write or order any
 // position, so a dropped set costs one histogram increment.
+func (s *setSink) keep(count int) bool {
+	return s.keepN(count, 1)
+}
+
+// keepN is keep for n sets that share one count, such as a set and its
+// unions with the subsets of its perfect extensions (see
+// eclatScratch.emitWith): it tallies all n, and when it reports true
+// the kernel adds those of the n that can be among the mine's first
+// top — at most top of them. The multiplicity is the gate's whole
+// contract with the kernel: every set of the full mine is tallied
+// exactly once, in some sink, whether or not it is written. A tally
+// that would wrap an int marks the sink's overflow and keeps nothing.
 //
 // cut rises while the tallied counts above it alone number top, so it
 // is the larger of its start (see arm) and the top-th largest count
 // seen. It never falls: over a mine the loop advances at most once per
-// count in the histogram's range, which makes keep amortized O(1).
-func (s *setSink) keep(count int) bool {
+// count in the histogram's range, which makes keepN amortized O(1).
+func (s *setSink) keepN(count, n int) bool {
 	if !s.gated {
 		return true
 	}
-	s.hist[count-s.lo]++
+	if n > math.MaxInt-s.tallied {
+		s.overflow = true
+		return false
+	}
+	s.tallied += n
+	s.hist[count-s.lo] += n
 	if count < s.cut {
 		return false
 	}
-	s.above++
+	s.above += n
 	for s.above-s.hist[s.cut-s.lo] >= s.top {
 		s.above -= s.hist[s.cut-s.lo]
 		s.cut++
@@ -199,6 +222,12 @@ type gate struct {
 	spectrum []int
 }
 
+// maxSpectrum bounds the counts a spectrum holds, 1 GiB of them. With
+// perfect extensions a walk reaches a count of 2^k sets in a time
+// polynomial in k, so a corpus of two identical 38-item recipes at
+// support 1 would otherwise ask for a 2 TiB slice at once.
+const maxSpectrum = 1 << 27
+
 // finish builds a mine's answer from its kernel's sinks, which g armed
 // (setSink.arm) when it is not nil. The sinks' histograms merge into
 // the counts of every set the full mine holds, the spectrum comes
@@ -206,10 +235,19 @@ type gate struct {
 // count, is read off them. No sink's cut exceeds c_K — the top-th
 // largest of a subset of the counts is at most that of all of them —
 // so every set counted c_K or more is in a sink, and the first top
-// sets of those are the first top of the full Result.
-func (o *canonOrder) finish(items []itemCount, g *gate, sinks ...*setSink) []Itemset {
+// sets of those are the first top of the full Result. A mine whose
+// sets outnumber an int, or a spectrum maxSpectrum, fails with
+// ErrTooManySets.
+func (o *canonOrder) finish(items []itemCount, g *gate, sinks ...*setSink) ([]Itemset, error) {
+	total := 0
+	for _, s := range sinks {
+		if s.overflow || s.tallied > math.MaxInt-total {
+			return nil, ErrTooManySets
+		}
+		total += s.tallied
+	}
 	if g == nil {
-		return o.assemble(items, sinks...)
+		return o.assemble(items, sinks...), nil
 	}
 	hist, lo := sinks[0].hist, sinks[0].lo
 	for _, s := range sinks[1:] {
@@ -217,20 +255,20 @@ func (o *canonOrder) finish(items []itemCount, g *gate, sinks ...*setSink) []Ite
 			hist[i] += c
 		}
 	}
-	g.total = 0
-	for _, c := range hist {
-		g.total += c
-	}
+	g.total = total
 	if g.top == 0 {
+		if total > maxSpectrum {
+			return nil, ErrTooManySets
+		}
 		g.spectrum = make([]int, 0, g.total)
 		for i := len(hist) - 1; i >= 0; i-- {
 			for range hist[i] {
 				g.spectrum = append(g.spectrum, lo+i)
 			}
 		}
-		return nil
+		return nil, nil
 	}
-	return o.assembleTop(items, kthCount(hist, lo, g.top), g.top, sinks...)
+	return o.assembleTop(items, kthCount(hist, lo, g.top), g.top, sinks...), nil
 }
 
 // assemble returns every set the sinks hold in canonical order, with

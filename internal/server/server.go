@@ -501,12 +501,17 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, q *query,
 var errDeadline = errors.New("server: request deadline exceeded")
 
 // classifyComputeErr maps a compute-path failure to its response shape.
+// A mine with too many frequent sets to count or hold is the request's
+// fault — its support is too low for the corpus — and becomes a 400.
 // Context errors are split by who pulled the plug: the server's own
 // deadline becomes a structured 504 with a Retry-After hint and bumps
 // the timeout counter; a genuine client cancellation stays a bare
 // context error (writeError's 499). Everything else — including the
 // admission layer's 503-carrying shed errors — passes through.
 func (s *Server) classifyComputeErr(ctx context.Context, endpoint string, err error) error {
+	if errors.Is(err, itemset.ErrTooManySets) {
+		return badRequest("%v", err)
+	}
 	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
