@@ -11,6 +11,7 @@
 #   make servebench-test   the serving benchmark's self-test (its own module)
 #   make bench-baseline  full benchmark run, recorded to BENCH_fig_pipeline.json
 #   make bench-smoke     1-iteration benchmark pass (fast; same JSON output)
+#   make loc             non-test Go line count, without servebench/ and examples/
 
 GO ?= go
 
@@ -41,7 +42,7 @@ BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|
 # 80 and 121 allocs, so they stay out.
 ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites|MineLowSupport|EclatReplicateSpectrum|ServeHit
 
-.PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test
+.PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test loc
 
 check: fmt vet build race bench-smoke corpus-roundtrip soak servebench-test
 
@@ -170,3 +171,8 @@ benchgate-allocs:
 # internal API change that breaks the benchmark.
 servebench-test:
 	cd servebench && $(GO) test ./...
+
+# loc prints the non-test Go line count, without servebench/ (its own
+# module) and examples/: the number ROADMAP's line-count goals use.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './servebench/*' ! -path './examples/*' -print0 | xargs -0 cat | wc -l

@@ -161,7 +161,7 @@ func BenchmarkIngestPipeline(b *testing.B) {
 func BenchmarkEq2Metric(b *testing.B) {
 	corpus := corpusForBench(b)
 	mine := func(code string) rankfreq.Distribution {
-		res, err := itemset.Mine(corpus.Region(code).Transactions(), 0.05, itemset.MineOptions{Kernel: itemset.KernelFPGrowth})
+		res, err := itemset.Mine(corpus.Region(code).Transactions(), 0.05, itemset.MineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -227,7 +227,7 @@ func BenchmarkFig4CategoryControl(b *testing.B) {
 func benchEnsembleMAE(b *testing.B, mutate func(*evomodel.Params)) float64 {
 	corpus := corpusForBench(b)
 	view := corpus.Region("KOR")
-	mined, err := itemset.Mine(view.Transactions(), 0.05, itemset.MineOptions{Kernel: itemset.KernelFPGrowth})
+	mined, err := itemset.Mine(view.Transactions(), 0.05, itemset.MineOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func BenchmarkAblationLoopVariant(b *testing.B) {
 func BenchmarkAblationMetric(b *testing.B) {
 	corpus := corpusForBench(b)
 	mineDist := func(code string) rankfreq.Distribution {
-		res, err := itemset.Mine(corpus.Region(code).Transactions(), 0.05, itemset.MineOptions{Kernel: itemset.KernelFPGrowth})
+		res, err := itemset.Mine(corpus.Region(code).Transactions(), 0.05, itemset.MineOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func BenchmarkMineIngredientCombosITA(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := itemset.Mine(txs, 0.05, itemset.MineOptions{Kernel: itemset.KernelFPGrowth}); err != nil {
+		if _, err := itemset.Mine(txs, 0.05, itemset.MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

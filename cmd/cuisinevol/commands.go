@@ -199,12 +199,7 @@ func cmdMine(args []string) error {
 	support := cf.fs.Float64("support", 0.05, "minimum support")
 	top := cf.fs.Int("top", 25, "number of combinations to print")
 	categories := cf.fs.Bool("categories", false, "mine category combinations")
-	kernelName := cf.fs.String("kernel", "auto", "mining kernel: auto, fpgrowth, eclat or apriori")
 	if err := cf.fs.Parse(args); err != nil {
-		return err
-	}
-	kernel, err := itemset.ParseKernel(*kernelName)
-	if err != nil {
 		return err
 	}
 	corpus, err := cf.corpus()
@@ -221,12 +216,12 @@ func cmdMine(args []string) error {
 	}
 	// Build the view's index once, then mine it: the one-off CLI path
 	// exercises the same build+query split the server and pipelines use,
-	// and the auto kernel choice reads the index's true stats.
+	// and the index's kernel choice reads its true stats.
 	ix, err := itemset.BuildIndex(txs)
 	if err != nil {
 		return err
 	}
-	res, total, err := itemset.MineTop(ix, *support, *top, itemset.MineOptions{Kernel: kernel})
+	res, total, err := itemset.MineTop(ix, *support, *top, itemset.MineOptions{})
 	if err != nil {
 		return err
 	}

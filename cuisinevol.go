@@ -193,10 +193,8 @@ func Overrepresented(c *Corpus, region string, k int) ([]RankedIngredient, error
 // MineCombinations mines the frequent ingredient combinations (size >= 1,
 // support >= minSupport) of a cuisine, per the paper's §IV. The view's
 // prebuilt index is cached across calls, so re-mining the same cuisine
-// at another threshold skips straight to the query phase; the mining
-// kernel is selected adaptively from the index's stats
-// (itemset.Index.ChooseKernel). For explicit kernel control, call
-// itemset.MineIndexed with MineOptions.Kernel set.
+// at another threshold skips straight to the query phase; the index
+// picks the mining kernel from its own shape statistics.
 func MineCombinations(c *Corpus, region string, minSupport float64) (*MiningResult, error) {
 	ix, err := viewIndex(c, region, false)
 	if err != nil {

@@ -28,10 +28,6 @@ type EnsembleConfig struct {
 	Categories bool
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Kernel selects the mining kernel each replicate mine uses;
-	// itemset.KernelAuto (the zero value) picks the cheaper one per
-	// replicate corpus. Results are kernel-independent.
-	Kernel itemset.Kernel
 	// Label annotates the aggregated distribution (defaults to the model
 	// kind's abbreviation).
 	Label string
@@ -212,7 +208,7 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	sp, err := itemset.MineSpectrum(ix, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
+	sp, err := itemset.MineSpectrum(ix, cfg.MinSupport, itemset.MineOptions{})
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}

@@ -152,7 +152,7 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 		if cfg.Categories {
 			txs = toCategoryTransactions(txs, lex)
 		}
-		res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
+		res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{})
 		if err != nil {
 			t.Fatalf("reference replicate %d: %v", rep, err)
 		}

@@ -37,13 +37,6 @@ type Config struct {
 	Replicates int
 	// Workers bounds model parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Kernel selects the frequent-itemset mining kernel for every mine
-	// the pipelines run. The zero value (itemset.KernelAuto) picks the
-	// cheaper kernel per mined corpus — ensemble replicates, per-cuisine
-	// views and the aggregate view each get their own choice. All
-	// kernels produce byte-identical results (see internal/itemset's
-	// differential tests), so this knob never changes outputs.
-	Kernel itemset.Kernel
 	// OutDir, when non-empty, receives artifacts (tables, CSV, SVG).
 	OutDir string
 

@@ -63,11 +63,11 @@ func RunFig3Ctx(ctx context.Context, cfg *Config) (*Fig3Result, error) {
 	// keys the serving layer uses.
 	fp := corpus.Fingerprint()
 	indexes := cfg.Indexes()
-	res.Ingredients, err = buildPanel(ctx, corpus, fp, indexes, minSupport, false, cfg.Workers, cfg.Kernel)
+	res.Ingredients, err = buildPanel(ctx, corpus, fp, indexes, minSupport, false, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig3a: %w", err)
 	}
-	res.Categories, err = buildPanel(ctx, corpus, fp, indexes, minSupport, true, cfg.Workers, cfg.Kernel)
+	res.Categories, err = buildPanel(ctx, corpus, fp, indexes, minSupport, true, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig3b: %w", err)
 	}
@@ -121,18 +121,18 @@ func RunFig3Ctx(ctx context.Context, cfg *Config) (*Fig3Result, error) {
 // mines plus the aggregate mine are independent work items fanned out
 // through the shared scheduler; results land in Table I order, so the
 // panel is identical to the serial build.
-func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool, workers int, kernel itemset.Kernel) (Fig3Panel, error) {
+func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool, workers int) (Fig3Panel, error) {
 	panel := Fig3Panel{}
 	regions := cuisine.All()
 	dists, err := sched.CollectCtx(ctx, workers, len(regions)+1, func(i int) (rankfreq.Distribution, error) {
 		if i == len(regions) {
 			// The aggregate corpus mine (the "ALL" series) is the largest
 			// item; it runs alongside the per-cuisine mines.
-			d, err := mineView(corpus.AllView(), fp, indexes, minSupport, categories, kernel)
+			d, err := mineView(corpus.AllView(), fp, indexes, minSupport, categories)
 			d.Label = "ALL"
 			return d, err
 		}
-		return mineView(corpus.Region(regions[i].Code), fp, indexes, minSupport, categories, kernel)
+		return mineView(corpus.Region(regions[i].Code), fp, indexes, minSupport, categories)
 	})
 	if err != nil {
 		return Fig3Panel{}, err
@@ -166,11 +166,11 @@ func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *
 // the shared index cache and returns the rank-frequency distribution
 // labeled with the view's region. The key matches the serving layer's
 // (AllView's region is ""), so a panel built by a request handler and
-// one built here converge on the same prebuilt indexes. The kernel is
-// forwarded to MineSpectrum — KernelAuto lets every view pick the
-// cheaper kernel for its own shape (category transactions are far
-// denser than ingredient ones) without changing the result.
-func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool, kernel itemset.Kernel) (rankfreq.Distribution, error) {
+// one built here converge on the same prebuilt indexes. Every view's
+// index picks the cheaper kernel for its own shape (category
+// transactions are far denser than ingredient ones) without changing
+// the result.
+func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool) (rankfreq.Distribution, error) {
 	key := itemset.IndexKey(fp, view.Region(), categories)
 	ix, err := indexes.Get(key, func() ([][]ingredient.ID, error) {
 		if categories {
@@ -181,7 +181,7 @@ func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSuppo
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	sp, err := itemset.MineSpectrum(ix, minSupport, itemset.MineOptions{Kernel: kernel})
+	sp, err := itemset.MineSpectrum(ix, minSupport, itemset.MineOptions{})
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}

@@ -141,7 +141,6 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 				MinSupport: minSupport,
 				Categories: opts.Categories,
 				Workers:    cfg.Workers,
-				Kernel:     cfg.Kernel,
 			}
 		}
 	}
@@ -151,7 +150,7 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 	fp := corpus.Fingerprint()
 	indexes := cfg.Indexes()
 	empirical, err := sched.CollectCtx(ctx, cfg.Workers, len(regions), func(r int) (rankfreq.Distribution, error) {
-		return mineView(corpus.Region(regions[r]), fp, indexes, minSupport, opts.Categories, cfg.Kernel)
+		return mineView(corpus.Region(regions[r]), fp, indexes, minSupport, opts.Categories)
 	})
 	if err != nil {
 		return nil, err

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
-
-	"cuisinevol/internal/itemset"
 )
 
 // goldenFig3Path is the committed Fig 3 reference, relative to this
@@ -53,15 +51,14 @@ type goldenFig3Doc struct {
 	Categories  goldenFig3Panel `json:"categories"`
 }
 
-// computeGoldenFig3Bytes runs the Fig 3 pipeline with the given mining
-// kernel and worker budget and renders the document in canonical byte
-// form. Every (kernel, workers) combination must yield identical bytes.
-func computeGoldenFig3Bytes(t *testing.T, kernel itemset.Kernel, workers int) []byte {
+// computeGoldenFig3Bytes runs the Fig 3 pipeline with the given worker
+// budget and renders the document in canonical byte form. Every worker
+// budget must yield identical bytes.
+func computeGoldenFig3Bytes(t *testing.T, workers int) []byte {
 	t.Helper()
 	cfg := DefaultConfig(42)
 	cfg.RecipeScale = 0.05
 	cfg.Workers = workers
-	cfg.Kernel = kernel
 	res, err := RunFig3(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +93,7 @@ func computeGoldenFig3Bytes(t *testing.T, kernel itemset.Kernel, workers int) []
 // corpus, the mining kernels or the rank-frequency normalization fails
 // here first. Run with -update to bless an intentional change.
 func TestGoldenFig3(t *testing.T) {
-	got := computeGoldenFig3Bytes(t, itemset.KernelAuto, 0)
+	got := computeGoldenFig3Bytes(t, 0)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenFig3Path), 0o755); err != nil {
 			t.Fatal(err)
@@ -137,27 +134,21 @@ func TestGoldenFig3(t *testing.T) {
 	}
 }
 
-// TestGoldenFig3StableAcrossKernelsAndParallelism recomputes the Fig 3
-// document under every explicit mining kernel, several worker budgets
-// and GOMAXPROCS=1, asserting the bytes never move. This is the
-// pipeline-level counterpart of internal/itemset's differential tests:
-// kernel selection and scheduling are performance knobs, never output
-// knobs.
-func TestGoldenFig3StableAcrossKernelsAndParallelism(t *testing.T) {
-	base := computeGoldenFig3Bytes(t, itemset.KernelAuto, 0)
-	for _, kernel := range []itemset.Kernel{itemset.KernelFPGrowth, itemset.KernelEclat, itemset.KernelApriori} {
-		if got := computeGoldenFig3Bytes(t, kernel, 0); !bytes.Equal(base, got) {
-			t.Fatalf("kernel %v changed the output", kernel)
-		}
-	}
+// TestGoldenFig3StableAcrossParallelism recomputes the Fig 3 document
+// under several worker budgets and GOMAXPROCS=1, asserting the bytes
+// never move: scheduling is a performance knob, never an output knob.
+// Kernel independence is internal/itemset's differential layer, which
+// mines every paper view with every kernel.
+func TestGoldenFig3StableAcrossParallelism(t *testing.T) {
+	base := computeGoldenFig3Bytes(t, 0)
 	for _, workers := range []int{1, 2, 8} {
-		if got := computeGoldenFig3Bytes(t, itemset.KernelEclat, workers); !bytes.Equal(base, got) {
-			t.Fatalf("kernel eclat with Workers=%d changed the output", workers)
+		if got := computeGoldenFig3Bytes(t, workers); !bytes.Equal(base, got) {
+			t.Fatalf("Workers=%d changed the output", workers)
 		}
 	}
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	if got := computeGoldenFig3Bytes(t, itemset.KernelAuto, 0); !bytes.Equal(base, got) {
+	if got := computeGoldenFig3Bytes(t, 0); !bytes.Equal(base, got) {
 		t.Fatal("GOMAXPROCS=1 changed the output")
 	}
 }

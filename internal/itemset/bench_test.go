@@ -164,14 +164,13 @@ func BenchmarkEclatReplicateSpectrum(b *testing.B) {
 	if !ix.weighted {
 		b.Fatal("replicate pool indexed unweighted")
 	}
-	opts := MineOptions{Kernel: KernelEclat}
-	if _, err := MineSpectrum(ix, 0.05, opts); err != nil {
+	if _, err := eclatRun.spectrum(ix, 0.05); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineSpectrum(ix, 0.05, opts); err != nil {
+		if _, err := eclatRun.spectrum(ix, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,10 +180,11 @@ func BenchmarkEclatReplicateSpectrum(b *testing.B) {
 // prefix-partitioned parallel path (the /v1/mine configuration).
 func BenchmarkEclatParallelReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
+	run := kernelRun{k: kernelEclat, workers: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(txs, 0.05, MineOptions{Kernel: KernelEclat, Workers: 4}); err != nil {
+		if _, err := run.mine(txs, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,14 +324,13 @@ func BenchmarkMineWarmIndexSparseDense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := MineOptions{Kernel: KernelEclat}
-	if _, err := MineIndexed(ix, 0.00036, opts); err != nil {
+	if _, err := eclatRun.indexed(ix, 0.00036); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineIndexed(ix, 0.00036, opts); err != nil {
+		if _, err := eclatRun.indexed(ix, 0.00036); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -193,9 +193,9 @@ func TestIndexBuilderReuseWeightedMines(t *testing.T) {
 		if i == 2 && words[2] >= words[0] || i == 3 && words[3] != words[2] {
 			t.Fatalf("%s: index words %v, want the third below the first and the fourth equal to the third", c.name, words)
 		}
-		for _, opts := range []MineOptions{{Kernel: KernelEclat}, {Kernel: KernelEclat, Workers: 4}} {
-			label := fmt.Sprintf("%s/workers=%d", c.name, opts.Workers)
-			want, err := MineIndexed(fresh, 0.02, opts)
+		for _, run := range []kernelRun{eclatRun, {k: kernelEclat, workers: 4}} {
+			label := fmt.Sprintf("%s/workers=%d", c.name, run.workers)
+			want, err := run.indexed(fresh, 0.02)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestIndexBuilderReuseWeightedMines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec, err := MineSpectrum(ix, 0.02, opts)
+			spec, err := run.spectrum(ix, 0.02)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestIndexBuilderReuseWeightedMines(t *testing.T) {
 			if !reflect.DeepEqual(spec, Spectrum{Counts: wantCounts, N: want.N}) {
 				t.Fatalf("%s: builder spectrum differs from a fresh index's Result", label)
 			}
-			if got, err := MineIndexed(ix, 0.02, opts); err != nil || !reflect.DeepEqual(got, want) {
+			if got, err := run.indexed(ix, 0.02); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: builder Result differs from a fresh index's (err %v)", label, err)
 			}
 			if !fresh.weighted {
@@ -252,7 +252,7 @@ func TestBuilderQueryConcurrentMines(t *testing.T) {
 	supports := []float64{0.02, 0.05, 0.1}
 	want := make([]*Result, len(supports))
 	for i, sup := range supports {
-		if want[i], err = MineIndexed(kept, sup, MineOptions{Kernel: KernelEclat}); err != nil {
+		if want[i], err = eclatRun.indexed(kept, sup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestBuilderQueryConcurrentMines(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 10; round++ {
 				i := (g + round) % len(supports)
-				got, err := MineIndexed(ix, supports[i], MineOptions{Kernel: KernelEclat, Workers: g % 3})
+				got, err := kernelRun{k: kernelEclat, workers: g % 3}.indexed(ix, supports[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -288,15 +288,9 @@ func TestBuilderQueryConcurrentMines(t *testing.T) {
 func TestMineResultOwnership(t *testing.T) {
 	a := replicatePool(7, 30, 3000, 9, 300)
 	bTxs := replicatePool(8, 25, 2000, 9, 300)
-	for _, opts := range []MineOptions{
-		{Kernel: KernelFPGrowth},
-		{Kernel: KernelEclat},
-		{Kernel: KernelEclat, Workers: 4},
-		{Kernel: KernelApriori},
-		{},
-	} {
-		label := fmt.Sprintf("%v/workers=%d", opts.Kernel, opts.Workers)
-		fromMine, err := Mine(a, 0.05, opts)
+	for _, run := range append(forcedKernels, autoRun) {
+		label := run.String()
+		fromMine, err := run.mine(a, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +299,7 @@ func TestMineResultOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := MineIndexed(ix, 0.05, opts)
+		res, err := run.indexed(ix, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +313,7 @@ func TestMineResultOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MineIndexed(ixB, 0.05, opts); err != nil {
+		if _, err := run.indexed(ixB, 0.05); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, snapshot) {
@@ -420,10 +414,9 @@ func assertSetsBuild(t *testing.T, b *IndexBuilder, sorted, permuted [][]ingredi
 
 // TestBuildSetsMatchesBuild: over every corpus shape, one reused
 // builder's BuildSets of randomly permuted transactions indexes what
-// Build does of the sorted ones, and on that index forced FP-Growth and
-// forced Apriori — the two kernels that read rows, through the
-// transposed postings — mine exactly what Eclat and a kept BuildIndex
-// give.
+// Build does of the sorted ones, and on that index forced FP-Growth —
+// the kernel that reads rows, through the transposed postings — mines
+// exactly what Eclat and a kept BuildIndex give.
 func TestBuildSetsMatchesBuild(t *testing.T) {
 	src := randx.New(0x5E75)
 	var b IndexBuilder
@@ -434,12 +427,12 @@ func TestBuildSetsMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sup := range []float64{0.02, 0.1} {
-			want, err := MineIndexed(kept, sup, MineOptions{Kernel: KernelEclat})
+			want, err := eclatRun.indexed(kept, sup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []Kernel{KernelEclat, KernelFPGrowth, KernelApriori} {
-				got, err := MineIndexed(ix, sup, MineOptions{Kernel: k})
+			for _, k := range []kernelRun{eclatRun, fpRun} {
+				got, err := k.indexed(ix, sup)
 				if err != nil {
 					t.Fatal(err)
 				}

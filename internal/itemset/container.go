@@ -318,9 +318,9 @@ func (sh *eclatShared) supportOf(ids []uint32) int {
 }
 
 // appendPostingIDs appends a container's member ids to out in ascending
-// order: the enumeration the row-reading kernels transpose postings
-// with, and the reference the differential and fuzz layers compare
-// container pairs through.
+// order: the enumeration FP-Growth transposes postings with, and the
+// reference the differential and fuzz layers compare container pairs
+// through.
 func appendPostingIDs(out []uint32, p posting, words int) []uint32 {
 	switch p.kind {
 	case containerArray:

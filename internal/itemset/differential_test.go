@@ -11,44 +11,33 @@ import (
 	"cuisinevol/internal/synth"
 )
 
-// The cross-kernel differential layer: Mine with every forced kernel —
-// FP-Growth, Eclat (serial and prefix-partition-parallel), indexed
-// Apriori — and with adaptive selection must reproduce the raw Apriori
-// oracle's canonical Result on every corpus we can throw at it. These
-// tests are the proof obligation that lets Mine pick kernels freely: if
-// they pass, kernel selection can never change a pipeline's output.
+// The cross-kernel differential layer: every forced kernel — FP-Growth
+// and Eclat, serial and prefix-partition-parallel — and the adaptive
+// selection Mine runs must reproduce the raw Apriori oracle's canonical
+// Result on every corpus we can throw at it. These tests are the proof
+// obligation that lets Mine pick kernels freely: if they pass, kernel
+// selection can never change a pipeline's output.
 
-// allKernels mines txs through Mine with every forced kernel (plus
-// parallel Eclat and auto) and fails the test unless each Result is
-// identical in canonical order to raw Apriori's. It returns the
-// agreed-upon result.
+// allKernels mines txs with every forced kernel (plus parallel Eclat
+// and auto) and fails the test unless each Result is identical in
+// canonical order to raw Apriori's. It returns the agreed-upon result.
 func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
 	if err != nil {
 		t.Fatalf("%s: apriori: %v", label, err)
 	}
-	runs := []struct {
-		name string
-		opts MineOptions
-	}{
-		{"fpgrowth", MineOptions{Kernel: KernelFPGrowth}},
-		{"eclat", MineOptions{Kernel: KernelEclat}},
-		{"eclat-parallel", MineOptions{Kernel: KernelEclat, Workers: 4}},
-		{"apriori-indexed", MineOptions{Kernel: KernelApriori}},
-		{"mine-auto", MineOptions{}},
-	}
-	for _, run := range runs {
-		got, err := Mine(txs, minSupport, run.opts)
+	for _, run := range append(forcedKernels, autoRun) {
+		got, err := run.mine(txs, minSupport)
 		if err != nil {
-			t.Fatalf("%s: %s: %v", label, run.name, err)
+			t.Fatalf("%s: %v: %v", label, run, err)
 		}
 		if got.N != base.N {
-			t.Fatalf("%s: %s: N = %d, apriori N = %d", label, run.name, got.N, base.N)
+			t.Fatalf("%s: %v: N = %d, apriori N = %d", label, run, got.N, base.N)
 		}
 		if !reflect.DeepEqual(base.Sets, got.Sets) {
-			t.Fatalf("%s: %s diverges from apriori in canonical order\napriori: %v\n%s: %v",
-				label, run.name, base.Sets, run.name, got.Sets)
+			t.Fatalf("%s: %v diverges from apriori in canonical order\napriori: %v\n%v: %v",
+				label, run, base.Sets, run, got.Sets)
 		}
 	}
 	return base
@@ -61,8 +50,8 @@ func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label s
 func kernelsAgreeOnMaps(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) {
 	t.Helper()
 	resA, errA := Apriori(txs, minSupport)
-	resF, errF := Mine(txs, minSupport, MineOptions{Kernel: KernelFPGrowth})
-	resE, errE := Mine(txs, minSupport, MineOptions{Kernel: KernelEclat})
+	resF, errF := FPGrowth(txs, minSupport)
+	resE, errE := Eclat(txs, minSupport)
 	if errA != nil || errF != nil || errE != nil {
 		t.Fatalf("%s: %v %v %v", label, errA, errF, errE)
 	}
@@ -249,7 +238,7 @@ func TestEclatParallelDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8, 16} {
 		for run := 0; run < 3; run++ {
-			got, err := Mine(txs, 0.05, MineOptions{Kernel: KernelEclat, Workers: workers})
+			got, err := kernelRun{k: kernelEclat, workers: workers}.mine(txs, 0.05)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,23 +265,6 @@ func TestEclatValidation(t *testing.T) {
 	}
 }
 
-// TestKernelStringParseRoundTrip pins the kernel naming surface the CLI
-// and the /v1/mine parameter share.
-func TestKernelStringParseRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{KernelAuto, KernelFPGrowth, KernelEclat, KernelApriori} {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("round trip %v: got %v, %v", k, got, err)
-		}
-	}
-	if k, err := ParseKernel(""); err != nil || k != KernelAuto {
-		t.Fatalf("empty kernel: got %v, %v", k, err)
-	}
-	if _, err := ParseKernel("quantum"); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
 // mustIndex builds txs or fails the test.
 func mustIndex(t *testing.T, txs [][]ingredient.ID) *Index {
 	t.Helper()
@@ -308,7 +280,7 @@ func mustIndex(t *testing.T, txs [][]ingredient.ID) *Index {
 // or degenerate data and huge universes with dense columns go to the
 // tree.
 func TestChooseKernelShapes(t *testing.T) {
-	if got := mustIndex(t, nil).ChooseKernel(); got != KernelFPGrowth {
+	if got := mustIndex(t, nil).chooseKernel(); got != kernelFPGrowth {
 		t.Fatalf("empty: %v", got)
 	}
 	// Recipe-shaped: 500 transactions of ~9 items over 300 ingredients.
@@ -317,7 +289,7 @@ func TestChooseKernelShapes(t *testing.T) {
 	for i := range recipes {
 		recipes[i] = tx(src.SampleInts(300, 9)...)
 	}
-	if got := mustIndex(t, recipes).ChooseKernel(); got != KernelEclat {
+	if got := mustIndex(t, recipes).chooseKernel(); got != kernelEclat {
 		t.Fatalf("recipe-shaped: %v", got)
 	}
 	// Sparse long-tail: single-item transactions spread over a huge
@@ -328,7 +300,7 @@ func TestChooseKernelShapes(t *testing.T) {
 	for i := range sparse {
 		sparse[i] = tx(i)
 	}
-	if got := mustIndex(t, sparse).ChooseKernel(); got != KernelEclat {
+	if got := mustIndex(t, sparse).chooseKernel(); got != kernelEclat {
 		t.Fatalf("sparse long-tail: %v", got)
 	}
 	// Past the distinct-item bound the tree wins however the postings
@@ -337,7 +309,7 @@ func TestChooseKernelShapes(t *testing.T) {
 	for i := range huge {
 		huge[i] = tx(i)
 	}
-	if got := mustIndex(t, huge).ChooseKernel(); got != KernelFPGrowth {
+	if got := mustIndex(t, huge).chooseKernel(); got != kernelFPGrowth {
 		t.Fatalf("huge universe: %v", got)
 	}
 	// The selector never changes results — spot-check both shapes.

@@ -21,7 +21,7 @@ import (
 //
 // Dense short transactions — bounded-size recipes over a few hundred
 // ingredients, the regime of every pipeline in this repo — are exactly
-// where the vertical kernel beats the FP-tree; Index.ChooseKernel
+// where the vertical kernel beats the FP-tree; Index.chooseKernel
 // encodes that heuristic.
 
 // eclatShared is the read-only mining state the expansion workers

@@ -319,3 +319,54 @@ func sortInt32s(xs []int32) {
 		}
 	}
 }
+
+// rowScratch holds the rows FP-Growth mines from: unique transaction
+// u's row is rows[off[u]:off[u+1]]. A miner keeps one and refills it
+// per mine, so its arenas are reused.
+type rowScratch struct {
+	off  []int32
+	rows []int32
+	ids  []uint32 // one posting's ids, expanded from a run or bitset
+}
+
+// transpose fills the rows from the postings of the items at the
+// positions in order, walked in that order: row u lists the indices
+// into order of the items unique transaction u holds, ascending. Items
+// not in order are never read, and a transaction holding none of them
+// gets an empty row.
+func (s *rowScratch) transpose(ix *Index, order []int32) {
+	off := zeroed(s.off, ix.uniques+1)
+	for _, p := range order {
+		for _, t := range s.tids(ix.postingAt(int(p)), ix.words) {
+			off[t+1]++
+		}
+	}
+	for u := 0; u < ix.uniques; u++ {
+		off[u+1] += off[u]
+	}
+	rows := grown(s.rows, int(off[ix.uniques]))
+	// Fill with off[u] as row u's cursor: afterwards off[u] is where row
+	// u+1 starts, so one shift restores the offsets.
+	for o, p := range order {
+		for _, t := range s.tids(ix.postingAt(int(p)), ix.words) {
+			rows[off[t]] = int32(o)
+			off[t]++
+		}
+	}
+	copy(off[1:], off[:ix.uniques])
+	off[0] = 0
+	s.off, s.rows = off, rows
+}
+
+// row returns unique transaction u's row.
+func (s *rowScratch) row(u int) []int32 { return s.rows[s.off[u]:s.off[u+1]] }
+
+// tids returns a posting's ids ascending: an array container's own ids,
+// or the others expanded into the scratch.
+func (s *rowScratch) tids(pt posting, words int) []uint32 {
+	if pt.kind == containerArray {
+		return pt.ids
+	}
+	s.ids = appendPostingIDs(s.ids[:0], pt, words)
+	return s.ids
+}

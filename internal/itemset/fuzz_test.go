@@ -67,8 +67,8 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 }
 
 // FuzzMineKernels decodes arbitrary bytes into a bounded transaction
-// corpus and checks that Mine with every forced kernel (Eclat serial
-// and parallel) and with adaptive selection reproduces raw Apriori's
+// corpus and checks that every kernel forced (FP-Growth, Eclat serial
+// and parallel) and Mine's own choice reproduce raw Apriori's
 // canonical result, on the decoded IDs and spread over the int32
 // range; that the radix assembly orders the mined sets as the
 // comparator does; that Eclat with 2, 4 and 8 workers equals the
@@ -142,12 +142,12 @@ func FuzzMineKernels(f *testing.F) {
 		assertComparatorOrder(t, c, 3)
 		// Eclat's parallel expansion must reproduce the serial walk
 		// whatever the worker count.
-		serial, err := Mine(txs, minSupport, MineOptions{Kernel: KernelEclat, Workers: 1})
+		serial, err := kernelRun{k: kernelEclat, workers: 1}.mine(txs, minSupport)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := Mine(txs, minSupport, MineOptions{Kernel: KernelEclat, Workers: workers})
+			got, err := kernelRun{k: kernelEclat, workers: workers}.mine(txs, minSupport)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,13 +10,14 @@ import (
 	"cuisinevol/internal/randx"
 )
 
-// gatedRuns are the mines a gated query is checked on: every kernel,
-// serially and over four workers (only Eclat fans out; the others must
-// ignore the setting).
-var gatedRuns = func() (runs []MineOptions) {
-	for _, k := range []Kernel{KernelFPGrowth, KernelEclat, KernelApriori, KernelAuto} {
+// gatedRuns are the mines a gated query is checked on: every kernel
+// and the index's own choice, serially and over four workers (only
+// Eclat fans out; FP-Growth must ignore the setting).
+var gatedRuns = func() (runs []kernelRun) {
+	for _, r := range []kernelRun{fpRun, eclatRun, autoRun} {
 		for _, w := range []int{1, 4} {
-			runs = append(runs, MineOptions{Kernel: k, Workers: w})
+			r.workers = w
+			runs = append(runs, r)
 		}
 	}
 	return runs
@@ -32,26 +33,26 @@ func assertGatedMines(t *testing.T, ix *Index, minSupport float64, full *Result,
 	for i, s := range full.Sets {
 		counts[i] = s.Count
 	}
-	for _, opts := range gatedRuns {
+	for _, run := range gatedRuns {
 		for _, top := range tops {
-			got, total, err := MineTop(ix, minSupport, top, opts)
+			got, total, err := run.top(ix, minSupport, top)
 			if err != nil {
-				t.Fatalf("%s: %v top %d: %v", label, opts, top, err)
+				t.Fatalf("%s: %v top %d: %v", label, run, top, err)
 			}
 			want := &Result{N: full.N, Sets: full.Sets[:min(top, len(full.Sets))]}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %v top %d differs from the truncated full mine\ngot:  %v\nwant: %v", label, opts, top, got.Sets, want.Sets)
+				t.Fatalf("%s: %v top %d differs from the truncated full mine\ngot:  %v\nwant: %v", label, run, top, got.Sets, want.Sets)
 			}
 			if total != len(full.Sets) {
-				t.Fatalf("%s: %v top %d: total %d, full mine has %d sets", label, opts, top, total, len(full.Sets))
+				t.Fatalf("%s: %v top %d: total %d, full mine has %d sets", label, run, top, total, len(full.Sets))
 			}
 		}
-		sp, err := MineSpectrum(ix, minSupport, opts)
+		sp, err := run.spectrum(ix, minSupport)
 		if err != nil {
-			t.Fatalf("%s: %v spectrum: %v", label, opts, err)
+			t.Fatalf("%s: %v spectrum: %v", label, run, err)
 		}
 		if sp.N != full.N || !slices.Equal(sp.Counts, counts) {
-			t.Fatalf("%s: %v spectrum N %d %v, want N %d %v", label, opts, sp.N, sp.Counts, full.N, counts)
+			t.Fatalf("%s: %v spectrum N %d %v, want N %d %v", label, run, sp.N, sp.Counts, full.N, counts)
 		}
 	}
 }
@@ -80,7 +81,7 @@ func TestGatedMinesMatchFullMine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := MineIndexed(ix, sup, MineOptions{Kernel: KernelApriori})
+		full, err := Apriori(txs, sup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +116,10 @@ func TestGatedMineEdges(t *testing.T) {
 		}
 		n := len(full.Sets)
 		assertGatedMines(t, ix, c.sup, full, []int{1, 3, n, n + 1}, c.name)
-		for _, opts := range gatedRuns {
-			res, total, err := MineTop(ix, c.sup, 0, opts)
+		for _, run := range gatedRuns {
+			res, total, err := run.top(ix, c.sup, 0)
 			if err != nil || len(res.Sets) != 0 || total != n {
-				t.Fatalf("%s: %v top 0: %d sets, total %d (want 0, %d), err %v", c.name, opts, len(res.Sets), total, n, err)
+				t.Fatalf("%s: %v top 0: %d sets, total %d (want 0, %d), err %v", c.name, run, len(res.Sets), total, n, err)
 			}
 		}
 	}
@@ -210,12 +211,12 @@ func TestSinkResetAndTrimDisarmGate(t *testing.T) {
 func TestGatedMineLeavesPooledStateClean(t *testing.T) {
 	a := replicatePool(3, 6, 300, 8, 40)
 	b := replicatePool(4, 6, 300, 8, 40)
-	want, err := MineIndexed(mustIndex(t, b), 0.02, MineOptions{Kernel: KernelApriori})
+	want, err := Apriori(b, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var builder IndexBuilder
-	for _, opts := range gatedRuns {
+	for _, run := range gatedRuns {
 		for _, kept := range []bool{false, true} {
 			build := func(txs [][]ingredient.ID) *Index {
 				if kept {
@@ -228,18 +229,18 @@ func TestGatedMineLeavesPooledStateClean(t *testing.T) {
 				return ix
 			}
 			ixA := build(a)
-			if _, _, err := MineTop(ixA, 0.02, 1, opts); err != nil {
+			if _, _, err := run.top(ixA, 0.02, 1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := MineSpectrum(ixA, 0.02, opts); err != nil {
+			if _, err := run.spectrum(ixA, 0.02); err != nil {
 				t.Fatal(err)
 			}
-			got, err := MineIndexed(build(b), 0.02, opts)
+			got, err := run.indexed(build(b), 0.02)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v (kept index %v): full mine after gated mines differs", opts, kept)
+				t.Fatalf("%v (kept index %v): full mine after gated mines differs", run, kept)
 			}
 		}
 	}

@@ -49,10 +49,10 @@ func TestChooseKernelDistinctBoundary(t *testing.T) {
 	at := distinctBoundaryCorpus(maxEclatDistinct)
 	over := distinctBoundaryCorpus(maxEclatDistinct + 1)
 	ixAt, ixOver := mustIndex(t, at), mustIndex(t, over)
-	if got := ixAt.ChooseKernel(); got != KernelEclat {
+	if got := ixAt.chooseKernel(); got != kernelEclat {
 		t.Fatalf("distinct = max: %v, want eclat", got)
 	}
-	if got := ixOver.ChooseKernel(); got != KernelFPGrowth {
+	if got := ixOver.chooseKernel(); got != kernelFPGrowth {
 		t.Fatalf("distinct = max+1: %v, want fpgrowth", got)
 	}
 	// Forced kernels must agree on the result on both sides of the edge.
@@ -69,10 +69,10 @@ func TestChooseKernelTxCountBoundary(t *testing.T) {
 		txs[i] = one
 	}
 	ixAt, ixOver := mustIndex(t, txs[:maxEclatTxs]), mustIndex(t, txs)
-	if got := ixAt.ChooseKernel(); got != KernelEclat {
+	if got := ixAt.chooseKernel(); got != kernelEclat {
 		t.Fatalf("n = max: %v, want eclat", got)
 	}
-	if got := ixOver.ChooseKernel(); got != KernelFPGrowth {
+	if got := ixOver.chooseKernel(); got != kernelFPGrowth {
 		t.Fatalf("n = max+1: %v, want fpgrowth", got)
 	}
 	forcedKernelsAgree(t, ixAt, txs[:maxEclatTxs], 0.5, "txcount-at")
@@ -100,7 +100,7 @@ func TestChooseKernelDensityBoundary(t *testing.T) {
 	if densityClears(ixUnder) {
 		t.Fatal("density = 1/65: clears the density bound, want one off under")
 	}
-	if got := ixAt.ChooseKernel(); got != KernelEclat {
+	if got := ixAt.chooseKernel(); got != kernelEclat {
 		t.Fatalf("density = 1/64: %v, want eclat", got)
 	}
 	// Under the density bound the posting mix decides: every item here
@@ -109,7 +109,7 @@ func TestChooseKernelDensityBoundary(t *testing.T) {
 	if st := ixUnder.ContainerStats(); st.Arrays != 4096 || st.Bitsets != 0 || st.Runs != 0 {
 		t.Fatalf("under: container mix %+v, want all arrays", st)
 	}
-	if got := ixUnder.ChooseKernel(); got != KernelEclat {
+	if got := ixUnder.chooseKernel(); got != kernelEclat {
 		t.Fatalf("density = 1/65: %v, want eclat (compressed-share rule)", got)
 	}
 	// Disjoint transactions: nothing reaches a 0.5 threshold, but the
@@ -160,13 +160,13 @@ func TestChooseKernelCompressedShareBoundary(t *testing.T) {
 	if st := ixAt.ContainerStats(); st.Bitsets != 64 || st.Arrays != 192 || st.Runs != 0 {
 		t.Fatalf("at: container mix %+v, want 64 bitsets + 192 arrays", st)
 	}
-	if got := ixAt.ChooseKernel(); got != KernelEclat {
+	if got := ixAt.chooseKernel(); got != kernelEclat {
 		t.Fatalf("share = 0.75 exactly: indexed %v, want eclat (edge is inclusive)", got)
 	}
 	if st := ixUnder.ContainerStats(); st.Bitsets != 64 || st.Arrays != 191 || st.Runs != 0 {
 		t.Fatalf("under: container mix %+v, want 64 bitsets + 191 arrays", st)
 	}
-	if got := ixUnder.ChooseKernel(); got != KernelFPGrowth {
+	if got := ixUnder.chooseKernel(); got != kernelFPGrowth {
 		t.Fatalf("share = 191/255: indexed %v, want fpgrowth (one off under)", got)
 	}
 	// The flip never affects results, only speed.
@@ -179,31 +179,31 @@ func TestChooseKernelCompressedShareBoundary(t *testing.T) {
 // design, so equality of forced runs is what proves the flip harmless.
 func forcedKernelsAgree(t *testing.T, ix *Index, txs [][]ingredient.ID, minSupport float64, label string) {
 	t.Helper()
-	base, err := MineIndexed(ix, minSupport, MineOptions{Kernel: KernelApriori})
+	base, err := Apriori(txs, minSupport)
 	if err != nil {
-		t.Fatalf("%s: indexed apriori: %v", label, err)
+		t.Fatalf("%s: apriori: %v", label, err)
 	}
-	for _, k := range []Kernel{KernelFPGrowth, KernelEclat} {
-		indexed, err := MineIndexed(ix, minSupport, MineOptions{Kernel: k})
+	for _, k := range []kernelRun{fpRun, eclatRun} {
+		indexed, err := k.indexed(ix, minSupport)
 		if err != nil {
 			t.Fatalf("%s: indexed %v: %v", label, k, err)
 		}
 		if !reflect.DeepEqual(base.Sets, indexed.Sets) {
-			t.Fatalf("%s: indexed %v diverges from indexed apriori", label, k)
+			t.Fatalf("%s: indexed %v diverges from apriori", label, k)
 		}
-		mined, err := Mine(txs, minSupport, MineOptions{Kernel: k})
+		mined, err := k.mine(txs, minSupport)
 		if err != nil {
 			t.Fatalf("%s: Mine %v: %v", label, k, err)
 		}
 		if !reflect.DeepEqual(base.Sets, mined.Sets) {
-			t.Fatalf("%s: Mine %v diverges from indexed apriori", label, k)
+			t.Fatalf("%s: Mine %v diverges from apriori", label, k)
 		}
 	}
 }
 
 // densityClears reports whether the index's column density reaches
 // minEclatDensity — the dense-sweep bound, evaluated independently of
-// ChooseKernel so each boundary test names the statistic it moves.
+// chooseKernel so each boundary test names the statistic it moves.
 func densityClears(ix *Index) bool {
 	return float64(ix.TotalOccurrences()) >= minEclatDensity*float64(ix.N())*float64(ix.DistinctItems())
 }

@@ -12,15 +12,14 @@ import (
 // item over the unique-transaction ids — every item, not just the ones
 // frequent at some threshold — plus a content fingerprint of the
 // indexed transactions. The postings are the index: it keeps no rows,
-// and the few readers that want rows (FP-Growth, indexed Apriori)
-// transpose the postings of their frequent items (see rowScratch).
+// and FP-Growth, the one reader that wants rows, transposes the
+// postings of its frequent items (see rowScratch).
 //
-// The index depends only on the corpus, never on a mining threshold or
-// kernel, so one build amortizes across every (minSupport, kernel)
-// query: MineIndexed filters the frequent items at query time and mines
-// straight off the posting containers without ever touching raw
-// [][]ingredient.ID again. Container intersection is the query
-// primitive.
+// The index depends only on the corpus, never on a mining threshold,
+// so one build amortizes across every minSupport query: MineIndexed
+// filters the frequent items at query time and mines straight off the
+// posting containers without ever touching raw [][]ingredient.ID
+// again. Container intersection is the query primitive.
 //
 // An Index is immutable once built and safe for concurrent use by any
 // number of queries; an IndexBuilder's index lives until that builder's
@@ -125,7 +124,7 @@ func (ix *Index) AddSupportCounts(dst []int) {
 	}
 }
 
-// ChooseKernel picks the cheaper mining kernel from the index's exact
+// chooseKernel picks the cheaper mining kernel from the index's exact
 // shape statistics: transaction count, distinct item count, density and
 // posting mix. Dense short transactions over a modest item universe —
 // recipes: size in [2, 38], mean ≈ 9, a few hundred ingredients — go to
@@ -134,13 +133,13 @@ func (ix *Index) AddSupportCounts(dst []int) {
 // cost then follows the cardinalities, not bitmap words (see
 // minEclatCompressedShare). Anything else falls back to FP-Growth. The
 // choice never affects results, only speed.
-func (ix *Index) ChooseKernel() Kernel {
+func (ix *Index) chooseKernel() kernel {
 	n, distinct := ix.n, len(ix.items)
 	if n == 0 || n > maxEclatTxs || distinct == 0 || distinct > maxEclatDistinct {
-		return KernelFPGrowth
+		return kernelFPGrowth
 	}
 	if float64(ix.totalOcc)/(float64(n)*float64(distinct)) >= minEclatDensity {
-		return KernelEclat
+		return kernelEclat
 	}
 	compressed := 0
 	for _, kind := range ix.postKind {
@@ -149,9 +148,9 @@ func (ix *Index) ChooseKernel() Kernel {
 		}
 	}
 	if float64(compressed) >= minEclatCompressedShare*float64(distinct) {
-		return KernelEclat
+		return kernelEclat
 	}
-	return KernelFPGrowth
+	return kernelFPGrowth
 }
 
 // ContainerStats summarizes an index's posting-container mix: how many
@@ -206,145 +205,4 @@ func (ix *Index) postingAt(p int) posting {
 		pt.ids = ix.idArena[off : off+ln]
 	}
 	return pt
-}
-
-// rowScratch holds the rows the row-reading kernels mine from: unique
-// transaction u's row is rows[off[u]:off[u+1]]. A miner keeps one and
-// refills it per mine, so its arenas are reused.
-type rowScratch struct {
-	off  []int32
-	rows []int32
-	ids  []uint32 // one posting's ids, expanded from a run or bitset
-}
-
-// transpose fills the rows from the postings of the items at the
-// positions in order, walked in that order: row u lists the indices
-// into order of the items unique transaction u holds, ascending. Items
-// not in order are never read, and a transaction holding none of them
-// gets an empty row.
-func (s *rowScratch) transpose(ix *Index, order []int32) {
-	off := zeroed(s.off, ix.uniques+1)
-	for _, p := range order {
-		for _, t := range s.tids(ix.postingAt(int(p)), ix.words) {
-			off[t+1]++
-		}
-	}
-	for u := 0; u < ix.uniques; u++ {
-		off[u+1] += off[u]
-	}
-	rows := grown(s.rows, int(off[ix.uniques]))
-	// Fill with off[u] as row u's cursor: afterwards off[u] is where row
-	// u+1 starts, so one shift restores the offsets.
-	for o, p := range order {
-		for _, t := range s.tids(ix.postingAt(int(p)), ix.words) {
-			rows[off[t]] = int32(o)
-			off[t]++
-		}
-	}
-	copy(off[1:], off[:ix.uniques])
-	off[0] = 0
-	s.off, s.rows = off, rows
-}
-
-// row returns unique transaction u's row.
-func (s *rowScratch) row(u int) []int32 { return s.rows[s.off[u]:s.off[u+1]] }
-
-// tids returns a posting's ids ascending: an array container's own ids,
-// or the others expanded into the scratch.
-func (s *rowScratch) tids(pt posting, words int) []uint32 {
-	if pt.kind == containerArray {
-		return pt.ids
-	}
-	s.ids = appendPostingIDs(s.ids[:0], pt, words)
-	return s.ids
-}
-
-// aprioriIndexed is the level-wise kernel's query phase: L1 comes from
-// the index's support counts and candidate counting scans the weighted
-// unique transactions, transposed from the frequent items' postings,
-// instead of raw transactions. It mines in position
-// space — every Items slice below holds Index item positions, which
-// ascend with the IDs — so its sets go to the canonical assembly as
-// they are. A non-nil gate arms its sink.
-func aprioriIndexed(ix *Index, minSupport float64, g *gate) (*Result, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, ErrBadSupport
-	}
-	res := &Result{N: ix.n}
-	if ix.n == 0 {
-		return res, nil
-	}
-	mc := minCount(ix.n, minSupport)
-	var out setSink
-	if g != nil {
-		out.arm(g.top, mc, ix.items)
-	}
-	collect := func(level []Itemset) {
-		for _, s := range level {
-			if !out.keep(s.Count) {
-				continue
-			}
-			dst := out.add(len(s.Items), s.Count)
-			for i, p := range s.Items {
-				dst[i] = int32(p)
-			}
-		}
-	}
-
-	// L1 straight from the index counts, in ascending position order.
-	var level []Itemset
-	for p, ic := range ix.items {
-		if ic.count >= mc {
-			level = append(level, Itemset{Items: []ingredient.ID{ingredient.ID(p)}, Count: ic.count})
-		}
-	}
-	collect(level)
-
-	// Project the unique transactions onto the frequent items once,
-	// keeping their multiplicities: the frequent items' postings,
-	// transposed in ascending position order, give sorted rows.
-	order := make([]int32, 0, len(level))
-	for _, s := range level {
-		order = append(order, int32(s.Items[0]))
-	}
-	var rs rowScratch
-	rs.transpose(ix, order)
-	filtered := make([][]ingredient.ID, 0, ix.uniques)
-	weights := make([]int32, 0, ix.uniques)
-	for u := 0; u < ix.uniques; u++ {
-		row := rs.row(u)
-		if len(row) < 2 {
-			continue
-		}
-		ftx := make([]ingredient.ID, len(row))
-		for i, o := range row {
-			ftx[i] = ingredient.ID(order[o])
-		}
-		filtered = append(filtered, ftx)
-		weights = append(weights, ix.weights[u])
-	}
-
-	for len(level) >= 2 {
-		candidates := aprioriGen(level)
-		if len(candidates) == 0 {
-			break
-		}
-		countCandidates(candidates, filtered, weights)
-		next := candidates[:0]
-		for _, c := range candidates {
-			if c.Count >= mc {
-				next = append(next, c)
-			}
-		}
-		level = append([]Itemset(nil), next...)
-		sortLexical(level)
-		collect(level)
-	}
-
-	sets, err := new(canonOrder).finish(ix.items, g, &out)
-	if err != nil {
-		return nil, err
-	}
-	res.Sets = sets
-	return res, nil
 }

@@ -19,27 +19,17 @@ func allKernelsIndexed(t *testing.T, ix *Index, txs [][]ingredient.ID, minSuppor
 	if err != nil {
 		t.Fatalf("%s: apriori: %v", label, err)
 	}
-	runs := []struct {
-		name string
-		opts MineOptions
-	}{
-		{"indexed-fpgrowth", MineOptions{Kernel: KernelFPGrowth}},
-		{"indexed-eclat", MineOptions{Kernel: KernelEclat}},
-		{"indexed-eclat-parallel", MineOptions{Kernel: KernelEclat, Workers: 4}},
-		{"indexed-apriori", MineOptions{Kernel: KernelApriori}},
-		{"indexed-auto", MineOptions{}},
-	}
-	for _, run := range runs {
-		got, err := MineIndexed(ix, minSupport, run.opts)
+	for _, run := range append(forcedKernels, autoRun) {
+		got, err := run.indexed(ix, minSupport)
 		if err != nil {
-			t.Fatalf("%s: %s: %v", label, run.name, err)
+			t.Fatalf("%s: %v: %v", label, run, err)
 		}
 		if got.N != base.N {
-			t.Fatalf("%s: %s: N = %d, apriori N = %d", label, run.name, got.N, base.N)
+			t.Fatalf("%s: %v: N = %d, apriori N = %d", label, run, got.N, base.N)
 		}
 		if !reflect.DeepEqual(base.Sets, got.Sets) {
-			t.Fatalf("%s: %s diverges from raw apriori in canonical order\napriori: %v\n%s: %v",
-				label, run.name, base.Sets, run.name, got.Sets)
+			t.Fatalf("%s: %v diverges from raw apriori in canonical order\napriori: %v\n%v: %v",
+				label, run, base.Sets, run, got.Sets)
 		}
 	}
 	return base
@@ -90,8 +80,8 @@ func TestBuildIndexValidation(t *testing.T) {
 	if ix.N() != 0 || ix.DistinctItems() != 0 {
 		t.Fatalf("empty index: N=%d distinct=%d", ix.N(), ix.DistinctItems())
 	}
-	for _, k := range []Kernel{KernelAuto, KernelFPGrowth, KernelEclat, KernelApriori} {
-		res, err := MineIndexed(ix, 0.5, MineOptions{Kernel: k})
+	for _, k := range append(forcedKernels, autoRun) {
+		res, err := k.indexed(ix, 0.5)
 		if err != nil || res.N != 0 || len(res.Sets) != 0 {
 			t.Fatalf("empty index, kernel %v: res=%v err=%v", k, res, err)
 		}
@@ -104,8 +94,8 @@ func TestMineIndexedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sup := range []float64{0, -0.1, 1.01} {
-		for _, k := range []Kernel{KernelFPGrowth, KernelEclat, KernelApriori} {
-			if _, err := MineIndexed(ix, sup, MineOptions{Kernel: k}); err != ErrBadSupport {
+		for _, k := range append(forcedKernels, autoRun) {
+			if _, err := k.indexed(ix, sup); err != ErrBadSupport {
 				t.Fatalf("support %v kernel %v: want ErrBadSupport, got %v", sup, k, err)
 			}
 		}
@@ -267,7 +257,7 @@ func TestIndexImmutableAcrossQueries(t *testing.T) {
 	want := make([]map[string]int, len(supports))
 	kept := make([]*Result, len(supports))
 	for i, sup := range supports {
-		res, err := MineIndexed(ix, sup, MineOptions{Kernel: KernelEclat})
+		res, err := eclatRun.indexed(ix, sup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,16 +322,16 @@ func TestIndexChooseKernelMatchesRaw(t *testing.T) {
 		}
 		n, distinct := len(txs), len(seen)
 		st := ix.ContainerStats()
-		want := KernelFPGrowth
+		want := kernelFPGrowth
 		switch {
 		case n == 0 || n > maxEclatTxs || distinct == 0 || distinct > maxEclatDistinct:
 		case float64(occ) >= minEclatDensity*float64(n)*float64(distinct):
-			want = KernelEclat
+			want = kernelEclat
 		case float64(st.Arrays+st.Runs) >= minEclatCompressedShare*float64(distinct):
-			want = KernelEclat
+			want = kernelEclat
 		}
-		if got := ix.ChooseKernel(); got != want {
-			t.Fatalf("trial %d: Index.ChooseKernel() = %v, rule on raw statistics = %v (mix %+v)",
+		if got := ix.chooseKernel(); got != want {
+			t.Fatalf("trial %d: Index.chooseKernel() = %v, rule on raw statistics = %v (mix %+v)",
 				trial, got, want, st)
 		}
 	}

@@ -80,7 +80,7 @@ func BenchmarkMineWarmUnderWrites(b *testing.B) {
 		}
 		ids = append(ids, newIDs[0])
 		oldest++
-		if _, err := MineIndexed(li.Snapshot(), 0.05, MineOptions{Kernel: KernelEclat}); err != nil {
+		if _, err := eclatRun.indexed(li.Snapshot(), 0.05); err != nil {
 			return err
 		}
 		return nil

@@ -155,7 +155,7 @@ func (tr *liveTrial) verify(t *testing.T, src *randx.Source, label string) {
 			t.Fatalf("%s: snapshot structurally differs from BuildIndex", vlabel)
 		}
 		// Two random thresholds per checkpoint; allKernelsIndexed runs
-		// FP-Growth, Eclat serial+parallel, Apriori and auto against the
+		// FP-Growth, Eclat serial+parallel and auto against the
 		// raw Apriori oracle, so byte-identity of snapshot mining to
 		// from-scratch mining is transitive through it.
 		for i := 0; i < 2; i++ {
@@ -314,13 +314,7 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 		}
 	}()
 
-	kernels := []MineOptions{
-		{Kernel: KernelFPGrowth},
-		{Kernel: KernelEclat},
-		{Kernel: KernelEclat, Workers: 4},
-		{Kernel: KernelApriori},
-		{},
-	}
+	kernels := append(forcedKernels, autoRun)
 	for r := 0; r < 6; r++ {
 		wg.Add(1)
 		go func(r int) { // reader
@@ -337,13 +331,13 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 				}
 				snap := li.Snapshot()
 				fp := snap.Fingerprint()
-				base, err := MineIndexed(snap, sup, kernels[iter%len(kernels)])
+				base, err := kernels[iter%len(kernels)].indexed(snap, sup)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
 				for k := range kernels {
-					got, err := MineIndexed(snap, sup, kernels[k])
+					got, err := kernels[k].indexed(snap, sup)
 					if err != nil {
 						t.Errorf("reader %d: %v", r, err)
 						return
@@ -361,7 +355,7 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 				// the writer has advanced since, and the old epoch must
 				// be bitwise frozen.
 				if pinned != nil {
-					again, err := MineIndexed(pinned, sup, kernels[iter%len(kernels)])
+					again, err := kernels[iter%len(kernels)].indexed(pinned, sup)
 					if err != nil {
 						t.Errorf("reader %d: pinned re-mine: %v", r, err)
 						return

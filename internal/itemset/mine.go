@@ -1,71 +1,9 @@
 package itemset
 
-import (
-	"fmt"
-	"strings"
-
-	"cuisinevol/internal/ingredient"
-)
-
-// Kernel selects the mining algorithm behind Mine. All kernels produce
-// byte-identical Results (pinned by the cross-kernel differential
-// tests); they differ only in how fast they get there on a given corpus
-// shape.
-type Kernel uint8
-
-const (
-	// KernelAuto lets Mine pick the cheaper kernel from the corpus shape
-	// (see Index.ChooseKernel). The zero value, so "unset" means adaptive.
-	KernelAuto Kernel = iota
-	// KernelFPGrowth is the flat-memory FP-tree kernel — the safe
-	// default for large or sparse corpora.
-	KernelFPGrowth
-	// KernelEclat is the vertical bitset kernel — fastest on dense
-	// short transactions over a modest item universe.
-	KernelEclat
-	// KernelApriori is the level-wise reference implementation. Never
-	// selected automatically; it exists as an explicit override so the
-	// differential layer has an independent third opinion.
-	KernelApriori
-)
-
-// String returns the kernel's canonical lowercase name.
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelFPGrowth:
-		return "fpgrowth"
-	case KernelEclat:
-		return "eclat"
-	case KernelApriori:
-		return "apriori"
-	}
-	return fmt.Sprintf("kernel(%d)", uint8(k))
-}
-
-// ParseKernel maps a kernel name to its Kernel. The empty string means
-// KernelAuto; names are case-insensitive and accept the common spelling
-// variants ("fp-growth", "fp").
-func ParseKernel(s string) (Kernel, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return KernelAuto, nil
-	case "fpgrowth", "fp-growth", "fp":
-		return KernelFPGrowth, nil
-	case "eclat", "bitset", "vertical":
-		return KernelEclat, nil
-	case "apriori":
-		return KernelApriori, nil
-	}
-	return 0, fmt.Errorf("itemset: unknown kernel %q (use auto, fpgrowth, eclat or apriori)", s)
-}
+import "cuisinevol/internal/ingredient"
 
 // MineOptions tunes a Mine call.
 type MineOptions struct {
-	// Kernel overrides the adaptive selection; KernelAuto (the zero
-	// value) keeps it.
-	Kernel Kernel
 	// Workers > 1 fans the Eclat kernel's top-level prefix partitions
 	// over that many scheduler workers; <= 1 mines serially. Only the
 	// vertical kernel parallelizes a single mine — the pipelines get
@@ -132,21 +70,28 @@ func MineSpectrum(ix *Index, minSupport float64, opts MineOptions) (Spectrum, er
 	return Spectrum{Counts: g.spectrum, N: res.N}, nil
 }
 
-// mineGated runs the chosen kernel over the index; a nil gate mines
-// the full Result.
+// kernel names a mining algorithm. The two produce byte-identical
+// Results (pinned by the cross-kernel differential tests); they differ
+// only in how fast they get there on a given corpus shape.
+type kernel uint8
+
+const (
+	// kernelFPGrowth is the flat-memory FP-tree kernel, the fallback
+	// for large or sparse corpora.
+	kernelFPGrowth kernel = iota
+	// kernelEclat is the vertical kernel, fastest on dense short
+	// transactions over a modest item universe.
+	kernelEclat
+)
+
+// mineGated runs the kernel the index chooses for itself (see
+// Index.chooseKernel), the one place a mine's kernel is picked; a nil
+// gate mines the full Result.
 func mineGated(ix *Index, minSupport float64, opts MineOptions, g *gate) (*Result, error) {
-	k := opts.Kernel
-	if k == KernelAuto {
-		k = ix.ChooseKernel()
-	}
-	switch k {
-	case KernelEclat:
+	if ix.chooseKernel() == kernelEclat {
 		return eclatMineIndexed(ix, minSupport, opts.Workers, g)
-	case KernelApriori:
-		return aprioriIndexed(ix, minSupport, g)
-	default:
-		return fpGrowthIndexed(ix, minSupport, g)
 	}
+	return fpGrowthIndexed(ix, minSupport, g)
 }
 
 // Adaptive-selection thresholds (see DESIGN.md §10). The vertical

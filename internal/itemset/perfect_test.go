@@ -115,9 +115,9 @@ func TestPerfectExtensionEveryTop(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2} {
-			opts := MineOptions{Kernel: KernelEclat, Workers: w}
+			run := kernelRun{k: kernelEclat, workers: w}
 			for top := 1; top <= len(full.Sets); top++ {
-				res, total, err := MineTop(ix, 0.1, top, opts)
+				res, total, err := run.top(ix, 0.1, top)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,35 +175,35 @@ func assertMatchesFull(t *testing.T, txs [][]ingredient.ID, sup float64, full *R
 	for i, s := range full.Sets {
 		counts[i] = s.Count
 	}
-	for _, k := range []Kernel{KernelEclat, KernelFPGrowth} {
+	for _, k := range []kernel{kernelEclat, kernelFPGrowth} {
 		for _, w := range []int{1, 2} {
-			opts := MineOptions{Kernel: k, Workers: w}
-			got, err := Mine(txs, sup, opts)
+			run := kernelRun{k: k, workers: w}
+			got, err := run.mine(txs, sup)
 			if err != nil {
-				t.Fatalf("%s: %v: %v", label, opts, err)
+				t.Fatalf("%s: %v: %v", label, run, err)
 			}
 			if !reflect.DeepEqual(got, full) {
-				t.Fatalf("%s: %v differs from apriori\ngot:  %v\nwant: %v", label, opts, got.Sets, full.Sets)
+				t.Fatalf("%s: %v differs from apriori\ngot:  %v\nwant: %v", label, run, got.Sets, full.Sets)
 			}
 			for _, top := range []int{1, 25, len(full.Sets) + 1} {
-				res, total, err := MineTop(ix, sup, top, opts)
+				res, total, err := run.top(ix, sup, top)
 				if err != nil {
-					t.Fatalf("%s: %v top %d: %v", label, opts, top, err)
+					t.Fatalf("%s: %v top %d: %v", label, run, top, err)
 				}
 				want := &Result{N: full.N, Sets: full.Sets[:min(top, len(full.Sets))]}
 				if !reflect.DeepEqual(res, want) {
-					t.Fatalf("%s: %v top %d differs from the head of the full mine\ngot:  %v\nwant: %v", label, opts, top, res.Sets, want.Sets)
+					t.Fatalf("%s: %v top %d differs from the head of the full mine\ngot:  %v\nwant: %v", label, run, top, res.Sets, want.Sets)
 				}
 				if total != len(full.Sets) {
-					t.Fatalf("%s: %v top %d: total %d, full mine has %d sets", label, opts, top, total, len(full.Sets))
+					t.Fatalf("%s: %v top %d: total %d, full mine has %d sets", label, run, top, total, len(full.Sets))
 				}
 			}
-			sp, err := MineSpectrum(ix, sup, opts)
+			sp, err := run.spectrum(ix, sup)
 			if err != nil {
-				t.Fatalf("%s: %v spectrum: %v", label, opts, err)
+				t.Fatalf("%s: %v spectrum: %v", label, run, err)
 			}
 			if sp.N != full.N || !slices.Equal(sp.Counts, counts) {
-				t.Fatalf("%s: %v spectrum N %d %v, want N %d %v", label, opts, sp.N, sp.Counts, full.N, counts)
+				t.Fatalf("%s: %v spectrum N %d %v, want N %d %v", label, run, sp.N, sp.Counts, full.N, counts)
 			}
 		}
 	}
@@ -222,18 +222,18 @@ func TestMineCountOverflow(t *testing.T) {
 	big := tx(items...)
 	var builder IndexBuilder
 	start := time.Now()
-	for _, opts := range []MineOptions{{Kernel: KernelEclat}, {Kernel: KernelEclat, Workers: 2}, {}} {
+	for _, run := range []kernelRun{eclatRun, {k: kernelEclat, workers: 2}, autoRun} {
 		ix, err := builder.Build([][]ingredient.ID{big, big})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, top := range []int{0, 1, 25} {
-			if _, _, err := MineTop(ix, 1, top, opts); !errors.Is(err, ErrTooManySets) {
-				t.Fatalf("%v top %d: err %v, want ErrTooManySets", opts, top, err)
+			if _, _, err := run.top(ix, 1, top); !errors.Is(err, ErrTooManySets) {
+				t.Fatalf("%v top %d: err %v, want ErrTooManySets", run, top, err)
 			}
 		}
-		if _, err := MineSpectrum(ix, 1, opts); !errors.Is(err, ErrTooManySets) {
-			t.Fatalf("%v spectrum: err %v, want ErrTooManySets", opts, err)
+		if _, err := run.spectrum(ix, 1); !errors.Is(err, ErrTooManySets) {
+			t.Fatalf("%v spectrum: err %v, want ErrTooManySets", run, err)
 		}
 		small, err := builder.Build(classicTxs())
 		if err != nil {
@@ -243,8 +243,8 @@ func TestMineCountOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := MineIndexed(small, 2.0/9, opts); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: mine after an overflow differs (err %v)", opts, err)
+		if got, err := run.indexed(small, 2.0/9); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: mine after an overflow differs (err %v)", run, err)
 		}
 	}
 	if d := time.Since(start); d > 10*time.Second {
@@ -267,17 +267,17 @@ func TestMineHugeFamilyCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []MineOptions{{Kernel: KernelEclat}, {Kernel: KernelEclat, Workers: 2}} {
-		res, total, err := MineTop(ix, 1, 3, opts)
+	for _, run := range []kernelRun{eclatRun, {k: kernelEclat, workers: 2}} {
+		res, total, err := run.top(ix, 1, 3)
 		if err != nil || total != 1<<40-1 {
-			t.Fatalf("%v: total %d, err %v; want %d", opts, total, err, 1<<40-1)
+			t.Fatalf("%v: total %d, err %v; want %d", run, total, err, 1<<40-1)
 		}
 		want := []Itemset{{Items: tx(0), Count: 2}, {Items: tx(1), Count: 2}, {Items: tx(2), Count: 2}}
 		if !reflect.DeepEqual(res.Sets, want) {
-			t.Fatalf("%v: head %v, want %v", opts, res.Sets, want)
+			t.Fatalf("%v: head %v, want %v", run, res.Sets, want)
 		}
-		if _, err := MineSpectrum(ix, 1, opts); !errors.Is(err, ErrTooManySets) {
-			t.Fatalf("%v spectrum: err %v, want ErrTooManySets", opts, err)
+		if _, err := run.spectrum(ix, 1); !errors.Is(err, ErrTooManySets) {
+			t.Fatalf("%v spectrum: err %v, want ErrTooManySets", run, err)
 		}
 	}
 }

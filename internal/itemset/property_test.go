@@ -145,7 +145,7 @@ func TestMinerScratchReuseIsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MineIndexed(ix, 0.05, MineOptions{Kernel: KernelFPGrowth})
+		got, err := fpRun.indexed(ix, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}

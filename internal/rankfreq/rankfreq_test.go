@@ -16,7 +16,7 @@ func TestFromResult(t *testing.T) {
 	txs := [][]ingredient.ID{
 		{1, 2}, {1, 2}, {1, 3}, {1}, {2},
 	}
-	res, err := itemset.Mine(txs, 0.2, itemset.MineOptions{Kernel: itemset.KernelFPGrowth})
+	res, err := itemset.Mine(txs, 0.2, itemset.MineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

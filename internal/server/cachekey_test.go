@@ -36,13 +36,13 @@ func TestCacheKeysPinned(t *testing.T) {
 	}
 
 	const (
-		mine25  = "categories=false&kernel=auto&region=ITA&support=0.05&top=25"
-		mine10  = "categories=false&kernel=auto&region=ITA&support=0.05&top=10"
+		mine25  = "categories=false&region=ITA&support=0.05&top=25"
+		mine10  = "categories=false&region=ITA&support=0.05&top=10"
 		overrep = "k=5&region=ITA"
 		fig4    = "categories=false&dists=false&regions=ITA,KOR&replicates=2"
 
-		keyMine25  = "5e835691fd810d64abd5a8436208389afea32b8df3a2a76cdcdb7091e3e3b911"
-		keyMine10  = "ffe805e9549da7c1674160870a61c4148b081fc61e9def949716b17ddb15f60e"
+		keyMine25  = "3fe2eec6cd8e9038300e3da33248ba1daf096a683cce67717bf571351633574f"
+		keyMine10  = "c7e4f858bec660e1bc5bff744913ee0bca66abe2c911a54c2d168d0eef5662e9"
 		keyOverrep = "b365827cb56fe83055a4796c29bfef160580c8a03a28431e3c1b066e10497016"
 		keyFig4    = "0ec7b6477224ba1e3a95a1b53e45280f01e5db22f38a0d2dacd1b3bc98a15aae"
 	)
@@ -58,7 +58,7 @@ func TestCacheKeysPinned(t *testing.T) {
 		{"/v1/mine?region=ITA", "/v1/mine", mine25, keyMine25},
 		{"/v1/overrep?region=ITA&k=5", "/v1/overrep", overrep, keyOverrep},
 		{"/v1/evolve?region=ITA&model=NM&replicates=2", "/v1/evolve", "model=NM&region=ITA&replicates=2&support=0.05", "fc937a62a9fa24f57a221eaeb7f2b4333059673601cb26aabe44a44f22b192c7"},
-		{"/v1/mine?corpus=tiny&region=ITA&support=0.5", "/v1/mine", "categories=false&kernel=auto&region=ITA&support=0.5&top=25", "d34178dfbc3f1d742c8652ad182c5aeabeb6bbf913d468dc9573fb8592d1e5cc"},
+		{"/v1/mine?corpus=tiny&region=ITA&support=0.5", "/v1/mine", "categories=false&region=ITA&support=0.5&top=25", "c227677adbdf031fd276e993a4bf165177bcf861c5e0bdae0cdacc94d433e4e7"},
 		// Three spellings of one support value share one key.
 		{"/v1/mine?region=ITA&support=0.05&top=10", "/v1/mine", mine10, keyMine10},
 		{"/v1/mine?region=ITA&support=0.050&top=10", "/v1/mine", mine10, keyMine10},
@@ -71,6 +71,8 @@ func TestCacheKeysPinned(t *testing.T) {
 		{"/v1/fig4?regions=ITA,+kor&replicates=2", "/v1/fig4", fig4, keyFig4},
 		// A pair containing ';' is dropped, so top keeps its default.
 		{"/v1/mine?region=ITA&top=5;x=1", "/v1/mine", mine25, keyMine25},
+		// kernel is an unknown parameter: ignored, like any other.
+		{"/v1/mine?region=ITA&kernel=bad", "/v1/mine", mine25, keyMine25},
 	}
 	for _, c := range cases {
 		fp := srv.Fingerprint()
@@ -128,7 +130,6 @@ func TestInvalidParamsKeepTheirError(t *testing.T) {
 		{"/v1/mine?region=ITA&support=2&top=0&kernel=bad", 400, `{"error":"support must be in (0, 1], got 2"}`},
 		{"/v1/mine?region=ITA&top=0&categories=maybe&kernel=bad", 400, `{"error":"top must be in [1, 100000], got 0"}`},
 		{"/v1/mine?region=ITA&categories=maybe&kernel=bad", 400, `{"error":"invalid categories \"maybe\": strconv.ParseBool: parsing \"maybe\": invalid syntax"}`},
-		{"/v1/mine?region=ITA&kernel=bad", 400, `{"error":"invalid kernel \"bad\" (use auto, fpgrowth, eclat or apriori)"}`},
 		{"/v1/mine?corpus=nosuch&region=ZZZ&top=0", 404, `{"error":"unknown corpus \"nosuch\""}`},
 		{"/v1/mine?corpus=bad@ref@&region=ZZZ", 400, `{"error":"invalid corpus reference \"bad@ref@\""}`},
 		{"/v1/overrep?k=0", 400, `{"error":"missing required parameter region"}`},

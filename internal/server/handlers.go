@@ -304,22 +304,14 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	support := q.float("support", s.opts.MinSupport, 0, 1)
 	top := q.int("top", 25, 1, 100000)
 	categories := q.bool("categories", false)
-	kernel := q.kernel()
-	// The kernel is part of the cache key even though every kernel
-	// returns byte-identical bodies: the key addresses the computation
-	// that was requested, and collapsing kernels in the key would make
-	// an explicit kernel=eclat request silently serve an fpgrowth
-	// entry — correct bytes, wrong observable (and vice versa). The
-	// handler tests pin both properties: identical bodies, distinct
-	// keys.
-	canon := canonicalParams("categories", categories, "kernel", kernel.String(), "region", region, "support", support, "top", top)
+	canon := canonicalParams("categories", categories, "region", region, "support", support, "top", top)
 	s.serveComputed(w, r, q, sel.fingerprint, "/v1/mine", canon, func(ctx context.Context) (any, error) {
 		ix, err := s.viewIndex(sel, region, categories)
 		if err != nil {
 			return nil, err
 		}
 		// MineTop builds only the first top sets; total counts them all.
-		res, total, err := itemset.MineTop(ix, support, top, itemset.MineOptions{Kernel: kernel, Workers: s.mineWorkers()})
+		res, total, err := itemset.MineTop(ix, support, top, itemset.MineOptions{Workers: s.mineWorkers()})
 		if err != nil {
 			return nil, err
 		}
@@ -514,17 +506,6 @@ func (q *query) region(sel corpusSel) string {
 		q.fail(notFound("unknown cuisine %q", code))
 	}
 	return code
-}
-
-// kernel reads the mining-kernel parameter; the default is adaptive
-// selection.
-func (q *query) kernel() itemset.Kernel {
-	raw := q.get("kernel")
-	k, err := itemset.ParseKernel(raw)
-	if err != nil {
-		q.fail(badRequest("invalid kernel %q (use auto, fpgrowth, eclat or apriori)", raw))
-	}
-	return k
 }
 
 // mineWorkers resolves the worker budget a single /v1/mine computation

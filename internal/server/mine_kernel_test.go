@@ -6,67 +6,30 @@ import (
 	"testing"
 )
 
-// TestMineKernelParam pins the /v1/mine kernel contract: every kernel
-// returns byte-identical results (the differential guarantee carried
-// through the HTTP layer), yet each kernel caches under its own key —
-// the cache key canonicalizes the kernel because it names a distinct
-// computation, not a distinct result.
+// TestMineKernelParam: /v1/mine has no kernel parameter — the index
+// picks its kernel — so kernel= is an unknown parameter, ignored like
+// any other. A request naming a kernel, known or not, is served from
+// the default request's cache entry without a computation.
 func TestMineKernelParam(t *testing.T) {
 	srv, ts := newTestServer(t)
-
-	respE, bodyE := get(t, ts, "/v1/mine?region=ITA&kernel=eclat")
-	respF, bodyF := get(t, ts, "/v1/mine?region=ITA&kernel=fpgrowth")
-	if respE.StatusCode != http.StatusOK || respF.StatusCode != http.StatusOK {
-		t.Fatalf("status eclat=%d fpgrowth=%d", respE.StatusCode, respF.StatusCode)
+	resp, body := get(t, ts, "/v1/mine?region=ITA")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("default request: status %d", resp.StatusCode)
 	}
-	if !bytes.Equal(bodyE, bodyF) {
-		t.Fatalf("kernels disagree over HTTP:\neclat:    %.200s\nfpgrowth: %.200s", bodyE, bodyF)
-	}
-	etagE, etagF := respE.Header.Get("ETag"), respF.Header.Get("ETag")
-	if etagE == "" || etagE == etagF {
-		t.Fatalf("kernel must be part of the cache identity: eclat etag %q, fpgrowth etag %q", etagE, etagF)
-	}
-	if got := srv.Computations(); got != 2 {
-		t.Fatalf("two kernels over one corpus cost %d computations, want 2", got)
-	}
-
-	// Both entries are now cached: re-requests hit without recomputing.
 	before := srv.Computations()
-	respE2, _ := get(t, ts, "/v1/mine?region=ITA&kernel=eclat")
-	respF2, _ := get(t, ts, "/v1/mine?region=ITA&kernel=fpgrowth")
-	if srv.Computations() != before {
-		t.Fatalf("cached kernel requests recomputed: %d -> %d", before, srv.Computations())
-	}
-	if respE2.Header.Get("ETag") != etagE || respF2.Header.Get("ETag") != etagF {
-		t.Fatal("cached responses changed ETags")
-	}
-
-	// An absent kernel and an explicit kernel=auto canonicalize to the
-	// same entry; aliases accepted by ParseKernel do too.
-	get(t, ts, "/v1/mine?region=ITA")
-	before = srv.Computations()
 	for _, path := range []string{
-		"/v1/mine?region=ITA&kernel=auto",
-		"/v1/mine?region=ITA&kernel=",
+		"/v1/mine?region=ITA&kernel=fpgrowth",
+		"/v1/mine?region=ITA&kernel=bad",
 	} {
-		if resp, _ := get(t, ts, path); resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		got, gotBody := get(t, ts, path)
+		if got.StatusCode != http.StatusOK || got.Header.Get("X-Cache") != "HIT" {
+			t.Fatalf("GET %s: status %d, X-Cache %q; want a 200 cache hit", path, got.StatusCode, got.Header.Get("X-Cache"))
+		}
+		if got.Header.Get("ETag") != resp.Header.Get("ETag") || !bytes.Equal(gotBody, body) {
+			t.Fatalf("GET %s: not the default request's entry", path)
 		}
 	}
 	if srv.Computations() != before {
-		t.Fatalf("kernel=auto did not share the default's cache entry: %d -> %d", before, srv.Computations())
-	}
-	before = srv.Computations()
-	if resp, _ := get(t, ts, "/v1/mine?region=ITA&kernel=bitset"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("kernel=bitset: status %d", resp.StatusCode)
-	}
-	if srv.Computations() != before {
-		t.Fatalf("alias bitset did not share eclat's cache entry: %d -> %d", before, srv.Computations())
-	}
-
-	// Unknown kernels are a client error, reported before any compute.
-	resp, body := get(t, ts, "/v1/mine?region=ITA&kernel=bogus")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("kernel=bogus: status %d (want 400), body %s", resp.StatusCode, body)
+		t.Fatalf("kernel= requests computed: %d -> %d", before, srv.Computations())
 	}
 }

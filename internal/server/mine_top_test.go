@@ -31,32 +31,30 @@ func TestMineTopBodiesMatchFullMine(t *testing.T) {
 		if total < 26 {
 			t.Fatalf("support %v: %d sets, too few to tell top=25 from the full mine", support, total)
 		}
-		for _, kernel := range []itemset.Kernel{itemset.KernelAuto, itemset.KernelFPGrowth, itemset.KernelEclat, itemset.KernelApriori} {
-			for _, top := range []int{1, 25, total, total + 1} {
-				sets := make([]minedSet, 0, min(top, total))
-				for _, set := range full.Sets[:min(top, total)] {
-					names := make([]string, len(set.Items))
-					for j, id := range set.Items {
-						names[j] = lex.Name(id)
-					}
-					sets = append(sets, minedSet{Items: names, Count: set.Count, Support: set.Support(full.N)})
+		for _, top := range []int{1, 25, total, total + 1} {
+			sets := make([]minedSet, 0, min(top, total))
+			for _, set := range full.Sets[:min(top, total)] {
+				names := make([]string, len(set.Items))
+				for j, id := range set.Items {
+					names[j] = lex.Name(id)
 				}
-				want, err := marshalDeterministic(map[string]any{"region": "ITA", "total": total, "sets": sets})
-				if err != nil {
-					t.Fatal(err)
-				}
-				path := fmt.Sprintf("/v1/mine?region=ITA&support=%v&top=%d&kernel=%s", support, top, kernel)
-				resp, body := get(t, ts, path)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-				}
-				if !bytes.Equal(body, want) {
-					t.Fatalf("GET %s: body differs from the full mine's\ngot:  %.300s\nwant: %.300s", path, body, want)
-				}
-				canon := canonicalParams("categories", false, "kernel", kernel.String(), "region", "ITA", "support", support, "top", top)
-				if etag := `"` + resultKey(srv.fingerprint, "/v1/mine", canon)[:32] + `"`; resp.Header.Get("ETag") != etag {
-					t.Fatalf("GET %s: ETag %q, want %q", path, resp.Header.Get("ETag"), etag)
-				}
+				sets = append(sets, minedSet{Items: names, Count: set.Count, Support: set.Support(full.N)})
+			}
+			want, err := marshalDeterministic(map[string]any{"region": "ITA", "total": total, "sets": sets})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := fmt.Sprintf("/v1/mine?region=ITA&support=%v&top=%d", support, top)
+			resp, body := get(t, ts, path)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+			}
+			if !bytes.Equal(body, want) {
+				t.Fatalf("GET %s: body differs from the full mine's\ngot:  %.300s\nwant: %.300s", path, body, want)
+			}
+			canon := canonicalParams("categories", false, "region", "ITA", "support", support, "top", top)
+			if etag := `"` + resultKey(srv.fingerprint, "/v1/mine", canon)[:32] + `"`; resp.Header.Get("ETag") != etag {
+				t.Fatalf("GET %s: ETag %q, want %q", path, resp.Header.Get("ETag"), etag)
 			}
 		}
 	}

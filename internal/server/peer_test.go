@@ -51,7 +51,6 @@ func pathOwnedBy(t *testing.T, s *Server, owner string) string {
 	for top := 1; top < 200; top++ {
 		canon := canonicalParams(
 			"categories", false,
-			"kernel", "auto",
 			"region", "ITA",
 			"support", s.opts.MinSupport,
 			"top", top,
@@ -223,7 +222,7 @@ func TestPeerFallbackBudgetSheds(t *testing.T) {
 		if p == pathA {
 			continue
 		}
-		canon := canonicalParams("categories", false, "kernel", "auto", "region", "ITA", "support", srv.opts.MinSupport, "top", top)
+		canon := canonicalParams("categories", false, "region", "ITA", "support", srv.opts.MinSupport, "top", top)
 		if srv.peers.owner(resultKey(srv.fingerprint, "/v1/mine", canon)) == "n1" {
 			pathB = p
 			break
