@@ -17,6 +17,7 @@ package cuisinevol
 //
 // Run with: go test -bench=. -benchmem
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -138,7 +139,7 @@ func BenchmarkFig3aIngredientCombos(b *testing.B) {
 	var res *experiment.Fig3Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.RunFig3(cfg)
+		res, err = experiment.RunFig3Ctx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func BenchmarkFig3bCategoryCombos(b *testing.B) {
 	var res *experiment.Fig3Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.RunFig3(cfg)
+		res, err = experiment.RunFig3Ctx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,13 +188,13 @@ func BenchmarkFig4ModelComparison(b *testing.B) {
 	opts := experiment.Fig4Options{Regions: []string{"ITA", "JPN", "KOR"}}
 	// A warm-up run fills the config's index cache and the pooled
 	// scratch, so a 1-iteration alloc gate measures the steady state.
-	res, err := experiment.RunFig4(cfg, opts)
+	res, err := experiment.RunFig4Ctx(context.Background(), cfg, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.RunFig4(cfg, opts)
+		res, err = experiment.RunFig4Ctx(context.Background(), cfg, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,13 +209,13 @@ func BenchmarkFig4CategoryControl(b *testing.B) {
 	opts := experiment.Fig4Options{Regions: []string{"ITA", "JPN", "KOR"}, Categories: true}
 	// A warm-up run fills the config's index cache and the pooled
 	// scratch, so a 1-iteration alloc gate measures the steady state.
-	res, err := experiment.RunFig4(cfg, opts)
+	res, err := experiment.RunFig4Ctx(context.Background(), cfg, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = experiment.RunFig4(cfg, opts)
+		res, err = experiment.RunFig4Ctx(context.Background(), cfg, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -51,6 +51,21 @@ func (cf *corpusFlags) corpus() (*recipe.Corpus, error) {
 	return synth.Generate(gen)
 }
 
+// config returns an experiment config over the flags' corpus: the file
+// named by -corpus when given, else generated on first use from -seed
+// and -scale.
+func (cf *corpusFlags) config() (*experiment.Config, error) {
+	cfg := &experiment.Config{Seed: cf.seed, RecipeScale: cf.scale}
+	if cf.load != "" {
+		corpus, err := cf.corpus()
+		if err != nil {
+			return nil, err
+		}
+		cfg.SetCorpus(corpus)
+	}
+	return cfg, nil
+}
+
 func cmdGen(args []string) error {
 	cf := newCorpusFlags("gen")
 	out := cf.fs.String("out", "corpus.jsonl", "output path (.jsonl or .csv)")
@@ -89,21 +104,14 @@ func cmdExperiment(ctx context.Context, name string, args []string) error {
 	if err := cf.fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := &experiment.Config{
-		Seed:        cf.seed,
-		RecipeScale: cf.scale,
-		MinSupport:  *support,
-		Replicates:  *replicates,
-		Workers:     *workers,
-		OutDir:      *outDir,
+	cfg, err := cf.config()
+	if err != nil {
+		return err
 	}
-	if cf.load != "" {
-		corpus, err := cf.corpus()
-		if err != nil {
-			return err
-		}
-		cfg.SetCorpus(corpus)
-	}
+	cfg.MinSupport = *support
+	cfg.Replicates = *replicates
+	cfg.Workers = *workers
+	cfg.OutDir = *outDir
 
 	run := func(n string) error {
 		switch n {

@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 
-	"cuisinevol/internal/cuisine"
-	"cuisinevol/internal/evomodel"
 	"cuisinevol/internal/experiment"
 	"cuisinevol/internal/flavor"
 	"cuisinevol/internal/ingest"
@@ -25,7 +23,7 @@ func cmdPairing(args []string) error {
 	if err := cf.fs.Parse(args); err != nil {
 		return err
 	}
-	corpus, err := cf.corpus()
+	cfg, err := cf.config()
 	if err != nil {
 		return err
 	}
@@ -33,17 +31,17 @@ func cmdPairing(args []string) error {
 	if err != nil {
 		return err
 	}
+	res, err := experiment.RunPairing(cfg, profile, *nRand)
+	if err != nil {
+		return err
+	}
 	tbl := report.NewTable(
 		"Food-pairing analysis: recipe flavor-sharing vs random-recipe null",
 		"Region", "RealMean", "RandMean", "Delta", "Z")
-	for _, region := range cuisine.All() {
-		res, err := flavor.AnalyzeCuisine(profile, corpus.Region(region.Code), *nRand, cf.seed)
-		if err != nil {
-			return fmt.Errorf("%s: %w", region.Code, err)
-		}
-		tbl.AddRow(region.Code,
-			report.Float(res.RealMean, 3), report.Float(res.RandMean, 3),
-			report.Float(res.Delta, 3), report.Float(res.Z, 2))
+	for _, row := range res.Rows {
+		tbl.AddRow(row.Region,
+			report.Float(row.RealMean, 3), report.Float(row.RandMean, 3),
+			report.Float(row.Delta, 3), report.Float(row.Z, 2))
 	}
 	return tbl.WriteText(os.Stdout)
 }
@@ -94,11 +92,8 @@ func cmdIngest(args []string) error {
 }
 
 // cmdHorizontal runs the coupled multi-region model and reports how
-// migration homogenizes the regions' ingredient usage. The comparison
-// metric is the mean pairwise total-variation distance between usage
-// profiles — rank-frequency *shape* is already invariant across regions
-// (the paper's §IV finding), so homogenization shows up in *which*
-// ingredients are used, not in the distribution's shape.
+// migration homogenizes the regions' ingredient usage, as the mean
+// pairwise total-variation distance between usage profiles.
 func cmdHorizontal(args []string) error {
 	cf := newCorpusFlags("horizontal")
 	regions := cf.fs.String("regions", "ITA,FRA,JPN", "comma-separated region codes")
@@ -111,90 +106,37 @@ func cmdHorizontal(args []string) error {
 	if err != nil {
 		return err
 	}
-	corpus, err := cf.corpus()
-	if err != nil {
-		return err
+	var codes []string
+	for _, code := range strings.Split(*regions, ",") {
+		codes = append(codes, strings.ToUpper(strings.TrimSpace(code)))
 	}
-	codes := strings.Split(*regions, ",")
-	params := make(map[string]evomodel.Params, len(codes))
-	for _, code := range codes {
-		code = strings.ToUpper(strings.TrimSpace(code))
-		view := corpus.Region(code)
-		if view.Len() == 0 {
-			return fmt.Errorf("region %q has no recipes", code)
-		}
-		params[code] = evomodel.ParamsForView(view, kind, 0)
-	}
-
-	tbl := report.NewTable(
-		fmt.Sprintf("Horizontal transmission sweep (%s over %s): mean pairwise usage distance", kind, *regions),
-		"Migration", "MeanUsageTV")
+	var sweep []float64
 	for _, field := range strings.Split(*migrations, ",") {
 		var migration float64
 		if _, err := fmt.Sscanf(strings.TrimSpace(field), "%g", &migration); err != nil {
 			return fmt.Errorf("bad migration value %q", field)
 		}
-		out, err := evomodel.RunHorizontal(evomodel.HorizontalConfig{
-			Regions:   params,
-			Migration: migration,
-			Seed:      cf.seed,
-		}, corpus.Lexicon())
-		if err != nil {
-			return err
-		}
-		profiles := make(map[string]map[int]float64, len(out))
-		for code, txs := range out {
-			profiles[code] = usageProfile(txs)
-		}
-		sum, n := 0.0, 0
-		for i, a := range codes {
-			for _, b := range codes[i+1:] {
-				sum += totalVariation(profiles[strings.ToUpper(strings.TrimSpace(a))], profiles[strings.ToUpper(strings.TrimSpace(b))])
-				n++
-			}
-		}
-		tbl.AddRow(report.Float(migration, 2), report.Float(sum/float64(n), 4))
+		sweep = append(sweep, migration)
+	}
+	cfg, err := cf.config()
+	if err != nil {
+		return err
+	}
+	res, err := experiment.RunHorizontalSweep(cfg, kind, codes, sweep)
+	if err != nil {
+		return err
+	}
+	tbl := report.NewTable(
+		fmt.Sprintf("Horizontal transmission sweep (%s over %s): mean pairwise usage distance", kind, *regions),
+		"Migration", "MeanUsageTV")
+	for _, p := range res.Points {
+		tbl.AddRow(report.Float(p.Migration, 2), report.Float(p.UsageTV, 4))
 	}
 	if err := tbl.WriteText(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Println("declining distance with migration = horizontal propagation homogenizes cuisines (paper §VII)")
 	return nil
-}
-
-// usageProfile normalizes per-ingredient usage counts of a recipe set.
-func usageProfile(txs [][]ingredient.ID) map[int]float64 {
-	counts := map[int]float64{}
-	total := 0.0
-	for _, tx := range txs {
-		for _, id := range tx {
-			counts[int(id)]++
-			total++
-		}
-	}
-	for id := range counts {
-		counts[id] /= total
-	}
-	return counts
-}
-
-// totalVariation is half the L1 distance between two discrete
-// distributions.
-func totalVariation(a, b map[int]float64) float64 {
-	d := 0.0
-	for id, v := range a {
-		diff := v - b[id]
-		if diff < 0 {
-			diff = -diff
-		}
-		d += diff
-	}
-	for id, v := range b {
-		if _, ok := a[id]; !ok {
-			d += v
-		}
-	}
-	return d / 2
 }
 
 // cmdSearch runs conjunctive ingredient queries against the corpus via
@@ -303,14 +245,11 @@ func cmdCluster(args []string) error {
 	if err := cf.fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := &experiment.Config{Seed: cf.seed, RecipeScale: cf.scale, OutDir: *outDir}
-	if cf.load != "" {
-		corpus, err := cf.corpus()
-		if err != nil {
-			return err
-		}
-		cfg.SetCorpus(corpus)
+	cfg, err := cf.config()
+	if err != nil {
+		return err
 	}
+	cfg.OutDir = *outDir
 	res, err := experiment.RunDiversity(cfg, *k)
 	if err != nil {
 		return err

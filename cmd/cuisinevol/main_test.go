@@ -1,11 +1,9 @@
 package main
 
 import (
-	"math"
 	"testing"
 
 	"cuisinevol/internal/evomodel"
-	"cuisinevol/internal/ingredient"
 )
 
 func TestParseKind(t *testing.T) {
@@ -47,21 +45,5 @@ func TestCorpusFlagsLoadMissingFile(t *testing.T) {
 	}
 	if _, err := cf.corpus(); err == nil {
 		t.Fatal("missing corpus file accepted")
-	}
-}
-
-func TestUsageProfileAndTV(t *testing.T) {
-	a := [][]ingredient.ID{{1, 2}, {1, 3}}
-	b := [][]ingredient.ID{{1, 2}, {1, 3}}
-	pa, pb := usageProfile(a), usageProfile(b)
-	if tv := totalVariation(pa, pb); tv != 0 {
-		t.Fatalf("identical profiles TV = %v", tv)
-	}
-	c := [][]ingredient.ID{{7, 8}, {7, 9}}
-	if tv := totalVariation(pa, usageProfile(c)); math.Abs(tv-1) > 1e-12 {
-		t.Fatalf("disjoint profiles TV = %v, want 1", tv)
-	}
-	if got := pa[1]; math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("profile mass for item 1 = %v, want 0.5", got)
 	}
 }

@@ -28,6 +28,7 @@
 package cuisinevol
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -275,68 +276,34 @@ type ModelComparison struct {
 
 // CompareModels reproduces one cuisine's slice of Fig 4: empirical
 // rank-frequency distribution vs each model's replicate-aggregated one,
-// scored with Eq 2.
+// scored with Eq 2. It is a one-region experiment.RunFig4Ctx run over
+// the facade's shared index cache.
 func CompareModels(c *Corpus, region string, opts CompareOptions) (*ModelComparison, error) {
-	view := c.Region(region)
-	if view.Len() == 0 {
-		return nil, fmt.Errorf("cuisinevol: region %q has no recipes", region)
-	}
-	kinds := opts.Kinds
-	if len(kinds) == 0 {
-		kinds = evomodel.Kinds()
-	}
-	replicates := opts.Replicates
-	if replicates == 0 {
-		replicates = 100
-	}
-	minSupport := opts.MinSupport
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}
-
-	ix, err := viewIndex(c, region, opts.Categories)
+	cfg := &experiment.Config{
+		Seed:       seed,
+		MinSupport: opts.MinSupport,
+		Replicates: opts.Replicates,
+		Workers:    opts.Workers,
+	}
+	cfg.SetCorpus(c)
+	cfg.SetIndexes(sharedIndexes)
+	res, err := experiment.RunFig4Ctx(context.TODO(), cfg, experiment.Fig4Options{
+		Kinds:      opts.Kinds,
+		Categories: opts.Categories,
+		Regions:    []string{region},
+	})
 	if err != nil {
 		return nil, err
 	}
-	mined, err := itemset.MineSpectrum(ix, minSupport, itemset.MineOptions{Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	cmp := &ModelComparison{
+	return &ModelComparison{
 		Region:    region,
-		Empirical: rankfreq.FromSpectrum(region, mined),
-		Models:    make(map[ModelKind]Distribution, len(kinds)),
-		MAE:       make(map[ModelKind]float64, len(kinds)),
-	}
-	best := -1.0
-	base := evomodel.ParamsForView(view, kinds[0], seed)
-	for _, kind := range kinds {
-		params := base
-		params.Kind = kind
-		dist, err := evomodel.RunEnsemble(evomodel.EnsembleConfig{
-			Params:     params,
-			Replicates: replicates,
-			MinSupport: minSupport,
-			Categories: opts.Categories,
-			Workers:    opts.Workers,
-		}, c.Lexicon())
-		if err != nil {
-			return nil, fmt.Errorf("cuisinevol: %s/%v: %w", region, kind, err)
-		}
-		mae, err := rankfreq.PaperMAE(cmp.Empirical, dist)
-		if err != nil {
-			return nil, fmt.Errorf("cuisinevol: %s/%v: %w", region, kind, err)
-		}
-		cmp.Models[kind] = dist
-		cmp.MAE[kind] = mae
-		if best < 0 || mae < best {
-			best = mae
-			cmp.Best = kind
-		}
-	}
-	return cmp, nil
+		Empirical: res.Empirical[region],
+		Models:    res.Models[region],
+		MAE:       res.Rows[0].MAE,
+		Best:      res.Rows[0].Best,
+	}, nil
 }

@@ -1,17 +1,23 @@
 // Package experiment is the reproduction harness: one runner per table or
-// figure of the paper's evaluation, each consuming the synthetic corpus
-// and emitting the same rows/series the paper reports, optionally as
-// text/CSV/SVG artifacts on disk.
+// figure of the paper's evaluation, and per extension experiment, each
+// consuming the corpus and emitting the same rows/series the paper
+// reports, optionally as text/CSV/SVG artifacts on disk. Each experiment
+// has its one implementation here: the CLI only parses flags and prints
+// the results, and the facade's CompareModels and the server's handlers
+// call the same runners.
 //
 // Experiment index (see DESIGN.md §4):
 //
-//	table1  — Table I: recipes, unique ingredients, top-5 overrepresented
-//	fig1    — recipe size distributions per cuisine + aggregate
-//	fig2    — category usage boxplots
-//	fig3    — rank-frequency of ingredient (3a) and category (3b)
-//	          combinations + pairwise MAE matrices
-//	fig4    — evolution-model comparison per cuisine (and the §VI
-//	          category-combination control)
+//	RunTableI          — Table I: recipes, unique ingredients, top-5 overrepresented
+//	RunFig1            — recipe size distributions per cuisine + aggregate
+//	RunFig2            — category usage boxplots
+//	RunFig3Ctx         — rank-frequency of ingredient (3a) and category (3b)
+//	                     combinations + pairwise MAE matrices
+//	RunFig4Ctx         — evolution-model comparison per cuisine (and the §VI
+//	                     category-combination control)
+//	RunPairing         — food-pairing index per cuisine
+//	RunHorizontalSweep — §VII migration sweep: usage homogenization
+//	RunDiversity       — cuisines clustered by ingredient-usage profile
 package experiment
 
 import (

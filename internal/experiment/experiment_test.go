@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"io"
 	"math"
 	"os"
@@ -147,7 +148,7 @@ func TestRunFig2(t *testing.T) {
 
 func TestRunFig3(t *testing.T) {
 	cfg := testConfig(t, true)
-	res, err := RunFig3(cfg)
+	res, err := RunFig3Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestRunFig3SmallCuisinesMostDistinct(t *testing.T) {
 	// cuisine is tiny and the ranking is noise.
 	cfg := testConfig(t, false)
 	cfg.RecipeScale = 0.1
-	res, err := RunFig3(cfg)
+	res, err := RunFig3Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestRunFig3SmallCuisinesMostDistinct(t *testing.T) {
 
 func TestRunFig4SubsetOfRegions(t *testing.T) {
 	cfg := testConfig(t, true)
-	res, err := RunFig4(cfg, Fig4Options{Regions: []string{"ITA", "KOR"}})
+	res, err := RunFig4Ctx(context.Background(), cfg, Fig4Options{Regions: []string{"ITA", "KOR"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestRunFig4CategoriesControl(t *testing.T) {
 	// §VI: on category combinations all models, including NM, reproduce
 	// the empirical distribution; NM must NOT be dramatically worse.
 	cfg := testConfig(t, false)
-	res, err := RunFig4(cfg, Fig4Options{Categories: true, Regions: []string{"ITA", "JPN"}})
+	res, err := RunFig4Ctx(context.Background(), cfg, Fig4Options{Categories: true, Regions: []string{"ITA", "JPN"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,53 +243,21 @@ func TestRunFig4CategoriesControl(t *testing.T) {
 	}
 }
 
+// TestRunFig4Ablations checks that Fig4Options.Kinds restricts the
+// comparison to a subset of the models; the model-variant ablations
+// themselves are covered at the evomodel.Params level.
 func TestRunFig4Ablations(t *testing.T) {
 	cfg := testConfig(t, false)
 	opts := Fig4Options{
-		Regions:             []string{"KOR"},
-		Kinds:               []evomodel.Kind{evomodel.CMRandom, evomodel.NullModel},
-		FixedIterations:     true,
-		NullFromFullLexicon: true,
-		MutationOverride:    2,
-		InitialPoolOverride: 10,
+		Regions: []string{"KOR"},
+		Kinds:   []evomodel.Kind{evomodel.CMRandom, evomodel.NullModel},
 	}
-	res, err := RunFig4(cfg, opts)
+	res, err := RunFig4Ctx(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || len(res.Rows[0].MAE) != 2 {
-		t.Fatalf("ablation rows wrong: %+v", res.Rows)
-	}
-}
-
-func TestRegistryAllRunnersWork(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration sweep")
-	}
-	cfg := testConfig(t, false)
-	cfg.RecipeScale = 0.03
-	cfg.Replicates = 2
-	for _, name := range Names() {
-		runner := Registry()[name]
-		summary, err := runner(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if summary == "" {
-			t.Fatalf("%s: empty summary", name)
-		}
-	}
-}
-
-func TestNames(t *testing.T) {
-	names := Names()
-	if len(names) != 10 {
-		t.Fatalf("names = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("names not sorted")
-		}
+	if len(res.Rows) != 1 || len(res.Rows[0].MAE) != 2 || len(res.Models["KOR"]) != 2 {
+		t.Fatalf("kind subset not honoured: %+v", res.Rows)
 	}
 }
 

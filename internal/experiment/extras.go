@@ -1,9 +1,8 @@
 package experiment
 
 // Extension experiments beyond the paper's tables and figures: the
-// food-pairing analysis from the motivating literature, the
-// vocabulary-growth (Heaps' law) comparison between empirical data and
-// the models, and the §VII horizontal-transmission sweep.
+// food-pairing analysis from the motivating literature and the §VII
+// horizontal-transmission sweep.
 
 import (
 	"fmt"
@@ -16,7 +15,6 @@ import (
 	"cuisinevol/internal/flavor"
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/report"
-	"cuisinevol/internal/stats"
 )
 
 // PairingRow is one cuisine's food-pairing outcome.
@@ -30,16 +28,10 @@ type PairingResult struct {
 }
 
 // RunPairing computes the food-pairing index for every cuisine against
-// the synthetic molecule profiles.
-func RunPairing(cfg *Config, nRand int) (*PairingResult, error) {
-	if nRand == 0 {
-		nRand = 50
-	}
+// the given molecule profiles, with nRand random-recipe null replicates
+// per cuisine.
+func RunPairing(cfg *Config, profile *flavor.Profile, nRand int) (*PairingResult, error) {
 	corpus, err := cfg.Corpus()
-	if err != nil {
-		return nil, err
-	}
-	profile, err := flavor.Generate(flavor.DefaultConfig(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -70,83 +62,6 @@ func RunPairing(cfg *Config, nRand int) (*PairingResult, error) {
 	return res, nil
 }
 
-// Summary reports the split food-pairing verdict.
-func (r *PairingResult) Summary() string {
-	return fmt.Sprintf(
-		"Food pairing: %d cuisines significantly positive, %d significantly negative (|Z| > 3) — the hypothesis holds for some cuisines and fails for others (paper §I, refs [3]-[6])",
-		r.PositiveCount, r.NegativeCount)
-}
-
-// VocabGrowthRow holds one cuisine's Heaps' law fits for the empirical
-// corpus and the CM-R model.
-type VocabGrowthRow struct {
-	Region                   string
-	EmpiricalBeta, ModelBeta float64
-}
-
-// VocabGrowthResult compares vocabulary growth between the corpus and
-// the copy-mutate model.
-type VocabGrowthResult struct {
-	Rows []VocabGrowthRow
-	// MeanEmpiricalBeta and MeanModelBeta average the exponents.
-	MeanEmpiricalBeta, MeanModelBeta float64
-}
-
-// RunVocabGrowth fits Heaps' law V(n) = K n^beta to every cuisine's
-// vocabulary-growth curve and to a CM-R run with the same parameters.
-func RunVocabGrowth(cfg *Config, regions []string) (*VocabGrowthResult, error) {
-	corpus, err := cfg.Corpus()
-	if err != nil {
-		return nil, err
-	}
-	if len(regions) == 0 {
-		regions = cuisine.Codes()
-	}
-	res := &VocabGrowthResult{}
-	for _, code := range regions {
-		view := corpus.Region(code)
-		if view.Len() == 0 {
-			return nil, fmt.Errorf("experiment: region %s missing from corpus", code)
-		}
-		empFit, err := stats.FitHeaps(stats.VocabularyGrowth(view.Transactions()))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: vocab growth %s: %w", code, err)
-		}
-		txs, err := evomodel.Run(evomodel.ParamsForView(view, evomodel.CMRandom, cfg.Seed), corpus.Lexicon())
-		if err != nil {
-			return nil, err
-		}
-		modelFit, err := stats.FitHeaps(stats.VocabularyGrowth(txs))
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, VocabGrowthRow{
-			Region: code, EmpiricalBeta: empFit.Beta, ModelBeta: modelFit.Beta,
-		})
-		res.MeanEmpiricalBeta += empFit.Beta
-		res.MeanModelBeta += modelFit.Beta
-	}
-	res.MeanEmpiricalBeta /= float64(len(res.Rows))
-	res.MeanModelBeta /= float64(len(res.Rows))
-	if err := cfg.writeArtifact("vocab_growth.csv", func(f io.Writer) error {
-		tbl := report.NewTable("", "region", "empirical_beta", "cmr_beta")
-		for _, r := range res.Rows {
-			tbl.AddRow(r.Region, report.Float(r.EmpiricalBeta, 4), report.Float(r.ModelBeta, 4))
-		}
-		return tbl.WriteCSV(f)
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Summary reports the growth-exponent comparison.
-func (r *VocabGrowthResult) Summary() string {
-	return fmt.Sprintf(
-		"Vocabulary growth (Heaps' law): empirical mean beta %.2f vs CM-R %.2f over %d cuisines — the model's phi-governed pool growth is closer to linear than the corpus's saturating curve",
-		r.MeanEmpiricalBeta, r.MeanModelBeta, len(r.Rows))
-}
-
 // HorizontalSweepPoint is one migration setting's homogenization level.
 type HorizontalSweepPoint struct {
 	Migration float64
@@ -164,18 +79,16 @@ type HorizontalSweepResult struct {
 	Monotone bool
 }
 
-// RunHorizontalSweep couples the given regions under CM-R dynamics and
-// sweeps the migration probability.
-func RunHorizontalSweep(cfg *Config, regions []string, migrations []float64) (*HorizontalSweepResult, error) {
+// RunHorizontalSweep couples the given regions under the given model's
+// dynamics and sweeps the migration probabilities in ascending order
+// (sorting the slice in place).
+// Homogenization is measured on which ingredients the regions use, not
+// on the rank-frequency shape, which is already invariant across
+// regions (the paper's §IV finding).
+func RunHorizontalSweep(cfg *Config, kind evomodel.Kind, regions []string, migrations []float64) (*HorizontalSweepResult, error) {
 	corpus, err := cfg.Corpus()
 	if err != nil {
 		return nil, err
-	}
-	if len(regions) == 0 {
-		regions = []string{"ITA", "FRA", "JPN"}
-	}
-	if len(migrations) == 0 {
-		migrations = []float64{0, 0.1, 0.3, 0.5}
 	}
 	sort.Float64s(migrations)
 	params := make(map[string]evomodel.Params, len(regions))
@@ -184,7 +97,7 @@ func RunHorizontalSweep(cfg *Config, regions []string, migrations []float64) (*H
 		if view.Len() == 0 {
 			return nil, fmt.Errorf("experiment: region %s missing from corpus", code)
 		}
-		params[code] = evomodel.ParamsForView(view, evomodel.CMRandom, 0)
+		params[code] = evomodel.ParamsForView(view, kind, 0)
 	}
 	res := &HorizontalSweepResult{Regions: regions, Monotone: true}
 	for _, migration := range migrations {
@@ -196,9 +109,9 @@ func RunHorizontalSweep(cfg *Config, regions []string, migrations []float64) (*H
 		if err != nil {
 			return nil, err
 		}
-		profiles := make(map[string]map[ingredient.ID]float64, len(out))
+		profiles := make(map[string][]float64, len(out))
 		for code, txs := range out {
-			profiles[code] = usageProfile(txs)
+			profiles[code] = usageProfile(txs, corpus.Lexicon().Len())
 		}
 		sum, n := 0.0, 0
 		for i, a := range regions {
@@ -225,40 +138,29 @@ func RunHorizontalSweep(cfg *Config, regions []string, migrations []float64) (*H
 	return res, nil
 }
 
-// Summary reports the homogenization trend.
-func (r *HorizontalSweepResult) Summary() string {
-	first, last := r.Points[0], r.Points[len(r.Points)-1]
-	return fmt.Sprintf(
-		"Horizontal transmission over %v: usage distance falls from %.3f (migration %.2f) to %.3f (migration %.2f); monotone: %v",
-		r.Regions, first.UsageTV, first.Migration, last.UsageTV, last.Migration, r.Monotone)
-}
-
-// usageProfile normalizes per-ingredient usage counts.
-func usageProfile(txs [][]ingredient.ID) map[ingredient.ID]float64 {
-	counts := map[ingredient.ID]float64{}
+// usageProfile is the share of ingredient mentions that falls on each
+// lexicon ID, indexed by ID.
+func usageProfile(txs [][]ingredient.ID, lexiconLen int) []float64 {
+	profile := make([]float64, lexiconLen)
 	total := 0.0
 	for _, tx := range txs {
 		for _, id := range tx {
-			counts[id]++
+			profile[id]++
 			total++
 		}
 	}
-	for id := range counts {
-		counts[id] /= total
+	for id := range profile {
+		profile[id] /= total
 	}
-	return counts
+	return profile
 }
 
-// usageTVDistance is half the L1 distance between usage profiles.
-func usageTVDistance(a, b map[ingredient.ID]float64) float64 {
+// usageTVDistance is half the L1 distance between two usage profiles,
+// summed in ID order so that equal inputs give bit-identical results.
+func usageTVDistance(a, b []float64) float64 {
 	d := 0.0
-	for id, v := range a {
-		d += math.Abs(v - b[id])
-	}
-	for id, v := range b {
-		if _, ok := a[id]; !ok {
-			d += v
-		}
+	for id := range a {
+		d += math.Abs(a[id] - b[id])
 	}
 	return d / 2
 }

@@ -1,15 +1,25 @@
 package experiment
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"cuisinevol/internal/evomodel"
+	"cuisinevol/internal/flavor"
+	"cuisinevol/internal/ingredient"
 )
 
 func TestRunPairing(t *testing.T) {
 	cfg := testConfig(t, true)
-	res, err := RunPairing(cfg, 10)
+	profile, err := flavor.Generate(flavor.DefaultConfig(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunPairing(cfg, profile, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,53 +37,11 @@ func TestRunPairing(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(cfg.OutDir, "pairing.csv")); err != nil {
 		t.Fatal("pairing.csv missing")
 	}
-	if s := res.Summary(); !strings.Contains(s, "Food pairing") {
-		t.Fatalf("summary: %s", s)
-	}
-}
-
-func TestRunVocabGrowth(t *testing.T) {
-	// The empirical-vs-model exponent ordering needs enough recipes for
-	// the empirical curve to saturate against its vocabulary; use large
-	// cuisines at 20% scale (tiny corpora invert the relationship).
-	cfg := testConfig(t, true)
-	cfg.RecipeScale = 0.2
-	res, err := RunVocabGrowth(cfg, []string{"ITA", "MEX"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.EmpiricalBeta <= 0 || row.EmpiricalBeta >= 1.1 {
-			t.Fatalf("%s empirical beta = %v", row.Region, row.EmpiricalBeta)
-		}
-		if row.ModelBeta <= 0 || row.ModelBeta >= 1.1 {
-			t.Fatalf("%s model beta = %v", row.Region, row.ModelBeta)
-		}
-		// The empirical curve saturates against its fixed vocabulary;
-		// the model's pool growth tracks phi*n much more linearly.
-		if row.EmpiricalBeta >= row.ModelBeta {
-			t.Fatalf("%s: empirical beta %v not below model beta %v",
-				row.Region, row.EmpiricalBeta, row.ModelBeta)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(cfg.OutDir, "vocab_growth.csv")); err != nil {
-		t.Fatal("vocab_growth.csv missing")
-	}
-}
-
-func TestRunVocabGrowthUnknownRegion(t *testing.T) {
-	cfg := testConfig(t, false)
-	if _, err := RunVocabGrowth(cfg, []string{"NOPE"}); err == nil {
-		t.Fatal("unknown region accepted")
-	}
 }
 
 func TestRunHorizontalSweep(t *testing.T) {
 	cfg := testConfig(t, true)
-	res, err := RunHorizontalSweep(cfg, []string{"ITA", "JPN"}, []float64{0, 0.3, 0.6})
+	res, err := RunHorizontalSweep(cfg, evomodel.CMRandom, []string{"ITA", "JPN"}, []float64{0, 0.3, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,25 +57,12 @@ func TestRunHorizontalSweep(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(cfg.OutDir, "horizontal_sweep.csv")); err != nil {
 		t.Fatal("horizontal_sweep.csv missing")
 	}
-	if s := res.Summary(); !strings.Contains(s, "Horizontal") {
-		t.Fatalf("summary: %s", s)
-	}
 }
 
 func TestRunHorizontalSweepUnknownRegion(t *testing.T) {
 	cfg := testConfig(t, false)
-	if _, err := RunHorizontalSweep(cfg, []string{"NOPE"}, nil); err == nil {
+	if _, err := RunHorizontalSweep(cfg, evomodel.CMRandom, []string{"NOPE"}, nil); err == nil {
 		t.Fatal("unknown region accepted")
-	}
-}
-
-func TestRegistryIncludesExtras(t *testing.T) {
-	names := Names()
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"pairing", "vocab-growth", "horizontal"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("registry missing %s: %v", want, names)
-		}
 	}
 }
 
@@ -153,5 +108,42 @@ func TestRunDiversity(t *testing.T) {
 	}
 	if s := res.Summary(); !strings.Contains(s, "clusters") {
 		t.Fatalf("summary: %s", s)
+	}
+}
+
+func TestUsageProfileAndTV(t *testing.T) {
+	const lexiconLen = 10
+	a := [][]ingredient.ID{{1, 2}, {1, 3}}
+	b := [][]ingredient.ID{{1, 2}, {1, 3}}
+	pa, pb := usageProfile(a, lexiconLen), usageProfile(b, lexiconLen)
+	if tv := usageTVDistance(pa, pb); tv != 0 {
+		t.Fatalf("identical profiles TV = %v", tv)
+	}
+	c := [][]ingredient.ID{{7, 8}, {7, 9}}
+	if tv := usageTVDistance(pa, usageProfile(c, lexiconLen)); math.Abs(tv-1) > 1e-12 {
+		t.Fatalf("disjoint profiles TV = %v, want 1", tv)
+	}
+	if got := pa[1]; math.Abs(got-0.5) > 1e-12 {
+		t.Fatalf("profile mass for item 1 = %v, want 0.5", got)
+	}
+}
+
+// TestRunHorizontalSweepDeterministic requires identical seeded sweeps
+// to agree bit for bit, not just to the printed precision.
+func TestRunHorizontalSweepDeterministic(t *testing.T) {
+	cfg := testConfig(t, false)
+	regions, migrations := []string{"ITA", "FRA", "JPN"}, []float64{0, 0.1, 0.3, 0.5}
+	first, err := RunHorizontalSweep(cfg, evomodel.CMRandom, regions, migrations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		again, err := RunHorizontalSweep(cfg, evomodel.CMRandom, regions, migrations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Points, first.Points) {
+			t.Fatalf("rerun %d: points %v, first run %v", run, again.Points, first.Points)
+		}
 	}
 }

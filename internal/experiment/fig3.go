@@ -39,15 +39,10 @@ type Fig3Result struct {
 	Categories  Fig3Panel // Fig 3b
 }
 
-// RunFig3 reproduces Fig 3: invariance of the rank-frequency
-// distributions of frequent ingredient and category combinations.
-func RunFig3(cfg *Config) (*Fig3Result, error) {
-	return RunFig3Ctx(context.Background(), cfg)
-}
-
-// RunFig3Ctx is RunFig3 with cooperative cancellation: the per-cuisine
-// mining fan-out stops scheduling new work once ctx is cancelled and the
-// call returns ctx.Err().
+// RunFig3Ctx reproduces Fig 3: invariance of the rank-frequency
+// distributions of frequent ingredient and category combinations. The
+// per-cuisine mining fan-out stops scheduling new work once ctx is
+// cancelled and the call returns ctx.Err().
 func RunFig3Ctx(ctx context.Context, cfg *Config) (*Fig3Result, error) {
 	corpus, err := cfg.Corpus()
 	if err != nil {

@@ -49,24 +49,11 @@ type Fig4Options struct {
 	Categories bool
 	// Regions restricts the comparison (default: all 25).
 	Regions []string
-	// Model-variant switches forwarded to evomodel.Params.
-	FixedIterations     bool
-	NullFromFullLexicon bool
-	MixtureRatio        float64
-	// MutationOverride, when > 0, forces M for every kind (ablation).
-	MutationOverride int
-	// InitialPoolOverride, when > 0, forces m (ablation; paper uses 20).
-	InitialPoolOverride int
 }
 
-// RunFig4 reproduces Fig 4: for each cuisine, the empirical
+// RunFig4Ctx reproduces Fig 4: for each cuisine, the empirical
 // rank-frequency distribution of frequent combinations against each
-// model's 100-replicate aggregate, scored with Eq 2.
-func RunFig4(cfg *Config, opts Fig4Options) (*Fig4Result, error) {
-	return RunFig4Ctx(context.Background(), cfg, opts)
-}
-
-// RunFig4Ctx is RunFig4 with cooperative cancellation: the flattened
+// model's 100-replicate aggregate, scored with Eq 2. The flattened
 // (cuisine × kind × replicate) grid stops scheduling new replicates once
 // ctx is cancelled and the call returns ctx.Err(), so an abandoned run
 // stops burning CPU almost immediately instead of finishing thousands of
@@ -124,17 +111,6 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 		for k, kind := range kinds {
 			params := base
 			params.Kind = kind
-			params.FixedIterations = opts.FixedIterations
-			params.NullFromFullLexicon = opts.NullFromFullLexicon
-			if opts.MixtureRatio > 0 {
-				params.MixtureRatio = opts.MixtureRatio
-			}
-			if opts.MutationOverride > 0 {
-				params.Mutations = opts.MutationOverride
-			}
-			if opts.InitialPoolOverride > 0 {
-				params.InitialPool = opts.InitialPoolOverride
-			}
 			ensembles[r*nK+k] = evomodel.EnsembleConfig{
 				Params:     params,
 				Replicates: replicates,

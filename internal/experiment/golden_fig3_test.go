@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -59,7 +60,7 @@ func computeGoldenFig3Bytes(t *testing.T, workers int) []byte {
 	cfg := DefaultConfig(42)
 	cfg.RecipeScale = 0.05
 	cfg.Workers = workers
-	res, err := RunFig3(cfg)
+	res, err := RunFig3Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -58,7 +59,7 @@ func computeGoldenFig4Bytes(t *testing.T, workers int) []byte {
 	regions := []string{"ITA", "JPN", "KOR"}
 
 	pin := func(categories bool) goldenFig4Panel {
-		res, err := RunFig4(cfg, Fig4Options{Regions: regions, Categories: categories})
+		res, err := RunFig4Ctx(context.Background(), cfg, Fig4Options{Regions: regions, Categories: categories})
 		if err != nil {
 			t.Fatal(err)
 		}

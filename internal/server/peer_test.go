@@ -44,20 +44,39 @@ func twoNodes(t *testing.T, mutate func(id string, opts *Options)) (*Server, *Se
 	return build("n0"), build("n1"), tr
 }
 
+// mineProbe returns the /v1/mine path for one top value and the cache
+// key the handler derives for it. The key is built by hand, then
+// confirmed through the handler itself: a conditional request carrying
+// the key's ETag must come back 304, which serveComputed answers before
+// any cache, peer or compute step. A hand-built key that drifts from
+// handleMine's canonicalisation therefore fails here, instead of
+// steering a test onto a node that does not own the request. The probe
+// carries an already-cancelled context, so a probe that misses the ETag
+// gives up at once rather than computing (or parking on a chaos gate).
+func mineProbe(t *testing.T, s *Server, top int) (path, key string) {
+	t.Helper()
+	path = fmt.Sprintf("/v1/mine?region=ITA&top=%d", top)
+	canon := canonicalParams("categories", false, "region", "ITA", "support", s.opts.MinSupport, "top", top)
+	key = resultKey(s.fingerprint, "/v1/mine", canon)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+	req.Header.Set("If-None-Match", `"`+key[:32]+`"`)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusNotModified {
+		t.Fatalf("probe key for %s differs from the handler's: conditional request got %d, want 304", path, rec.Code)
+	}
+	return path, key
+}
+
 // pathOwnedBy finds a /v1/mine request whose cache key lands on the
-// wanted node, by probing the same key derivation the server uses.
+// wanted node.
 func pathOwnedBy(t *testing.T, s *Server, owner string) string {
 	t.Helper()
 	for top := 1; top < 200; top++ {
-		canon := canonicalParams(
-			"categories", false,
-			"region", "ITA",
-			"support", s.opts.MinSupport,
-			"top", top,
-		)
-		key := resultKey(s.fingerprint, "/v1/mine", canon)
-		if s.peers.owner(key) == owner {
-			return fmt.Sprintf("/v1/mine?region=ITA&top=%d", top)
+		if path, key := mineProbe(t, s, top); s.peers.owner(key) == owner {
+			return path
 		}
 	}
 	t.Fatalf("no probe path owned by %s", owner)
@@ -218,12 +237,7 @@ func TestPeerFallbackBudgetSheds(t *testing.T) {
 	pathA := pathOwnedBy(t, srv, "n1")
 	var pathB string
 	for top := 1; top < 400; top++ {
-		p := fmt.Sprintf("/v1/mine?region=ITA&top=%d", top)
-		if p == pathA {
-			continue
-		}
-		canon := canonicalParams("categories", false, "region", "ITA", "support", srv.opts.MinSupport, "top", top)
-		if srv.peers.owner(resultKey(srv.fingerprint, "/v1/mine", canon)) == "n1" {
+		if p, key := mineProbe(t, srv, top); p != pathA && srv.peers.owner(key) == "n1" {
 			pathB = p
 			break
 		}
