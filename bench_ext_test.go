@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cuisinevol/internal/evomodel"
+	"cuisinevol/internal/experiment"
 	"cuisinevol/internal/flavor"
 	"cuisinevol/internal/ingest"
 	"cuisinevol/internal/itemset"
@@ -81,43 +82,11 @@ func BenchmarkHorizontalTransmission(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tv = usageTV(out["ITA"], out["JPN"])
+				tv = experiment.UsageTV(out["ITA"], out["JPN"], corpus.Lexicon().Len())
 			}
 			b.ReportMetric(tv, "usage_tv")
 		})
 	}
-}
-
-func usageTV(a, b [][]IngredientID) float64 {
-	profile := func(txs [][]IngredientID) map[IngredientID]float64 {
-		counts := map[IngredientID]float64{}
-		total := 0.0
-		for _, tx := range txs {
-			for _, id := range tx {
-				counts[id]++
-				total++
-			}
-		}
-		for id := range counts {
-			counts[id] /= total
-		}
-		return counts
-	}
-	pa, pb := profile(a), profile(b)
-	d := 0.0
-	for id, v := range pa {
-		diff := v - pb[id]
-		if diff < 0 {
-			diff = -diff
-		}
-		d += diff
-	}
-	for id, v := range pb {
-		if _, ok := pa[id]; !ok {
-			d += v
-		}
-	}
-	return d / 2
 }
 
 // BenchmarkFoodPairing measures the full 25-cuisine pairing analysis.

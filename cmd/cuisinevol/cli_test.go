@@ -10,6 +10,17 @@ import (
 // to stdout; a non-zero exit status fails the test.
 func runCLI(t *testing.T, argv ...string) string {
 	t.Helper()
+	out, code := runCLIStatus(t, argv...)
+	if code != 0 {
+		t.Fatalf("cuisinevol %s: exit status %d", strings.Join(argv, " "), code)
+	}
+	return out
+}
+
+// runCLIStatus runs one CLI command in-process and returns what it
+// printed to stdout and its exit status.
+func runCLIStatus(t *testing.T, argv ...string) (string, int) {
+	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -19,14 +30,21 @@ func runCLI(t *testing.T, argv ...string) string {
 	os.Stdout = f
 	code := run(argv)
 	os.Stdout = stdout
-	if code != 0 {
-		t.Fatalf("cuisinevol %s: exit status %d", strings.Join(argv, " "), code)
-	}
 	out, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(out)
+	return string(out), code
+}
+
+// TestCLIHorizontalOneRegion checks that a sweep over a single region,
+// which has no pair to measure, fails without printing a table or a
+// verdict.
+func TestCLIHorizontalOneRegion(t *testing.T) {
+	out, code := runCLIStatus(t, "horizontal", "-scale", "0.03", "-regions", "ITA")
+	if code == 0 || out != "" {
+		t.Fatalf("horizontal -regions ITA: exit status %d, stdout %q; want a failure and no output", code, out)
+	}
 }
 
 // TestCLIEndToEnd drives every experiment command the CLI exposes on a

@@ -16,9 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 
 	"cuisinevol"
+	"cuisinevol/internal/experiment"
 )
 
 func main() {
@@ -50,7 +50,7 @@ func main() {
 		sum, n := 0.0, 0
 		for i, a := range regions {
 			for _, b := range regions[i+1:] {
-				sum += usageTV(out[a], out[b])
+				sum += experiment.UsageTV(out[a], out[b], corpus.Lexicon().Len())
 				n++
 			}
 		}
@@ -59,34 +59,4 @@ func main() {
 	fmt.Println()
 	fmt.Println("usage converges as recipes migrate — cuisines in contact share ingredients,")
 	fmt.Println("yet each region's rank-frequency curve keeps the same invariant shape.")
-}
-
-// usageTV is half the L1 distance between two recipe sets' normalized
-// ingredient-usage profiles.
-func usageTV(a, b [][]cuisinevol.IngredientID) float64 {
-	profile := func(txs [][]cuisinevol.IngredientID) map[cuisinevol.IngredientID]float64 {
-		counts := map[cuisinevol.IngredientID]float64{}
-		total := 0.0
-		for _, tx := range txs {
-			for _, id := range tx {
-				counts[id]++
-				total++
-			}
-		}
-		for id := range counts {
-			counts[id] /= total
-		}
-		return counts
-	}
-	pa, pb := profile(a), profile(b)
-	d := 0.0
-	for id, v := range pa {
-		d += math.Abs(v - pb[id])
-	}
-	for id, v := range pb {
-		if _, ok := pa[id]; !ok {
-			d += v
-		}
-	}
-	return d / 2
 }

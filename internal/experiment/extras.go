@@ -5,15 +5,17 @@ package experiment
 // horizontal-transmission sweep.
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"sort"
 
 	"cuisinevol/internal/cuisine"
 	"cuisinevol/internal/evomodel"
 	"cuisinevol/internal/flavor"
 	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/recipe"
 	"cuisinevol/internal/report"
 )
 
@@ -79,13 +81,21 @@ type HorizontalSweepResult struct {
 	Monotone bool
 }
 
-// RunHorizontalSweep couples the given regions under the given model's
-// dynamics and sweeps the migration probabilities in ascending order
-// (sorting the slice in place).
+// RunHorizontalSweep couples the given regions, at least two and each
+// listed once, under the given model's dynamics and sweeps the migration
+// probabilities in ascending order (sorting the slice in place).
 // Homogenization is measured on which ingredients the regions use, not
 // on the rank-frequency shape, which is already invariant across
 // regions (the paper's §IV finding).
 func RunHorizontalSweep(cfg *Config, kind evomodel.Kind, regions []string, migrations []float64) (*HorizontalSweepResult, error) {
+	for i, code := range regions {
+		if slices.Contains(regions[:i], code) {
+			return nil, fmt.Errorf("experiment: region %s listed twice", code)
+		}
+	}
+	if len(regions) < 2 {
+		return nil, errors.New("experiment: a horizontal sweep needs at least two regions")
+	}
 	corpus, err := cfg.Corpus()
 	if err != nil {
 		return nil, err
@@ -109,14 +119,10 @@ func RunHorizontalSweep(cfg *Config, kind evomodel.Kind, regions []string, migra
 		if err != nil {
 			return nil, err
 		}
-		profiles := make(map[string][]float64, len(out))
-		for code, txs := range out {
-			profiles[code] = usageProfile(txs, corpus.Lexicon().Len())
-		}
 		sum, n := 0.0, 0
 		for i, a := range regions {
 			for _, b := range regions[i+1:] {
-				sum += usageTVDistance(profiles[a], profiles[b])
+				sum += UsageTV(out[a], out[b], corpus.Lexicon().Len())
 				n++
 			}
 		}
@@ -155,12 +161,9 @@ func usageProfile(txs [][]ingredient.ID, lexiconLen int) []float64 {
 	return profile
 }
 
-// usageTVDistance is half the L1 distance between two usage profiles,
-// summed in ID order so that equal inputs give bit-identical results.
-func usageTVDistance(a, b []float64) float64 {
-	d := 0.0
-	for id := range a {
-		d += math.Abs(a[id] - b[id])
-	}
-	return d / 2
+// UsageTV is the total-variation distance between two recipe sets'
+// ingredient-usage profiles over a lexicon of lexiconLen IDs. It is
+// summed in ID order, so equal inputs give bit-identical results.
+func UsageTV(a, b [][]ingredient.ID, lexiconLen int) float64 {
+	return recipe.TotalVariation(usageProfile(a, lexiconLen), usageProfile(b, lexiconLen))
 }

@@ -61,8 +61,19 @@ func TestRunHorizontalSweep(t *testing.T) {
 
 func TestRunHorizontalSweepUnknownRegion(t *testing.T) {
 	cfg := testConfig(t, false)
-	if _, err := RunHorizontalSweep(cfg, evomodel.CMRandom, []string{"NOPE"}, nil); err == nil {
-		t.Fatal("unknown region accepted")
+	for _, tc := range []struct {
+		regions []string
+		want    string
+	}{
+		{[]string{"NOPE"}, "at least two regions"},
+		{[]string{"ITA", "NOPE"}, "region NOPE missing"},
+		{[]string{"ITA"}, "at least two regions"},
+		{[]string{"ITA", "ITA"}, "region ITA listed twice"},
+	} {
+		_, err := RunHorizontalSweep(cfg, evomodel.CMRandom, tc.regions, []float64{0})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("regions %v: error %v, want one containing %q", tc.regions, err, tc.want)
+		}
 	}
 }
 
@@ -115,15 +126,14 @@ func TestUsageProfileAndTV(t *testing.T) {
 	const lexiconLen = 10
 	a := [][]ingredient.ID{{1, 2}, {1, 3}}
 	b := [][]ingredient.ID{{1, 2}, {1, 3}}
-	pa, pb := usageProfile(a, lexiconLen), usageProfile(b, lexiconLen)
-	if tv := usageTVDistance(pa, pb); tv != 0 {
+	if tv := UsageTV(a, b, lexiconLen); tv != 0 {
 		t.Fatalf("identical profiles TV = %v", tv)
 	}
 	c := [][]ingredient.ID{{7, 8}, {7, 9}}
-	if tv := usageTVDistance(pa, usageProfile(c, lexiconLen)); math.Abs(tv-1) > 1e-12 {
+	if tv := UsageTV(a, c, lexiconLen); math.Abs(tv-1) > 1e-12 {
 		t.Fatalf("disjoint profiles TV = %v, want 1", tv)
 	}
-	if got := pa[1]; math.Abs(got-0.5) > 1e-12 {
+	if got := usageProfile(a, lexiconLen)[1]; math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("profile mass for item 1 = %v, want 0.5", got)
 	}
 }

@@ -72,7 +72,7 @@ func Compare(a, b *Corpus) Comparison {
 		fa := usageFractions(va)
 		fb := usageFractions(vb)
 		rc.UsageCorrelation = stats.Pearson(fa, fb)
-		rc.UsageTV = totalVariationDense(fa, fb)
+		rc.UsageTV = TotalVariation(fa, fb)
 		cmp.PerRegion = append(cmp.PerRegion, rc)
 	}
 	return cmp
@@ -96,9 +96,10 @@ func usageFractions(v View) []float64 {
 	return out
 }
 
-// totalVariationDense is half the L1 distance between two dense
-// distributions of equal length.
-func totalVariationDense(a, b []float64) float64 {
+// TotalVariation is half the L1 distance between two dense
+// distributions of equal length, summed in index order so that equal
+// inputs give bit-identical results.
+func TotalVariation(a, b []float64) float64 {
 	d := 0.0
 	for i := range a {
 		diff := a[i] - b[i]
