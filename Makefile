@@ -8,6 +8,7 @@
 #   make loadtest        race-enabled overload/loadtest suite for the server
 #   make loadtest-cluster  3-node ring invariant harness under -race
 #   make corpus-roundtrip  import → export → re-import fingerprint gate via the CLI
+#   make paper-check     rerun `cuisinevol all` at scale 1 and diff it against results/
 #   make servebench-test   the serving benchmark's self-test (its own module)
 #   make bench-baseline  full benchmark run, recorded to BENCH_fig_pipeline.json
 #   make bench-smoke     1-iteration benchmark pass (fast; same JSON output)
@@ -42,14 +43,15 @@ BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|
 # 80 and 121 allocs, so they stay out.
 ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites|MineLowSupport|EclatReplicateSpectrum|ServeHit
 
-.PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip servebench-test loc
+.PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip paper-check servebench-test loc
 
 check: fmt vet build race bench-smoke corpus-roundtrip soak servebench-test
 
 # ci mirrors only the test job of .github/workflows/ci.yml: the race
 # detector gates the server's cache/coalescing code. The workflow's
 # other jobs run the loadtest-cluster, soak, fuzz, servebench-test,
-# corpus-roundtrip, benchgate and benchgate-allocs targets, and its
+# corpus-roundtrip, paper-check, benchgate and benchgate-allocs
+# targets, and its
 # loadtest job runs the server suites with -count=3.
 ci: fmt vet build race
 
@@ -154,6 +156,24 @@ corpus-roundtrip:
 		-print-fingerprint '$(RTDIR)/export.jsonl' > '$(RTDIR)/fp2'
 	diff '$(RTDIR)/fp1' '$(RTDIR)/fp2'
 	@echo "corpus-roundtrip: fingerprint stable at $$(cat '$(RTDIR)/fp1')"
+
+# paper-check reruns every paper figure and table at the default scale
+# 1 and seed into a temporary directory and requires each file to match
+# the committed results/ byte for byte, in both directions, skipping
+# the golden_*.json files the tests write. It fails naming the first
+# file that differs or exists on one side only. A change that alters
+# results/ regenerates them in the same commit.
+PAPERDIR := $(or $(TMPDIR),/tmp)/cuisinevol-paper-check
+paper-check:
+	rm -rf '$(PAPERDIR)' && mkdir -p '$(PAPERDIR)'
+	$(GO) run ./cmd/cuisinevol all -outdir '$(PAPERDIR)' > /dev/null
+	@for f in results/* '$(PAPERDIR)'/*; do \
+		name=$$(basename "$$f"); \
+		case "$$name" in golden_*.json) continue ;; esac; \
+		cmp -s "results/$$name" '$(PAPERDIR)'/"$$name" || \
+			{ echo "paper-check: $$name differs between results/ and a fresh run"; exit 1; }; \
+	done
+	@echo "paper-check: all $$(ls '$(PAPERDIR)' | wc -l) files match results/"
 
 # benchgate-allocs gates only the ALLOC_GATE_PATTERN benchmarks, whose
 # allocs/op are deterministic, and only on allocs/op: >ALLOC_TOLERANCE
