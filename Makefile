@@ -51,8 +51,7 @@ check: fmt vet build race bench-smoke corpus-roundtrip soak servebench-test
 # detector gates the server's cache/coalescing code. The workflow's
 # other jobs run the loadtest-cluster, soak, fuzz, servebench-test,
 # corpus-roundtrip, paper-check, benchgate and benchgate-allocs
-# targets, and its
-# loadtest job runs the server suites with -count=3.
+# targets, and its loadtest job runs the server suites with -count=3.
 ci: fmt vet build race
 
 # serve runs the HTTP analytics service (see DESIGN.md §8); Ctrl-C
