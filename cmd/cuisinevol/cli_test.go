@@ -21,20 +21,36 @@ func runCLI(t *testing.T, argv ...string) string {
 // printed to stdout and its exit status.
 func runCLIStatus(t *testing.T, argv ...string) (string, int) {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
+	out, _, code := runCLIOutputs(t, argv...)
+	return out, code
+}
+
+// runCLIOutputs runs one CLI command in-process and returns what it
+// printed to stdout and to stderr, and its exit status.
+func runCLIOutputs(t *testing.T, argv ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	dir := t.TempDir()
+	capture := func(name string) (*os.File, func() string) {
+		f, err := os.CreateTemp(dir, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, func() string {
+			f.Close()
+			b, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
+		}
 	}
-	defer f.Close()
-	stdout := os.Stdout
-	os.Stdout = f
-	code := run(argv)
-	os.Stdout = stdout
-	out, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), code
+	outFile, readOut := capture("stdout")
+	errFile, readErr := capture("stderr")
+	savedOut, savedErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outFile, errFile
+	code = run(argv)
+	os.Stdout, os.Stderr = savedOut, savedErr
+	return readOut(), readErr(), code
 }
 
 // TestCLIHorizontalOneRegion checks that a sweep over a single region,
@@ -49,9 +65,9 @@ func TestCLIHorizontalOneRegion(t *testing.T) {
 
 // TestCLIEndToEnd drives every experiment command the CLI exposes on a
 // small corpus. It checks that `all` and `cluster` report their
-// headlines, and pins the pairing and horizontal tables byte for byte,
-// for the default flags and for non-default ones, so the commands'
-// numbers and formatting cannot drift unnoticed.
+// headlines, and pins the pairing, horizontal, mine, overrep and evolve
+// output byte for byte, for the default flags and for non-default ones,
+// so the commands' numbers and formatting cannot drift unnoticed.
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
@@ -81,9 +97,30 @@ func TestCLIEndToEnd(t *testing.T) {
 		{[]string{"pairing", "-scale", "0.03", "-flavor-seed", "7", "-nrand", "20"}, pairingFlavorSeed7},
 		{[]string{"horizontal", "-scale", "0.03"}, horizontalDefault},
 		{[]string{"horizontal", "-scale", "0.03", "-regions", "KOR,ITA", "-model", "CM-C", "-migrations", "0,0.2"}, horizontalKORITA},
+		{[]string{"mine", "-scale", "0.03", "-top", "10"}, mineITA},
+		{[]string{"mine", "-scale", "0.03", "-region", "kor", "-categories", "-top", "8"}, mineKORCategories},
+		{[]string{"overrep", "-scale", "0.03"}, overrepITA},
+		{[]string{"overrep", "-scale", "0.03", "-region", "kor", "-k", "5"}, overrepKOR},
+		{[]string{"evolve", "-scale", "0.03", "-replicates", "4"}, evolveITA},
+		{[]string{"evolve", "-scale", "0.03", "-region", "kor", "-model", "CM-C", "-replicates", "3", "-support", "0.1"}, evolveKORCMC},
 	} {
 		if got := runCLI(t, tc.argv...); got != tc.want {
 			t.Errorf("cuisinevol %s:\n got:\n%s\nwant:\n%s", strings.Join(tc.argv, " "), got, tc.want)
+		}
+	}
+	// A region with no recipes fails with one line on stderr and nothing
+	// on stdout.
+	for _, tc := range []struct {
+		argv []string
+		want string
+	}{
+		{[]string{"overrep", "-scale", "0.03", "-region", "XYZ"}, "cuisinevol: overrep: region \"XYZ\" has no recipes\n"},
+		{[]string{"evolve", "-scale", "0.03", "-region", "XYZ"}, "cuisinevol: region \"XYZ\" has no recipes\n"},
+	} {
+		stdout, stderr, code := runCLIOutputs(t, tc.argv...)
+		if code != 1 || stdout != "" || stderr != tc.want {
+			t.Errorf("cuisinevol %s: exit status %d, stdout %q, stderr %q; want 1, \"\", %q",
+				strings.Join(tc.argv, " "), code, stdout, stderr, tc.want)
 		}
 	}
 }
@@ -166,4 +203,111 @@ Migration  MeanUsageTV
 0.00       0.9509     
 0.20       0.4710     
 declining distance with migration = horizontal propagation homogenizes cuisines (paper §VII)
+`
+
+const mineITA = `Frequent combinations in ITA (support >= 5%, 258 total)
+Rank  Combination               Support
+---------------------------------------
+1     olive                     0.5928 
+2     parmesan cheese           0.5784 
+3     garlic                    0.5367 
+4     basil                     0.5065 
+5     salt                      0.4892 
+6     tomato                    0.4547 
+7     onion                     0.4446 
+8     parmesan cheese + olive   0.3554 
+9     garlic + parmesan cheese  0.3381 
+10    garlic + olive            0.3353 
+`
+
+const mineKORCategories = `Frequent combinations in kor (support >= 5%, 1131 total)
+Rank  Combination                   Support
+-------------------------------------------
+1     Vegetable                     0.9459 
+2     Additive                      0.9459 
+3     Vegetable + Additive          0.9189 
+4     Spice                         0.8649 
+5     Vegetable + Spice             0.8378 
+6     Spice + Additive              0.8378 
+7     Nuts and Seeds                0.8108 
+8     Vegetable + Spice + Additive  0.8108 
+`
+
+const overrepITA = `Most overrepresented ingredients in ITA (Eq 1)
+Rank  Ingredient       Category   Score 
+----------------------------------------
+1     parmesan cheese  Dairy      0.4895
+2     olive            Fruit      0.4299
+3     basil            Herb       0.4283
+4     tomato           Vegetable  0.2568
+5     garlic           Vegetable  0.2310
+6     water            Beverage   0.0740
+7     onion            Vegetable  0.0724
+8     orange juice     Beverage   0.0380
+9     vegetable oil    Plant      0.0364
+10    carrot           Vegetable  0.0362
+paper's Table I list: olive, parmesan cheese, basil, garlic, tomato
+`
+
+const overrepKOR = `Most overrepresented ingredients in KOR (Eq 1)
+Rank  Ingredient     Category        Score 
+-------------------------------------------
+1     sesame         Nuts and Seeds  0.6751
+2     ginger         Spice           0.5890
+3     soybean sauce  Additive        0.5828
+4     sugar          Additive        0.3479
+5     garlic         Vegetable       0.3159
+paper's Table I list: sesame, soybean sauce, garlic, sugar, ginger
+`
+
+const evolveITA = `CM-R on ITA: 4 replicates, 452 frequent-combination ranks (empirical 258), MAE 0.00031
+ITA: empirical vs CM-R (log-log rank-frequency)
+  0.61 |o                                                                       
+       |*       o   *                                                           
+       |            o   * *                                                     
+       |                o o * *                                                 
+       |                    o o o                                               
+       |                         ooooo**                                        
+       |                              ooo***                                    
+       |                                oooooo*                                 
+       |                                     ooooo                              
+       |                                         oooo                           
+       |                                           **oooo                       
+       |                                               *oooo                    
+       |                                                 **ooo                  
+       |                                                   **ooooo              
+       |                                                      ***oooo           
+       |                                                         ***oooo        
+       |                                                           *** oooo     
+0.0504 |                                                             **** oooooo
+       +------------------------------------------------------------------------
+        1                                                                    452
+  * empirical
+  o CM-R
+`
+
+const evolveKORCMC = `CM-C on KOR: 3 replicates, 5387 frequent-combination ranks (empirical 176), MAE 0.02977
+KOR: empirical vs CM-C (log-log rank-frequency)
+0.883 |o                                                                       
+      |     o   o o                                                            
+      |*    *       oo ooo                                                     
+      |         * * **    ooooo                                                
+      |                **     oooo                                             
+      |                  *****    ooooo                                        
+      |                       ***     oooooo                                   
+      |                          *****     oooo                                
+      |                              **       ooooo                            
+      |                               *****       oooo                         
+      |                                   ***        ooooo                     
+      |                                     ***          oo                    
+      |                                       **          ooo                  
+      |                                                     oooo               
+      |                                        *               oooo            
+      |                                                           oooooo       
+      |                                        *                       oo      
+0.108 |                                        ***                      ooooooo
+      +------------------------------------------------------------------------
+       1                                                               5.39e+03
+  * empirical
+  o CM-C
 `

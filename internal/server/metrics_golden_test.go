@@ -16,7 +16,7 @@ import (
 	"cuisinevol/internal/recipe"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/metrics.golden")
+var updateGolden = flag.Bool("update", false, "regenerate the testdata/*.golden files")
 
 // metricsGoldenPath is the committed /metrics exposition, relative to
 // this package.
