@@ -1,60 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// Gini returns the Gini coefficient of a non-negative sample — the
-// usage-concentration measure used to compare how unevenly evolution
-// models distribute ingredient popularity. 0 is perfect equality; values
-// approach 1 as mass concentrates. NaN for empty or all-zero samples.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var cum, weighted float64
-	for i, x := range sorted {
-		if x < 0 {
-			return math.NaN()
-		}
-		cum += x
-		weighted += float64(i+1) * x
-	}
-	if cum == 0 {
-		return math.NaN()
-	}
-	return (2*weighted - float64(n+1)*cum) / (float64(n) * cum)
-}
-
-// ShannonEntropy returns the Shannon entropy (in bits) of a discrete
-// distribution given as non-negative weights (normalized internally).
-// NaN for empty or all-zero input.
-func ShannonEntropy(weights []float64) float64 {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			return math.NaN()
-		}
-		total += w
-	}
-	if total == 0 || len(weights) == 0 {
-		return math.NaN()
-	}
-	h := 0.0
-	for _, w := range weights {
-		if w == 0 {
-			continue
-		}
-		p := w / total
-		h -= p * math.Log2(p)
-	}
-	return h
-}
+import "errors"
 
 // HeapsFit is the result of fitting Heaps' law V(n) = K * n^beta to a
 // vocabulary-growth curve (unique ingredients V after n recipes).

@@ -5,67 +5,6 @@ import (
 	"testing"
 )
 
-func TestGiniEquality(t *testing.T) {
-	if g := Gini([]float64{5, 5, 5, 5}); math.Abs(g) > 1e-12 {
-		t.Fatalf("equal sample Gini = %v, want 0", g)
-	}
-}
-
-func TestGiniExtremeConcentration(t *testing.T) {
-	xs := make([]float64, 100)
-	xs[0] = 1
-	if g := Gini(xs); g < 0.98 {
-		t.Fatalf("all-mass-in-one Gini = %v, want ~0.99", g)
-	}
-}
-
-func TestGiniKnownValue(t *testing.T) {
-	// For {1, 3}: G = (2*(1*1+2*3) - 3*4) / (2*4) = (14-12)/8 = 0.25
-	if g := Gini([]float64{1, 3}); math.Abs(g-0.25) > 1e-12 {
-		t.Fatalf("Gini = %v, want 0.25", g)
-	}
-}
-
-func TestGiniOrderInvariant(t *testing.T) {
-	a := Gini([]float64{1, 2, 3, 4})
-	b := Gini([]float64{4, 2, 1, 3})
-	if a != b {
-		t.Fatal("Gini must not depend on input order")
-	}
-}
-
-func TestGiniInvalid(t *testing.T) {
-	if !math.IsNaN(Gini(nil)) || !math.IsNaN(Gini([]float64{0, 0})) || !math.IsNaN(Gini([]float64{-1, 2})) {
-		t.Fatal("invalid inputs must yield NaN")
-	}
-}
-
-func TestShannonEntropyUniform(t *testing.T) {
-	if h := ShannonEntropy([]float64{1, 1, 1, 1}); math.Abs(h-2) > 1e-12 {
-		t.Fatalf("uniform over 4 entropy = %v, want 2 bits", h)
-	}
-}
-
-func TestShannonEntropyDegenerate(t *testing.T) {
-	if h := ShannonEntropy([]float64{1, 0, 0}); math.Abs(h) > 1e-12 {
-		t.Fatalf("point-mass entropy = %v, want 0", h)
-	}
-	if !math.IsNaN(ShannonEntropy(nil)) || !math.IsNaN(ShannonEntropy([]float64{0})) {
-		t.Fatal("invalid inputs must yield NaN")
-	}
-	if !math.IsNaN(ShannonEntropy([]float64{-1, 1})) {
-		t.Fatal("negative weight must yield NaN")
-	}
-}
-
-func TestShannonEntropyScaleInvariant(t *testing.T) {
-	a := ShannonEntropy([]float64{1, 2, 3})
-	b := ShannonEntropy([]float64{10, 20, 30})
-	if math.Abs(a-b) > 1e-12 {
-		t.Fatal("entropy must be scale-invariant")
-	}
-}
-
 func TestVocabularyGrowth(t *testing.T) {
 	txs := [][]string{
 		{"a", "b"},

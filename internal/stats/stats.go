@@ -1,7 +1,7 @@
 // Package stats implements the descriptive and inferential statistics used
-// by the culinary-evolution analyses: moments, quantiles, histograms,
-// boxplot summaries, goodness-of-fit tests, correlation, regression and
-// bootstrap confidence intervals.
+// by the culinary-evolution analyses: moments, boxplot summaries, count
+// histograms, the normal fit and its Kolmogorov–Smirnov test, correlation,
+// and linear, power-law and Heaps' law regression.
 //
 // The package is deliberately self-contained (stdlib only) and operates on
 // plain float64 slices so that every analysis module can use it without
@@ -12,8 +12,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-
-	"cuisinevol/internal/randx"
 )
 
 // ErrEmpty is returned by operations that require at least one observation.
@@ -109,19 +107,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the numpy default).
-// The input need not be sorted. NaN is returned for an empty sample or an
-// out-of-range q.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -136,9 +121,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := h - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Boxplot holds the five-number summary used for box-and-whisker plots
 // (Fig 2 of the paper) plus the outliers beyond the 1.5×IQR whiskers.
@@ -189,57 +171,6 @@ func NewBoxplot(xs []float64) (Boxplot, error) {
 	return b, nil
 }
 
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64 // inclusive range covered by the bins
-	Width  float64
-	Counts []int
-	N      int // total observations binned (excludes out-of-range)
-}
-
-// NewHistogram bins xs into the given number of equal-width bins spanning
-// [lo, hi]. Observations outside the range are ignored. bins must be >= 1
-// and hi > lo, otherwise an error is returned.
-func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if !(hi > lo) {
-		return nil, errors.New("stats: histogram range must satisfy hi > lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Width: (hi - lo) / float64(bins), Counts: make([]int, bins)}
-	for _, x := range xs {
-		if x < lo || x > hi || math.IsNaN(x) {
-			continue
-		}
-		i := int((x - lo) / h.Width)
-		if i == bins { // x == hi lands in the last bin
-			i = bins - 1
-		}
-		h.Counts[i]++
-		h.N++
-	}
-	return h, nil
-}
-
-// Density returns the probability mass of each bin (counts normalized by
-// the total observation count). An all-empty histogram yields all zeros.
-func (h *Histogram) Density() []float64 {
-	d := make([]float64, len(h.Counts))
-	if h.N == 0 {
-		return d
-	}
-	for i, c := range h.Counts {
-		d[i] = float64(c) / float64(h.N)
-	}
-	return d
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
 // CountHistogram tallies non-negative integer observations directly: index
 // k holds the number of observations equal to k, up to max inclusive.
 // Observations outside [0, max] are dropped. This matches the paper's
@@ -252,15 +183,6 @@ func CountHistogram(xs []int, max int) []int {
 		}
 	}
 	return counts
-}
-
-// NormalPDF evaluates the normal density with the given mean and stddev.
-func NormalPDF(x, mean, stddev float64) float64 {
-	if stddev <= 0 {
-		return math.NaN()
-	}
-	z := (x - mean) / stddev
-	return math.Exp(-0.5*z*z) / (stddev * math.Sqrt(2*math.Pi))
 }
 
 // NormalCDF evaluates the normal CDF with the given mean and stddev.
@@ -327,29 +249,6 @@ func ksPValue(d float64, n int) float64 {
 	return sum
 }
 
-// ChiSquare computes Pearson's chi-square statistic between observed counts
-// and expected counts. Bins with expected <= 0 are skipped. The degrees of
-// freedom returned are (#used bins - 1 - ddof).
-func ChiSquare(observed []int, expected []float64, ddof int) (stat float64, df int, err error) {
-	if len(observed) != len(expected) {
-		return 0, 0, errors.New("stats: chi-square length mismatch")
-	}
-	used := 0
-	for i := range observed {
-		if expected[i] <= 0 {
-			continue
-		}
-		d := float64(observed[i]) - expected[i]
-		stat += d * d / expected[i]
-		used++
-	}
-	df = used - 1 - ddof
-	if df < 1 {
-		df = 1
-	}
-	return stat, df, nil
-}
-
 // Pearson returns the Pearson correlation coefficient of the paired
 // samples, or NaN when undefined.
 func Pearson(xs, ys []float64) float64 {
@@ -369,39 +268,6 @@ func Pearson(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns the Spearman rank correlation of the paired samples
-// (Pearson correlation of the ranks, with average ranks for ties).
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		return math.NaN()
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns 1-based ranks of xs, assigning tied values their average
-// rank.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }
 
 // LinearFit holds the result of an ordinary least squares fit y = a + b*x.
@@ -460,61 +326,4 @@ func FitPowerLaw(xs, ys []float64) (alpha, c, r2 float64, err error) {
 		return 0, 0, 0, err
 	}
 	return fit.Slope, math.Exp(fit.Intercept), fit.R2, nil
-}
-
-// MAE returns the mean absolute error between the paired samples.
-func MAE(a, b []float64) float64 {
-	n := min(len(a), len(b))
-	if n == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / float64(n)
-}
-
-// MSE returns the mean squared error between the paired samples, truncated
-// to the shorter length. This is the quantity Eq 2 of the paper computes
-// (despite being named MAE there).
-func MSE(a, b []float64) float64 {
-	n := min(len(a), len(b))
-	if n == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return sum / float64(n)
-}
-
-// BootstrapCI estimates a percentile bootstrap confidence interval for the
-// given statistic at confidence level conf (e.g. 0.95) using b resamples.
-func BootstrapCI(xs []float64, stat func([]float64) float64, b int, conf float64, src *randx.Source) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if b < 1 || conf <= 0 || conf >= 1 {
-		return 0, 0, errors.New("stats: invalid bootstrap parameters")
-	}
-	estimates := make([]float64, b)
-	resample := make([]float64, len(xs))
-	for i := 0; i < b; i++ {
-		for j := range resample {
-			resample[j] = xs[src.Intn(len(xs))]
-		}
-		estimates[i] = stat(resample)
-	}
-	alpha := (1 - conf) / 2
-	return Quantile(estimates, alpha), Quantile(estimates, 1-alpha), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -76,38 +76,6 @@ func TestSummarizeEmptyAndConstant(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) || !math.IsNaN(Quantile(xs, -0.1)) || !math.IsNaN(Quantile(xs, 1.1)) {
-		t.Fatal("invalid quantile inputs must yield NaN")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Quantile mutated input: %v", xs)
-	}
-}
-
-func TestMedianOddEven(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Fatalf("odd median = %v", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Fatalf("even median = %v", got)
-	}
-}
-
 func TestBoxplot(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 100}
 	b, err := NewBoxplot(xs)
@@ -154,48 +122,6 @@ func TestBoxplotQuartileInvariant(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.5, 1, 1.5, 2, 9.99, 10, -1, 11}
-	h, err := NewHistogram(xs, 0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.N != 7 {
-		t.Fatalf("binned %d observations, want 7 (out-of-range dropped)", h.N)
-	}
-	// width 2: [0,2) -> {0,0.5,1,1.5}, [2,4) -> {2}, last bin gets 9.99 and 10.
-	if h.Counts[0] != 4 || h.Counts[1] != 1 || h.Counts[4] != 2 {
-		t.Fatalf("bad bin counts: %v", h.Counts)
-	}
-	d := h.Density()
-	sum := 0.0
-	for _, v := range d {
-		sum += v
-	}
-	if !almostEq(sum, 1, 1e-12) {
-		t.Fatalf("density sums to %v", sum)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 10, 0); err == nil {
-		t.Fatal("zero bins must error")
-	}
-	if _, err := NewHistogram(nil, 5, 5, 3); err == nil {
-		t.Fatal("empty range must error")
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h, _ := NewHistogram(nil, 0, 10, 5)
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Fatalf("BinCenter(4) = %v, want 9", got)
-	}
-}
-
 func TestCountHistogram(t *testing.T) {
 	counts := CountHistogram([]int{2, 2, 3, 38, 39, -1}, 38)
 	if counts[2] != 2 || counts[3] != 1 || counts[38] != 1 {
@@ -210,17 +136,14 @@ func TestCountHistogram(t *testing.T) {
 	}
 }
 
-func TestNormalPDFCDF(t *testing.T) {
-	if got := NormalPDF(0, 0, 1); !almostEq(got, 1/math.Sqrt(2*math.Pi), 1e-12) {
-		t.Fatalf("standard normal pdf at 0 = %v", got)
-	}
+func TestNormalCDF(t *testing.T) {
 	if got := NormalCDF(0, 0, 1); !almostEq(got, 0.5, 1e-12) {
 		t.Fatalf("standard normal cdf at 0 = %v", got)
 	}
 	if got := NormalCDF(1.96, 0, 1); !almostEq(got, 0.975, 1e-3) {
 		t.Fatalf("cdf(1.96) = %v, want ~0.975", got)
 	}
-	if !math.IsNaN(NormalPDF(0, 0, 0)) {
+	if !math.IsNaN(NormalCDF(0, 0, 0)) {
 		t.Fatal("zero stddev must yield NaN")
 	}
 }
@@ -252,22 +175,6 @@ func TestKSNormalRejectsUniform(t *testing.T) {
 	}
 }
 
-func TestChiSquare(t *testing.T) {
-	obs := []int{10, 20, 30}
-	exp := []float64{15, 15, 30}
-	stat, df, err := ChiSquare(obs, exp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 25.0/15 + 25.0/15
-	if !almostEq(stat, want, 1e-12) || df != 2 {
-		t.Fatalf("chi2 = %v df = %d, want %v df 2", stat, df, want)
-	}
-	if _, _, err := ChiSquare([]int{1}, []float64{1, 2}, 0); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
@@ -280,24 +187,6 @@ func TestPearsonPerfect(t *testing.T) {
 	}
 	if !math.IsNaN(Pearson(xs, []float64{1, 1, 1, 1})) {
 		t.Fatal("zero-variance input must yield NaN")
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125} // monotone but nonlinear
-	if got := Spearman(xs, ys); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("monotone Spearman = %v, want 1", got)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	r := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", r, want)
-		}
 	}
 }
 
@@ -338,58 +227,6 @@ func TestFitPowerLawSkipsNonPositive(t *testing.T) {
 	ys := []float64{5, 1, 0.5, 0.25}
 	if _, _, _, err := FitPowerLaw(xs, ys); err != nil {
 		t.Fatalf("non-positive points should be skipped, got error %v", err)
-	}
-}
-
-func TestMAEAndMSE(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{2, 2, 5}
-	if got := MAE(a, b); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("MAE = %v, want 1", got)
-	}
-	if got := MSE(a, b); !almostEq(got, 5.0/3, 1e-12) {
-		t.Fatalf("MSE = %v, want 5/3", got)
-	}
-	// Truncation to the shorter series (Eq 2's r = lowest shared rank).
-	if got := MSE([]float64{1, 2}, []float64{1, 2, 100}); got != 0 {
-		t.Fatalf("truncated MSE = %v, want 0", got)
-	}
-	if !math.IsNaN(MAE(nil, nil)) {
-		t.Fatal("empty MAE must be NaN")
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	src := randx.New(107)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = src.NormAt(10, 2)
-	}
-	lo, hi, err := BootstrapCI(xs, Mean, 400, 0.95, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("degenerate interval [%v, %v]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("95%% CI [%v, %v] does not cover the true mean", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("CI [%v, %v] implausibly wide for n=500", lo, hi)
-	}
-}
-
-func TestBootstrapCIErrors(t *testing.T) {
-	src := randx.New(1)
-	if _, _, err := BootstrapCI(nil, Mean, 10, 0.95, src); err != ErrEmpty {
-		t.Fatalf("want ErrEmpty, got %v", err)
-	}
-	if _, _, err := BootstrapCI([]float64{1}, Mean, 0, 0.95, src); err == nil {
-		t.Fatal("b=0 must error")
-	}
-	if _, _, err := BootstrapCI([]float64{1}, Mean, 10, 1.5, src); err == nil {
-		t.Fatal("conf out of range must error")
 	}
 }
 
