@@ -8,12 +8,13 @@ package cuisinevol
 // the mining kernels' pooled scratch — so cold fills don't inflate the
 // steady-state allocs/op these benches gate (see `make
 // benchgate-allocs`). An ensemble's machines and index builders live
-// in a per-call free list, so every RunEnsemble counts their
+// in a per-call free list, so every RunEnsembleCtx call counts their
 // construction.
 //
 // Run with: go test -bench='EvolveRun|EnsembleReplicates' -benchmem
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -98,13 +99,13 @@ func BenchmarkEnsembleReplicates(b *testing.B) {
 				MinSupport: 0.05,
 			}
 			warmOnEveryP(b, func() error {
-				_, err := evomodel.RunEnsemble(cfg, lex)
+				_, err := evomodel.RunEnsembleCtx(context.Background(), cfg, lex)
 				return err
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := evomodel.RunEnsemble(cfg, lex); err != nil {
+				if _, err := evomodel.RunEnsembleCtx(context.Background(), cfg, lex); err != nil {
 					b.Fatal(err)
 				}
 			}

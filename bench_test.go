@@ -235,7 +235,7 @@ func benchEnsembleMAE(b *testing.B, mutate func(*evomodel.Params)) float64 {
 	emp := rankfreq.FromResult("KOR", mined)
 	params := evomodel.ParamsForView(view, evomodel.CMRandom, 7)
 	mutate(&params)
-	dist, err := evomodel.RunEnsemble(evomodel.EnsembleConfig{
+	dist, err := evomodel.RunEnsembleCtx(context.Background(), evomodel.EnsembleConfig{
 		Params:     params,
 		Replicates: benchReplicates,
 		MinSupport: 0.05,

@@ -1,6 +1,7 @@
 package cuisinevol
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // compareByEnsemble is the straightforward Fig 4 slice for one region:
-// mine the empirical spectrum, run one RunEnsemble per model and score
+// mine the empirical spectrum, run one RunEnsembleCtx per model and score
 // each aggregate with Eq 2. CompareModels must agree with it exactly.
 func compareByEnsemble(t *testing.T, c *Corpus, region string, opts CompareOptions) *ModelComparison {
 	t.Helper()
@@ -30,7 +31,7 @@ func compareByEnsemble(t *testing.T, c *Corpus, region string, opts CompareOptio
 	}
 	best := -1.0
 	for _, kind := range opts.Kinds {
-		dist, err := evomodel.RunEnsemble(evomodel.EnsembleConfig{
+		dist, err := evomodel.RunEnsembleCtx(context.Background(), evomodel.EnsembleConfig{
 			Params:     evomodel.ParamsForView(c.Region(region), kind, opts.Seed),
 			Replicates: opts.Replicates,
 			MinSupport: opts.MinSupport,

@@ -33,64 +33,19 @@ type EnsembleConfig struct {
 	Label string
 }
 
-// RunEnsemble executes the configured replicates in parallel, mines each
-// replicate's frequent combinations, and returns the rank-wise aggregated
-// rank-frequency distribution.
+// RunEnsembleCtx executes the configured replicates in parallel, mines
+// each replicate's frequent combinations, and returns the rank-wise
+// aggregated rank-frequency distribution. Once ctx is cancelled no
+// further replicates are scheduled and the call returns ctx.Err().
 //
 // Replicate r uses seed Params.Seed + r mixed through the splittable RNG,
 // so ensembles are reproducible and replicates independent.
-func RunEnsemble(cfg EnsembleConfig, lex *ingredient.Lexicon) (rankfreq.Distribution, error) {
-	agg, _, err := runEnsemble(context.Background(), cfg, lex)
-	return agg, err
-}
-
-// RunEnsembleCtx is RunEnsemble with cooperative cancellation: once ctx
-// is cancelled no further replicates are scheduled and the call returns
-// ctx.Err(). Replicate seeding is unchanged, so a completed run is
-// bit-identical to RunEnsemble.
 func RunEnsembleCtx(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexicon) (rankfreq.Distribution, error) {
-	agg, _, err := runEnsemble(ctx, cfg, lex)
-	return agg, err
-}
-
-// EnsembleDetail carries the aggregate plus the per-replicate
-// distributions, for dispersion statistics over the ensemble.
-type EnsembleDetail struct {
-	Aggregate  rankfreq.Distribution
-	Replicates []rankfreq.Distribution
-}
-
-// ReplicateDistances scores every replicate against a reference
-// distribution with the given metric — the spread behind the aggregate's
-// single Eq 2 value.
-func (d *EnsembleDetail) ReplicateDistances(ref rankfreq.Distribution, metric rankfreq.Metric) ([]float64, error) {
-	out := make([]float64, len(d.Replicates))
-	for i, rep := range d.Replicates {
-		v, err := metric(ref, rep)
-		if err != nil {
-			return nil, &ReplicateError{Model: d.Aggregate.Label, Replicate: i, Err: err}
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// RunEnsembleDetailed is RunEnsemble keeping the per-replicate
-// distributions.
-func RunEnsembleDetailed(cfg EnsembleConfig, lex *ingredient.Lexicon) (*EnsembleDetail, error) {
-	agg, reps, err := runEnsemble(context.Background(), cfg, lex)
-	if err != nil {
-		return nil, err
-	}
-	return &EnsembleDetail{Aggregate: agg, Replicates: reps}, nil
-}
-
-func runEnsemble(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexicon) (rankfreq.Distribution, []rankfreq.Distribution, error) {
 	if cfg.Replicates < 1 {
-		return rankfreq.Distribution{}, nil, fmt.Errorf("evomodel: Replicates must be >= 1, got %d", cfg.Replicates)
+		return rankfreq.Distribution{}, fmt.Errorf("evomodel: Replicates must be >= 1, got %d", cfg.Replicates)
 	}
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
-		return rankfreq.Distribution{}, nil, fmt.Errorf("evomodel: MinSupport must be in (0,1], got %v", cfg.MinSupport)
+		return rankfreq.Distribution{}, fmt.Errorf("evomodel: MinSupport must be in (0,1], got %v", cfg.MinSupport)
 	}
 	label := cfg.Label
 	if label == "" {
@@ -116,18 +71,18 @@ func runEnsemble(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexico
 		if errors.As(err, &ie) {
 			err = &ReplicateError{Model: label, Replicate: ie.Item, Err: ie.Err}
 		}
-		return rankfreq.Distribution{}, nil, err
+		return rankfreq.Distribution{}, err
 	}
-	return rankfreq.Aggregate(dists), dists, nil
+	return rankfreq.Aggregate(dists), nil
 }
 
 // ReplicateDistribution runs a single replicate of the configured
 // ensemble and mines its combinations — the unit work item the shared
-// scheduler fans out when a caller (RunFig4) flattens several ensembles
-// into one (cuisine × kind × replicate) grid. Replicate rep derives its
-// seed exactly as RunEnsemble does, so dispatching replicates
-// individually and aggregating with rankfreq.Aggregate reproduces
-// RunEnsemble's output bit for bit. The replicate runs in a state taken
+// scheduler fans out when a caller (RunFig4Ctx) flattens several
+// ensembles into one (cuisine × kind × replicate) grid. Replicate rep
+// derives its seed exactly as RunEnsembleCtx does, so dispatching
+// replicates individually and aggregating with rankfreq.Aggregate
+// reproduces RunEnsembleCtx's output bit for bit. The replicate runs in a state taken
 // from reps, which the caller declares once per fan-out.
 func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int, reps *Replicators) (rankfreq.Distribution, error) {
 	label := cfg.Label

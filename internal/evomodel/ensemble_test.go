@@ -1,12 +1,14 @@
 package evomodel
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/rankfreq"
+	"cuisinevol/internal/sched"
 )
 
 func testEnsembleConfig(kind Kind) EnsembleConfig {
@@ -18,11 +20,11 @@ func testEnsembleConfig(kind Kind) EnsembleConfig {
 }
 
 func TestRunEnsembleDeterministic(t *testing.T) {
-	a, err := RunEnsemble(testEnsembleConfig(CMRandom), lex)
+	a, err := RunEnsembleCtx(context.Background(), testEnsembleConfig(CMRandom), lex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEnsemble(testEnsembleConfig(CMRandom), lex)
+	b, err := RunEnsembleCtx(context.Background(), testEnsembleConfig(CMRandom), lex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +36,12 @@ func TestRunEnsembleDeterministic(t *testing.T) {
 func TestRunEnsembleParallelismInvariant(t *testing.T) {
 	cfg := testEnsembleConfig(CMMixture)
 	cfg.Workers = 1
-	serial, err := RunEnsemble(cfg, lex)
+	serial, err := RunEnsembleCtx(context.Background(), cfg, lex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	parallel, err := RunEnsemble(cfg, lex)
+	parallel, err := RunEnsembleCtx(context.Background(), cfg, lex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestRunEnsembleParallelismInvariant(t *testing.T) {
 
 func TestRunEnsembleValidDistribution(t *testing.T) {
 	for _, kind := range Kinds() {
-		d, err := RunEnsemble(testEnsembleConfig(kind), lex)
+		d, err := RunEnsembleCtx(context.Background(), testEnsembleConfig(kind), lex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +71,7 @@ func TestRunEnsembleValidDistribution(t *testing.T) {
 func TestRunEnsembleCustomLabel(t *testing.T) {
 	cfg := testEnsembleConfig(CMRandom)
 	cfg.Label = "custom"
-	d, err := RunEnsemble(cfg, lex)
+	d, err := RunEnsembleCtx(context.Background(), cfg, lex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestRunEnsembleCustomLabel(t *testing.T) {
 func TestRunEnsembleCategories(t *testing.T) {
 	cfg := testEnsembleConfig(CMCategory)
 	cfg.Categories = true
-	d, err := RunEnsemble(cfg, lex)
+	d, err := RunEnsembleCtx(context.Background(), cfg, lex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestRunEnsembleCategories(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Category combinations are far fewer than ingredient combinations.
-	di, err := RunEnsemble(testEnsembleConfig(CMCategory), lex)
+	di, err := RunEnsembleCtx(context.Background(), testEnsembleConfig(CMCategory), lex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +106,17 @@ func TestRunEnsembleCategories(t *testing.T) {
 func TestRunEnsembleErrors(t *testing.T) {
 	cfg := testEnsembleConfig(CMRandom)
 	cfg.Replicates = 0
-	if _, err := RunEnsemble(cfg, lex); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), cfg, lex); err == nil {
 		t.Fatal("zero replicates accepted")
 	}
 	cfg = testEnsembleConfig(CMRandom)
 	cfg.MinSupport = 0
-	if _, err := RunEnsemble(cfg, lex); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), cfg, lex); err == nil {
 		t.Fatal("zero support accepted")
 	}
 	cfg = testEnsembleConfig(CMRandom)
 	cfg.Params.Ingredients = nil
-	if _, err := RunEnsemble(cfg, lex); err == nil {
+	if _, err := RunEnsembleCtx(context.Background(), cfg, lex); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }
@@ -196,7 +198,7 @@ func TestReplicatorsKeepBound(t *testing.T) {
 // quantify via the tail mass beyond rank 10 relative to the head.
 func TestNullModelCliffVsCopyMutateTail(t *testing.T) {
 	length := func(kind Kind) int {
-		d, err := RunEnsemble(testEnsembleConfig(kind), lex)
+		d, err := RunEnsembleCtx(context.Background(), testEnsembleConfig(kind), lex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,37 +224,46 @@ func BenchmarkRunCMRandom(b *testing.B) {
 func BenchmarkEnsemble8Replicates(b *testing.B) {
 	cfg := testEnsembleConfig(CMRandom)
 	for i := 0; i < b.N; i++ {
-		if _, err := RunEnsemble(cfg, lex); err != nil {
+		if _, err := RunEnsembleCtx(context.Background(), cfg, lex); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func TestRunEnsembleDetailed(t *testing.T) {
+// replicateDists runs every replicate of cfg through
+// ReplicateDistribution, fanned out over cfg.Workers, for tests that
+// compare per-replicate spectra.
+func replicateDists(t *testing.T, cfg EnsembleConfig, lex *ingredient.Lexicon) []rankfreq.Distribution {
+	t.Helper()
+	var reps Replicators
+	dists, err := sched.CollectCtx(context.Background(), cfg.Workers, cfg.Replicates, func(rep int) (rankfreq.Distribution, error) {
+		return ReplicateDistribution(cfg, lex, rep, &reps)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dists
+}
+
+// TestEnsembleReplicatesAggregate: replicates dispatched one at a time
+// aggregate to RunEnsembleCtx's distribution, and each one keeps its
+// own distance from that aggregate.
+func TestEnsembleReplicatesAggregate(t *testing.T) {
 	cfg := testEnsembleConfig(CMRandom)
-	detail, err := RunEnsembleDetailed(cfg, lex)
+	dists := replicateDists(t, cfg, lex)
+	agg, err := RunEnsembleCtx(context.Background(), cfg, lex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(detail.Replicates) != cfg.Replicates {
-		t.Fatalf("kept %d replicates", len(detail.Replicates))
-	}
-	agg, err := RunEnsemble(cfg, lex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(agg, detail.Aggregate) {
-		t.Fatal("detailed aggregate differs from RunEnsemble")
-	}
-	dists, err := detail.ReplicateDistances(detail.Aggregate, rankfreq.PaperMAE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dists) != cfg.Replicates {
-		t.Fatalf("distances = %v", dists)
+	if !reflect.DeepEqual(agg, rankfreq.Aggregate(dists)) {
+		t.Fatal("aggregated replicates differ from RunEnsembleCtx")
 	}
 	spread := 0.0
-	for _, d := range dists {
+	for _, rep := range dists {
+		d, err := rankfreq.PaperMAE(agg, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if d < 0 {
 			t.Fatal("negative distance")
 		}
@@ -260,12 +271,5 @@ func TestRunEnsembleDetailed(t *testing.T) {
 	}
 	if spread == 0 {
 		t.Fatal("replicates identical to the aggregate — dispersion lost")
-	}
-}
-
-func TestReplicateDistancesError(t *testing.T) {
-	detail := &EnsembleDetail{Replicates: []rankfreq.Distribution{{Label: "empty"}}}
-	if _, err := detail.ReplicateDistances(rankfreq.Distribution{Label: "ref", Freqs: []float64{0.5}}, rankfreq.PaperMAE); err == nil {
-		t.Fatal("empty replicate distance must error")
 	}
 }

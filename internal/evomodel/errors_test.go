@@ -39,7 +39,7 @@ func TestReplicateErrorFormatting(t *testing.T) {
 func TestRunEnsembleReturnsTypedReplicateError(t *testing.T) {
 	cfg := testEnsembleConfig(CMRandom)
 	cfg.Params.Ingredients = nil // Run rejects empty pools
-	_, err := RunEnsemble(cfg, lex)
+	_, err := RunEnsembleCtx(context.Background(), cfg, lex)
 	if err == nil {
 		t.Fatal("ensemble with bad params succeeded")
 	}

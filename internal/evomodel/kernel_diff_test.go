@@ -10,6 +10,7 @@ package evomodel
 // the freshly constructed reference machine.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -249,11 +250,7 @@ func TestReplicateSpectrumDifferential(t *testing.T) {
 					for _, workers := range []int{1, 3} {
 						label := fmt.Sprintf("%s seed %d %v categories=%v workers=%d", region, seed, kind, categories, workers)
 						cfg.Workers = workers
-						got, err := RunEnsembleDetailed(cfg, corpus.Lexicon())
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !reflect.DeepEqual(got.Replicates, want) {
+						if got := replicateDists(t, cfg, corpus.Lexicon()); !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: replicate spectra differ from BuildIndex over the sorted recipes", label)
 						}
 					}
@@ -274,7 +271,7 @@ func TestKernelDifferentialEnsemble(t *testing.T) {
 				Categories: categories,
 				Workers:    3,
 			}
-			got, err := RunEnsemble(cfg, lex)
+			got, err := RunEnsembleCtx(context.Background(), cfg, lex)
 			if err != nil {
 				t.Fatalf("%v categories=%v: %v", kind, categories, err)
 			}
@@ -318,7 +315,7 @@ func TestKernelDifferentialInterleaved(t *testing.T) {
 			}
 		case 2:
 			cfg := EnsembleConfig{Params: p, Replicates: 2, MinSupport: 0.05, Categories: trial%2 == 0, Workers: 1}
-			got, err := RunEnsemble(cfg, lex)
+			got, err := RunEnsembleCtx(context.Background(), cfg, lex)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

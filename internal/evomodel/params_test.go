@@ -1,6 +1,7 @@
 package evomodel
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -31,8 +32,8 @@ func TestDuplicateIngredientRejected(t *testing.T) {
 		check("Inspect", err)
 		_, _, err = RunWithLineage(p, lex)
 		check("RunWithLineage", err)
-		_, err = RunEnsemble(EnsembleConfig{Params: p, Replicates: 3, MinSupport: 0.05, Workers: 2}, lex)
-		check("RunEnsemble", err)
+		_, err = RunEnsembleCtx(context.Background(), EnsembleConfig{Params: p, Replicates: 3, MinSupport: 0.05, Workers: 2}, lex)
+		check("RunEnsembleCtx", err)
 		_, err = RunHorizontal(HorizontalConfig{Regions: map[string]Params{"A": p}}, lex)
 		check("RunHorizontal", err)
 	}
@@ -68,10 +69,7 @@ func TestRelabelledIngredientsSameSpectra(t *testing.T) {
 	for _, kind := range append(Kinds(), ExtendedKinds()...) {
 		for _, categories := range []bool{false, true} {
 			cfg := EnsembleConfig{Params: testParams(kind, 9), Replicates: 4, MinSupport: 0.05, Categories: categories}
-			want, err := RunEnsembleDetailed(cfg, lex)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := replicateDists(t, cfg, lex)
 			ids := make([]ingredient.ID, len(cfg.Params.Ingredients))
 			for i, id := range cfg.Params.Ingredients {
 				ids[i] = relabel[id]
@@ -80,11 +78,7 @@ func TestRelabelledIngredientsSameSpectra(t *testing.T) {
 				}
 			}
 			cfg.Params.Ingredients = ids
-			got, err := RunEnsembleDetailed(cfg, lex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Replicates, want.Replicates) {
+			if got := replicateDists(t, cfg, lex); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v (categories %v): relabelled replicate spectra differ", kind, categories)
 			}
 		}

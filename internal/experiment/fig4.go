@@ -95,7 +95,7 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 	// cuisines × kinds walked serially with parallelism only inside each
 	// ensemble — drained the pool at every ensemble boundary; the flat
 	// grid keeps all workers busy across the full pipeline. Replicate
-	// seeds depend only on (Seed, rep), exactly as in RunEnsemble, and
+	// seeds depend only on (Seed, rep), exactly as in RunEnsembleCtx, and
 	// per-ensemble aggregation order is preserved, so outputs match the
 	// serial path bit for bit.
 	nK := len(kinds)
