@@ -14,7 +14,6 @@ import (
 	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/overrep"
 	"cuisinevol/internal/plot"
-	"cuisinevol/internal/rankfreq"
 	"cuisinevol/internal/recipe"
 	"cuisinevol/internal/report"
 	"cuisinevol/internal/synth"
@@ -210,22 +209,19 @@ func cmdMine(args []string) error {
 	if err := cf.fs.Parse(args); err != nil {
 		return err
 	}
-	corpus, err := cf.corpus()
+	cfg, err := cf.config()
 	if err != nil {
 		return err
 	}
-	view := corpus.Region(strings.ToUpper(*region))
-	if view.Len() == 0 {
+	corpus, err := cfg.Corpus()
+	if err != nil {
+		return err
+	}
+	code := strings.ToUpper(*region)
+	if corpus.Region(code).Len() == 0 {
 		return fmt.Errorf("region %q has no recipes", *region)
 	}
-	txs := view.Transactions()
-	if *categories {
-		txs = view.CategoryTransactions()
-	}
-	// Build the view's index once, then mine it: the one-off CLI path
-	// exercises the same build+query split the server and pipelines use,
-	// and the index's kernel choice reads its true stats.
-	ix, err := itemset.BuildIndex(txs)
+	ix, err := experiment.ViewIndex(cfg.Indexes(), corpus, code, *categories)
 	if err != nil {
 		return err
 	}
@@ -258,13 +254,24 @@ func cmdOverrep(args []string) error {
 	if err := cf.fs.Parse(args); err != nil {
 		return err
 	}
-	corpus, err := cf.corpus()
+	cfg, err := cf.config()
 	if err != nil {
 		return err
 	}
-	analysis := overrep.New(corpus)
+	corpus, err := cfg.Corpus()
+	if err != nil {
+		return err
+	}
 	code := strings.ToUpper(*region)
-	topK, err := analysis.TopK(code, *k)
+	allIx, err := experiment.ViewIndex(cfg.Indexes(), corpus, "", false)
+	if err != nil {
+		return err
+	}
+	regionIx, err := experiment.ViewIndex(cfg.Indexes(), corpus, code, false)
+	if err != nil {
+		return err
+	}
+	topK, err := overrep.NewFromIndex(corpus, allIx).TopKFromIndex(code, regionIx, *k)
 	if err != nil {
 		return err
 	}
@@ -293,44 +300,25 @@ func cmdEvolve(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	corpus, err := cf.corpus()
+	cfg, err := cf.config()
 	if err != nil {
 		return err
 	}
+	cfg.Replicates = *replicates
+	cfg.MinSupport = *support
 	code := strings.ToUpper(*region)
-	view := corpus.Region(code)
-	if view.Len() == 0 {
-		return fmt.Errorf("region %q has no recipes", code)
-	}
-	ix, err := itemset.BuildIndex(view.Transactions())
-	if err != nil {
-		return err
-	}
-	empirical, err := itemset.MineSpectrum(ix, *support, itemset.MineOptions{})
-	if err != nil {
-		return err
-	}
-	emp := rankfreq.FromSpectrum(code, empirical)
-	dist, err := evomodel.RunEnsembleCtx(ctx, evomodel.EnsembleConfig{
-		Params:     evomodel.ParamsForView(view, kind, cf.seed),
-		Replicates: *replicates,
-		MinSupport: *support,
-	}, corpus.Lexicon())
-	if err != nil {
-		return err
-	}
-	mae, err := rankfreq.PaperMAE(emp, dist)
+	res, err := experiment.RunEvolve(ctx, cfg, code, kind)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s on %s: %d replicates, %d frequent-combination ranks (empirical %d), MAE %.5f\n",
-		kind, code, *replicates, dist.Len(), emp.Len(), mae)
+		kind, code, *replicates, res.Model.Len(), res.Empirical.Len(), res.MAE)
 	chart := plot.ASCIIChart{
 		Title: fmt.Sprintf("%s: empirical vs %s (log-log rank-frequency)", code, kind),
 		Width: 72, Height: 18, LogX: true, LogY: true,
 		Series: []plot.Series{
-			plot.RankSeries("empirical", emp.Freqs),
-			plot.RankSeries(kind.String(), dist.Freqs),
+			plot.RankSeries("empirical", res.Empirical.Freqs),
+			plot.RankSeries(kind.String(), res.Model.Freqs),
 		},
 	}
 	fmt.Print(chart.Render())

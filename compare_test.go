@@ -15,7 +15,12 @@ import (
 // each aggregate with Eq 2. CompareModels must agree with it exactly.
 func compareByEnsemble(t *testing.T, c *Corpus, region string, opts CompareOptions) *ModelComparison {
 	t.Helper()
-	ix, err := viewIndex(c, region, opts.Categories)
+	view := c.Region(region)
+	txs := view.Transactions()
+	if opts.Categories {
+		txs = view.CategoryTransactions()
+	}
+	ix, err := itemset.BuildIndex(txs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,23 +144,6 @@ func defaultNormalizer() *textnorm.Normalizer {
 // same region of the same corpus twice pays the index build only once.
 var sharedIndexes = itemset.NewIndexCache(64 << 20)
 
-// viewIndex returns the prebuilt index for one corpus view, building
-// and caching it on first use. The key matches the serving layer's and
-// the experiment harness's, so any layer's build serves the others.
-func viewIndex(c *Corpus, region string, categories bool) (*itemset.Index, error) {
-	key := itemset.IndexKey(c.Fingerprint(), region, categories)
-	return sharedIndexes.Get(key, func() ([][]ingredient.ID, error) {
-		view := c.Region(region)
-		if region == "" {
-			view = c.AllView()
-		}
-		if categories {
-			return view.CategoryTransactions(), nil
-		}
-		return view.Transactions(), nil
-	})
-}
-
 // RankedIngredient pairs an ingredient name with its Eq 1 score.
 type RankedIngredient struct {
 	Name  string
@@ -171,11 +154,11 @@ type RankedIngredient struct {
 // under the paper's Eq 1 metric. Document frequencies come off the
 // shared corpus indexes, so repeated calls rescan nothing.
 func Overrepresented(c *Corpus, region string, k int) ([]RankedIngredient, error) {
-	allIx, err := viewIndex(c, "", false)
+	allIx, err := experiment.ViewIndex(sharedIndexes, c, "", false)
 	if err != nil {
 		return nil, err
 	}
-	regionIx, err := viewIndex(c, region, false)
+	regionIx, err := experiment.ViewIndex(sharedIndexes, c, region, false)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +180,7 @@ func Overrepresented(c *Corpus, region string, k int) ([]RankedIngredient, error
 // at another threshold skips straight to the query phase; the index
 // picks the mining kernel from its own shape statistics.
 func MineCombinations(c *Corpus, region string, minSupport float64) (*MiningResult, error) {
-	ix, err := viewIndex(c, region, false)
+	ix, err := experiment.ViewIndex(sharedIndexes, c, region, false)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +191,7 @@ func MineCombinations(c *Corpus, region string, minSupport float64) (*MiningResu
 // categories (Fig 3b), through the same shared index cache as
 // MineCombinations.
 func MineCategoryCombinations(c *Corpus, region string, minSupport float64) (*MiningResult, error) {
-	ix, err := viewIndex(c, region, true)
+	ix, err := experiment.ViewIndex(sharedIndexes, c, region, true)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@
 //	                     combinations + pairwise MAE matrices
 //	RunFig4Ctx         — evolution-model comparison per cuisine (and the §VI
 //	                     category-combination control)
+//	RunEvolve          — one model's ensemble against one cuisine, scored with Eq 2
 //	RunPairing         — food-pairing index per cuisine
 //	RunHorizontalSweep — §VII migration sweep: usage homogenization
 //	RunDiversity       — cuisines clustered by ingredient-usage profile
@@ -26,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/recipe"
 	"cuisinevol/internal/synth"
@@ -91,9 +93,9 @@ func (c *Config) SetCorpus(corpus *recipe.Corpus) { c.corpus = corpus }
 const defaultIndexBudget = 64 << 20
 
 // Indexes returns the config's corpus-index cache, creating a private
-// one on first use. Pipelines key it with itemset.IndexKey over the
-// corpus fingerprint, so a cache shared via SetIndexes converges with
-// every other layer indexing the same corpus.
+// one on first use. Pipelines reach it through ViewIndex, so a cache
+// shared via SetIndexes converges with every other layer indexing the
+// same corpus.
 func (c *Config) Indexes() *itemset.IndexCache {
 	if c.indexes == nil {
 		c.indexes = itemset.NewIndexCache(defaultIndexBudget)
@@ -105,6 +107,27 @@ func (c *Config) Indexes() *itemset.IndexCache {
 // layer's), so pipeline runs reuse indexes built by request handlers
 // and vice versa.
 func (c *Config) SetIndexes(indexes *itemset.IndexCache) { c.indexes = indexes }
+
+// ViewIndex returns the index of one corpus view from indexes, building
+// and caching it on first use: region "" is the whole corpus, and
+// categories selects the view's category transactions. It is the one
+// rule from a view to its cache entry, keyed by itemset.IndexKey over
+// the corpus fingerprint. The server, the CLI, the facade and the
+// pipelines all go through it, so a /v1/mine request, a Table I run and
+// a Fig 3 panel over the same view share one build. The view itself is
+// only built on a miss.
+func ViewIndex(indexes *itemset.IndexCache, corpus *recipe.Corpus, region string, categories bool) (*itemset.Index, error) {
+	return indexes.Get(itemset.IndexKey(corpus.Fingerprint(), region, categories), func() ([][]ingredient.ID, error) {
+		view := corpus.Region(region)
+		if region == "" {
+			view = corpus.AllView()
+		}
+		if categories {
+			return view.CategoryTransactions(), nil
+		}
+		return view.Transactions(), nil
+	})
+}
 
 // artifact opens an artifact file under OutDir; the caller must close it.
 // It returns (nil, nil) when OutDir is empty (artifacts disabled).

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"cuisinevol/internal/cuisine"
-	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/plot"
 	"cuisinevol/internal/rankfreq"
@@ -53,16 +52,12 @@ func RunFig3Ctx(ctx context.Context, cfg *Config) (*Fig3Result, error) {
 		minSupport = 0.05
 	}
 	res := &Fig3Result{}
-	// One fingerprint computation covers both panels; each per-view mine
-	// then shares (or populates) the config's index cache under the same
-	// keys the serving layer uses.
-	fp := corpus.Fingerprint()
 	indexes := cfg.Indexes()
-	res.Ingredients, err = buildPanel(ctx, corpus, fp, indexes, minSupport, false, cfg.Workers)
+	res.Ingredients, err = buildPanel(ctx, corpus, indexes, minSupport, false, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig3a: %w", err)
 	}
-	res.Categories, err = buildPanel(ctx, corpus, fp, indexes, minSupport, true, cfg.Workers)
+	res.Categories, err = buildPanel(ctx, corpus, indexes, minSupport, true, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: fig3b: %w", err)
 	}
@@ -116,18 +111,18 @@ func RunFig3Ctx(ctx context.Context, cfg *Config) (*Fig3Result, error) {
 // mines plus the aggregate mine are independent work items fanned out
 // through the shared scheduler; results land in Table I order, so the
 // panel is identical to the serial build.
-func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool, workers int) (Fig3Panel, error) {
+func buildPanel(ctx context.Context, corpus *recipe.Corpus, indexes *itemset.IndexCache, minSupport float64, categories bool, workers int) (Fig3Panel, error) {
 	panel := Fig3Panel{}
 	regions := cuisine.All()
 	dists, err := sched.CollectCtx(ctx, workers, len(regions)+1, func(i int) (rankfreq.Distribution, error) {
 		if i == len(regions) {
 			// The aggregate corpus mine (the "ALL" series) is the largest
 			// item; it runs alongside the per-cuisine mines.
-			d, err := mineView(corpus.AllView(), fp, indexes, minSupport, categories)
+			d, err := mineView(indexes, corpus, "", minSupport, categories)
 			d.Label = "ALL"
 			return d, err
 		}
-		return mineView(corpus.Region(regions[i].Code), fp, indexes, minSupport, categories)
+		return mineView(indexes, corpus, regions[i].Code, minSupport, categories)
 	})
 	if err != nil {
 		return Fig3Panel{}, err
@@ -157,22 +152,14 @@ func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *
 	return panel, nil
 }
 
-// mineView mines a corpus view's frequent-combination spectrum through
-// the shared index cache and returns the rank-frequency distribution
-// labeled with the view's region. The key matches the serving layer's
-// (AllView's region is ""), so a panel built by a request handler and
-// one built here converge on the same prebuilt indexes. Every view's
+// mineView mines one corpus view's frequent-combination spectrum (region
+// "" is the whole corpus) through the shared index cache and returns the
+// rank-frequency distribution labeled with the region. Every view's
 // index picks the cheaper kernel for its own shape (category
 // transactions are far denser than ingredient ones) without changing
 // the result.
-func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool) (rankfreq.Distribution, error) {
-	key := itemset.IndexKey(fp, view.Region(), categories)
-	ix, err := indexes.Get(key, func() ([][]ingredient.ID, error) {
-		if categories {
-			return view.CategoryTransactions(), nil
-		}
-		return view.Transactions(), nil
-	})
+func mineView(indexes *itemset.IndexCache, corpus *recipe.Corpus, region string, minSupport float64, categories bool) (rankfreq.Distribution, error) {
+	ix, err := ViewIndex(indexes, corpus, region, categories)
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
@@ -180,7 +167,7 @@ func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSuppo
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	return rankfreq.FromSpectrum(view.Region(), sp), nil
+	return rankfreq.FromSpectrum(region, sp), nil
 }
 
 // writeMatrixCSV writes a labeled square matrix as CSV.

@@ -123,10 +123,9 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 
 	// Empirical mines, one work item per cuisine, through the shared
 	// corpus-index cache.
-	fp := corpus.Fingerprint()
 	indexes := cfg.Indexes()
 	empirical, err := sched.CollectCtx(ctx, cfg.Workers, len(regions), func(r int) (rankfreq.Distribution, error) {
-		return mineView(corpus.Region(regions[r]), fp, indexes, minSupport, opts.Categories)
+		return mineView(indexes, corpus, regions[r], minSupport, opts.Categories)
 	})
 	if err != nil {
 		return nil, err

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"cuisinevol/internal/cuisine"
-	"cuisinevol/internal/ingredient"
-	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/overrep"
 	"cuisinevol/internal/report"
 )
@@ -45,17 +43,8 @@ func RunTableI(cfg *Config) (*TableIResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := corpus.Fingerprint()
 	indexes := cfg.Indexes()
-	viewIndex := func(region string) (*itemset.Index, error) {
-		return indexes.Get(itemset.IndexKey(fp, region, false), func() ([][]ingredient.ID, error) {
-			if region == "" {
-				return corpus.AllView().Transactions(), nil
-			}
-			return corpus.Region(region).Transactions(), nil
-		})
-	}
-	allIx, err := viewIndex("")
+	allIx, err := ViewIndex(indexes, corpus, "", false)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +56,7 @@ func RunTableI(cfg *Config) (*TableIResult, error) {
 		if view.Len() == 0 {
 			return nil, fmt.Errorf("experiment: region %s missing from corpus", region.Code)
 		}
-		regionIx, err := viewIndex(region.Code)
+		regionIx, err := ViewIndex(indexes, corpus, region.Code, false)
 		if err != nil {
 			return nil, err
 		}

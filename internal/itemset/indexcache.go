@@ -13,9 +13,9 @@ import (
 // IndexKey derives the canonical cache key for one corpus slice's
 // index: the corpus content fingerprint plus the slice selector. Every
 // layer that shares an IndexCache — the server handlers, the experiment
-// harness, the facade — keys it this way, so a /v1/mine request, a
-// Table I run and a Fig 3 panel over the same cuisine converge on one
-// entry. Content addressing is the same discipline as the server's
+// harness, the facade — keys it this way through experiment.ViewIndex,
+// so a /v1/mine request, a Table I run and a Fig 3 panel over the same
+// cuisine converge on one entry. Content addressing is the same discipline as the server's
 // result cache: the key identifies the data, so entries never need
 // invalidation, only eviction.
 func IndexKey(corpusFingerprint, region string, categories bool) string {

@@ -18,8 +18,8 @@ import (
 	"cuisinevol/internal/recipe"
 )
 
-// Analysis precomputes the global ingredient document frequencies of a
-// corpus so per-region scores are O(lexicon) each. Immutable after
+// Analysis holds the global ingredient document frequencies of a corpus
+// so per-region scores are O(lexicon) each. Immutable after
 // construction; safe for concurrent use.
 type Analysis struct {
 	corpus       *recipe.Corpus
@@ -27,21 +27,10 @@ type Analysis struct {
 	globalTotal  int
 }
 
-// New builds an Analysis over the corpus. The corpus must not be mutated
-// afterwards.
-func New(corpus *recipe.Corpus) *Analysis {
-	a := &Analysis{
-		corpus:       corpus,
-		globalCounts: corpus.AllView().IngredientRecipeCounts(),
-		globalTotal:  corpus.Len(),
-	}
-	return a
-}
-
 // NewFromIndex builds an Analysis whose global document frequencies
-// come from a prebuilt whole-corpus itemset.Index instead of a corpus
-// rescan: an index's per-item support counts are exactly the nᵢ of
-// Eq 1. The index must cover the same transactions as corpus.AllView().
+// come from a prebuilt whole-corpus itemset.Index: an index's per-item
+// support counts are exactly the nᵢ of Eq 1. The index must cover the
+// same transactions as corpus.AllView().
 func NewFromIndex(corpus *recipe.Corpus, all *itemset.Index) *Analysis {
 	counts := make([]int, corpus.Lexicon().Len())
 	all.AddSupportCounts(counts)
@@ -52,26 +41,11 @@ func NewFromIndex(corpus *recipe.Corpus, all *itemset.Index) *Analysis {
 	}
 }
 
-// Scores returns Eq 1 for every lexicon entity in the given region.
-// An error is returned for a region with no recipes.
-func (a *Analysis) Scores(region string) ([]float64, error) {
-	view := a.corpus.Region(region)
-	if view.Len() == 0 {
-		return nil, fmt.Errorf("overrep: region %q has no recipes", region)
-	}
-	regionCounts := view.IngredientRecipeCounts()
-	n := float64(view.Len())
-	g := float64(a.globalTotal)
-	out := make([]float64, len(regionCounts))
-	for id := range regionCounts {
-		out[id] = float64(regionCounts[id])/n - float64(a.globalCounts[id])/g
-	}
-	return out, nil
-}
-
-// ScoresFromIndex is Scores with the region's document frequencies read
-// off a prebuilt per-region index rather than a view rescan. The index
-// must cover the same transactions as corpus.Region(region).
+// ScoresFromIndex returns Eq 1 for every lexicon entity in the given
+// region, with the region's document frequencies read off a prebuilt
+// per-region index. The index must cover the same transactions as
+// corpus.Region(region). An error is returned for a region with no
+// recipes.
 func (a *Analysis) ScoresFromIndex(region string, ix *itemset.Index) ([]float64, error) {
 	if ix.N() == 0 {
 		return nil, fmt.Errorf("overrep: region %q has no recipes", region)
@@ -93,17 +67,9 @@ type Ranked struct {
 	Score float64
 }
 
-// TopK returns the region's k most overrepresented ingredients in
-// descending score order (ties broken by ascending ID for determinism).
-func (a *Analysis) TopK(region string, k int) ([]Ranked, error) {
-	scores, err := a.Scores(region)
-	if err != nil {
-		return nil, err
-	}
-	return rank(scores, k), nil
-}
-
-// TopKFromIndex is TopK over a prebuilt per-region index.
+// TopKFromIndex returns the region's k most overrepresented ingredients
+// in descending score order (ties broken by ascending ID for
+// determinism), scored over a prebuilt per-region index.
 func (a *Analysis) TopKFromIndex(region string, ix *itemset.Index, k int) ([]Ranked, error) {
 	scores, err := a.ScoresFromIndex(region, ix)
 	if err != nil {
@@ -128,15 +94,6 @@ func rank(scores []float64, k int) []Ranked {
 		k = len(ranked)
 	}
 	return ranked[:k]
-}
-
-// TopKNames is TopK resolved to canonical ingredient names.
-func (a *Analysis) TopKNames(region string, k int) ([]string, error) {
-	top, err := a.TopK(region, k)
-	if err != nil {
-		return nil, err
-	}
-	return a.names(top), nil
 }
 
 // TopKNamesFromIndex is TopKFromIndex resolved to canonical names.

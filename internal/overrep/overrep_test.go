@@ -43,8 +43,59 @@ func buildCorpus(t *testing.T) *recipe.Corpus {
 	return c
 }
 
+// mustIndex builds the index of a transaction list.
+func mustIndex(t *testing.T, txs [][]ingredient.ID) *itemset.Index {
+	t.Helper()
+	ix, err := itemset.BuildIndex(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// indexed is a corpus with its index-backed Analysis; its methods score
+// a region over that region's own index, as every caller does.
+type indexed struct {
+	t *testing.T
+	c *recipe.Corpus
+	a *Analysis
+}
+
+func newIndexed(t *testing.T, c *recipe.Corpus) indexed {
+	return indexed{t, c, NewFromIndex(c, mustIndex(t, c.AllView().Transactions()))}
+}
+
+func (x indexed) region(region string) *itemset.Index {
+	return mustIndex(x.t, x.c.Region(region).Transactions())
+}
+
+func (x indexed) Scores(region string) ([]float64, error) {
+	return x.a.ScoresFromIndex(region, x.region(region))
+}
+
+func (x indexed) TopK(region string, k int) ([]Ranked, error) {
+	return x.a.TopKFromIndex(region, x.region(region), k)
+}
+
+func (x indexed) TopKNames(region string, k int) ([]string, error) {
+	return x.a.TopKNamesFromIndex(region, x.region(region), k)
+}
+
+// scanScores is Eq 1 by a plain corpus scan: the reference the index
+// path must reproduce.
+func scanScores(c *recipe.Corpus, region string) []float64 {
+	global := c.AllView().IngredientRecipeCounts()
+	view := c.Region(region)
+	local := view.IngredientRecipeCounts()
+	out := make([]float64, len(local))
+	for id := range local {
+		out[id] = float64(local[id])/float64(view.Len()) - float64(global[id])/float64(c.Len())
+	}
+	return out
+}
+
 func TestScoresExactValues(t *testing.T) {
-	a := New(buildCorpus(t))
+	a := newIndexed(t, buildCorpus(t))
 	scores, err := a.Scores("A")
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +123,7 @@ func TestScoresExactValues(t *testing.T) {
 }
 
 func TestScoresComplementaryRegion(t *testing.T) {
-	a := New(buildCorpus(t))
+	a := newIndexed(t, buildCorpus(t))
 	scores, err := a.Scores("B")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +148,7 @@ func TestScoresSumProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scores, err := New(c).Scores("ONLY")
+	scores, err := newIndexed(t, c).Scores("ONLY")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +160,14 @@ func TestScoresSumProperty(t *testing.T) {
 }
 
 func TestScoresUnknownRegion(t *testing.T) {
-	a := New(buildCorpus(t))
+	a := newIndexed(t, buildCorpus(t))
 	if _, err := a.Scores("NOPE"); err == nil {
 		t.Fatal("unknown region must error")
 	}
 }
 
 func TestTopKOrdering(t *testing.T) {
-	a := New(buildCorpus(t))
+	a := newIndexed(t, buildCorpus(t))
 	top, err := a.TopK("A", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +186,7 @@ func TestTopKOrdering(t *testing.T) {
 }
 
 func TestTopKNames(t *testing.T) {
-	a := New(buildCorpus(t))
+	a := newIndexed(t, buildCorpus(t))
 	names, err := a.TopKNames("B", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +197,7 @@ func TestTopKNames(t *testing.T) {
 }
 
 func TestTopKClampsToLexicon(t *testing.T) {
-	a := New(buildCorpus(t))
+	a := newIndexed(t, buildCorpus(t))
 	top, err := a.TopK("A", 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +208,7 @@ func TestTopKClampsToLexicon(t *testing.T) {
 }
 
 func TestTopKDeterministicTies(t *testing.T) {
-	a := New(buildCorpus(t))
+	a := newIndexed(t, buildCorpus(t))
 	t1, _ := a.TopK("A", 50)
 	t2, _ := a.TopK("A", 50)
 	for i := range t1 {
@@ -169,39 +220,22 @@ func TestTopKDeterministicTies(t *testing.T) {
 
 // TestIndexPathEquivalence: the index-backed analysis — global counts
 // from the whole-corpus index, per-region scores from per-region
-// indexes — must reproduce the classic corpus-scan path exactly, scores
+// indexes — must reproduce a plain corpus scan of Eq 1 exactly, scores
 // and rankings both.
 func TestIndexPathEquivalence(t *testing.T) {
 	c := buildCorpus(t)
-	classic := New(c)
-
-	allIx, err := itemset.BuildIndex(c.AllView().Transactions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed := NewFromIndex(c, allIx)
-
+	x := newIndexed(t, c)
 	for _, region := range c.Regions() {
-		want, err := classic.Scores(region)
-		if err != nil {
-			t.Fatal(err)
-		}
-		regionIx, err := itemset.BuildIndex(c.Region(region).Transactions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := indexed.ScoresFromIndex(region, regionIx)
+		want := scanScores(c, region)
+		got, err := x.Scores(region)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("region %s: index-backed scores diverge from corpus scan", region)
 		}
-		wantTop, err := classic.TopKNames(region, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTop, err := indexed.TopKNamesFromIndex(region, regionIx, 10)
+		wantTop := x.a.names(rank(want, 10))
+		gotTop, err := x.TopKNames(region, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +244,7 @@ func TestIndexPathEquivalence(t *testing.T) {
 		}
 	}
 	// Empty index errors like an unknown region does.
-	empty, err := itemset.BuildIndex(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := indexed.ScoresFromIndex("NOPE", empty); err == nil {
+	if _, err := x.a.ScoresFromIndex("NOPE", mustIndex(t, nil)); err == nil {
 		t.Fatal("empty region index must error")
 	}
 }

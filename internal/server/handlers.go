@@ -16,7 +16,6 @@ import (
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/overrep"
-	"cuisinevol/internal/rankfreq"
 )
 
 // routes registers every endpoint. The analytics endpoints are GET-only
@@ -306,7 +305,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	categories := q.bool("categories", false)
 	canon := canonicalParams("categories", categories, "region", region, "support", support, "top", top)
 	s.serveComputed(w, r, q, sel.fingerprint, "/v1/mine", canon, func(ctx context.Context) (any, error) {
-		ix, err := s.viewIndex(sel, region, categories)
+		ix, err := experiment.ViewIndex(s.indexes, sel.corpus, region, categories)
 		if err != nil {
 			return nil, err
 		}
@@ -349,11 +348,11 @@ func (s *Server) handleOverrep(w http.ResponseWriter, r *http.Request) {
 		// Both document-frequency tables come off shared indexes: the
 		// whole-corpus one carries Eq 1's global counts, the region one
 		// its numerator — no per-request corpus rescan.
-		allIx, err := s.viewIndex(sel, "", false)
+		allIx, err := experiment.ViewIndex(s.indexes, sel.corpus, "", false)
 		if err != nil {
 			return nil, err
 		}
-		regionIx, err := s.viewIndex(sel, region, false)
+		regionIx, err := experiment.ViewIndex(s.indexes, sel.corpus, region, false)
 		if err != nil {
 			return nil, err
 		}
@@ -383,26 +382,9 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 	support := q.float("support", s.opts.MinSupport, 0, 1)
 	canon := canonicalParams("model", kind.String(), "region", region, "replicates", replicates, "support", support)
 	s.serveComputed(w, r, q, sel.fingerprint, "/v1/evolve", canon, func(ctx context.Context) (any, error) {
-		view := sel.corpus.Region(region)
-		ix, err := s.viewIndex(sel, region, false)
-		if err != nil {
-			return nil, err
-		}
-		empirical, err := itemset.MineSpectrum(ix, support, itemset.MineOptions{})
-		if err != nil {
-			return nil, err
-		}
-		emp := rankfreq.FromSpectrum(region, empirical)
-		dist, err := evomodel.RunEnsembleCtx(ctx, evomodel.EnsembleConfig{
-			Params:     evomodel.ParamsForView(view, kind, s.opts.Seed),
-			Replicates: replicates,
-			MinSupport: support,
-			Workers:    s.opts.Workers,
-		}, sel.corpus.Lexicon())
-		if err != nil {
-			return nil, err
-		}
-		mae, err := rankfreq.PaperMAE(emp, dist)
+		cfg := s.config(sel, replicates)
+		cfg.MinSupport = support
+		res, err := experiment.RunEvolve(ctx, cfg, region, kind)
 		if err != nil {
 			return nil, err
 		}
@@ -410,9 +392,9 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 			"region":     region,
 			"model":      kind.String(),
 			"replicates": replicates,
-			"mae":        mae,
-			"empirical":  emp.Freqs,
-			"modeled":    dist.Freqs,
+			"mae":        res.MAE,
+			"empirical":  res.Empirical.Freqs,
+			"modeled":    res.Model.Freqs,
 		}, nil
 	})
 }

@@ -20,7 +20,7 @@ import (
 // the parent on first touch), applies the delta, snapshots, re-keys the
 // head under the child fingerprint and inserts the snapshot into the
 // IndexCache under IndexKey(childFP, "", false) — the exact key
-// viewIndex uses. A snapshot is BuildIndex over the head's log, so it
+// experiment.ViewIndex uses. A snapshot is BuildIndex over the head's log, so it
 // is exactly what a from-scratch build would cache there and queries
 // cannot tell the two paths apart. Region and category views stay
 // lazily built per view; only the whole-corpus ingredient index rides

@@ -45,7 +45,6 @@ import (
 
 	"cuisinevol/internal/corpusstore"
 	"cuisinevol/internal/experiment"
-	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/kit"
 	"cuisinevol/internal/peering"
@@ -306,26 +305,6 @@ func (s *Server) selectCorpus(q *query) corpusSel {
 		q.fail(corpusError(err))
 	}
 	return corpusSel{}
-}
-
-// viewIndex returns the shared corpus index for one region slice
-// (region "" is the whole corpus), building and caching it on first
-// use. Every handler that mines or counts document frequencies goes
-// through here, so one build per (corpus, slice) serves all parameter
-// points — and the same keys the experiment harness uses mean a
-// /v1/mine request and a Table I run converge on the same entry.
-func (s *Server) viewIndex(sel corpusSel, region string, categories bool) (*itemset.Index, error) {
-	key := itemset.IndexKey(sel.fingerprint, region, categories)
-	return s.indexes.Get(key, func() ([][]ingredient.ID, error) {
-		view := sel.corpus.Region(region)
-		if region == "" {
-			view = sel.corpus.AllView()
-		}
-		if categories {
-			return view.CategoryTransactions(), nil
-		}
-		return view.Transactions(), nil
-	})
 }
 
 // config builds the per-request experiment configuration. Each request

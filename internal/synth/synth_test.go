@@ -7,6 +7,7 @@ import (
 
 	"cuisinevol/internal/cuisine"
 	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/overrep"
 	"cuisinevol/internal/randx"
 	"cuisinevol/internal/recipe"
@@ -145,10 +146,18 @@ func TestCoverageOffUndershoots(t *testing.T) {
 // equal the paper's list as a set.
 func TestTableIOverrepresentation(t *testing.T) {
 	c := mustGenerate(t, DefaultConfig(42))
-	a := overrep.New(c)
+	allIx, err := itemset.BuildIndex(c.AllView().Transactions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := overrep.NewFromIndex(c, allIx)
 	for _, r := range cuisine.All() {
+		regionIx, err := itemset.BuildIndex(c.Region(r.Code).Transactions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		k := len(r.Overrepresented)
-		top, err := a.TopKNames(r.Code, k)
+		top, err := a.TopKNamesFromIndex(r.Code, regionIx, k)
 		if err != nil {
 			t.Fatal(err)
 		}
