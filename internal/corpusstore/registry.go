@@ -191,6 +191,15 @@ func (r *Registry) resolveID(ref string) (string, error) {
 		return "", err
 	}
 	if id != "" {
+		// A raw fingerprint names a corpus only if one is stored under
+		// it. Checking before Resolve consults the memo keeps one that
+		// names nothing from counting as a memo miss and a load; a
+		// memoized corpus needs no store call.
+		if _, ok := r.memo.Peek(id); !ok {
+			if _, err := r.store.Stat(id); err != nil {
+				return "", err
+			}
+		}
 		return id, nil
 	}
 	r.mu.Lock()

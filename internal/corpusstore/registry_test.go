@@ -3,6 +3,7 @@ package corpusstore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,17 +165,59 @@ func (w *writerBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// countingStore wraps a Store and counts Get calls, so tests can assert
-// the singleflight contract: one load per fingerprint no matter how many
-// concurrent Resolves race for it.
+// countingStore wraps a Store and counts Get and Stat calls, so tests
+// can assert the singleflight contract: one load per fingerprint no
+// matter how many concurrent Resolves race for it.
 type countingStore struct {
 	Store
-	gets atomic.Int64
+	gets, stats atomic.Int64
 }
 
 func (s *countingStore) Get(id string) ([]byte, Info, error) {
 	s.gets.Add(1)
 	return s.Store.Get(id)
+}
+
+func (s *countingStore) Stat(id string) (Info, error) {
+	s.stats.Add(1)
+	return s.Store.Stat(id)
+}
+
+// TestRegistryResolveUnknownFingerprint: a well-formed fingerprint that
+// names no stored corpus is ErrNotFound and moves none of the load
+// counters, and resolving a memoized corpus, by fingerprint or by name,
+// makes no store call.
+func TestRegistryResolveUnknownFingerprint(t *testing.T) {
+	store := &countingStore{Store: NewMemStore(0)}
+	reg, err := NewRegistry(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := reg.Register("kitchen", testCorpus(t, "oregano"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Stats()
+	if _, _, err := reg.Resolve(strings.Repeat("0", 32)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Resolve(unknown fingerprint) = %v, want ErrNotFound", err)
+	}
+	after := reg.Stats()
+	if after.Loads != before.Loads || after.LoadMisses != before.LoadMisses || after.LoadHits != before.LoadHits {
+		t.Fatalf("unknown fingerprint moved the load counters: %+v -> %+v", before, after)
+	}
+	gets, stats := store.gets.Load(), store.stats.Load()
+	for _, ref := range []string{info.ID, "kitchen", "kitchen@1"} {
+		if _, _, err := reg.Resolve(ref); err != nil {
+			t.Fatalf("Resolve(%s): %v", ref, err)
+		}
+	}
+	if store.gets.Load() != gets || store.stats.Load() != stats {
+		t.Fatalf("memo hits made %d Get and %d Stat calls, want none",
+			store.gets.Load()-gets, store.stats.Load()-stats)
+	}
+	if hits := reg.Stats().LoadHits - after.LoadHits; hits != 3 {
+		t.Fatalf("memo hits = %d, want 3", hits)
+	}
 }
 
 // TestRegistrySingleflightLoad pins the tentpole's concurrency contract
