@@ -33,21 +33,14 @@ func RunEvolve(ctx context.Context, cfg *Config, region string, kind evomodel.Ki
 	if view.Len() == 0 {
 		return nil, fmt.Errorf("region %q has no recipes", region)
 	}
-	minSupport := cfg.MinSupport
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
-	replicates := cfg.Replicates
-	if replicates == 0 {
-		replicates = 100
-	}
+	minSupport := cfg.minSupport()
 	emp, err := mineView(cfg.Indexes(), corpus, region, minSupport, false)
 	if err != nil {
 		return nil, err
 	}
 	model, err := evomodel.RunEnsembleCtx(ctx, evomodel.EnsembleConfig{
 		Params:     evomodel.ParamsForView(view, kind, cfg.Seed),
-		Replicates: replicates,
+		Replicates: cfg.replicates(),
 		MinSupport: minSupport,
 		Workers:    cfg.Workers,
 	}, corpus.Lexicon())

@@ -65,6 +65,22 @@ func DefaultConfig(seed uint64) *Config {
 	}
 }
 
+// minSupport is MinSupport, or the paper's 0.05 when it is unset.
+func (c *Config) minSupport() float64 {
+	if c.MinSupport == 0 {
+		return 0.05
+	}
+	return c.MinSupport
+}
+
+// replicates is Replicates, or the paper's 100 when it is unset.
+func (c *Config) replicates() int {
+	if c.Replicates == 0 {
+		return 100
+	}
+	return c.Replicates
+}
+
 // Corpus returns the shared synthetic corpus, generating it on first use.
 func (c *Config) Corpus() (*recipe.Corpus, error) {
 	if c.corpus != nil {

@@ -47,10 +47,7 @@ func RunFig3Ctx(ctx context.Context, cfg *Config) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	minSupport := cfg.MinSupport
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
+	minSupport := cfg.minSupport()
 	res := &Fig3Result{}
 	indexes := cfg.Indexes()
 	res.Ingredients, err = buildPanel(ctx, corpus, indexes, minSupport, false, cfg.Workers)

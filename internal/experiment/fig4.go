@@ -63,14 +63,7 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 	if err != nil {
 		return nil, err
 	}
-	minSupport := cfg.MinSupport
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
-	replicates := cfg.Replicates
-	if replicates == 0 {
-		replicates = 100
-	}
+	minSupport, replicates := cfg.minSupport(), cfg.replicates()
 	kinds := opts.Kinds
 	if len(kinds) == 0 {
 		kinds = evomodel.Kinds()
