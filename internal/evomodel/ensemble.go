@@ -82,8 +82,8 @@ func RunEnsembleCtx(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lex
 // ensembles into one (cuisine × kind × replicate) grid. Replicate rep
 // derives its seed exactly as RunEnsembleCtx does, so dispatching
 // replicates individually and aggregating with rankfreq.Aggregate
-// reproduces RunEnsembleCtx's output bit for bit. The replicate runs in a state taken
-// from reps, which the caller declares once per fan-out.
+// reproduces RunEnsembleCtx's output bit for bit. The replicate runs in
+// a state taken from reps, which the caller declares once per fan-out.
 func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int, reps *Replicators) (rankfreq.Distribution, error) {
 	label := cfg.Label
 	if label == "" {
