@@ -103,6 +103,9 @@ func TestCLIEndToEnd(t *testing.T) {
 		{[]string{"overrep", "-scale", "0.03", "-region", "kor", "-k", "5"}, overrepKOR},
 		{[]string{"evolve", "-scale", "0.03", "-replicates", "4"}, evolveITA},
 		{[]string{"evolve", "-scale", "0.03", "-region", "kor", "-model", "CM-C", "-replicates", "3", "-support", "0.1"}, evolveKORCMC},
+		// At 1% both replicates have more than 64 frequent items (93
+		// and 96), more than one 64-bit word holds.
+		{[]string{"evolve", "-scale", "0.03", "-replicates", "2", "-support", "0.01"}, evolveITALowSupport},
 	} {
 		if got := runCLI(t, tc.argv...); got != tc.want {
 			t.Errorf("cuisinevol %s:\n got:\n%s\nwant:\n%s", strings.Join(tc.argv, " "), got, tc.want)
@@ -310,4 +313,30 @@ KOR: empirical vs CM-C (log-log rank-frequency)
        1                                                               5.39e+03
   * empirical
   o CM-C
+`
+
+const evolveITALowSupport = `CM-R on ITA: 2 replicates, 6363 frequent-combination ranks (empirical 3233), MAE 0.00010
+ITA: empirical vs CM-R (log-log rank-frequency)
+ 0.621 |o                                                                       
+       |*    o  o  * *                                                          
+       |           o oo*                                                        
+       |               oooooo*                                                  
+       |                     ooooo*                                             
+       |                         ooooo                                          
+       |                             *oooo                                      
+       |                                *oooo                                   
+       |                                   **oooo                               
+       |                                      **ooooo                           
+       |                                        ****oooo                        
+       |                                           ****ooooo                    
+       |                                              **** oooo                 
+       |                                                 **** oooo              
+       |                                                    **** oooo           
+       |                                                       **** oooo        
+       |                                                          *****ooooo    
+0.0101 |                                                              **** ooooo
+       +------------------------------------------------------------------------
+        1                                                               6.36e+03
+  * empirical
+  o CM-R
 `
