@@ -223,7 +223,7 @@ Rank  Combination               Support
 10    garlic + olive            0.3353 
 `
 
-const mineKORCategories = `Frequent combinations in kor (support >= 5%, 1131 total)
+const mineKORCategories = `Frequent combinations in KOR (support >= 5%, 1131 total)
 Rank  Combination                   Support
 -------------------------------------------
 1     Vegetable                     0.9459 

@@ -231,7 +231,7 @@ func cmdMine(args []string) error {
 	}
 	lex := corpus.Lexicon()
 	tbl := report.NewTable(
-		fmt.Sprintf("Frequent combinations in %s (support >= %.0f%%, %d total)", *region, *support*100, total),
+		fmt.Sprintf("Frequent combinations in %s (support >= %.0f%%, %d total)", code, *support*100, total),
 		"Rank", "Combination", "Support")
 	for i, s := range res.Sets {
 		names := make([]string, len(s.Items))
