@@ -85,7 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseRecipe -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz FuzzMineKernels -fuzztime $(FUZZTIME) ./internal/itemset
 	$(GO) test -run '^$$' -fuzz FuzzPostingContainers -fuzztime $(FUZZTIME) ./internal/itemset
-	$(GO) test -run '^$$' -fuzz FuzzBuildSets -fuzztime $(FUZZTIME) ./internal/itemset
+	$(GO) test -run '^$$' -fuzz FuzzSpectrumOfSets -fuzztime $(FUZZTIME) ./internal/itemset
 	$(GO) test -run '^$$' -fuzz FuzzImportJSONL -fuzztime $(FUZZTIME) ./internal/corpusstore
 	$(GO) test -run '^$$' -fuzz FuzzImportCSV -fuzztime $(FUZZTIME) ./internal/corpusstore
 	$(GO) test -run '^$$' -fuzz FuzzParseRef -fuzztime $(FUZZTIME) ./internal/corpusstore

@@ -142,13 +142,14 @@ func (l *Replicators) put(r *replicator) {
 }
 
 // runReplicate executes one model run in r and mines its combinations.
-// This is the zero-copy evolve→mine boundary: the builder indexes the
+// This is the zero-copy evolve→mine boundary: the builder reads the
 // machine's recipes as they sit in its arena (or their category sets),
-// unsorted and with no fingerprint, into its reused arenas, and
-// MineSpectrum tallies the index's frequent-set counts — no per-recipe
-// clone, no sort, no per-replicate machine or index allocation, and no
-// itemset built. The spectrum owns its counts, so nothing outlives the
-// machine's next reset or the builder's next build.
+// unsorted, projects them onto the items frequent at the ensemble's
+// support and mines the projection's spectrum in its reused arenas —
+// no per-recipe clone, no sort, no per-replicate machine or index
+// allocation, and no itemset built. The spectrum owns its counts, so
+// nothing outlives the machine's next reset or the builder's next
+// build.
 func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int, r *replicator) (rankfreq.Distribution, error) {
 	p := cfg.Params
 	p.Seed = replicateSeed(p.Seed, rep)
@@ -159,11 +160,11 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 		return rankfreq.Distribution{}, err
 	}
 	r.m.evolve()
-	ix, err := r.b.BuildSets(r.recipes(cfg.Categories))
-	if err != nil {
-		return rankfreq.Distribution{}, err
+	bound := len(r.m.fitness)
+	if cfg.Categories {
+		bound = ingredient.NumCategories
 	}
-	sp, err := itemset.MineSpectrum(ix, cfg.MinSupport, itemset.MineOptions{})
+	sp, err := r.b.SpectrumOfSets(r.recipes(cfg.Categories), bound, cfg.MinSupport)
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
@@ -174,13 +175,13 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 var _ [32 - ingredient.NumCategories]struct{}
 
 // recipes returns the machine's recipe pool as transactions for
-// IndexBuilder.BuildSets, valid until the machine's next reset. In
+// IndexBuilder.SpectrumOfSets, valid until the machine's next reset. In
 // ingredient mode each header slices the arena in place, items in
-// arena order. In category mode each recipe becomes its category set:
-// a mask of the recipe's categories, written out bit by bit in
-// ascending order over the recipe's own arena slots, which it never
-// outgrows — so category mode consumes the arena, and nothing may read
-// the recipes after it.
+// arena order; every item is below len(m.fitness). In category mode
+// each recipe becomes its category set: a mask of the recipe's
+// categories, written out bit by bit in ascending order over the
+// recipe's own arena slots, which it never outgrows — so category mode
+// consumes the arena, and nothing may read the recipes after it.
 func (r *replicator) recipes(categories bool) [][]ingredient.ID {
 	m := &r.m
 	if cap(r.heads) < len(m.recs) {

@@ -12,7 +12,9 @@ package evomodel
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cuisinevol/internal/ingredient"
@@ -162,12 +164,12 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 	return rankfreq.Aggregate(dists)
 }
 
-// TestReplicateBuilderReuse pins the replicate pipeline's index reuse:
-// one replicate state, handed replicate after replicate exactly as a
-// scheduler worker is — ingredient and category emissions interleaved,
-// across every model kind and randomized shapes — must build every
-// index reflect.DeepEqual to a fresh builder's BuildSets over the same
-// recipes, and that index carries no fingerprint.
+// TestReplicateBuilderReuse pins the replicate pipeline's builder
+// reuse: one replicate state, handed replicate after replicate exactly
+// as a scheduler worker is — ingredient and category emissions
+// interleaved, across every model kind and randomized shapes — must
+// mine every spectrum equal to MineSpectrum over a BuildIndex of the
+// same recipes sorted.
 func TestReplicateBuilderReuse(t *testing.T) {
 	src := randx.New(0xB111D)
 	var reps Replicators
@@ -181,20 +183,30 @@ func TestReplicateBuilderReuse(t *testing.T) {
 			r.m.reset(p, lex, randx.New(p.Seed))
 			r.m.evolve()
 			for _, categories := range []bool{false, true} {
+				bound := len(r.m.fitness)
+				if categories {
+					bound = ingredient.NumCategories
+				}
 				txs := r.recipes(categories)
-				want, err := new(itemset.IndexBuilder).BuildSets(txs)
+				sorted := make([][]ingredient.ID, len(txs))
+				for i, tx := range txs {
+					sorted[i] = slices.Clone(tx)
+					slices.Sort(sorted[i])
+				}
+				ix, err := itemset.BuildIndex(sorted)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := r.b.BuildSets(txs)
+				want, err := itemset.MineSpectrum(ix, 0.05, itemset.MineOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := r.b.SpectrumOfSets(txs, bound, 0.05)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v trial %d categories=%v: reused builder's index differs from a fresh build", kind, trial, categories)
-				}
-				if got.Fingerprint() != "" {
-					t.Fatalf("%v trial %d categories=%v: a set build has fingerprint %q", kind, trial, categories, got.Fingerprint())
+					t.Fatalf("%v trial %d categories=%v: reused builder's spectrum differs from one over the sorted recipes", kind, trial, categories)
 				}
 			}
 			reps.put(r)
@@ -203,11 +215,13 @@ func TestReplicateBuilderReuse(t *testing.T) {
 }
 
 // TestReplicateSpectrumDifferential is the replicate contract: over
-// every kind, ingredient and category mode, one and three workers, and
-// several seeds and regions, each replicate's distribution — mined off
-// a BuildSets index of the unsorted arena — must equal the one mined
-// off a BuildIndex of the replicate's sorted recipes (cloneTransactions,
-// mapped to category sets in category mode).
+// every kind, ingredient and category mode, one and three workers,
+// several seeds and regions, and three supports, each replicate's
+// distribution — mined by SpectrumOfSets off the unsorted arena — must
+// equal the one mined off a BuildIndex of the replicate's sorted
+// recipes (Run's output, mapped to category sets in category mode). At 1% some ingredient replicate has more than 64 frequent
+// items, so its masks are two words wide; at 30% some recipe holds no
+// frequent item and projects to nothing.
 func TestReplicateSpectrumDifferential(t *testing.T) {
 	gen := synth.DefaultConfig(42)
 	gen.RecipeScale = 0.05
@@ -215,49 +229,80 @@ func TestReplicateSpectrumDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wide, empty := false, false
 	for _, region := range []string{"ITA", "KOR", "MEX"} {
 		view := corpus.Region(region)
 		for _, seed := range []uint64{1, 77} {
 			for _, kind := range allKinds() {
 				for _, categories := range []bool{false, true} {
-					cfg := EnsembleConfig{
-						Params:     ParamsForView(view, kind, seed),
-						Replicates: 3,
-						MinSupport: 0.05,
-						Categories: categories,
-					}
-					want := make([]rankfreq.Distribution, cfg.Replicates)
-					for rep := range want {
-						p := cfg.Params
-						p.Seed = replicateSeed(p.Seed, rep)
-						txs, err := Run(p, corpus.Lexicon())
-						if err != nil {
-							t.Fatal(err)
+					for _, sup := range []float64{0.01, 0.05, 0.3} {
+						cfg := EnsembleConfig{
+							Params:     ParamsForView(view, kind, seed),
+							Replicates: 3,
+							MinSupport: sup,
+							Categories: categories,
 						}
-						if categories {
-							txs = toCategoryTransactions(txs, corpus.Lexicon())
+						want := make([]rankfreq.Distribution, cfg.Replicates)
+						for rep := range want {
+							p := cfg.Params
+							p.Seed = replicateSeed(p.Seed, rep)
+							txs, err := Run(p, corpus.Lexicon())
+							if err != nil {
+								t.Fatal(err)
+							}
+							if categories {
+								txs = toCategoryTransactions(txs, corpus.Lexicon())
+							}
+							ix, err := itemset.BuildIndex(txs)
+							if err != nil {
+								t.Fatal(err)
+							}
+							frequent, projectsEmpty := projection(ix, txs, sup)
+							wide = wide || frequent > 64
+							empty = empty || projectsEmpty
+							sp, err := itemset.MineSpectrum(ix, cfg.MinSupport, itemset.MineOptions{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							want[rep] = rankfreq.FromSpectrum(kind.String(), sp)
 						}
-						ix, err := itemset.BuildIndex(txs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sp, err := itemset.MineSpectrum(ix, cfg.MinSupport, itemset.MineOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						want[rep] = rankfreq.FromSpectrum(kind.String(), sp)
-					}
-					for _, workers := range []int{1, 3} {
-						label := fmt.Sprintf("%s seed %d %v categories=%v workers=%d", region, seed, kind, categories, workers)
-						cfg.Workers = workers
-						if got := replicateDists(t, cfg, corpus.Lexicon()); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: replicate spectra differ from BuildIndex over the sorted recipes", label)
+						for _, workers := range []int{1, 3} {
+							label := fmt.Sprintf("%s seed %d %v categories=%v support %v workers=%d", region, seed, kind, categories, sup, workers)
+							cfg.Workers = workers
+							if got := replicateDists(t, cfg, corpus.Lexicon()); !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s: replicate spectra differ from BuildIndex over the sorted recipes", label)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+	if !wide || !empty {
+		t.Fatalf("some replicate has more than 64 frequent items: %v; some recipe projects to nothing: %v; want both", wide, empty)
+	}
+}
+
+// projection returns how many items of ix are frequent at sup, and
+// whether some transaction of txs holds none of them.
+func projection(ix *itemset.Index, txs [][]ingredient.ID, sup float64) (frequent int, projectsEmpty bool) {
+	minCount := max(int(math.Ceil(sup*float64(ix.N())-1e-9)), 1)
+	isFrequent := func(it ingredient.ID) bool { return ix.Support(it) >= minCount }
+	for _, tx := range txs {
+		if !slices.ContainsFunc(tx, isFrequent) {
+			projectsEmpty = true
+		}
+	}
+	seen := make(map[ingredient.ID]bool)
+	for _, tx := range txs {
+		for _, it := range tx {
+			if !seen[it] && isFrequent(it) {
+				frequent++
+			}
+			seen[it] = true
+		}
+	}
+	return frequent, projectsEmpty
 }
 
 func TestKernelDifferentialEnsemble(t *testing.T) {

@@ -38,7 +38,7 @@ func BuildIndex(txs [][]ingredient.ID) (*Index, error) {
 // use as the second side of the identity proof. Production callers
 // always pass false.
 func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
-	ix, err := new(IndexBuilder).build(txs, true, denseOnly)
+	ix, err := new(IndexBuilder).build(txs, denseOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -49,38 +49,40 @@ func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 // IndexBuilder is the package's one index-build implementation. Every
 // mine goes through it: BuildIndex is a build into a fresh builder,
 // Mine is a build followed by MineIndexed, and the replicate ensembles
-// keep one builder per worker so back-to-back replicate indexes reuse
-// the same arenas.
+// keep one builder per worker so back-to-back replicate mines reuse the
+// same arenas.
 //
-// Build and BuildSets are two thin entries to one core. Build takes
-// strictly ascending transactions and fingerprints them; BuildSets
-// takes each transaction's items in any order, rejects a transaction
-// that repeats an item, and computes no fingerprint (its Index's
-// Fingerprint is ""). Over the same item sets both build the same
-// Index otherwise: dedup is by item set, and unique transactions keep
-// their first-occurrence order.
+// Build and SpectrumOfSets are its two entries. Build takes strictly
+// ascending transactions, fingerprints them and indexes every item, so
+// its Index answers any support. SpectrumOfSets takes each
+// transaction's items in any order, projects the transactions onto the
+// items frequent at one support, mines that projection and returns its
+// spectrum; the projected index never leaves the builder. Both dedup by
+// item set in the same open-addressing table and keep unique
+// transactions in first-occurrence order.
 //
 // The build holds no map. Counting and position lookup use dense
 // slices indexed by id−minID; dedup is an open-addressing table keyed
 // by an order-independent hash (a sum of per-position random keys) and
-// confirmed by a set compare against a per-position stamp, the same
-// stamp that catches a repeated item. The pass that dedups also
-// measures each item's posting cardinality and run count, so one more
-// pass over the unique transactions' rows (their positions, kept in the
-// builder's scratch) fills the containers. When the ID range is wide
-// compared to the occurrence count (negative or scattered IDs),
-// positions come from a sorted copy of the occurrences instead, so
-// memory stays bounded by the input size. The Index is identical either
-// way, and identical to a fresh build's — reflect.DeepEqual, nil and
-// empty slices included — whatever the builder built before.
+// confirmed by a set compare against a per-position stamp. The pass
+// that dedups also measures each item's posting cardinality and run
+// count, so one more pass over the unique transactions' rows (their
+// positions, kept in the builder's scratch) fills the containers. When
+// the ID range is wide compared to the occurrence count (negative or
+// scattered IDs), positions come from a sorted copy of the occurrences
+// instead, so memory stays bounded by the input size. The Index is
+// identical either way, and identical to a fresh build's —
+// reflect.DeepEqual, nil and empty slices included — whatever the
+// builder built before.
 //
 // The rows are build scratch: the Index keeps only its item table,
 // weights and postings. The Index a build returns aliases the
-// builder's arenas: it is valid until that builder's next build. Results mined from it never alias
-// the arenas. The builder also owns the Eclat query state its indexes
-// are mined with, so a builder's mines draw nothing from a
-// process-global pool. The zero value is ready to use; an IndexBuilder
-// is not safe for concurrent use.
+// builder's arenas: it is valid until that builder's next build or
+// spectrum. Results mined from it never alias the arenas. The builder
+// also owns the Eclat query state its indexes are mined with, so a
+// builder's mines draw nothing from a process-global pool. The zero
+// value is ready to use; an IndexBuilder is not safe for concurrent
+// use.
 type IndexBuilder struct {
 	ix    *Index
 	query eclatQuery
@@ -96,20 +98,22 @@ type IndexBuilder struct {
 	bitsArena []uint64
 
 	// Build scratch, never referenced by an Index.
-	rows   []int32         // unique transaction u's positions: rows[rowOff[u]:rowOff[u+1]]
-	rowOff []int32         // per unique transaction, plus one
-	counts []int32         // occurrences per id−minID (dense range)
-	slot   []int32         // item position per id−minID (dense range)
-	sorted []ingredient.ID // every occurrence, sorted (wide range)
-	keys   []uint64        // per item position: its random dedup-hash key
-	stamp  []int32         // per item position: 1 + the last transaction holding it
-	table  []uint32        // dedup slots: hash tag | unique transaction + 1, 0 = empty
-	nruns  []int32         // per item position: run count, then fill cursor
-	last   []int32         // per item position: last unique transaction seen
-	sha    hash.Hash
-	shaBuf [4096]byte
-	sum    [sha256.Size]byte
-	hexBuf [32]byte
+	rows     []int32         // unique transaction u's positions: rows[rowOff[u]:rowOff[u+1]]
+	rowOff   []int32         // per unique transaction, plus one
+	counts   []int32         // occurrences per id−minID (dense range)
+	slot     []int32         // item position per id−minID (dense range)
+	sorted   []ingredient.ID // every occurrence, sorted (wide range)
+	keys     []uint64        // per item position: its random dedup-hash key
+	stamp    []int32         // per item position: 1 + the last transaction holding it
+	table    []uint32        // dedup slots: hash tag | unique transaction + 1, 0 = empty
+	nruns    []int32         // per item position: run count, then fill cursor
+	last     []int32         // per item position: last unique transaction seen
+	masks    []uint64        // unique projected transaction u's mask: masks[(u+1)*W:(u+2)*W]
+	wordKeys []uint64        // per mask word: its odd dedup-hash multiplier
+	sha      hash.Hash
+	shaBuf   [4096]byte
+	sum      [sha256.Size]byte
+	hexBuf   [32]byte
 }
 
 // Dense-range bound: positions come from id-indexed slices while the ID
@@ -124,32 +128,16 @@ const (
 // Build indexes txs; see BuildIndex for the input contract and
 // IndexBuilder for the lifetime of the result.
 func (b *IndexBuilder) Build(txs [][]ingredient.ID) (*Index, error) {
-	return b.build(txs, true, false)
+	return b.build(txs, false)
 }
 
-// BuildSets indexes txs whose transactions list their items in any
-// order, as a model holds its recipes. A transaction that repeats an
-// item is an error. The Index equals Build's over the same
-// transactions sorted, except that it has no fingerprint: Fingerprint
-// returns "". The input slices are read, never retained or modified;
-// the Index lives as long as one from Build.
-func (b *IndexBuilder) BuildSets(txs [][]ingredient.ID) (*Index, error) {
-	return b.build(txs, false, false)
-}
-
-// build is the one core behind Build and BuildSets: ascending selects
-// Build's contract (the ascending check and the fingerprint), and
-// denseOnly pins every container to the bitset format (test hook, see
-// buildIndexWith).
-func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (*Index, error) {
-	// Pass 1: validate and fingerprint ascending input, and measure the
-	// ID range.
-	fp := ""
-	if ascending {
-		if err := b.fingerprint(txs); err != nil {
-			return nil, err
-		}
-		fp = string(b.hexBuf[:])
+// build is Build's core; denseOnly pins every container to the bitset
+// format (test hook, see buildIndexWith).
+func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
+	// Pass 1: validate and fingerprint, and measure the ID range from
+	// each transaction's ends.
+	if err := b.fingerprint(txs); err != nil {
+		return nil, err
 	}
 	total, nonEmpty := 0, 0
 	minID, maxID := ingredient.ID(math.MaxInt32), ingredient.ID(math.MinInt32)
@@ -159,15 +147,8 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 		}
 		total += len(tx)
 		nonEmpty++
-		if ascending {
-			minID = min(minID, tx[0])
-			maxID = max(maxID, tx[len(tx)-1])
-			continue
-		}
-		for _, it := range tx {
-			minID = min(minID, it)
-			maxID = max(maxID, it)
-		}
+		minID = min(minID, tx[0])
+		maxID = max(maxID, tx[len(tx)-1])
 	}
 
 	// Pass 2: the item table in ascending ID order — a fixed,
@@ -237,19 +218,8 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 		last[p] = -2
 	}
 	b.stamp, b.postCard, b.nruns, b.last = stamp, card, nruns, last
-	size := 8
-	for size < 2*nonEmpty {
-		size <<= 1
-	}
-	table := zeroed(b.table, size)
-	mask := uint64(size - 1)
-	// A slot keeps its unique transaction + 1 in the low ubits bits and
-	// the top 32−ubits bits of the hash as a tag, so a probe reads no
-	// other memory until the tags match, and the table stays half the
-	// size of one that stored whole hashes; the hash's low bits pick the
-	// slot. nonEmpty < 2³¹, so the tag keeps at least one bit.
-	ubits := bits.Len32(uint32(nonEmpty))
-	tagShift, tagMask := 64-(32-ubits), ^uint32(0)<<ubits
+	dt := b.dedupTable(nonEmpty)
+	table, mask, ubits, tagShift, tagMask := dt.slots, dt.mask, dt.ubits, dt.tagShift, dt.tagMask
 	rows := reuse(b.rows, total)
 	rowOff := append(reuse(b.rowOff, nonEmpty+1), 0)
 	weights := reuse(b.weights, nonEmpty)
@@ -266,9 +236,6 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 				p = slot[it-minID]
 			} else {
 				p = itemPosition(items, it)
-			}
-			if stamp[p] == tok {
-				return nil, fmt.Errorf("itemset: transaction %d repeats item %d", i, it)
 			}
 			stamp[p] = tok
 			h += keys[p]
@@ -299,6 +266,245 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 			}
 		}
 	}
+	b.rows, b.rowOff = rows, rowOff
+
+	ix := b.assemble(len(txs), total, items, weights, string(b.hexBuf[:]))
+	b.buildPostings(ix, denseOnly)
+	ix.bytes = ix.accountBytes()
+	return ix, nil
+}
+
+// SpectrumOfSets returns the spectrum MineSpectrum gives at minSupport
+// of an Index built over txs sorted, without building that index: one
+// counting pass over item IDs in [0, bound), then FP-Growth's
+// frequent-item projection (Han, Pei & Yin, SIGMOD 2000). Each
+// transaction becomes a mask of its items counted at least
+// minCount(len(txs), minSupport), W = ⌈frequent/64⌉ words wide; the
+// masks are deduped in the open-addressing table, and the postings are
+// filled straight from the unique masks and mined. A frequent set holds
+// only frequent items, so the projection keeps every frequent set and
+// its support; N stays len(txs), so a transaction that projects to
+// nothing still counts.
+//
+// The items of a transaction may come in any order, as a model holds
+// its recipes. An item outside [0, bound) is an error, and so is a
+// transaction that repeats an item counted at the threshold; an item
+// counted below it, repeats included, cannot be frequent, so its
+// repeats cannot change the spectrum. The input slices are read, never
+// retained or modified, and the spectrum owns its counts.
+func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSupport float64) (Spectrum, error) {
+	if minSupport <= 0 || minSupport > 1 {
+		return Spectrum{}, ErrBadSupport
+	}
+	if bound < 0 {
+		return Spectrum{}, fmt.Errorf("itemset: negative item bound %d", bound)
+	}
+	// Pass 1: count every item.
+	counts := zeroed(b.counts, bound)
+	b.counts = counts
+	for i, tx := range txs {
+		for _, it := range tx {
+			if uint(it) >= uint(bound) {
+				return Spectrum{}, fmt.Errorf("itemset: transaction %d holds item %d outside [0, %d)", i, it, bound)
+			}
+			counts[it]++
+		}
+	}
+
+	// The frequent items, ascending; every other ID's slot is −1.
+	mc := int32(min(minCount(len(txs), minSupport), math.MaxInt32))
+	slot := grown(b.slot, bound)
+	items, total := reuse(b.items, 0), 0
+	for id, c := range counts {
+		slot[id] = -1
+		if c >= mc {
+			slot[id] = int32(len(items))
+			items = append(items, itemCount{ingredient.ID(id), int(c)})
+			total += int(c)
+		}
+	}
+	b.slot, b.items = slot, items
+
+	// Pass 2: project each transaction onto its frequent-item mask,
+	// written as a candidate at the end of the unique masks, and dedup
+	// it: a duplicate or empty mask is truncated away. Unique u's mask
+	// is masks[(u+1)*w:(u+2)*w], after one all-zero mask.
+	m := len(items)
+	w := (m + 63) / 64
+	for k := len(b.wordKeys); k < w; k++ {
+		b.wordKeys = append(b.wordKeys, mix64(uint64(k)+0x9e3779b97f4a7c15)|1)
+	}
+	wordKeys := b.wordKeys[:w]
+	dt := b.dedupTable(len(txs))
+	table, mask, ubits, tagShift, tagMask := dt.slots, dt.mask, dt.ubits, dt.tagShift, dt.tagMask
+	masks := zeroed(b.masks, w)
+	masks = slices.Grow(masks, w*len(txs))
+	weights := reuse(b.weights, 0)
+	for i, tx := range txs {
+		start := len(masks)
+		masks = slices.Grow(masks, w)[:start+w]
+		cur := masks[start:]
+		clear(cur)
+		kept := false
+		for _, it := range tx {
+			p := slot[it]
+			if p < 0 {
+				continue
+			}
+			bit := uint64(1) << (p & 63)
+			if cur[p>>6]&bit != 0 {
+				return Spectrum{}, fmt.Errorf("itemset: transaction %d repeats item %d", i, it)
+			}
+			cur[p>>6] |= bit
+			kept = true
+		}
+		if !kept {
+			masks = masks[:start]
+			continue
+		}
+		var sum uint64
+		for k, x := range cur {
+			sum += x * wordKeys[k]
+		}
+		h := mix64(sum)
+		tag := uint32(h>>tagShift) << ubits
+		for s := h & mask; ; s = (s + 1) & mask {
+			e := table[s]
+			if e == 0 {
+				table[s] = tag | uint32(len(weights)+1)
+				weights = append(weights, 1)
+				break
+			}
+			if u := int(e&^tagMask) - 1; e&tagMask == tag && slices.Equal(masks[(u+1)*w:(u+2)*w], cur) {
+				weights[u]++
+				masks = masks[:start]
+				break
+			}
+		}
+	}
+	b.masks = masks
+
+	ix := b.assemble(len(txs), total, items, weights, "")
+	b.transposePostings(ix, masks, w)
+	return MineSpectrum(ix, minSupport, MineOptions{})
+}
+
+// transposePostings lays out the projected index's postings from its
+// unique masks, unique u's at masks[(u+1)*w:(u+2)*w]. Sixty-four unique
+// transactions at a time, each mask word's 64×64 bit block is
+// transposed, so the masks become every item's bitmap over the unique
+// transactions, written in place in the bits arena. Each bitmap's
+// cardinality and run count pick its container as buildPostings does:
+// a bitset keeps its bitmap, and an array or run container is decoded
+// from it into the id arena.
+func (b *IndexBuilder) transposePostings(ix *Index, masks []uint64, w int) {
+	m, words := len(ix.items), ix.words
+	dense := zeroed(b.bitsArena, m*words)
+	var block [64]uint64
+	for blk := 0; blk < words; blk++ {
+		n := min(64, ix.uniques-64*blk)
+		for k := 0; k < w; k++ {
+			for j := 0; j < n; j++ {
+				block[j] = masks[(64*blk+j+1)*w+k]
+			}
+			clear(block[n:])
+			transpose64(&block)
+			for i, x := range block[:min(64, m-64*k)] {
+				dense[(64*k+i)*words+blk] = x
+			}
+		}
+	}
+
+	card := grown(b.postCard, m)
+	kinds, off, ln := grown(b.postKind, m), grown(b.postOff, m), grown(b.postLen, m)
+	idLen := 0
+	for p := range kinds {
+		c, runs, carry := 0, 0, uint64(0)
+		for _, x := range dense[p*words : (p+1)*words] {
+			c += bits.OnesCount64(x)
+			runs += bits.OnesCount64(x &^ (x<<1 | carry))
+			carry = x >> 63
+		}
+		card[p] = int32(c)
+		kinds[p] = choosePostingKind(c, runs, words)
+		switch kinds[p] {
+		case containerArray:
+			off[p], ln[p] = int32(idLen), int32(c)
+		case containerRun:
+			off[p], ln[p] = int32(idLen), int32(2*runs)
+		default:
+			off[p], ln[p] = int32(p*words), int32(words)
+		}
+		if kinds[p] != containerBitset {
+			idLen += int(ln[p])
+		}
+	}
+	ids := grown(b.idArena, idLen)
+	for p, kind := range kinds {
+		if kind == containerBitset {
+			continue
+		}
+		out := ids[off[p]:off[p]]
+		for blk, x := range dense[p*words : (p+1)*words] {
+			for ; x != 0; x &= x - 1 {
+				t := uint32(64*blk + bits.TrailingZeros64(x))
+				switch {
+				case kind == containerArray:
+					out = append(out, t)
+				case len(out) > 0 && out[len(out)-2]+out[len(out)-1] == t:
+					out[len(out)-1]++
+				default:
+					out = append(out, t, 1)
+				}
+			}
+		}
+	}
+	b.postCard, b.postKind, b.postOff, b.postLen, b.idArena, b.bitsArena = card, kinds, off, ln, ids, dense
+	ix.postCard, ix.postKind, ix.postOff, ix.postLen, ix.idArena, ix.bitsArena = card, kinds, off, ln, ids, dense
+}
+
+// transpose64 transposes the 64×64 bit matrix a in place: bit j of
+// a[i] becomes bit i of a[j]. Each round swaps the off-diagonal
+// half-blocks of every 2j×2j block, for j = 32 down to 1.
+func transpose64(a *[64]uint64) {
+	for j, m := 32, uint64(0x00000000ffffffff); j != 0; j, m = j>>1, m^(m<<(j>>1)) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k] ^= t << j
+			a[k+j] ^= t
+		}
+	}
+}
+
+// dedupTable is a dedup pass's open-addressing table. A slot keeps its
+// unique transaction + 1 in the low ubits bits and the top 32−ubits
+// bits of the hash as a tag, so a probe reads no other memory until the
+// tags match, and the table stays half the size of one that stored
+// whole hashes; the hash's low bits pick the slot.
+type dedupTable struct {
+	slots    []uint32
+	mask     uint64
+	ubits    int
+	tagShift int
+	tagMask  uint32
+}
+
+// dedupTable returns the builder's table cleared for up to n unique
+// transactions. n < 2³¹, so the tag keeps at least one bit.
+func (b *IndexBuilder) dedupTable(n int) dedupTable {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	b.table = zeroed(b.table, size)
+	ubits := bits.Len32(uint32(n))
+	return dedupTable{b.table, uint64(size - 1), ubits, 64 - (32 - ubits), ^uint32(0) << ubits}
+}
+
+// assemble carves the Index from a dedup pass's item table and weights,
+// padding the weights of a weighted index; the caller lays out its
+// postings.
+func (b *IndexBuilder) assemble(n, total int, items []itemCount, weights []int32, fp string) *Index {
 	uniques := len(weights)
 	weighted := slices.ContainsFunc(weights, func(w int32) bool { return w > 1 })
 	words := (uniques + 63) / 64
@@ -309,29 +515,27 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, ascending, denseOnly bool) (
 			weights = append(weights, 0)
 		}
 	}
-	b.rows, b.rowOff, b.weights, b.table = rows, rowOff, weights, table
+	b.weights = weights
 
 	if b.ix == nil {
 		b.ix = new(Index)
 	}
 	ix := b.ix
 	*ix = Index{
-		n:        len(txs),
+		n:        n,
 		totalOcc: total,
 		items:    items,
 		uniques:  uniques,
 		weighted: weighted,
 		words:    words,
-		postCard: card,
+		postCard: b.postCard,
 		fp:       fp,
 		query:    &b.query,
 	}
 	if uniques > 0 {
 		ix.weights = weights
 	}
-	b.buildPostings(ix, denseOnly)
-	ix.bytes = ix.accountBytes()
-	return ix, nil
+	return ix
 }
 
 // fingerprint checks that every transaction ascends strictly and

@@ -152,7 +152,7 @@ func TestIndexBuilderReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := b.build(c.txs, true, true)
+		got, err := b.build(c.txs, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,6 +357,7 @@ func assertNoArenaAliasing(t *testing.T, b *IndexBuilder, res *Result, label str
 	add("bitsArena", unsafe.Pointer(unsafe.SliceData(b.bitsArena)), uintptr(cap(b.bitsArena))*8)
 	add("table", unsafe.Pointer(unsafe.SliceData(b.table)), uintptr(cap(b.table))*4)
 	add("keys", unsafe.Pointer(unsafe.SliceData(b.keys)), uintptr(cap(b.keys))*8)
+	add("masks", unsafe.Pointer(unsafe.SliceData(b.masks)), uintptr(cap(b.masks))*8)
 	for _, s := range res.Sets {
 		if len(s.Items) == 0 {
 			continue
@@ -383,71 +384,158 @@ func permutedSets(src *randx.Source, txs [][]ingredient.ID) [][]ingredient.ID {
 	return out
 }
 
-// assertSetsBuild requires BuildSets over permuted to index exactly what
-// Build indexes over sorted — the same transactions with ascending
-// items — apart from the fingerprint, which a set build leaves empty.
-func assertSetsBuild(t *testing.T, b *IndexBuilder, sorted, permuted [][]ingredient.ID, label string) *Index {
+// nonNegativeIDs reports whether every item of txs is at least 0, and
+// the bound one past the largest.
+func nonNegativeIDs(txs [][]ingredient.ID) (bound int, ok bool) {
+	for _, tx := range txs {
+		for _, it := range tx {
+			if it < 0 {
+				return 0, false
+			}
+			bound = max(bound, int(it)+1)
+		}
+	}
+	return bound, true
+}
+
+// assertSpectrumOfSets requires SpectrumOfSets over permuted, at every
+// bound from the tightest up, to return the spectrum MineSpectrum mines
+// off BuildIndex over sorted — the same transactions with ascending
+// items — and its projected index to mine, on either kernel, the
+// Result the kept index gives at that support. A bound one below the
+// tightest must be an error. It returns the largest number of items
+// the projection kept.
+func assertSpectrumOfSets(t *testing.T, b *IndexBuilder, sorted, permuted [][]ingredient.ID, sup float64, label string) int {
 	t.Helper()
-	want, err := buildIndexWith(sorted, false)
+	kept, err := BuildIndex(sorted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.BuildSets(permuted)
+	want, err := MineSpectrum(kept, sup, MineOptions{})
 	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+		t.Fatal(err)
 	}
-	if got.Fingerprint() != "" {
-		t.Fatalf("%s: set build has fingerprint %q", label, got.Fingerprint())
+	wantRes, err := eclatRun.indexed(kept, sup)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cmp := withoutQuery(got)
-	cmp.fp = want.fp
-	cmp.bytes = want.bytes - int64(len(want.fp))
-	if got.bytes != cmp.bytes {
-		t.Fatalf("%s: set build accounts %d bytes, want %d", label, got.bytes, cmp.bytes)
+	bound, _ := nonNegativeIDs(sorted)
+	for _, bd := range []int{bound, bound + 1, bound + 100} {
+		got, err := b.SpectrumOfSets(permuted, bd, sup)
+		if err != nil {
+			t.Fatalf("%s bound %d support %v: %v", label, bd, sup, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s bound %d support %v: SpectrumOfSets %v, want %v", label, bd, sup, got, want)
+		}
 	}
-	cmp.bytes = want.bytes
-	if !reflect.DeepEqual(cmp, want) {
-		t.Fatalf("%s: BuildSets over permuted transactions differs from Build over sorted ones", label)
-	}
-	return got
-}
-
-// TestBuildSetsMatchesBuild: over every corpus shape, one reused
-// builder's BuildSets of randomly permuted transactions indexes what
-// Build does of the sorted ones, and on that index forced FP-Growth —
-// the kernel that reads rows, through the transposed postings — mines
-// exactly what Eclat and a kept BuildIndex give.
-func TestBuildSetsMatchesBuild(t *testing.T) {
-	src := randx.New(0x5E75)
-	var b IndexBuilder
-	for _, c := range builderCorpora(t) {
-		ix := assertSetsBuild(t, &b, c.txs, permutedSets(src, c.txs), c.name)
-		kept, err := BuildIndex(c.txs)
+	projected := b.ix
+	for _, k := range []kernelRun{eclatRun, fpRun} {
+		got, err := k.indexed(projected, sup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sup := range []float64{0.02, 0.1} {
-			want, err := eclatRun.indexed(kept, sup)
-			if err != nil {
-				t.Fatal(err)
+		if !reflect.DeepEqual(got, wantRes) {
+			t.Fatalf("%s support %v: %v on the projected index differs from Eclat on a kept index", label, sup, k)
+		}
+	}
+	if bound > 0 {
+		if _, err := b.SpectrumOfSets(permuted, bound-1, sup); err == nil {
+			t.Fatalf("%s: item %d is outside bound %d, but SpectrumOfSets accepted it", label, bound-1, bound-1)
+		}
+	}
+	return projected.DistinctItems()
+}
+
+// TestSpectrumOfSetsMatchesBuild: over every corpus shape with
+// non-negative IDs, one reused builder's SpectrumOfSets of randomly
+// permuted transactions returns the spectrum of Build over the sorted
+// ones. At 2% the wide corpora keep more than 64 items, and the widest
+// more than 128, so a mask spans two and three words; at 100% at most
+// the items in every transaction are kept. containerMixCorpus projects
+// to every container kind. A corpus with a negative ID is an error.
+func TestSpectrumOfSetsMatchesBuild(t *testing.T) {
+	src := randx.New(0x5E75)
+	var b IndexBuilder
+	widest := 0
+	for _, c := range append(builderCorpora(t), namedCorpus{"container-mix", containerMixCorpus()}) {
+		permuted := permutedSets(src, c.txs)
+		if _, ok := nonNegativeIDs(c.txs); !ok {
+			if _, err := b.SpectrumOfSets(permuted, 1<<20, 0.1); err == nil {
+				t.Fatalf("%s: negative item accepted", c.name)
 			}
-			for _, k := range []kernelRun{eclatRun, fpRun} {
-				got, err := k.indexed(ix, sup)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s support %v: %v on a set build differs from Eclat on a kept index", c.name, sup, k)
-				}
+			continue
+		}
+		for _, sup := range []float64{0.02, 0.1, 1} {
+			widest = max(widest, assertSpectrumOfSets(t, &b, c.txs, permuted, sup, c.name))
+		}
+	}
+	if widest <= 128 {
+		t.Fatalf("the widest projection kept %d items, want a mask of more than two words", widest)
+	}
+}
+
+// containerMixCorpus projects to postings of every container kind:
+// transaction i holds the items of i's binary digits, so the high
+// digits' items form runs of unique transactions, item 13 marks the
+// first half, and item 14 is frequent only through one transaction's
+// 100 duplicates, so its posting is a one-element array.
+func containerMixCorpus() [][]ingredient.ID {
+	var txs [][]ingredient.ID
+	for i := 0; i < 4096; i++ {
+		var tx []ingredient.ID
+		for d := 0; d < 12; d++ {
+			if i>>d&1 == 1 {
+				tx = append(tx, ingredient.ID(d))
 			}
+		}
+		if i < 2048 {
+			tx = append(tx, 13)
+		}
+		txs = append(txs, tx)
+	}
+	for range 100 {
+		txs = append(txs, tx(0, 14))
+	}
+	return txs
+}
+
+// TestSpectrumOfSetsRepeatedItem: a transaction that repeats an item is
+// an error when the item, its repeat counted, reaches the threshold,
+// and otherwise leaves the spectrum of the transactions without the
+// repeat unchanged.
+func TestSpectrumOfSetsRepeatedItem(t *testing.T) {
+	txs := [][]ingredient.ID{tx(1, 2), tx(1, 3), tx(1, 2), tx(4)}
+	var b IndexBuilder
+	// Item 1 is in three transactions: frequent at 3/4.
+	if _, err := b.SpectrumOfSets(append(slices.Clone(txs), tx(2, 1, 1)), 5, 0.6); err == nil {
+		t.Fatal("a repeated frequent item was accepted")
+	}
+	// Item 5, counted twice, stays below 3 of 5.
+	bad := append(slices.Clone(txs), tx(5, 2, 5))
+	good := append(slices.Clone(txs), tx(2, 5))
+	want, err := b.SpectrumOfSets(good, 6, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.SpectrumOfSets(bad, 6, 0.6); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a repeated infrequent item: spectrum %v (err %v), want %v", got, err, want)
+	}
+	if _, err := b.SpectrumOfSets(txs, -1, 0.5); err == nil {
+		t.Fatal("a negative bound was accepted")
+	}
+	for _, sup := range []float64{0, -0.1, 1.5} {
+		if _, err := b.SpectrumOfSets(txs, 5, sup); err != ErrBadSupport {
+			t.Fatalf("support %v: err %v, want ErrBadSupport", sup, err)
 		}
 	}
 }
 
 // TestBuildDedupUnderHashCollisions zeroes a builder's dedup-hash keys,
 // so every transaction hashes to the same slot and tag, and only the
-// stamped set compare can tell item sets apart: Build and BuildSets
-// must still index what a builder with real keys does.
+// stamped set compare (Build) or the mask compare (SpectrumOfSets) can
+// tell item sets apart: both must still index what a builder with real
+// keys does.
 func TestBuildDedupUnderHashCollisions(t *testing.T) {
 	src := randx.New(0xC011)
 	txs := make([][]ingredient.ID, 0, 300)
@@ -475,15 +563,31 @@ func TestBuildDedupUnderHashCollisions(t *testing.T) {
 	if want.uniques == len(txs) || want.uniques < 50 {
 		t.Fatalf("corpus has %d unique of %d transactions: want both duplicates and many distinct sets", want.uniques, len(txs))
 	}
-	assertSetsBuild(t, &b, txs, permutedSets(src, txs), "colliding hashes")
+
+	permuted := permutedSets(src, txs)
+	var fresh IndexBuilder
+	if _, err := fresh.SpectrumOfSets(permuted, 36, 0.001); err != nil {
+		t.Fatal(err)
+	}
+	b.wordKeys = make([]uint64, 4)
+	assertSpectrumOfSets(t, &b, txs, permuted, 0.001, "colliding hashes")
+	if _, err := b.SpectrumOfSets(permuted, 36, 0.001); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(withoutQuery(b.ix), withoutQuery(fresh.ix)) {
+		t.Fatal("SpectrumOfSets with colliding mask hashes projects a different index")
+	}
 }
 
-// FuzzBuildSets: decoded transactions, and the same spread over the
-// int32 range, each permuted at random, must BuildSets into the Index
-// Build makes of them sorted, apart from the fingerprint, through a
-// reused builder; and the same input with one item repeated inside one
-// transaction must be rejected.
-func FuzzBuildSets(f *testing.F) {
+// FuzzSpectrumOfSets: decoded transactions, and the same banded so
+// that up to 120 items make masks two words wide, each permuted at
+// random, must give SpectrumOfSets the spectrum of Build over the
+// sorted transactions, through a reused builder, and an ID at the
+// bound must be rejected. The same input with one item repeated
+// inside one transaction is an error when that item, its repeat
+// counted, reaches the threshold, and gives the same spectrum
+// otherwise.
+func FuzzSpectrumOfSets(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 1, 2, 3, 0xff, 3, 2, 0xff, 2, 3, 0xff, 1, 2, 3})
 	f.Add([]byte{2, 5, 6, 7, 0xff, 7, 6, 5, 0xff, 5, 6, 7, 0xff, 7})
@@ -491,33 +595,52 @@ func FuzzBuildSets(f *testing.F) {
 	f.Add([]byte{4, 0, 0xff, 1, 0xff, 2, 0xff, 0, 1, 0xff, 1, 0})
 	var b IndexBuilder
 	f.Fuzz(func(t *testing.T, data []byte) {
-		txs, _ := decodeFuzzCorpus(data)
+		txs, sup := decodeFuzzCorpus(data)
 		seed := uint64(len(data))
 		for _, x := range data {
 			seed = seed*31 + uint64(x)
 		}
 		src := randx.New(seed)
-		for _, c := range []namedCorpus{{"decoded", txs}, {"spread", spreadIDs(txs)}} {
-			permuted := permutedSets(src, c.txs)
-			assertSetsBuild(t, &b, c.txs, permuted, c.name)
-
-			var nonEmpty []int
-			for i, tx := range permuted {
-				if len(tx) > 0 {
-					nonEmpty = append(nonEmpty, i)
+		banded := make([][]ingredient.ID, len(txs))
+		for i, tx := range txs {
+			for _, it := range tx {
+				banded[i] = append(banded[i], it+ingredient.ID(i%3*fuzzItemAlphabet))
+			}
+		}
+		for _, c := range []namedCorpus{{"decoded", txs}, {"banded", banded}} {
+			for _, s := range []float64{sup, 1e-9} {
+				permuted := permutedSets(src, c.txs)
+				assertSpectrumOfSets(t, &b, c.txs, permuted, s, c.name)
+				if len(permuted) == 0 {
+					continue
 				}
-			}
-			if len(nonEmpty) == 0 {
-				continue
-			}
-			i := nonEmpty[src.Intn(len(nonEmpty))]
-			tx := permuted[i]
-			repeated := append(slices.Clone(tx), tx[src.Intn(len(tx))])
-			src.Shuffle(len(repeated), func(a, b int) { repeated[a], repeated[b] = repeated[b], repeated[a] })
-			bad := slices.Clone(permuted)
-			bad[i] = repeated
-			if _, err := b.BuildSets(bad); err == nil {
-				t.Fatalf("%s: transaction %d %v repeats an item, but BuildSets accepted it", c.name, i, repeated)
+				i := src.Intn(len(permuted))
+				if len(permuted[i]) == 0 {
+					continue
+				}
+				it := permuted[i][src.Intn(len(permuted[i]))]
+				repeated := append(slices.Clone(permuted[i]), it)
+				src.Shuffle(len(repeated), func(a, b int) { repeated[a], repeated[b] = repeated[b], repeated[a] })
+				bad := slices.Clone(permuted)
+				bad[i] = repeated
+				counted := 1
+				for _, tx := range c.txs {
+					if slices.Contains(tx, it) {
+						counted++
+					}
+				}
+				bound, _ := nonNegativeIDs(c.txs)
+				got, err := b.SpectrumOfSets(bad, bound, s)
+				if counted >= minCount(len(bad), s) {
+					if err == nil {
+						t.Fatalf("%s: transaction %d %v repeats item %d, counted %d times, but SpectrumOfSets accepted it", c.name, i, repeated, it, counted)
+					}
+					continue
+				}
+				want, _ := b.SpectrumOfSets(permuted, bound, s)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: repeating infrequent item %d in transaction %d: spectrum %v (err %v), want %v", c.name, it, i, got, err, want)
+				}
 			}
 		}
 	})

@@ -46,7 +46,7 @@ type Index struct {
 	idArena   []uint32
 	bitsArena []uint64
 
-	fp    string // "" for an IndexBuilder.BuildSets index
+	fp    string // content fingerprint; "" only inside SpectrumOfSets
 	bytes int64
 
 	// query is the building IndexBuilder's Eclat query state, reused by
@@ -89,8 +89,7 @@ func (ix *Index) TotalOccurrences() int { return ix.totalOcc }
 
 // Fingerprint returns the 128-bit hex content hash of the indexed
 // transactions. Two indexes over identical transaction databases share
-// a fingerprint regardless of how the databases were obtained. An index
-// from IndexBuilder.BuildSets has none and returns "".
+// a fingerprint regardless of how the databases were obtained.
 func (ix *Index) Fingerprint() string { return ix.fp }
 
 // Bytes returns the index's retained size estimate, the unit of the

@@ -8,8 +8,9 @@
 // runs a kernel over it: FP-Growth or the Eclat vertical kernel, both
 // producing byte-identical canonical results. The index picks the
 // cheaper kernel for its own shape; no caller chooses one.
-// IndexBuilder.BuildSets indexes unsorted item sets, such as a model's
-// recipes, without a fingerprint. Mine is the one-shot form (build,
+// IndexBuilder.SpectrumOfSets mines unsorted item sets, such as a
+// model's recipes, at one support: it indexes only their frequent
+// items and returns the spectrum. Mine is the one-shot form (build,
 // then mine); BuildIndex and IndexCache serve indexes that are queried
 // many times; the replicate ensembles reuse one builder per worker.
 // Apriori over raw transactions, in the package's tests, is the
