@@ -304,33 +304,43 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 	b.counts = counts
 	for i, tx := range txs {
 		for _, it := range tx {
-			if uint(it) >= uint(bound) {
+			if uint(it) >= uint(len(counts)) {
 				return Spectrum{}, fmt.Errorf("itemset: transaction %d holds item %d outside [0, %d)", i, it, bound)
 			}
 			counts[it]++
 		}
 	}
 
-	// The frequent items, ascending; every other ID's slot is −1.
+	// The frequent items, ascending.
 	mc := int32(min(minCount(len(txs), minSupport), math.MaxInt32))
-	slot := grown(b.slot, bound)
 	items, total := reuse(b.items, 0), 0
 	for id, c := range counts {
-		slot[id] = -1
 		if c >= mc {
-			slot[id] = int32(len(items))
 			items = append(items, itemCount{ingredient.ID(id), int(c)})
 			total += int(c)
 		}
 	}
-	b.slot, b.items = slot, items
+	b.items = items
 
 	// Pass 2: project each transaction onto its frequent-item mask,
 	// written as a candidate at the end of the unique masks, and dedup
 	// it: a duplicate or empty mask is truncated away. Unique u's mask
-	// is masks[(u+1)*w:(u+2)*w], after one all-zero mask.
+	// is masks[(u+1)*w:(u+2)*w], after one all-zero mask. A frequent
+	// item's slot is its position; every other item's is 64*w, a bit in
+	// one spare word past the mask, so the loop takes no branch, and a
+	// repeat shows as a mask holding fewer bits than the frequent items
+	// the transaction lists.
 	m := len(items)
 	w := (m + 63) / 64
+	spare := int32(64 * w)
+	slot := grown(b.slot, bound)
+	for id := range slot {
+		slot[id] = spare
+	}
+	for p, ic := range items {
+		slot[ic.item] = int32(p)
+	}
+	b.slot = slot
 	for k := len(b.wordKeys); k < w; k++ {
 		b.wordKeys = append(b.wordKeys, mix64(uint64(k)+0x9e3779b97f4a7c15)|1)
 	}
@@ -338,33 +348,37 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 	dt := b.dedupTable(len(txs))
 	table, mask, ubits, tagShift, tagMask := dt.slots, dt.mask, dt.ubits, dt.tagShift, dt.tagMask
 	masks := zeroed(b.masks, w)
-	masks = slices.Grow(masks, w*len(txs))
+	masks = slices.Grow(masks, w*len(txs)+1)
 	weights := reuse(b.weights, 0)
 	for i, tx := range txs {
 		start := len(masks)
-		masks = slices.Grow(masks, w)[:start+w]
+		masks = slices.Grow(masks, w+1)[:start+w+1]
 		cur := masks[start:]
 		clear(cur)
-		kept := false
+		n := 0
 		for _, it := range tx {
 			p := slot[it]
-			if p < 0 {
-				continue
-			}
-			bit := uint64(1) << (p & 63)
-			if cur[p>>6]&bit != 0 {
-				return Spectrum{}, fmt.Errorf("itemset: transaction %d repeats item %d", i, it)
-			}
-			cur[p>>6] |= bit
-			kept = true
+			cur[p>>6] |= 1 << (p & 63)
+			n += int(uint32(p-spare) >> 31)
 		}
-		if !kept {
+		masks = masks[:start+w]
+		cur = cur[:w]
+		if n == 0 {
 			masks = masks[:start]
 			continue
 		}
 		var sum uint64
+		set := 0
 		for k, x := range cur {
 			sum += x * wordKeys[k]
+			set += bits.OnesCount64(x)
+		}
+		if set != n {
+			for j, it := range tx {
+				if slot[it] != spare && slices.Contains(tx[j+1:], it) {
+					return Spectrum{}, fmt.Errorf("itemset: transaction %d repeats item %d", i, it)
+				}
+			}
 		}
 		h := mix64(sum)
 		tag := uint32(h>>tagShift) << ubits
