@@ -407,13 +407,13 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 // unique masks, unique u's at masks[(u+1)*w:(u+2)*w]. Sixty-four unique
 // transactions at a time, each mask word's 64×64 bit block is
 // transposed, so the masks become every item's bitmap over the unique
-// transactions, written in place in the bits arena. Each bitmap's
+// transactions, written over the bits arena. Each bitmap's
 // cardinality and run count pick its container as buildPostings does:
 // a bitset keeps its bitmap, and an array or run container is decoded
 // from it into the id arena.
 func (b *IndexBuilder) transposePostings(ix *Index, masks []uint64, w int) {
 	m, words := len(ix.items), ix.words
-	dense := zeroed(b.bitsArena, m*words)
+	dense := grown(b.bitsArena, m*words)
 	var block [64]uint64
 	for blk := 0; blk < words; blk++ {
 		n := min(64, ix.uniques-64*blk)
@@ -444,13 +444,12 @@ func (b *IndexBuilder) transposePostings(ix *Index, masks []uint64, w int) {
 		switch kinds[p] {
 		case containerArray:
 			off[p], ln[p] = int32(idLen), int32(c)
+			idLen += c
 		case containerRun:
 			off[p], ln[p] = int32(idLen), int32(2*runs)
+			idLen += 2 * runs
 		default:
 			off[p], ln[p] = int32(p*words), int32(words)
-		}
-		if kinds[p] != containerBitset {
-			idLen += int(ln[p])
 		}
 	}
 	ids := grown(b.idArena, idLen)
