@@ -65,9 +65,9 @@ func TestCLIHorizontalOneRegion(t *testing.T) {
 
 // TestCLIEndToEnd drives every experiment command the CLI exposes on a
 // small corpus. It checks that `all` and `cluster` report their
-// headlines, and pins the pairing, horizontal, mine, overrep and evolve
-// output byte for byte, for the default flags and for non-default ones,
-// so the commands' numbers and formatting cannot drift unnoticed.
+// headlines, and pins the pairing, horizontal, mine, overrep, evolve and
+// search output byte for byte, for the default flags and for non-default
+// ones, so the commands' numbers and formatting cannot drift unnoticed.
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
@@ -106,6 +106,8 @@ func TestCLIEndToEnd(t *testing.T) {
 		// At 1% both replicates have more than 64 frequent items (93
 		// and 96), more than one 64-bit word holds.
 		{[]string{"evolve", "-scale", "0.03", "-replicates", "2", "-support", "0.01"}, evolveITALowSupport},
+		{[]string{"search", "-scale", "0.03", "-top", "3"}, searchTomatoBasil},
+		{[]string{"search", "-scale", "0.03", "-with", "Ginger, soybean sauce", "-top", "2"}, searchGingerSoy},
 	} {
 		if got := runCLI(t, tc.argv...); got != tc.want {
 			t.Errorf("cuisinevol %s:\n got:\n%s\nwant:\n%s", strings.Join(tc.argv, " "), got, tc.want)
@@ -339,4 +341,37 @@ ITA: empirical vs CM-R (log-log rank-frequency)
         1                                                               6.36e+03
   * empirical
   o CM-R
+`
+
+const searchTomatoBasil = `173 recipes contain all of: tomato, basil
+
+  [GRC] basil, feta cheese, oregano, ground turkey, ginger, fines herbes, paneer, cumin, salt, honey, tomato, milk, water, onion, olive oil
+  [ITA] sunflower oil, parmesan cheese, condensed milk, olive, basil, onion, tomato, garlic, chicken
+  [ITA] basil, tomato, olive oil, parmesan cheese, olive, marjoram, habanero pepper, onion, amchur, black pepper, vinegar, lavender oil
+
+most frequent companions of the first query ingredient:
+  salt                     510 recipes (jaccard 0.169)
+  onion                    407 recipes (jaccard 0.177)
+  garlic                   349 recipes (jaccard 0.171)
+  olive                    284 recipes (jaccard 0.198)
+  cilantro                 276 recipes (jaccard 0.177)
+  butter                   234 recipes (jaccard 0.106)
+  flour                    214 recipes (jaccard 0.105)
+  sugar                    204 recipes (jaccard 0.100)
+`
+
+const searchGingerSoy = `143 recipes contain all of: ginger, soybean sauce
+
+  [CHN] sesame, ginger, onion, carrot, balsamic vinegar, soybean sauce, banana, honey, stevia leaf
+  [CHN] soybean sauce, sesame, corn, garlic, onion, salami, chicken, salsa, lemon juice, ginger, prosciutto, sugar, paratha, dill, fish
+
+most frequent companions of the first query ingredient:
+  salt                     320 recipes (jaccard 0.114)
+  onion                    218 recipes (jaccard 0.104)
+  garlic                   152 recipes (jaccard 0.082)
+  soybean sauce            143 recipes (jaccard 0.201)
+  cilantro                 136 recipes (jaccard 0.104)
+  sesame                   131 recipes (jaccard 0.196)
+  cumin                    125 recipes (jaccard 0.111)
+  sugar                    121 recipes (jaccard 0.070)
 `

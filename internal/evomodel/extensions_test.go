@@ -1,12 +1,17 @@
 package evomodel
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cuisinevol/internal/cuisine"
 	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/synth"
 )
 
 func TestVariableSizeDrifts(t *testing.T) {
@@ -330,6 +335,71 @@ func TestHorizontalMigrationHomogenizes(t *testing.T) {
 	if high >= low {
 		t.Fatalf("migration did not homogenize: d(0)=%v d(0.5)=%v", low, high)
 	}
+}
+
+// TestRunHorizontalPinned pins RunHorizontal's output byte for byte:
+// ITA, JPN and MEX at scale 0.05 under CM-R, CM-C and CM-M, at three
+// migration rates and two seeds, each run hashed over its regions in
+// label order and their recipes in pool order.
+func TestRunHorizontalPinned(t *testing.T) {
+	gen := synth.DefaultConfig(42)
+	gen.RecipeScale = 0.05
+	corpus, err := synth.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := map[string]Params{
+		"ITA": ParamsForView(corpus.Region("ITA"), CMRandom, 0),
+		"JPN": ParamsForView(corpus.Region("JPN"), CMCategory, 0),
+		"MEX": ParamsForView(corpus.Region("MEX"), CMMixture, 0),
+	}
+	for _, tc := range []struct {
+		migration float64
+		seed      uint64
+		want      string
+	}{
+		{0, 1, "34dae96f7ead6e41"},
+		{0, 9, "18281e3418d0f84a"},
+		{0.3, 1, "35883946f287d3d0"},
+		{0.3, 9, "4c8e61ed8dfba445"},
+		{1, 1, "a8c8827200448b9d"},
+		{1, 9, "fadd98cda0fb2d09"},
+	} {
+		out, err := RunHorizontal(HorizontalConfig{Regions: regions, Migration: tc.migration, Seed: tc.seed}, corpus.Lexicon())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hashRegions(out); got != tc.want {
+			t.Errorf("migration %v seed %d: hash %s, want %s", tc.migration, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// hashRegions digests a horizontal run: each label, then each recipe's
+// length and IDs as little-endian uint32s.
+func hashRegions(out map[string][][]ingredient.ID) string {
+	labels := make([]string, 0, len(out))
+	for label := range out {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	h := sha256.New()
+	var word [4]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint32(word[:], uint32(v))
+		h.Write(word[:])
+	}
+	for _, label := range labels {
+		h.Write([]byte(label))
+		put(len(out[label]))
+		for _, tx := range out[label] {
+			put(len(tx))
+			for _, id := range tx {
+				put(int(id))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 func TestRunHorizontalErrors(t *testing.T) {
