@@ -108,6 +108,9 @@ func TestCLIEndToEnd(t *testing.T) {
 		{[]string{"evolve", "-scale", "0.03", "-replicates", "2", "-support", "0.01"}, evolveITALowSupport},
 		{[]string{"search", "-scale", "0.03", "-top", "3"}, searchTomatoBasil},
 		{[]string{"search", "-scale", "0.03", "-with", "Ginger, soybean sauce", "-top", "2"}, searchGingerSoy},
+		// -region scopes the count and the companions, not only the
+		// recipes listed.
+		{[]string{"search", "-scale", "0.03", "-region", "ita", "-top", "2"}, searchTomatoBasilITA},
 	} {
 		if got := runCLI(t, tc.argv...); got != tc.want {
 			t.Errorf("cuisinevol %s:\n got:\n%s\nwant:\n%s", strings.Join(tc.argv, " "), got, tc.want)
@@ -121,6 +124,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	}{
 		{[]string{"overrep", "-scale", "0.03", "-region", "XYZ"}, "cuisinevol: overrep: region \"XYZ\" has no recipes\n"},
 		{[]string{"evolve", "-scale", "0.03", "-region", "XYZ"}, "cuisinevol: region \"XYZ\" has no recipes\n"},
+		{[]string{"search", "-scale", "0.03", "-region", "xyz"}, "cuisinevol: region \"xyz\" has no recipes\n"},
 	} {
 		stdout, stderr, code := runCLIOutputs(t, tc.argv...)
 		if code != 1 || stdout != "" || stderr != tc.want {
@@ -374,4 +378,20 @@ most frequent companions of the first query ingredient:
   sesame                   131 recipes (jaccard 0.196)
   cumin                    125 recipes (jaccard 0.111)
   sugar                    121 recipes (jaccard 0.070)
+`
+
+const searchTomatoBasilITA = `169 recipes contain all of: tomato, basil
+
+  [ITA] sunflower oil, parmesan cheese, condensed milk, olive, basil, onion, tomato, garlic, chicken
+  [ITA] basil, tomato, olive oil, parmesan cheese, olive, marjoram, habanero pepper, onion, amchur, black pepper, vinegar, lavender oil
+
+most frequent companions of the first query ingredient:
+  olive                    196 recipes (jaccard 0.368)
+  parmesan cheese          193 recipes (jaccard 0.368)
+  garlic                   170 recipes (jaccard 0.328)
+  basil                    169 recipes (jaccard 0.339)
+  salt                     164 recipes (jaccard 0.333)
+  onion                    148 recipes (jaccard 0.310)
+  flour                    80 recipes (jaccard 0.203)
+  water                    55 recipes (jaccard 0.147)
 `

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"cuisinevol/internal/experiment"
@@ -139,9 +140,9 @@ func cmdHorizontal(args []string) error {
 	return nil
 }
 
-// cmdSearch runs conjunctive ingredient queries against the corpus via
-// the inverted index and prints matching recipes with co-occurrence
-// context.
+// cmdSearch runs a conjunctive ingredient query over the corpus or one
+// region and prints the matching recipes with the first query
+// ingredient's companions.
 func cmdSearch(args []string) error {
 	cf := newCorpusFlags("search")
 	region := cf.fs.String("region", "", "restrict to one region code (default: whole corpus)")
@@ -164,25 +165,57 @@ func cmdSearch(args []string) error {
 		}
 		query = append(query, id)
 	}
-	ix := recipe.NewIndex(corpus)
-	matches := ix.ContainingAll(query...)
-	shown := 0
-	code := strings.ToUpper(*region)
-	fmt.Printf("%d recipes contain all of: %s\n\n", len(matches), strings.Join(lex.Names(query), ", "))
-	for _, rid := range matches {
-		r := corpus.Get(int(rid))
-		if code != "" && r.Region != code {
-			continue
-		}
-		fmt.Printf("  [%s] %s\n", r.Region, strings.Join(lex.Names(r.Ingredients), ", "))
-		if shown++; shown == *top {
-			break
+	view := corpus.AllView()
+	if *region != "" {
+		if view = corpus.Region(strings.ToUpper(*region)); view.Len() == 0 {
+			return fmt.Errorf("region %q has no recipes", *region)
 		}
 	}
+	// One pass over the view: tally what the recipes holding the first
+	// query ingredient hold with it, and count and keep the first -top
+	// recipes holding every query ingredient.
+	together := make([]int, lex.Len())
+	var shown []recipe.Recipe
+	matches := 0
+	view.Each(func(r recipe.Recipe) bool {
+		if !r.HasIngredient(query[0]) {
+			return true
+		}
+		for _, id := range r.Ingredients {
+			together[id]++
+		}
+		for _, id := range query[1:] {
+			if !r.HasIngredient(id) {
+				return true
+			}
+		}
+		if matches++; matches <= *top {
+			shown = append(shown, r)
+		}
+		return true
+	})
+	fmt.Printf("%d recipes contain all of: %s\n\n", matches, strings.Join(lex.Names(query), ", "))
+	for _, r := range shown {
+		fmt.Printf("  [%s] %s\n", r.Region, strings.Join(lex.Names(r.Ingredients), ", "))
+	}
+	// Companions by descending count; the stable sort keeps ties in
+	// ascending ID order.
+	var companions []ingredient.ID
+	for id, n := range together {
+		if n > 0 && ingredient.ID(id) != query[0] {
+			companions = append(companions, ingredient.ID(id))
+		}
+	}
+	sort.SliceStable(companions, func(i, j int) bool { return together[companions[i]] > together[companions[j]] })
+	if len(companions) > 8 {
+		companions = companions[:8]
+	}
+	df := view.IngredientRecipeCounts()
 	fmt.Println("\nmost frequent companions of the first query ingredient:")
-	for _, c := range ix.TopCooccurring(query[0], 8) {
+	for _, id := range companions {
+		n := together[id]
 		fmt.Printf("  %-24s %d recipes (jaccard %.3f)\n",
-			lex.Name(c.ID), c.Count, ix.Jaccard(query[0], c.ID))
+			lex.Name(id), n, float64(n)/float64(df[query[0]]+df[id]-n))
 	}
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"cuisinevol/internal/flavor"
 	"cuisinevol/internal/ingest"
 	"cuisinevol/internal/ingredient"
-	"cuisinevol/internal/recipe"
 )
 
 // Flavor-pairing types (see internal/flavor).
@@ -88,13 +87,6 @@ func RunHorizontalTransmission(cfg HorizontalConfig) (map[string][][]IngredientI
 func HorizontalParamsForRegion(c *Corpus, region string, kind ModelKind) ModelParams {
 	return evomodel.ParamsForView(c.Region(region), kind, 0)
 }
-
-// SearchIndex is an inverted index over a corpus supporting conjunctive
-// and disjunctive ingredient queries and co-occurrence statistics.
-type SearchIndex = recipe.Index
-
-// NewSearchIndex builds the inverted index for a corpus.
-func NewSearchIndex(c *Corpus) *SearchIndex { return recipe.NewIndex(c) }
 
 // Lineage records the genealogy of a copy-mutate run: founder shares,
 // generation depths and reproductive success per recipe.

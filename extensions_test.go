@@ -81,27 +81,6 @@ func TestRunHorizontalTransmission(t *testing.T) {
 	}
 }
 
-func TestSearchIndexFacade(t *testing.T) {
-	c := smallCorpus(t)
-	ix := NewSearchIndex(c)
-	lex := BuiltinLexicon()
-	tomato := lex.MustID("tomato")
-	basil := lex.MustID("basil")
-	both := ix.ContainingAll(tomato, basil)
-	if len(both) == 0 {
-		t.Fatal("no recipes with tomato+basil in a 25-cuisine corpus")
-	}
-	for _, rid := range both {
-		r := c.Get(int(rid))
-		if !r.HasIngredient(tomato) || !r.HasIngredient(basil) {
-			t.Fatal("conjunctive query returned non-matching recipe")
-		}
-	}
-	if ix.DocFreq(tomato) < len(both) {
-		t.Fatal("doc frequency inconsistent")
-	}
-}
-
 func TestRunModelWithLineage(t *testing.T) {
 	c := smallCorpus(t)
 	txs, lin, err := RunModelWithLineage(c, "KOR", CMRandom, 7)

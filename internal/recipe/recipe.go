@@ -1,7 +1,7 @@
 // Package recipe defines the Recipe record and the Corpus store used by
 // every analysis: an indexed, append-only collection of recipes with
-// per-region views, ingredient posting lists and summary statistics, plus
-// JSON and CSV serialization.
+// per-region views and summary statistics, plus JSON and CSV
+// serialization.
 package recipe
 
 import (
