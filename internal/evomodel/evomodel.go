@@ -280,6 +280,13 @@ type machine struct {
 	// copyMutate and commitRecipe.
 	lineage    *Lineage
 	lastMother int32
+	// peers couples the machine to a horizontal run's regions, itself
+	// among them (RunHorizontal, which keeps no lineage): with
+	// probability migration a copy draws its mother from another peer,
+	// picked by root. nil outside horizontal runs.
+	peers     []*machine
+	migration float64
+	root      *randx.Source
 
 	shuffle []ingredient.ID // scratch: clone of I for the initial shuffle
 	sample  randx.SampleBuf // scratch: uniform without-replacement draws
@@ -481,17 +488,26 @@ func (m *machine) step() {
 
 // copyMutate copies a random mother recipe to the arena tip and applies
 // M fitness-biased mutation attempts in place (Algorithm 1, steps 3-4).
-// The ancestral Kinouchi variant replaces the least-fit ingredient
+// In a horizontal run the mother may migrate from another region. The
+// ancestral Kinouchi variant replaces the least-fit ingredient
 // unconditionally instead.
 func (m *machine) copyMutate() {
 	motherIdx := m.src.Intn(len(m.recs))
 	m.lastMother = int32(motherIdx)
-	h := m.recs[motherIdx]
+	from := m
+	if len(m.peers) > 1 && m.src.Float64() < m.migration {
+		for from == m {
+			from = m.peers[m.root.Intn(len(m.peers))]
+		}
+		motherIdx = m.src.Intn(len(from.recs))
+	}
+	h := from.recs[motherIdx]
 	off := int32(len(m.arena))
 	// Appending a slice of m.arena to itself is safe: on reallocation
 	// the copy reads from the old backing array, otherwise source and
-	// destination regions are disjoint.
-	m.arena = append(m.arena, m.arena[h.off:h.off+h.n]...)
+	// destination regions are disjoint. A migrated mother lives in
+	// another machine's arena.
+	m.arena = append(m.arena, from.arena[h.off:h.off+h.n]...)
 	r := m.arena[off:]
 	if m.p.Kind == KinouchiOriginal {
 		for g := 0; g < m.p.Mutations; g++ {

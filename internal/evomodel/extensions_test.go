@@ -402,6 +402,30 @@ func hashRegions(out map[string][][]ingredient.ID) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// TestHorizontalVariableSize checks that horizontal runs honour the
+// variable-size extension: under InsertProb and DeleteProb every
+// region's recipe sizes spread beyond s̄.
+func TestHorizontalVariableSize(t *testing.T) {
+	ids := lex.IDs()
+	a, b := horizontalParams(CMRandom, ids[:100], 300), horizontalParams(CMCategory, ids[80:180], 300)
+	for _, p := range []*Params{&a, &b} {
+		p.InsertProb, p.DeleteProb = 0.5, 0.05
+	}
+	out, err := RunHorizontal(HorizontalConfig{Regions: map[string]Params{"A": a, "B": b}, Migration: 0.3, Seed: 5}, lex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, txs := range out {
+		sizes := map[int]int{}
+		for _, tx := range txs {
+			sizes[len(tx)]++
+		}
+		if len(sizes) < 3 {
+			t.Errorf("region %s: recipe sizes %v under InsertProb 0.5, want at least three", label, sizes)
+		}
+	}
+}
+
 func TestRunHorizontalErrors(t *testing.T) {
 	ids := lex.IDs()
 	if _, err := RunHorizontal(HorizontalConfig{}, lex); err == nil {

@@ -23,7 +23,9 @@ import (
 type HorizontalConfig struct {
 	// Regions holds one parameter set per region. Params.Kind must be a
 	// copy-mutate variant (migration is meaningless for NM and the
-	// alternative models). Labels index the result.
+	// alternative models). Each region's run honours its parameters
+	// as Run does, InsertProb, DeleteProb and AllowDuplicateReplace
+	// included. Labels index the result.
 	Regions map[string]Params
 	// Migration is the per-copy probability of a cross-region mother
 	// recipe, in [0, 1]. 0 reduces exactly to independent runs.
@@ -92,7 +94,11 @@ func RunHorizontal(cfg HorizontalConfig, lex *ingredient.Lexicon) (map[string][]
 			return nil, fmt.Errorf("evomodel: region %s: %w", label, err)
 		}
 		m.fitness = sharedFitness
+		m.migration, m.root = cfg.Migration, root
 		machines = append(machines, m)
+	}
+	for _, m := range machines {
+		m.peers = machines
 	}
 
 	// Interleave: repeatedly pick the region with the largest remaining
@@ -114,7 +120,7 @@ func RunHorizontal(cfg HorizontalConfig, lex *ingredient.Lexicon) (map[string][]
 		if next == nil {
 			break
 		}
-		stepHorizontal(next, machines, cfg.Migration, root)
+		next.step()
 	}
 
 	out := make(map[string][][]ingredient.ID, len(labels))
@@ -122,52 +128,4 @@ func RunHorizontal(cfg HorizontalConfig, lex *ingredient.Lexicon) (map[string][]
 		out[label] = machines[i].cloneTransactions()
 	}
 	return out, nil
-}
-
-// stepHorizontal performs one iteration for machine m, possibly copying
-// a mother recipe from another region.
-func stepHorizontal(m *machine, all []*machine, migration float64, root *randx.Source) {
-	partial := float64(len(m.pool)) / float64(len(m.recs))
-	if partial < m.p.Phi && len(m.reserve) > 0 {
-		i := m.src.Intn(len(m.reserve))
-		m.addToPool(m.reserve[i])
-		m.reserve[i] = m.reserve[len(m.reserve)-1]
-		m.reserve = m.reserve[:len(m.reserve)-1]
-		return
-	}
-	mother := m.recipeAt(m.src.Intn(len(m.recs)))
-	if len(all) > 1 && m.src.Float64() < migration {
-		// Draw the mother from a uniformly random other region.
-		other := m
-		for other == m {
-			other = all[root.Intn(len(all))]
-		}
-		mother = other.recipeAt(m.src.Intn(len(other.recs)))
-	}
-	// Copy the mother to this machine's arena tip and mutate in place.
-	// In the local case this appends a slice of m.arena to itself, which
-	// is safe; in the migration case the source is another machine's
-	// arena entirely.
-	off := int32(len(m.arena))
-	m.arena = append(m.arena, mother...)
-	r := m.arena[off:]
-	for g := 0; g < m.p.Mutations; g++ {
-		slot := m.src.Intn(len(r))
-		old := r[slot]
-		repl, ok := m.drawReplacement(old)
-		if !ok {
-			continue
-		}
-		// Migrated recipes may carry ingredients foreign to this region;
-		// their fitness is the shared global value, so selection still
-		// applies uniformly.
-		if m.fitness[repl] <= m.fitness[old] {
-			continue
-		}
-		if contains(r, repl) {
-			continue
-		}
-		r[slot] = repl
-	}
-	m.commitRecipe(off)
 }
