@@ -63,6 +63,29 @@ func TestCLIHorizontalOneRegion(t *testing.T) {
 	}
 }
 
+// TestCLIExperimentWritesNoArtifactsByDefault checks that an experiment
+// run without -outdir writes no files: run from the repository root it
+// would otherwise overwrite the committed paper-scale results/.
+func TestCLIExperimentWritesNoArtifactsByDefault(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	runCLI(t, "fig1", "-scale", "0.03")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("fig1 without -outdir wrote %s", e.Name())
+	}
+}
+
 // TestCLIEndToEnd drives every experiment command the CLI exposes on a
 // small corpus. It checks that `all` and `cluster` report their
 // headlines, and pins the pairing, horizontal, mine, overrep, evolve and

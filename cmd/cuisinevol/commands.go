@@ -94,7 +94,7 @@ func cmdGen(args []string) error {
 
 func cmdExperiment(ctx context.Context, name string, args []string) error {
 	cf := newCorpusFlags(name)
-	outDir := cf.fs.String("outdir", "results", "artifact output directory")
+	outDir := cf.fs.String("outdir", "", "artifact output directory (optional)")
 	replicates := cf.fs.Int("replicates", 100, "evolution-model replicates per ensemble (fig4)")
 	support := cf.fs.Float64("support", 0.05, "minimum combination support")
 	workers := cf.fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
