@@ -9,10 +9,7 @@
 // garlic paste", ...), each entity manually assigned one category.
 package ingredient
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Category is one of the paper's 21 manually assigned ingredient
 // categories.
@@ -87,15 +84,4 @@ func AllCategories() []Category {
 		out[i] = Category(i)
 	}
 	return out
-}
-
-// ParseCategory resolves a display name (case-insensitive) to a Category.
-func ParseCategory(name string) (Category, error) {
-	needle := strings.ToLower(strings.TrimSpace(name))
-	for i, n := range categoryNames {
-		if strings.ToLower(n) == needle {
-			return Category(i), nil
-		}
-	}
-	return 0, fmt.Errorf("ingredient: unknown category %q", name)
 }

@@ -2,7 +2,6 @@ package ingredient
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -154,16 +153,5 @@ func (l *Lexicon) Names(ids []ID) []string {
 	for i, id := range ids {
 		out[i] = l.Name(id)
 	}
-	return out
-}
-
-// SortedNames returns all canonical names in lexicographic order; useful
-// for deterministic reports.
-func (l *Lexicon) SortedNames() []string {
-	out := make([]string, len(l.entities))
-	for i, e := range l.entities {
-		out[i] = e.Name
-	}
-	sort.Strings(out)
 	return out
 }

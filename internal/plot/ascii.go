@@ -147,36 +147,6 @@ func (c ASCIIChart) Render() string {
 	return b.String()
 }
 
-// ASCIIHistogram renders labeled bars scaled to maxWidth characters.
-func ASCIIHistogram(title string, labels []string, values []float64, maxWidth int) string {
-	if maxWidth < 8 {
-		maxWidth = 40
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	maxV := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	for i, v := range values {
-		bar := 0
-		if maxV > 0 {
-			bar = int(v / maxV * float64(maxWidth))
-		}
-		fmt.Fprintf(&b, "%*s | %s %.4g\n", maxLabel, labels[i], strings.Repeat("#", bar), v)
-	}
-	return b.String()
-}
-
 // BoxStats is the minimal five-number summary an ASCII/SVG boxplot needs.
 type BoxStats struct {
 	Label                         string

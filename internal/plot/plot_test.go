@@ -68,24 +68,6 @@ func TestASCIIChartConstantData(t *testing.T) {
 	}
 }
 
-func TestASCIIHistogram(t *testing.T) {
-	out := ASCIIHistogram("sizes", []string{"s2", "s3"}, []float64{1, 4}, 20)
-	if !strings.Contains(out, "sizes") || !strings.Contains(out, "####################") {
-		t.Fatalf("histogram wrong:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("expected 3 lines, got %d", len(lines))
-	}
-}
-
-func TestASCIIHistogramZeroes(t *testing.T) {
-	out := ASCIIHistogram("", []string{"a"}, []float64{0}, 20)
-	if strings.Contains(out, "#") {
-		t.Fatal("zero value must have no bar")
-	}
-}
-
 func TestASCIIBoxplots(t *testing.T) {
 	boxes := []BoxStats{
 		{Label: "A", WhiskLo: 0, Q1: 1, Med: 2, Q3: 3, WhiskHi: 4},

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"cuisinevol/internal/itemset"
 )
@@ -37,20 +36,6 @@ func FromSpectrum(label string, sp itemset.Spectrum) Distribution {
 	for i, c := range sp.Counts {
 		freqs[i] = float64(c) / float64(sp.N)
 	}
-	return Distribution{Label: label, Freqs: freqs}
-}
-
-// FromCounts builds a distribution from raw occurrence counts (e.g.
-// per-ingredient document frequencies) normalized by n, dropping zeros
-// and sorting descending.
-func FromCounts(label string, counts []int, n int) Distribution {
-	freqs := make([]float64, 0, len(counts))
-	for _, c := range counts {
-		if c > 0 {
-			freqs = append(freqs, float64(c)/float64(n))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(freqs)))
 	return Distribution{Label: label, Freqs: freqs}
 }
 
@@ -209,20 +194,4 @@ func Aggregate(dists []Distribution) Distribution {
 		}
 	}
 	return Distribution{Label: dists[0].Label, Freqs: freqs}
-}
-
-// Truncate returns a copy of the distribution limited to the first k
-// ranks (or fewer if shorter).
-func (d Distribution) Truncate(k int) Distribution {
-	if k > d.Len() {
-		k = d.Len()
-	}
-	return Distribution{Label: d.Label, Freqs: append([]float64(nil), d.Freqs[:k]...)}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

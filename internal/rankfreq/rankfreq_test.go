@@ -32,19 +32,6 @@ func TestFromResult(t *testing.T) {
 	}
 }
 
-func TestFromCounts(t *testing.T) {
-	d := FromCounts("c", []int{0, 5, 3, 0, 8}, 10)
-	want := []float64{0.8, 0.5, 0.3}
-	if d.Len() != 3 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	for i, w := range want {
-		if d.Freqs[i] != w {
-			t.Fatalf("Freqs = %v, want %v", d.Freqs, want)
-		}
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := dist("ok", 0.5, 0.5, 0.1).Validate(); err != nil {
 		t.Fatal(err)
@@ -216,21 +203,5 @@ func TestAggregateMonotonicityRepair(t *testing.T) {
 func TestAggregateEmpty(t *testing.T) {
 	if got := Aggregate(nil); got.Len() != 0 {
 		t.Fatalf("Aggregate(nil) = %v", got)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	d := dist("x", 0.5, 0.4, 0.3)
-	tr := d.Truncate(2)
-	if tr.Len() != 2 || tr.Freqs[1] != 0.4 {
-		t.Fatalf("Truncate = %v", tr.Freqs)
-	}
-	// Truncation must copy.
-	tr.Freqs[0] = 99
-	if d.Freqs[0] == 99 {
-		t.Fatal("Truncate aliases the original")
-	}
-	if d.Truncate(10).Len() != 3 {
-		t.Fatal("over-length truncate must clamp")
 	}
 }
