@@ -94,11 +94,10 @@ func RunHorizontal(cfg HorizontalConfig, lex *ingredient.Lexicon) (map[string][]
 			return nil, fmt.Errorf("evomodel: region %s: %w", label, err)
 		}
 		m.fitness = sharedFitness
-		m.migration, m.root = cfg.Migration, root
 		machines = append(machines, m)
 	}
 	for _, m := range machines {
-		m.peers = machines
+		m.peers, m.migration, m.root = machines, cfg.Migration, root
 	}
 
 	// Interleave: repeatedly pick the region with the largest remaining
