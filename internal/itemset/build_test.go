@@ -453,7 +453,8 @@ func assertSpectrumOfSets(t *testing.T, b *IndexBuilder, sorted, permuted [][]in
 // ones. At 2% the wide corpora keep more than 64 items, and the widest
 // more than 128, so a mask spans two and three words; at 100% at most
 // the items in every transaction are kept. containerMixCorpus projects
-// to every container kind. A corpus with a negative ID is an error.
+// to every container kind, and heavyRecipeCorpus is mostly copies of
+// one recipe. A corpus with a negative ID is an error.
 func TestSpectrumOfSetsMatchesBuild(t *testing.T) {
 	src := randx.New(0x5E75)
 	var b IndexBuilder
@@ -473,6 +474,37 @@ func TestSpectrumOfSetsMatchesBuild(t *testing.T) {
 	if widest <= 128 {
 		t.Fatalf("the widest projection kept %d items, want a mask of more than two words", widest)
 	}
+	heavy := heavyRecipeCorpus()
+	permuted := permutedSets(src, heavy)
+	for _, sup := range []float64{0.05, 1} {
+		assertSpectrumOfSets(t, &b, heavy, permuted, sup, "one-heavy-recipe")
+	}
+}
+
+// heavyRecipeCorpus is 5,000 copies of one six-item recipe shuffled
+// among 50 distinct recipes of 3 to 8 items over 60. Every recipe holds
+// item 0, so a 100% support keeps one item.
+func heavyRecipeCorpus() [][]ingredient.ID {
+	src := randx.New(0x4EA7)
+	txs := make([][]ingredient.ID, 0, 5050)
+	seen := map[string]bool{}
+	for len(txs) < 50 {
+		r := tx(src.SampleInts(59, 2+src.Intn(6))...)
+		for i := range r {
+			r[i]++
+		}
+		r = append([]ingredient.ID{0}, r...)
+		if key := fmt.Sprint(r); !seen[key] {
+			seen[key] = true
+			txs = append(txs, r)
+		}
+	}
+	heavy := tx(0, 8, 15, 21, 30, 42)
+	for range 5000 {
+		txs = append(txs, slices.Clone(heavy))
+	}
+	src.Shuffle(len(txs), func(a, b int) { txs[a], txs[b] = txs[b], txs[a] })
+	return txs
 }
 
 // containerMixCorpus projects to postings of every container kind:
