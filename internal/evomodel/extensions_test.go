@@ -223,6 +223,42 @@ func TestRunHorizontalBasic(t *testing.T) {
 	}
 }
 
+// TestRunHorizontalFixedIterations: under FixedIterations each region
+// spends exactly N − n steps, as Run does, so it ends with Run's recipe
+// count for the same parameters. The count depends only on the pool and
+// recipe sizes, never on a random draw, so migration cannot change it.
+func TestRunHorizontalFixedIterations(t *testing.T) {
+	ids := lex.IDs()
+	regions := map[string]Params{
+		"A": horizontalParams(CMRandom, ids[:100], 300),
+		"B": horizontalParams(CMCategory, ids[80:180], 200),
+	}
+	want := map[string]int{}
+	for label, p := range regions {
+		p.FixedIterations = true
+		regions[label] = p
+		txs, err := Run(p, lex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(txs) >= p.TargetRecipes {
+			t.Fatalf("region %s: Run gave %d recipes, want fewer than N = %d", label, len(txs), p.TargetRecipes)
+		}
+		want[label] = len(txs)
+	}
+	for _, migration := range []float64{0, 0.3} {
+		out, err := RunHorizontal(HorizontalConfig{Regions: regions, Migration: migration, Seed: 5}, lex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, n := range want {
+			if len(out[label]) != n {
+				t.Fatalf("migration %v region %s: %d recipes, Run gives %d", migration, label, len(out[label]), n)
+			}
+		}
+	}
+}
+
 func TestRunHorizontalDeterministic(t *testing.T) {
 	ids := lex.IDs()
 	build := func() map[string][][]ingredient.ID {

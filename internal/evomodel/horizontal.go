@@ -24,8 +24,8 @@ type HorizontalConfig struct {
 	// Regions holds one parameter set per region. Params.Kind must be a
 	// copy-mutate variant (migration is meaningless for NM and the
 	// alternative models). Each region's run honours its parameters
-	// as Run does, InsertProb, DeleteProb and AllowDuplicateReplace
-	// included. Labels index the result.
+	// as Run does, InsertProb, DeleteProb, AllowDuplicateReplace and
+	// FixedIterations included. Labels index the result.
 	Regions map[string]Params
 	// Migration is the per-copy probability of a cross-region mother
 	// recipe, in [0, 1]. 0 reduces exactly to independent runs.
@@ -102,24 +102,32 @@ func RunHorizontal(cfg HorizontalConfig, lex *ingredient.Lexicon) (map[string][]
 
 	// Interleave: repeatedly pick the region with the largest remaining
 	// fraction of work (deterministic; keeps pools co-evolving rather
-	// than sequential).
-	remaining := func(m *machine) float64 {
-		return 1 - float64(len(m.recs))/float64(m.p.TargetRecipes)
+	// than sequential). A region's work is its recipe target, or under
+	// FixedIterations its budget of N − n steps, as Run spends them.
+	steps := make([]int, len(machines))
+	remaining := func(i int) float64 {
+		p := &machines[i].p
+		if p.FixedIterations {
+			budget := p.TargetRecipes - p.InitialRecipes
+			if budget == 0 {
+				return 0
+			}
+			return 1 - float64(steps[i])/float64(budget)
+		}
+		return 1 - float64(len(machines[i].recs))/float64(p.TargetRecipes)
 	}
 	for {
-		var next *machine
-		for _, m := range machines {
-			if len(m.recs) >= m.p.TargetRecipes {
-				continue
-			}
-			if next == nil || remaining(m) > remaining(next) {
-				next = m
+		next := -1
+		for i := range machines {
+			if r := remaining(i); r > 0 && (next < 0 || r > remaining(next)) {
+				next = i
 			}
 		}
-		if next == nil {
+		if next < 0 {
 			break
 		}
-		next.step()
+		machines[next].step()
+		steps[next]++
 	}
 
 	out := make(map[string][][]ingredient.ID, len(labels))
