@@ -57,9 +57,10 @@ func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 // its Index answers any support. SpectrumOfSets takes each
 // transaction's items in any order, projects the transactions onto the
 // items frequent at one support, mines that projection and returns its
-// spectrum; the projected index never leaves the builder. Both dedup by
-// item set in the same open-addressing table and keep unique
-// transactions in first-occurrence order.
+// spectrum; the projected index never leaves the builder. Build dedups
+// by item set and keeps unique transactions in first-occurrence order;
+// SpectrumOfSets keeps every non-empty projected transaction, in input
+// order, as its own unique transaction of weight 1.
 //
 // The build holds no map. Counting and position lookup use dense
 // slices indexed by id−minID; dedup is an open-addressing table keyed
@@ -98,22 +99,21 @@ type IndexBuilder struct {
 	bitsArena []uint64
 
 	// Build scratch, never referenced by an Index.
-	rows     []int32         // unique transaction u's positions: rows[rowOff[u]:rowOff[u+1]]
-	rowOff   []int32         // per unique transaction, plus one
-	counts   []int32         // occurrences per id−minID (dense range)
-	slot     []int32         // item position per id−minID (dense range)
-	sorted   []ingredient.ID // every occurrence, sorted (wide range)
-	keys     []uint64        // per item position: its random dedup-hash key
-	stamp    []int32         // per item position: 1 + the last transaction holding it
-	table    []uint32        // dedup slots: hash tag | unique transaction + 1, 0 = empty
-	nruns    []int32         // per item position: run count, then fill cursor
-	last     []int32         // per item position: last unique transaction seen
-	masks    []uint64        // unique projected transaction u's mask: masks[(u+1)*W:(u+2)*W]
-	wordKeys []uint64        // per mask word: its odd dedup-hash multiplier
-	sha      hash.Hash
-	shaBuf   [4096]byte
-	sum      [sha256.Size]byte
-	hexBuf   [32]byte
+	rows   []int32         // unique transaction u's positions: rows[rowOff[u]:rowOff[u+1]]
+	rowOff []int32         // per unique transaction, plus one
+	counts []int32         // occurrences per id−minID (dense range)
+	slot   []int32         // item position per id−minID (dense range)
+	sorted []ingredient.ID // every occurrence, sorted (wide range)
+	keys   []uint64        // per item position: its random dedup-hash key
+	stamp  []int32         // per item position: 1 + the last transaction holding it
+	table  []uint32        // dedup slots: hash tag | unique transaction + 1, 0 = empty
+	nruns  []int32         // per item position: run count, then fill cursor
+	last   []int32         // per item position: last unique transaction seen
+	masks  []uint64        // projected transaction u's mask: masks[(u+1)*W:(u+2)*W]
+	sha    hash.Hash
+	shaBuf [4096]byte
+	sum    [sha256.Size]byte
+	hexBuf [32]byte
 }
 
 // Dense-range bound: positions come from id-indexed slices while the ID
@@ -218,8 +218,20 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 		last[p] = -2
 	}
 	b.stamp, b.postCard, b.nruns, b.last = stamp, card, nruns, last
-	dt := b.dedupTable(nonEmpty)
-	table, mask, ubits, tagShift, tagMask := dt.slots, dt.mask, dt.ubits, dt.tagShift, dt.tagMask
+	size := 8
+	for size < 2*nonEmpty {
+		size <<= 1
+	}
+	table := zeroed(b.table, size)
+	b.table = table
+	mask := uint64(size - 1)
+	// A slot keeps its unique transaction + 1 in the low ubits bits and
+	// the top 32−ubits bits of the hash as a tag, so a probe reads no
+	// other memory until the tags match, and the table stays half the
+	// size of one that stored whole hashes; the hash's low bits pick the
+	// slot. nonEmpty < 2³¹, so the tag keeps at least one bit.
+	ubits := bits.Len32(uint32(nonEmpty))
+	tagShift, tagMask := 64-(32-ubits), ^uint32(0)<<ubits
 	rows := reuse(b.rows, total)
 	rowOff := append(reuse(b.rowOff, nonEmpty+1), 0)
 	weights := reuse(b.weights, nonEmpty)
@@ -279,9 +291,9 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 // counting pass over item IDs in [0, bound), then FP-Growth's
 // frequent-item projection (Han, Pei & Yin, SIGMOD 2000). Each
 // transaction becomes a mask of its items counted at least
-// minCount(len(txs), minSupport), W = ⌈frequent/64⌉ words wide; the
-// masks are deduped in the open-addressing table, and the postings are
-// filled straight from the unique masks and mined. A frequent set holds
+// minCount(len(txs), minSupport), W = ⌈frequent/64⌉ words wide; each
+// non-empty mask is one unweighted transaction, and the postings are
+// filled straight from the masks and mined. A frequent set holds
 // only frequent items, so the projection keeps every frequent set and
 // its support; N stays len(txs), so a transaction that projects to
 // nothing still counts.
@@ -323,13 +335,14 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 	b.items = items
 
 	// Pass 2: project each transaction onto its frequent-item mask,
-	// written as a candidate at the end of the unique masks, and dedup
-	// it: a duplicate or empty mask is truncated away. Unique u's mask
-	// is masks[(u+1)*w:(u+2)*w], after one all-zero mask. A frequent
-	// item's slot is its position; every other item's is 64*w, a bit in
-	// one spare word past the mask, so the loop takes no branch, and a
-	// repeat shows as a mask holding fewer bits than the frequent items
-	// the transaction lists.
+	// appended to the masks; an empty mask is truncated away. Every
+	// other mask is one unique transaction of weight 1, so the projected
+	// index is unweighted and Eclat intersects it with a plain AND and
+	// popcount. Unique u's mask is masks[(u+1)*w:(u+2)*w], after one
+	// all-zero mask. A frequent item's slot is its position; every other
+	// item's is 64*w, a bit in one spare word past the mask, so the loop
+	// takes no branch, and a repeat shows as a mask holding fewer bits
+	// than the frequent items the transaction lists.
 	m := len(items)
 	w := (m + 63) / 64
 	spare := int32(64 * w)
@@ -341,12 +354,6 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 		slot[ic.item] = int32(p)
 	}
 	b.slot = slot
-	for k := len(b.wordKeys); k < w; k++ {
-		b.wordKeys = append(b.wordKeys, mix64(uint64(k)+0x9e3779b97f4a7c15)|1)
-	}
-	wordKeys := b.wordKeys[:w]
-	dt := b.dedupTable(len(txs))
-	table, mask, ubits, tagShift, tagMask := dt.slots, dt.mask, dt.ubits, dt.tagShift, dt.tagMask
 	masks := zeroed(b.masks, w)
 	masks = slices.Grow(masks, w*len(txs)+1)
 	weights := reuse(b.weights, 0)
@@ -362,15 +369,12 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 			n += int(uint32(p-spare) >> 31)
 		}
 		masks = masks[:start+w]
-		cur = cur[:w]
 		if n == 0 {
 			masks = masks[:start]
 			continue
 		}
-		var sum uint64
 		set := 0
-		for k, x := range cur {
-			sum += x * wordKeys[k]
+		for _, x := range cur[:w] {
 			set += bits.OnesCount64(x)
 		}
 		if set != n {
@@ -380,21 +384,7 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 				}
 			}
 		}
-		h := mix64(sum)
-		tag := uint32(h>>tagShift) << ubits
-		for s := h & mask; ; s = (s + 1) & mask {
-			e := table[s]
-			if e == 0 {
-				table[s] = tag | uint32(len(weights)+1)
-				weights = append(weights, 1)
-				break
-			}
-			if u := int(e&^tagMask) - 1; e&tagMask == tag && slices.Equal(masks[(u+1)*w:(u+2)*w], cur) {
-				weights[u]++
-				masks = masks[:start]
-				break
-			}
-		}
+		weights = append(weights, 1)
 	}
 	b.masks = masks
 
@@ -487,31 +477,6 @@ func transpose64(a *[64]uint64) {
 			a[k+j] ^= t
 		}
 	}
-}
-
-// dedupTable is a dedup pass's open-addressing table. A slot keeps its
-// unique transaction + 1 in the low ubits bits and the top 32−ubits
-// bits of the hash as a tag, so a probe reads no other memory until the
-// tags match, and the table stays half the size of one that stored
-// whole hashes; the hash's low bits pick the slot.
-type dedupTable struct {
-	slots    []uint32
-	mask     uint64
-	ubits    int
-	tagShift int
-	tagMask  uint32
-}
-
-// dedupTable returns the builder's table cleared for up to n unique
-// transactions. n < 2³¹, so the tag keeps at least one bit.
-func (b *IndexBuilder) dedupTable(n int) dedupTable {
-	size := 8
-	for size < 2*n {
-		size <<= 1
-	}
-	b.table = zeroed(b.table, size)
-	ubits := bits.Len32(uint32(n))
-	return dedupTable{b.table, uint64(size - 1), ubits, 64 - (32 - ubits), ^uint32(0) << ubits}
 }
 
 // assemble carves the Index from a dedup pass's item table and weights,

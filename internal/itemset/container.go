@@ -246,7 +246,7 @@ func runsAndRuns(ra, rb, dst []uint32) int {
 // transactions carry multiplicities, the weighted support is
 // Σ_{u∈A∩B} w_u = |A∩B| + Σ_{u∈A∩B, w_u>1} (w_u − 1): the same popcount
 // plus an excess walked only over the surviving bits that are also
-// heavy, so a duplicate-light replicate pays a few weight lookups per
+// heavy, so a duplicate-light kept index pays a few weight lookups per
 // intersection instead of one per set bit. The returned posting's card
 // is the exact cardinality either way.
 func (sh *eclatShared) intersectBits(a, b posting, dst []uint64) (posting, int) {
