@@ -1,7 +1,8 @@
 # Development targets for the cuisinevol reproduction.
 #
-#   make check           CI-grade gate: gofmt + vet + build + race tests + bench smoke
-#                        + live-index soak + servebench self-test + corpus roundtrip
+#   make check           CI-grade gate: gofmt + vet + build + race tests + allocs/op gate
+#                        + bench smoke + corpus roundtrip + live-index soak
+#                        + servebench self-test + paper-check
 #   make ci              the test job of .github/workflows/ci.yml: gofmt + vet + build + race tests
 #   make serve           run the HTTP analytics service on :8080
 #   make fuzz            run every fuzz target for FUZZTIME (default 30s) each
@@ -24,9 +25,10 @@ FUZZTIME ?= 30s
 # them, and the build-once corpus index (build cost, warm-index queries,
 # and the cold-mine point they beat, and the low-support mines of the
 # append_reads serving workload), and one served cache hit per hot
-# endpoint (ServeHit) — see DESIGN.md §7 ("Performance architecture"),
+# endpoint (ServeHit), and the replicate mine's own stage
+# (SpectrumOfSets) — see DESIGN.md §7 ("Performance architecture"),
 # §8, §10 and §12.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|ServeHit
+BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|ServeHit
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build
@@ -45,7 +47,9 @@ ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUn
 
 .PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip paper-check servebench-test loc
 
-check: fmt vet build race bench-smoke corpus-roundtrip soak servebench-test
+# benchgate-allocs comes before bench-smoke, which rewrites the
+# BENCH_fig_pipeline.json baseline the gate compares against.
+check: fmt vet build race benchgate-allocs bench-smoke corpus-roundtrip soak servebench-test paper-check
 
 # ci mirrors only the test job of .github/workflows/ci.yml: the race
 # detector gates the server's cache/coalescing code. The workflow's

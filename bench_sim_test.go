@@ -11,7 +11,10 @@ package cuisinevol
 // in a per-call free list, so every RunEnsembleCtx call counts their
 // construction.
 //
-// Run with: go test -bench='EvolveRun|EnsembleReplicates' -benchmem
+// BenchmarkSpectrumOfSets is the replicate mine's own stage: the index
+// build and mine of one evolved replicate, with no evolution.
+//
+// Run with: go test -bench='EvolveRun|EnsembleReplicates|SpectrumOfSets' -benchmem
 
 import (
 	"context"
@@ -21,6 +24,7 @@ import (
 
 	"cuisinevol/internal/evomodel"
 	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/itemset"
 )
 
 // benchSimSetup derives KOR-view model parameters for the kind.
@@ -106,6 +110,66 @@ func BenchmarkEnsembleReplicates(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := evomodel.RunEnsembleCtx(context.Background(), cfg, lex); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpectrumOfSets times only IndexBuilder.SpectrumOfSets, the
+// stage each Fig 4 replicate mines through, at the replicates' 5%
+// support and through one reused builder. One ITA CM-R and one NM
+// replicate are evolved before the timer, and each iteration mines
+// both, as ingredient or as category transactions.
+func BenchmarkSpectrumOfSets(b *testing.B) {
+	corpus := corpusForBench(b)
+	lex := corpus.Lexicon()
+	var ingredients, categories [][][]ingredient.ID
+	for _, kind := range []evomodel.Kind{evomodel.CMRandom, evomodel.NullModel} {
+		txs, err := evomodel.Run(evomodel.ParamsForView(corpus.Region("ITA"), kind, 7), lex)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cats := make([][]ingredient.ID, len(txs))
+		for i, tx := range txs {
+			var mask uint32
+			for _, id := range tx {
+				mask |= 1 << lex.CategoryOf(id)
+			}
+			for c := ingredient.ID(0); mask != 0; c, mask = c+1, mask>>1 {
+				if mask&1 != 0 {
+					cats[i] = append(cats[i], c)
+				}
+			}
+		}
+		ingredients, categories = append(ingredients, txs), append(categories, cats)
+	}
+	for _, mode := range []struct {
+		name  string
+		pools [][][]ingredient.ID
+		bound int
+	}{
+		{"ingredients", ingredients, lex.Len()},
+		{"categories", categories, ingredient.NumCategories},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			var ib itemset.IndexBuilder
+			spectra := func() error {
+				for _, txs := range mode.pools {
+					if _, err := ib.SpectrumOfSets(txs, mode.bound, 0.05); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if err := spectra(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := spectra(); err != nil {
 					b.Fatal(err)
 				}
 			}
