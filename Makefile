@@ -37,8 +37,8 @@ BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|
 # the snapshot-then-mine path under a write stream from growing hidden
 # per-query allocations, and MineLowSupport keeps a 15k–37k-set mine's
 # canonical assembly, and its count-gated top=25 answer, at a handful
-# of allocations. EclatReplicateSpectrum keeps the weighted replicate
-# mine, off a reused builder, at two. ServeHit keeps a served cache
+# of allocations. EclatReplicateSpectrum keeps the weighted Eclat mine
+# of a replicate-shaped pool, off a reused builder, at two. ServeHit keeps a served cache
 # hit (query parse, cache key, cached body) and a 304 revalidation
 # from growing per-request allocations. The one-shot EclatReplicatePool
 # and MineAutoReplicatePool mines draw pooled state and flap between

@@ -150,11 +150,13 @@ func BenchmarkEclatReplicateSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEclatReplicateSpectrum is the Fig 4 replicate's mine on its
-// own: a duplicate-heavy pool indexed once into a reused IndexBuilder,
-// then the Eclat spectrum at the replicates' support, so every bitset
-// intersection takes the weighted count. Mining with the builder's
-// query state keeps its allocs steady enough for the alloc gate.
+// BenchmarkEclatReplicateSpectrum is the weighted Eclat spectrum on its
+// own: a duplicate-heavy replicate-shaped pool indexed once by Build
+// into a reused IndexBuilder, then mined at the replicates' support, so
+// every bitset intersection takes the weighted count. (Fig 4 replicates
+// themselves mine an unweighted projection; see SpectrumOfSets.)
+// Mining with the builder's query state keeps its allocs steady enough
+// for the alloc gate.
 func BenchmarkEclatReplicateSpectrum(b *testing.B) {
 	var ib IndexBuilder
 	ix, err := ib.Build(replicatePool(7, 30, 3000, 9, 300))

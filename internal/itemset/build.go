@@ -338,7 +338,7 @@ func (b *IndexBuilder) SpectrumOfSets(txs [][]ingredient.ID, bound int, minSuppo
 	// appended to the masks; an empty mask is truncated away. Every
 	// other mask is one unique transaction of weight 1, so the projected
 	// index is unweighted and Eclat intersects it with a plain AND and
-	// popcount. Unique u's mask is masks[(u+1)*w:(u+2)*w], after one
+	// popcount. Kept mask u is masks[(u+1)*w:(u+2)*w], after one
 	// all-zero mask. A frequent item's slot is its position; every other
 	// item's is 64*w, a bit in one spare word past the mask, so the loop
 	// takes no branch, and a repeat shows as a mask holding fewer bits
@@ -479,9 +479,9 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// assemble carves the Index from a dedup pass's item table and weights,
-// padding the weights of a weighted index; the caller lays out its
-// postings.
+// assemble carves the Index from an item table and the weights of its
+// unique transactions, padding the weights of a weighted index; the
+// caller lays out its postings.
 func (b *IndexBuilder) assemble(n, total int, items []itemCount, weights []int32, fp string) *Index {
 	uniques := len(weights)
 	weighted := slices.ContainsFunc(weights, func(w int32) bool { return w > 1 })

@@ -10,7 +10,8 @@
 // cheaper kernel for its own shape; no caller chooses one.
 // IndexBuilder.SpectrumOfSets mines unsorted item sets, such as a
 // model's recipes, at one support: it indexes only their frequent
-// items and returns the spectrum. Mine is the one-shot form (build,
+// items, one unweighted transaction per set with any, and returns the
+// spectrum. Mine is the one-shot form (build,
 // then mine); BuildIndex and IndexCache serve indexes that are queried
 // many times; the replicate ensembles reuse one builder per worker.
 // Apriori over raw transactions, in the package's tests, is the
