@@ -12,7 +12,7 @@ package cuisinevol
 // construction.
 //
 // BenchmarkSpectrumOfSets is the replicate mine's own stage: the index
-// build and mine of one evolved replicate, with no evolution.
+// build and mine of evolved replicates, with no evolution timed.
 //
 // Run with: go test -bench='EvolveRun|EnsembleReplicates|SpectrumOfSets' -benchmem
 
