@@ -12,7 +12,7 @@
 #   make paper-check     rerun `cuisinevol all` at scale 1 and diff it against results/
 #   make servebench-test   the serving benchmark's self-test (its own module)
 #   make bench-baseline  full benchmark run, recorded to BENCH_fig_pipeline.json
-#   make bench-smoke     1-iteration benchmark pass (fast; same JSON output)
+#   make bench-smoke     1-iteration benchmark pass (fast; JSON to .bench_build/, not the baseline)
 #   make loc             non-test Go line count, without servebench/ and examples/
 
 GO ?= go
@@ -26,9 +26,10 @@ FUZZTIME ?= 30s
 # and the cold-mine point they beat, and the low-support mines of the
 # append_reads serving workload), and one served cache hit per hot
 # endpoint (ServeHit), and the replicate mine's own stage
-# (SpectrumOfSets) — see DESIGN.md §7 ("Performance architecture"),
-# §8, §10 and §12.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|ServeHit
+# (SpectrumOfSets), and the paper-scale low-support mines of Eclat's
+# decoded roots (MineTopViews) — see DESIGN.md §7 ("Performance
+# architecture"), §8, §10, §12 and §16.
+BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|MineTopViews|ServeHit
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build
@@ -47,8 +48,6 @@ ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUn
 
 .PHONY: check ci serve fmt vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip paper-check servebench-test loc
 
-# benchgate-allocs comes before bench-smoke, which rewrites the
-# BENCH_fig_pipeline.json baseline the gate compares against.
 check: fmt vet build race benchgate-allocs bench-smoke corpus-roundtrip soak servebench-test paper-check
 
 # ci mirrors only the test job of .github/workflows/ci.yml: the race
@@ -121,11 +120,14 @@ loadtest-cluster:
 	$(GO) test -race -count=3 -run 'TestCluster' ./internal/server/loadtest
 
 # bench-smoke keeps `make check` fast (one iteration per benchmark) while
-# still exercising every benchmarked pipeline end to end and refreshing
-# BENCH_fig_pipeline.json's shape.
+# still exercising every benchmarked pipeline end to end and the JSON
+# conversion. Its output goes to the gitignored .bench_build/, never over
+# the committed BENCH_fig_pipeline.json baseline, which only
+# bench-baseline writes.
 bench-smoke:
+	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x ./... \
-		| $(GO) run ./cmd/benchjson > BENCH_fig_pipeline.json
+		| $(GO) run ./cmd/benchjson > .bench_build/bench-smoke.json
 
 # bench-baseline records the real numbers committed with a PR.
 bench-baseline:

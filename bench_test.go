@@ -457,6 +457,50 @@ func BenchmarkMineLowSupport(b *testing.B) {
 	})
 }
 
+// BenchmarkMineTopViews answers /v1/mine's shape, the first 25 sets
+// and the total, off paper-scale views of the seed-42 corpus at scale
+// 1 on one worker: ITA (23,179 recipes) at 0.2% support and the whole
+// corpus at 0.45%. These are the dense side of Eclat's root rule, where
+// compressed root postings are decoded to bitsets for the mine;
+// itemset's BenchmarkMineWarmIndexSparse guards the side that keeps
+// its arrays.
+func BenchmarkMineTopViews(b *testing.B) {
+	cfg := synth.DefaultConfig(42)
+	corpus, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	views := []struct {
+		name    string
+		view    recipe.View
+		support float64
+	}{
+		{"ITA-0.002", corpus.Region("ITA"), 0.002},
+		{"all-0.0045", corpus.AllView(), 0.0045},
+	}
+	for _, v := range views {
+		var builder itemset.IndexBuilder
+		ix, err := builder.Build(v.view.Transactions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(v.name, func(b *testing.B) {
+			var total int
+			if _, total, err = itemset.MineTop(ix, v.support, 25, itemset.MineOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, total, err = itemset.MineTop(ix, v.support, 25, itemset.MineOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(total), "sets")
+		})
+	}
+}
+
 func benchName(prefix string, v int) string {
 	const digits = "0123456789"
 	if v == 0 {

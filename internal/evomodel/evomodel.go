@@ -605,35 +605,6 @@ func sortIDs(xs []ingredient.ID) {
 	}
 }
 
-// PoolState reports the final pool sizes of a run; exposed for tests and
-// diagnostics via Inspect.
-type PoolState struct {
-	IngredientPool int
-	RecipePool     int
-	ReserveLeft    int
-}
-
-// Inspect runs the model and returns both the transactions and the final
-// pool state.
-func Inspect(params Params, lex *ingredient.Lexicon) ([][]ingredient.ID, PoolState, error) {
-	p := params
-	if err := p.validate(); err != nil {
-		return nil, PoolState{}, err
-	}
-	r := runs.get()
-	defer runs.put(r)
-	m := &r.m
-	if err := m.reset(p, lex, randx.New(p.Seed)); err != nil {
-		return nil, PoolState{}, err
-	}
-	m.evolve()
-	return m.cloneTransactions(), PoolState{
-		IngredientPool: len(m.pool),
-		RecipePool:     len(m.recs),
-		ReserveLeft:    len(m.reserve),
-	}, nil
-}
-
 // reuse returns s emptied with room for n elements.
 func reuse[T any](s []T, n int) []T {
 	if cap(s) < n {

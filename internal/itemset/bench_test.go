@@ -1,12 +1,14 @@
 package itemset
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/randx"
+	"cuisinevol/internal/synth"
 )
 
 // replicatePool synthesizes a copy-mutate-style recipe pool: a small set
@@ -354,4 +356,78 @@ func BenchmarkMineColdSecondPoint(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRootRuleSweep is the sweep densifyK was chosen from: one
+// count-gated top=25 mine on one worker, as /v1/mine answers, per view
+// and support, with the root rule's constant forced to each value from
+// never decoding a compressed root to always decoding it. The views
+// span the rule's two sides: the append_reads JPN base (577 recipes,
+// 10-word bitmaps) and the scale-1 JPN, ITA and whole-corpus views,
+// where a decoded root's words beat the merges, and the long-tail
+// corpus of BenchmarkMineWarmIndexSparse, where its mid-tier arrays
+// (~100 ids against ~3,500-word bitmaps) must stay arrays. words/mc,
+// the bitmap width over the support count, places each point.
+func BenchmarkRootRuleSweep(b *testing.B) {
+	small := synthViews(b, 0.2)
+	full := synthViews(b, 1)
+	points := []struct {
+		name    string
+		txs     [][]ingredient.ID
+		support float64
+	}{
+		{"JPN577-0.002", small["JPN"], 0.002},
+		{"JPN-0.002", full["JPN"], 0.002},
+		{"ITA-0.002", full["ITA"], 0.002},
+		{"ITA-0.0005", full["ITA"], 0.0005},
+		{"all-0.0045", full[""], 0.0045},
+		{"longtail-0.00036", longTailCorpus(11, 262144, 500, 3580), 0.00036},
+	}
+	for _, pt := range points {
+		ix, err := BuildIndex(pt.txs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ratio := float64(ix.words) / float64(minCount(ix.n, pt.support))
+		for _, k := range []int{neverDense, 1, 2, 4, 8, 16, 32, 64, alwaysDense} {
+			run := kernelRun{k: kernelEclat, workers: 1, denseK: k}
+			name := fmt.Sprintf("%s/K=%d", pt.name, k)
+			switch k {
+			case neverDense:
+				name = pt.name + "/K=never"
+			case alwaysDense:
+				name = pt.name + "/K=always"
+			}
+			b.Run(name, func(b *testing.B) {
+				if _, _, err := run.top(ix, pt.support, 25); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := run.top(ix, pt.support, 25); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(ratio, "words/mc")
+			})
+		}
+	}
+}
+
+// synthViews returns the transactions of the seed-42 synthetic corpus
+// at the given recipe scale, per region and, under "", of the whole
+// corpus.
+func synthViews(b *testing.B, scale float64) map[string][][]ingredient.ID {
+	b.Helper()
+	gen := synth.DefaultConfig(42)
+	gen.RecipeScale = scale
+	corpus, err := synth.Generate(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	views := map[string][][]ingredient.ID{"": corpus.AllView().Transactions()}
+	for _, r := range corpus.Regions() {
+		views[r] = corpus.Region(r).Transactions()
+	}
+	return views
 }

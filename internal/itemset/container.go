@@ -317,6 +317,22 @@ func (sh *eclatShared) supportOf(ids []uint32) int {
 	return cnt
 }
 
+// setPostingBits sets the bit of every member id of an array or run
+// container in bm, a words-wide bitmap.
+func setPostingBits(p posting, bm []uint64) {
+	if p.kind == containerArray {
+		for _, x := range p.ids {
+			bm[x>>6] |= 1 << (x & 63)
+		}
+		return
+	}
+	for r := 0; r < len(p.ids); r += 2 {
+		for x, e := p.ids[r], p.ids[r]+p.ids[r+1]; x < e; x++ {
+			bm[x>>6] |= 1 << (x & 63)
+		}
+	}
+}
+
 // appendPostingIDs appends a container's member ids to out in ascending
 // order: the enumeration FP-Growth transposes postings with, and the
 // reference the differential and fuzz layers compare container pairs

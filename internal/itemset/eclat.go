@@ -35,7 +35,7 @@ type eclatShared struct {
 	weighted bool       // any unique transaction with weight > 1
 	weights  []int32    // per unique-transaction multiplicity
 	heavy    []uint64   // weighted only: bit u set iff weights[u] > 1
-	root     []eclatExt // per frequent item: its tidset container and count
+	root     []eclatExt // per frequent item: its tidset container, or its decoded bitset (densifyRoots), and count
 	mc       int
 }
 
@@ -244,7 +244,8 @@ func (s *eclatScratch) emitUnions(set []int32, count int) {
 // depth's buffers are reused across siblings once their subtree is
 // done. Sparse subtrees stay sparse: once an intersection drops to an
 // array it never re-densifies, so the per-pair cost follows the
-// shrinking cardinalities instead of the fixed bitmap width.
+// shrinking cardinalities instead of the fixed bitmap width. Which
+// roots start dense is the root rule's choice (densifyRoots).
 func (s *eclatScratch) node(exts []eclatExt, a, depth int) {
 	if s.out.overflow {
 		return
@@ -306,10 +307,11 @@ func (s *eclatScratch) node(exts []eclatExt, a, depth int) {
 // An IndexBuilder owns one for the indexes it builds; kept indexes
 // draw one from eclatQueryPool.
 type eclatQuery struct {
-	shared  eclatShared
-	workers []eclatScratch // workers[0] also mines the serial path
-	sinks   []*setSink
-	order   canonOrder
+	shared   eclatShared
+	workers  []eclatScratch // workers[0] also mines the serial path
+	sinks    []*setSink
+	order    canonOrder
+	rootBits []uint64 // the bitsets of the roots densifyRoots decoded
 	// busy is claimed by the mine using a builder-owned query, so a
 	// concurrent mine of the same index falls back to the pool.
 	busy atomic.Bool
@@ -340,6 +342,9 @@ func (q *eclatQuery) release(ix *Index) {
 	}
 	clear(q.sinks)
 	q.order.trim()
+	if cap(q.rootBits) > maxKeptRootWords {
+		q.rootBits = nil
+	}
 	if q == ix.query {
 		q.busy.Store(false)
 		return
@@ -349,10 +354,11 @@ func (q *eclatQuery) release(ix *Index) {
 
 // eclatMineIndexed runs the vertical kernel's query phase over a
 // prebuilt Index: frequent items are filtered from the index's support
-// counts at the requested threshold and their posting bitmaps are used
-// in place — no counting pass, no dedup, no bitmap build, no raw
-// transactions. A non-nil gate arms every worker's sink.
-func eclatMineIndexed(ix *Index, minSupport float64, workers int, g *gate) (*Result, error) {
+// counts at the requested threshold and their posting containers are
+// used in place, or decoded to bitsets where the root rule with
+// constant denseK says so (see densifyRoots) — no counting pass, no
+// dedup, no raw transactions. A non-nil gate arms every worker's sink.
+func eclatMineIndexed(ix *Index, minSupport float64, workers int, g *gate, denseK int) (*Result, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, ErrBadSupport
 	}
@@ -392,6 +398,7 @@ func eclatMineIndexed(ix *Index, minSupport float64, workers int, g *gate) (*Res
 	for i, p := range sh.pos {
 		sh.root = append(sh.root, eclatExt{item: int32(i), p: ix.postingAt(int(p)), count: ix.items[p].count})
 	}
+	q.densifyRoots(denseK)
 
 	if err := q.run(ix, workers, g); err != nil {
 		return nil, err
@@ -402,6 +409,54 @@ func eclatMineIndexed(ix *Index, minSupport float64, workers int, g *gate) (*Res
 	}
 	res.Sets = sets
 	return res, nil
+}
+
+// densifyK is the root rule's constant: a frequent item whose posting
+// is an array or run container is mined from a words-wide bitset
+// decoded for the query when words <= densifyK·card. Below the root
+// every pair of dense members then takes intersectBits' word AND and
+// popcount instead of a merge, which on a narrow bitmap costs a few
+// words where the merge walks both arrays; a long tail of postings
+// small against the bitmap width keeps its arrays, whose cost tracks
+// their cardinality. The value comes from BenchmarkRootRuleSweep (see
+// DESIGN.md §16).
+const densifyK = 16
+
+// maxKeptRootWords bounds the decoded-root arena a query keeps between
+// mines, 1 MiB: a query that outgrew it drops the arena in release, so
+// a builder-owned or pooled query does not pin bytes that no index
+// budget counts.
+const maxKeptRootWords = 1 << 17
+
+// densifyRoots applies the root rule with constant k: every compressed
+// root posting with words <= k·card is decoded into a bitset carved
+// from the query's rootBits arena and replaces the container view in
+// sh.root. The arena is sized to the decoded roots alone, so a mine
+// that decodes none allocates nothing. The index is never written.
+func (q *eclatQuery) densifyRoots(k int) {
+	sh := &q.shared
+	words := sh.words
+	decodes := func(p posting) bool { return p.kind != containerBitset && words <= k*int(p.card) }
+	n := 0
+	for _, r := range sh.root {
+		if decodes(r.p) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	arena := zeroed(q.rootBits, n*words)
+	q.rootBits = arena
+	for i, r := range sh.root {
+		if !decodes(r.p) {
+			continue
+		}
+		bm := arena[:words:words]
+		arena = arena[words:]
+		setPostingBits(r.p, bm)
+		sh.root[i].p = posting{kind: containerBitset, card: r.p.card, bits: bm}
+	}
 }
 
 // run is the expansion phase: singletons from the frequent-item counts,

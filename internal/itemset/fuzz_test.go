@@ -71,14 +71,16 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 // and parallel) and Mine's own choice reproduce raw Apriori's
 // canonical result, on the decoded IDs and spread over the int32
 // range; that the radix assembly orders the mined sets as the
-// comparator does; that Eclat with 2, 4 and 8 workers equals the
-// serial walk; that MineTop and MineSpectrum agree with the full mine
+// comparator does; that Eclat with 2, 4 and 8 workers, and with its
+// root rule forced each way and to its edge, equals the serial walk;
+// that MineTop and MineSpectrum agree with the full mine
 // for every kernel; that every reported itemset's count matches a
 // brute-force recount over the raw transactions, and that a reused
 // IndexBuilder indexes the input exactly as a fresh build does. The seed corpus in
 // testdata/fuzz/FuzzMineKernels covers the shapes that distinguish the
 // kernels: duplicate-heavy (dedup arena + weighted popcounts), dense
-// single transactions (deep DFS), and sparse long tails.
+// single transactions (deep DFS), sparse long tails, and compressed
+// roots on both sides of the root rule's edge.
 func FuzzMineKernels(f *testing.F) {
 	seed := func(support byte, txs ...[]byte) {
 		data := []byte{support}
@@ -101,6 +103,17 @@ func FuzzMineKernels(f *testing.F) {
 	seed(4, []byte{0}, []byte{1}, []byte{2}, []byte{3}, []byte{4}, []byte{0, 1})
 	// Separator runs and out-of-alphabet bytes fold without panicking.
 	seed(5, []byte{200, 200, 0xfe}, []byte{}, []byte{41, 81, 121})
+	// The root rule's edge: 70 distinct transactions (two-word bitmaps)
+	// at a support count of 2, where items 0–29 are arrays of 2 ids
+	// (decoded at denseK = 1, since 2 words = 1·2) and item 30 an array
+	// of 1 id made frequent by a repeated transaction (kept at
+	// denseK = 1), beside the bitsets of items 38 and 39.
+	var edge [][]byte
+	for t := 0; t < 70; t++ {
+		edge = append(edge, []byte{byte(t % 40), byte(39 - t/40)})
+	}
+	edge = append(edge, []byte{30, 39}, []byte{30, 39})
+	seed(0, edge...)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txs, minSupport := decodeFuzzCorpus(data)
@@ -141,18 +154,25 @@ func FuzzMineKernels(f *testing.F) {
 		assertComparatorOrder(t, c, 1)
 		assertComparatorOrder(t, c, 3)
 		// Eclat's parallel expansion must reproduce the serial walk
-		// whatever the worker count.
+		// whatever the worker count, and so must its root rule, forced
+		// never to decode a compressed root, to decode every one, and
+		// at denseK = 1, whose edge (words = card) two-word corpora
+		// reach.
 		serial, err := kernelRun{k: kernelEclat, workers: 1}.mine(txs, minSupport)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			got, err := kernelRun{k: kernelEclat, workers: workers}.mine(txs, minSupport)
+		runs := []kernelRun{{k: kernelEclat, workers: 2}, {k: kernelEclat, workers: 4}, {k: kernelEclat, workers: 8}}
+		for _, k := range []int{neverDense, 1, alwaysDense} {
+			runs = append(runs, kernelRun{k: kernelEclat, workers: 1, denseK: k}, kernelRun{k: kernelEclat, workers: 3, denseK: k})
+		}
+		for _, run := range runs {
+			got, err := run.mine(txs, minSupport)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, serial) {
-				t.Fatalf("eclat with %d workers differs from the serial walk", workers)
+				t.Fatalf("%v differs from the serial walk", run)
 			}
 		}
 		// Builder reuse: a builder that has already indexed a different

@@ -78,15 +78,6 @@ func (ix *Index) N() int { return ix.n }
 // transactions.
 func (ix *Index) DistinctItems() int { return len(ix.items) }
 
-// UniqueTransactions returns the number of unique transactions after
-// dedup (the bit width of every posting bitmap).
-func (ix *Index) UniqueTransactions() int { return ix.uniques }
-
-// TotalOccurrences returns the total item occurrences across all
-// indexed transactions — with N and DistinctItems, the exact statistics
-// the adaptive kernel heuristic needs.
-func (ix *Index) TotalOccurrences() int { return ix.totalOcc }
-
 // Fingerprint returns the 128-bit hex content hash of the indexed
 // transactions. Two indexes over identical transaction databases share
 // a fingerprint regardless of how the databases were obtained.

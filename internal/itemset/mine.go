@@ -89,7 +89,7 @@ const (
 // gate mines the full Result.
 func mineGated(ix *Index, minSupport float64, opts MineOptions, g *gate) (*Result, error) {
 	if ix.chooseKernel() == kernelEclat {
-		return eclatMineIndexed(ix, minSupport, opts.Workers, g)
+		return eclatMineIndexed(ix, minSupport, opts.Workers, g, densifyK)
 	}
 	return fpGrowthIndexed(ix, minSupport, g)
 }

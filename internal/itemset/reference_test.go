@@ -110,7 +110,16 @@ type kernelRun struct {
 	k       kernel
 	workers int
 	auto    bool
+	// denseK, when non-zero, replaces densifyK as forced Eclat's root
+	// rule constant: neverDense keeps every compressed root posting,
+	// alwaysDense decodes them all.
+	denseK int
 }
+
+const (
+	neverDense  = -1
+	alwaysDense = 1 << 30
+)
 
 var (
 	fpRun    = kernelRun{k: kernelFPGrowth}
@@ -130,6 +139,9 @@ func (r kernelRun) String() string {
 	case r.k == kernelEclat:
 		name = "eclat"
 	}
+	if r.denseK != 0 {
+		return fmt.Sprintf("%s/workers=%d/denseK=%d", name, r.workers, r.denseK)
+	}
 	return fmt.Sprintf("%s/workers=%d", name, r.workers)
 }
 
@@ -139,7 +151,11 @@ func (r kernelRun) gated(ix *Index, minSupport float64, g *gate) (*Result, error
 		return mineGated(ix, minSupport, MineOptions{Workers: r.workers}, g)
 	}
 	if r.k == kernelEclat {
-		return eclatMineIndexed(ix, minSupport, r.workers, g)
+		k := densifyK
+		if r.denseK != 0 {
+			k = r.denseK
+		}
+		return eclatMineIndexed(ix, minSupport, r.workers, g, k)
 	}
 	return fpGrowthIndexed(ix, minSupport, g)
 }
