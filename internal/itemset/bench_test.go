@@ -8,6 +8,7 @@ import (
 
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/randx"
+	"cuisinevol/internal/recipe"
 	"cuisinevol/internal/synth"
 )
 
@@ -369,18 +370,18 @@ func BenchmarkMineColdSecondPoint(b *testing.B) {
 // (~100 ids against ~3,500-word bitmaps) must stay arrays. words/mc,
 // the bitmap width over the support count, places each point.
 func BenchmarkRootRuleSweep(b *testing.B) {
-	small := synthViews(b, 0.2)
-	full := synthViews(b, 1)
+	small := synthCorpus(b, 0.2)
+	full := synthCorpus(b, 1)
 	points := []struct {
 		name    string
 		txs     [][]ingredient.ID
 		support float64
 	}{
-		{"JPN577-0.002", small["JPN"], 0.002},
-		{"JPN-0.002", full["JPN"], 0.002},
-		{"ITA-0.002", full["ITA"], 0.002},
-		{"ITA-0.0005", full["ITA"], 0.0005},
-		{"all-0.0045", full[""], 0.0045},
+		{"JPN577-0.002", small.Region("JPN").Transactions(), 0.002},
+		{"JPN-0.002", full.Region("JPN").Transactions(), 0.002},
+		{"ITA-0.002", full.Region("ITA").Transactions(), 0.002},
+		{"ITA-0.0005", full.Region("ITA").Transactions(), 0.0005},
+		{"all-0.0045", full.AllView().Transactions(), 0.0045},
 		{"longtail-0.00036", longTailCorpus(11, 262144, 500, 3580), 0.00036},
 	}
 	for _, pt := range points {
@@ -414,10 +415,9 @@ func BenchmarkRootRuleSweep(b *testing.B) {
 	}
 }
 
-// synthViews returns the transactions of the seed-42 synthetic corpus
-// at the given recipe scale, per region and, under "", of the whole
-// corpus.
-func synthViews(b *testing.B, scale float64) map[string][][]ingredient.ID {
+// synthCorpus generates the seed-42 synthetic corpus at the given
+// recipe scale.
+func synthCorpus(b *testing.B, scale float64) *recipe.Corpus {
 	b.Helper()
 	gen := synth.DefaultConfig(42)
 	gen.RecipeScale = scale
@@ -425,9 +425,5 @@ func synthViews(b *testing.B, scale float64) map[string][][]ingredient.ID {
 	if err != nil {
 		b.Fatal(err)
 	}
-	views := map[string][][]ingredient.ID{"": corpus.AllView().Transactions()}
-	for _, r := range corpus.Regions() {
-		views[r] = corpus.Region(r).Transactions()
-	}
-	return views
+	return corpus
 }
