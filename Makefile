@@ -29,7 +29,7 @@ FUZZTIME ?= 30s
 # (SpectrumOfSets), and the paper-scale low-support mines of Eclat's
 # decoded roots (MineTopViews) — see DESIGN.md §7 ("Performance
 # architecture"), §8, §10, §12 and §16.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|MineTopViews|ServeHit
+BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|MineTopViews|ServeHit|RegistryAppend
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build

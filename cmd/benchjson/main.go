@@ -16,9 +16,10 @@
 //	go test -run '^$' -bench '...' -benchmem ./... \
 //	    | go run ./cmd/benchjson -compare BENCH_fig_pipeline.json -tolerance 0.15 > /dev/null
 //
-// (or `make benchgate`). A benchmark regresses when its ns/op exceeds
-// the baseline by more than the tolerance fraction, or its allocs/op
-// does so beyond a small absolute slack. Benchmarks present on only one
+// (or `make benchgate`). A baseline with an entry that ran a single
+// iteration is refused, by name. A benchmark regresses when its ns/op
+// exceeds the baseline by more than the tolerance fraction, or its
+// allocs/op does so beyond a small absolute slack. Benchmarks present on only one
 // side are reported but never fail the gate, so adding a benchmark does
 // not require regenerating the baseline in the same change.
 //
@@ -114,6 +115,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: parsing baseline %s: %v\n", *comparePath, err)
 		os.Exit(1)
 	}
+	if err := checkBaseline(&old); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", *comparePath, err)
+		os.Exit(1)
+	}
 	var regressions, notes []string
 	if allocRe != nil {
 		regressions, notes = compareAllocs(&old, base, allocRe, *allocTolerance)
@@ -168,6 +173,23 @@ func parseBenchOutput(r io.Reader, echo io.Writer) (*Baseline, error) {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
 	return base, nil
+}
+
+// checkBaseline refuses a baseline that holds a single-iteration entry,
+// naming each one: a `-benchtime 1x` run (such as make bench-smoke)
+// written over the baseline would gate later runs against one cold
+// iteration's ns/op and allocs/op.
+func checkBaseline(b *Baseline) error {
+	var oneShot []string
+	for _, e := range b.Benchmarks {
+		if e.Iterations == 1 {
+			oneShot = append(oneShot, e.Name)
+		}
+	}
+	if len(oneShot) > 0 {
+		return fmt.Errorf("refusing entries that ran 1 iteration: %s", strings.Join(oneShot, ", "))
+	}
+	return nil
 }
 
 // allocSlack is the absolute allocs/op growth always permitted on top

@@ -75,6 +75,33 @@ PASS
 	}
 }
 
+func TestCheckBaselineRefusesOneIteration(t *testing.T) {
+	good := &Baseline{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", Iterations: 2, NsPerOp: 1000},
+		{Name: "BenchmarkB", Iterations: 960, NsPerOp: 1000},
+	}}
+	if err := checkBaseline(good); err != nil {
+		t.Fatalf("multi-iteration baseline refused: %v", err)
+	}
+	bad := &Baseline{Benchmarks: []Benchmark{
+		{Name: "BenchmarkA", Iterations: 960, NsPerOp: 1000},
+		{Name: "BenchmarkSlow/paper", Iterations: 1, NsPerOp: 1000},
+		{Name: "BenchmarkCold", Iterations: 1, NsPerOp: 1000},
+	}}
+	err := checkBaseline(bad)
+	if err == nil {
+		t.Fatal("baseline with 1-iteration entries accepted")
+	}
+	for _, name := range []string{"BenchmarkSlow/paper", "BenchmarkCold"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("refusal %q does not name %s", err, name)
+		}
+	}
+	if strings.Contains(err.Error(), "BenchmarkA") {
+		t.Errorf("refusal %q names a multi-iteration entry", err)
+	}
+}
+
 func TestCompareBaselines(t *testing.T) {
 	old := &Baseline{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", NsPerOp: 1000, AllocsPer: fptr(100)},

@@ -87,3 +87,54 @@ func BenchmarkImportSlurpJSONL(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRegistryAppend times one served append: a one-record JSONL
+// append onto a registered parent, then Register of the child. The
+// child is deleted inside the loop so every iteration registers new
+// content. "lineage" is a ~700-recipe parent, the size of an
+// append_reads lineage; "paper" is the 158k-recipe paper-scale corpus.
+func BenchmarkRegistryAppend(b *testing.B) {
+	record := []byte(`{"title":"bench dish","region":"JPN","ingredients":["rice","soy sauce","ginger","scallion"]}` + "\n")
+	for _, bc := range []struct {
+		name  string
+		scale float64
+	}{
+		{"lineage", 0.0045},
+		{"paper", 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := synth.DefaultConfig(42)
+			cfg.RecipeScale = bc.scale
+			parent, err := synth.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg, err := NewRegistry(NewMemStore(0), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := reg.Register("bench", parent); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Append(parent, bytes.NewReader(record), ImportOptions{Format: FormatJSONL})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.Accepted != 1 {
+					b.Fatalf("append accepted %d records, want 1", res.Stats.Accepted)
+				}
+				info, err := reg.Register("bench", res.Corpus)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := reg.Delete(info.Ref()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(parent.Len()), "parent_recipes")
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,6 +62,10 @@ type Registry struct {
 type loadedCorpus struct {
 	corpus *recipe.Corpus
 	info   Info
+	// written marks a corpus Register serialized: its stored bytes are
+	// its WriteJSONL, which a corpus parsed from the store need not
+	// reproduce (IDs are reassigned, fields may be spelled differently).
+	written bool
 }
 
 // NewRegistry builds a registry over store, rebuilding the name table
@@ -111,6 +116,11 @@ func (r *Registry) Lexicon() *ingredient.Lexicon { return r.lex }
 // is returned — no new version is minted) and ErrNameTaken when it is
 // bound to a different name, keeping the content-addressed store a
 // function from ID to one binding.
+//
+// For a corpus cloned from a registered one, Register hashes and
+// encodes only the recipes the clone added: the fingerprint resumes the
+// parent's hash state, and serialize reuses the parent's stored bytes
+// when it can prove them exact.
 func (r *Registry) Register(name string, corpus *recipe.Corpus) (Info, error) {
 	if err := ValidateName(name); err != nil {
 		return Info{}, err
@@ -135,8 +145,8 @@ func (r *Registry) Register(name string, corpus *recipe.Corpus) (Info, error) {
 	r.mu.Unlock()
 
 	// Serialize outside the lock — corpora run to tens of megabytes.
-	var buf bytes.Buffer
-	if err := corpus.WriteJSONL(&buf); err != nil {
+	data, err := r.serialize(corpus)
+	if err != nil {
 		return Info{}, fmt.Errorf("corpusstore: serializing corpus: %w", err)
 	}
 	info := Info{
@@ -145,7 +155,7 @@ func (r *Registry) Register(name string, corpus *recipe.Corpus) (Info, error) {
 		Version: version,
 		Recipes: corpus.Len(),
 		Regions: len(corpus.Regions()),
-		Bytes:   int64(buf.Len()),
+		Bytes:   int64(len(data)),
 	}
 
 	r.mu.Lock()
@@ -165,7 +175,7 @@ func (r *Registry) Register(name string, corpus *recipe.Corpus) (Info, error) {
 		}
 	}
 	info.Version = version
-	if err := r.store.Put(info, buf.Bytes()); err != nil {
+	if err := r.store.Put(info, data); err != nil {
 		return Info{}, err
 	}
 	byVersion := r.versions[name]
@@ -176,9 +186,68 @@ func (r *Registry) Register(name string, corpus *recipe.Corpus) (Info, error) {
 	byVersion[version] = id
 	// The registered corpus is hot by construction — memoize it so the
 	// first request for it doesn't reload what we just serialized.
-	r.memo.Put(id, loadedCorpus{corpus: corpus, info: info}, info.Bytes)
+	r.memo.Put(id, loadedCorpus{corpus: corpus, info: info, written: true}, info.Bytes)
 	r.puts.Add(1)
 	return info, nil
+}
+
+// serialize returns corpus.WriteJSONL's bytes. WriteJSONL encodes each
+// recipe on its own line, so when the corpus's first n recipes are
+// exactly a stored corpus's recipes and those bytes are that corpus's
+// WriteJSONL, they are the first n lines, and only the recipes after
+// them need encoding. serialize takes that path for a clone of a
+// corpus this registry wrote and still memoizes (ClonedFrom names it),
+// after checking the shared prefix field by field: the fingerprint that
+// picked the candidate hashes neither names nor IDs. Anything else — a
+// parent evicted, deleted or parsed from the store, a length mismatch,
+// a same-fingerprint corpus with other names — encodes from recipe 0.
+func (r *Registry) serialize(corpus *recipe.Corpus) ([]byte, error) {
+	prefix, n := r.storedPrefix(corpus)
+	buf := bytes.NewBuffer(prefix)
+	if err := corpus.WriteJSONLFrom(buf, n); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// storedPrefix returns the stored bytes of the corpus's first n recipes
+// when serialize may reuse them, else nil, 0.
+func (r *Registry) storedPrefix(corpus *recipe.Corpus) ([]byte, int) {
+	id, n := corpus.ClonedFrom()
+	if id == "" {
+		return nil, 0
+	}
+	lc, ok := r.memo.Peek(id)
+	if !ok || !lc.written || lc.corpus.Len() != n {
+		return nil, 0
+	}
+	for i := 0; i < n; i++ {
+		if !sameRecipe(corpus.Get(i), lc.corpus.Get(i)) {
+			return nil, 0
+		}
+	}
+	// Register and Delete change the store and the memo together under
+	// r.mu, so while the memo still holds the corpus just compared, the
+	// stored bytes are its WriteJSONL.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur, ok := r.memo.Peek(id); !ok || cur.corpus != lc.corpus {
+		return nil, 0
+	}
+	data, _, err := r.store.Get(id)
+	if err != nil || int64(len(data)) != lc.info.Bytes {
+		return nil, 0
+	}
+	return data, n
+}
+
+// sameRecipe reports whether a and b are equal in every field
+// WriteJSONL encodes. A stored recipe has at least one ingredient, so
+// a nil and an empty ingredient list never meet here.
+func sameRecipe(a, b recipe.Recipe) bool {
+	return a.ID == b.ID && a.Name == b.Name && a.Region == b.Region &&
+		a.Continent == b.Continent && a.Country == b.Country &&
+		slices.Equal(a.Ingredients, b.Ingredients)
 }
 
 // resolveID maps a reference to the stored corpus ID it names.

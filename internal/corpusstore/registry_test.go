@@ -1,6 +1,7 @@
 package corpusstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -294,10 +295,12 @@ func TestRegistrySingleflightLoad(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrentChurn hammers register/resolve/delete from many
-// goroutines; -race is the assertion.
+// TestRegistryConcurrentChurn hammers register/resolve/append/delete
+// from many goroutines; -race is the main assertion, and an appended
+// version that stays registered must be stored as its WriteJSONL.
 func TestRegistryConcurrentChurn(t *testing.T) {
-	reg, err := NewRegistry(NewMemStore(0), nil)
+	store := NewMemStore(0)
+	reg, err := NewRegistry(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +327,23 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 						_ = got.Len()
 					}
 				}
-				_, _, _ = reg.Resolve(name)
+				if parent, _, rerr := reg.Resolve(name); rerr == nil {
+					res, err := Append(parent, strings.NewReader(`{"title":"churn","region":"JPN","ingredients":["rice","ginger"]}`), ImportOptions{Format: FormatJSONL})
+					if err != nil {
+						t.Errorf("Append: %v", err)
+						return
+					}
+					if child, err := reg.Register(name, res.Corpus); err == nil {
+						var want bytes.Buffer
+						if err := res.Corpus.WriteJSONL(&want); err != nil {
+							t.Errorf("WriteJSONL: %v", err)
+							return
+						}
+						if got, _, err := store.Get(child.ID); err == nil && !bytes.Equal(got, want.Bytes()) {
+							t.Errorf("%s stored %d bytes, WriteJSONL %d", child.Ref(), len(got), want.Len())
+						}
+					}
+				}
 				_, _ = reg.Delete(name)
 			}
 		}(g)

@@ -79,6 +79,7 @@ type Store interface {
 	// store's byte budget would be exceeded.
 	Put(info Info, data []byte) error
 	// Get returns the stored bytes and Info for id, or ErrNotFound.
+	// The caller owns the returned slice.
 	Get(id string) ([]byte, Info, error)
 	// Stat returns the Info for id without reading data.
 	Stat(id string) (Info, error)

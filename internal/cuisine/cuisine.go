@@ -263,26 +263,6 @@ func Codes() []string {
 	return out
 }
 
-// AverageRecipes returns the mean number of recipes per region in Table I
-// (the paper reports 6338).
-func AverageRecipes() float64 {
-	total := 0
-	for _, r := range regions {
-		total += r.Recipes
-	}
-	return float64(total) / float64(len(regions))
-}
-
-// AverageIngredients returns the mean number of unique ingredients per
-// region in Table I (the paper reports 421).
-func AverageIngredients() float64 {
-	total := 0
-	for _, r := range regions {
-		total += r.Ingredients
-	}
-	return float64(total) / float64(len(regions))
-}
-
 // Phi returns the ratio of unique-ingredient count to recipe count for the
 // region — the quantity the paper denotes φ, governing ingredient-pool
 // growth in the evolution models.

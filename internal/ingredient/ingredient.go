@@ -28,6 +28,7 @@ type Lexicon struct {
 	entities   []Ingredient
 	byName     map[string]ID // canonical names and aliases
 	byCategory [NumCategories][]ID
+	maxWords   int // words in the longest name or alias
 }
 
 // NewLexicon builds a lexicon from the given entities. Entity IDs are
@@ -51,6 +52,7 @@ func NewLexicon(entities []Ingredient) (*Lexicon, error) {
 			return nil, fmt.Errorf("ingredient: duplicate name %q (ids %d, %d)", e.Name, prev, i)
 		}
 		lex.byName[e.Name] = e.ID
+		lex.maxWords = max(lex.maxWords, len(strings.Fields(e.Name)))
 		cleanAliases := make([]string, 0, len(e.Aliases))
 		for _, a := range e.Aliases {
 			a = strings.ToLower(strings.TrimSpace(a))
@@ -61,6 +63,7 @@ func NewLexicon(entities []Ingredient) (*Lexicon, error) {
 				return nil, fmt.Errorf("ingredient: alias %q of %q already maps to id %d", a, e.Name, prev)
 			}
 			lex.byName[a] = e.ID
+			lex.maxWords = max(lex.maxWords, len(strings.Fields(a)))
 			cleanAliases = append(cleanAliases, a)
 		}
 		e.Aliases = cleanAliases
@@ -72,6 +75,11 @@ func NewLexicon(entities []Ingredient) (*Lexicon, error) {
 
 // Len returns the number of entities in the lexicon.
 func (l *Lexicon) Len() int { return len(l.entities) }
+
+// MaxNameWords returns the number of words in the lexicon's longest
+// canonical name or alias, the widest phrase a free-text match needs to
+// try. The lexicon is immutable, so NewLexicon counts it once.
+func (l *Lexicon) MaxNameWords() int { return l.maxWords }
 
 // Get returns the entity with the given ID. It panics on an out-of-range
 // ID; IDs only originate from this lexicon, so an invalid one is a bug.
@@ -118,17 +126,6 @@ func (l *Lexicon) CategoryCounts() [NumCategories]int {
 	var out [NumCategories]int
 	for c := range l.byCategory {
 		out[c] = len(l.byCategory[c])
-	}
-	return out
-}
-
-// Compounds returns the IDs of all compound entities in ID order.
-func (l *Lexicon) Compounds() []ID {
-	var out []ID
-	for _, e := range l.entities {
-		if e.Compound {
-			out = append(out, e.ID)
-		}
 	}
 	return out
 }

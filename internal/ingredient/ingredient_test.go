@@ -185,8 +185,14 @@ func TestCompoundsKnown(t *testing.T) {
 			t.Errorf("%q must be marked compound", n)
 		}
 	}
-	if got := len(lex.Compounds()); got != 96 {
-		t.Fatalf("Compounds() returned %d ids, want 96", got)
+	compounds := 0
+	for _, e := range lex.All() {
+		if e.Compound {
+			compounds++
+		}
+	}
+	if compounds != 96 {
+		t.Fatalf("lexicon marks %d entities compound, want 96", compounds)
 	}
 }
 
@@ -241,6 +247,19 @@ func TestNewLexiconSelfAliasDropped(t *testing.T) {
 	}
 	if got := lex.Get(0).Aliases; len(got) != 1 || got[0] != "pomodoro" {
 		t.Fatalf("self-alias must be dropped, got %v", got)
+	}
+}
+
+func TestMaxNameWords(t *testing.T) {
+	lex, err := NewLexicon([]Ingredient{
+		{Name: "tomato", Category: Vegetable},
+		{Name: "  Green  Bell Pepper ", Category: Vegetable, Aliases: []string{"sweet green bell pepper", "capsicum"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lex.MaxNameWords(); got != 4 {
+		t.Fatalf("MaxNameWords = %d, want 4 (the longest alias)", got)
 	}
 }
 

@@ -14,10 +14,16 @@ import (
 
 // WriteJSONL streams the corpus as JSON Lines: one recipe object per line.
 // The format is stable and diff-friendly, suitable for large corpora.
-func (c *Corpus) WriteJSONL(w io.Writer) error {
+func (c *Corpus) WriteJSONL(w io.Writer) error { return c.WriteJSONLFrom(w, 0) }
+
+// WriteJSONLFrom streams the recipes at or after index from, which
+// must lie in [0, Len], as WriteJSONL does. Each line depends only on
+// its own recipe, so WriteJSONL's output is the first n recipes' lines
+// followed by WriteJSONLFrom(w, n).
+func (c *Corpus) WriteJSONLFrom(w io.Writer, from int) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, r := range c.recipes {
+	for _, r := range c.recipes[from:] {
 		if err := enc.Encode(r); err != nil {
 			return fmt.Errorf("recipe: encoding recipe %d: %w", r.ID, err)
 		}

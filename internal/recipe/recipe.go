@@ -6,6 +6,7 @@ package recipe
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -97,9 +98,15 @@ type Corpus struct {
 	recipes  []Recipe
 	byRegion map[string][]int // region code -> recipe indices, in insertion order
 
-	fpMu  sync.Mutex
-	fp    string // memoized content fingerprint
-	fpLen int    // corpus length the memo was computed at
+	// origin is the fingerprint memo Clone copied from the source: the
+	// fingerprint of the first originLen recipes (see ClonedFrom).
+	origin    string
+	originLen int
+
+	fpMu    sync.Mutex
+	fp      string // memoized content fingerprint
+	fpLen   int    // corpus length the memo was computed at
+	fpState []byte // marshalled SHA-256 state after fpLen recipes
 }
 
 // NewCorpus creates an empty corpus over the given lexicon.
@@ -140,8 +147,10 @@ func (c *Corpus) Get(id int) Recipe { return c.recipes[id] }
 // key on the data actually served, not on how it was obtained: a corpus
 // loaded from disk and an identical generated one share a fingerprint,
 // and any edit changes it. The hash is memoized against the corpus
-// length (the corpus is append-only), so repeated calls after building
-// are free. Safe for concurrent use once building is complete.
+// length together with the SHA-256 state it ended in; the corpus is
+// append-only, so a longer corpus (or a clone that grew) resumes that
+// state and hashes only the recipes added since. Safe for concurrent
+// use once building is complete.
 func (c *Corpus) Fingerprint() string {
 	c.fpMu.Lock()
 	defer c.fpMu.Unlock()
@@ -149,8 +158,16 @@ func (c *Corpus) Fingerprint() string {
 		return c.fp
 	}
 	h := sha256.New()
+	from := 0
+	if c.fpState != nil {
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(c.fpState); err == nil {
+			from = c.fpLen
+		} else {
+			h.Reset()
+		}
+	}
 	var buf [4]byte
-	for i := range c.recipes {
+	for i := from; i < len(c.recipes); i++ {
 		r := &c.recipes[i]
 		h.Write([]byte(r.Region))
 		h.Write([]byte{0})
@@ -160,6 +177,9 @@ func (c *Corpus) Fingerprint() string {
 		}
 		h.Write([]byte{0xff})
 	}
+	// A state that fails to marshal is dropped: the next call then
+	// hashes from recipe 0, which is slower but just as exact.
+	c.fpState, _ = h.(encoding.BinaryMarshaler).MarshalBinary()
 	c.fp = hex.EncodeToString(h.Sum(nil)[:16])
 	c.fpLen = len(c.recipes)
 	return c.fp
@@ -169,23 +189,36 @@ func (c *Corpus) Fingerprint() string {
 // append-style derivation: the clone can keep growing without mutating
 // the original. Recipe values are copied by value — the Ingredients
 // slices are shared, which is safe because recipes are immutable once
-// added — and the fingerprint memo carries over (it is valid for the
-// shared prefix and recomputed automatically once the clone grows).
+// added — and the fingerprint memo carries over with its hash state, so
+// a clone that grows hashes only its new recipes. The clone keeps no
+// pointer to the original; ClonedFrom reports the memo it started from.
 func (c *Corpus) Clone() *Corpus {
 	c.fpMu.Lock()
-	fp, fpLen := c.fp, c.fpLen
+	fp, fpLen, fpState := c.fp, c.fpLen, c.fpState
 	c.fpMu.Unlock()
 	out := &Corpus{
-		lex:      c.lex,
-		recipes:  append([]Recipe(nil), c.recipes...),
-		byRegion: make(map[string][]int, len(c.byRegion)),
-		fp:       fp,
-		fpLen:    fpLen,
+		lex:       c.lex,
+		recipes:   append([]Recipe(nil), c.recipes...),
+		byRegion:  make(map[string][]int, len(c.byRegion)),
+		origin:    fp,
+		originLen: fpLen,
+		fp:        fp,
+		fpLen:     fpLen,
+		fpState:   fpState,
 	}
 	for region, idx := range c.byRegion {
 		out.byRegion[region] = append([]int(nil), idx...)
 	}
 	return out
+}
+
+// ClonedFrom returns the fingerprint memo the corpus was cloned with:
+// the fingerprint of its first n recipes, which it shares with the
+// corpus Clone was called on. It returns "", 0 for a corpus Clone did
+// not make, or one cloned from a corpus whose fingerprint was never
+// computed.
+func (c *Corpus) ClonedFrom() (fingerprint string, n int) {
+	return c.origin, c.originLen
 }
 
 // TailView returns a view over the recipes appended at or after index

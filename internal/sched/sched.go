@@ -144,14 +144,10 @@ func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return nil
 }
 
-// Collect runs fn for every index under the worker budget and returns
-// the results in index order — the map-shaped fan-out (mine a view,
-// score a replicate) the pipelines are built from.
-func Collect[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return CollectCtx(context.Background(), workers, n, fn)
-}
-
-// CollectCtx is Collect with cooperative cancellation (see RunCtx).
+// CollectCtx runs fn for every index under the worker budget and
+// returns the results in index order — the map-shaped fan-out (mine a
+// view, score a replicate) the pipelines are built from — with
+// cooperative cancellation (see RunCtx).
 func CollectCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := RunCtx(ctx, workers, n, func(i int) error {

@@ -137,7 +137,7 @@ func TestCollectCtxCancelled(t *testing.T) {
 }
 
 func TestCollectOrdersResults(t *testing.T) {
-	out, err := Collect(8, 100, func(i int) (int, error) { return i * i, nil })
+	out, err := CollectCtx(context.Background(), 8, 100, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCollectOrdersResults(t *testing.T) {
 			t.Fatalf("out[%d] = %d", i, v)
 		}
 	}
-	if _, err := Collect(2, 3, func(i int) (int, error) {
+	if _, err := CollectCtx(context.Background(), 2, 3, func(i int) (int, error) {
 		if i == 1 {
 			return 0, errors.New("nope")
 		}

@@ -70,20 +70,10 @@ type Normalizer struct {
 	maxPhraseLen int
 }
 
-// NewNormalizer builds a Normalizer over the given lexicon.
+// NewNormalizer builds a Normalizer over the given lexicon. It is O(1):
+// the lexicon counted its longest phrase when it was built.
 func NewNormalizer(lex *ingredient.Lexicon) *Normalizer {
-	n := &Normalizer{lex: lex, maxPhraseLen: 1}
-	for _, e := range lex.All() {
-		if l := len(strings.Fields(e.Name)); l > n.maxPhraseLen {
-			n.maxPhraseLen = l
-		}
-		for _, a := range e.Aliases {
-			if l := len(strings.Fields(a)); l > n.maxPhraseLen {
-				n.maxPhraseLen = l
-			}
-		}
-	}
-	return n
+	return &Normalizer{lex: lex, maxPhraseLen: max(1, lex.MaxNameWords())}
 }
 
 // Tokenize lower-cases the mention, removes punctuation (keeping
