@@ -25,11 +25,12 @@ FUZZTIME ?= 30s
 # them, and the build-once corpus index (build cost, warm-index queries,
 # and the cold-mine point they beat, and the low-support mines of the
 # append_reads serving workload), and one served cache hit per hot
-# endpoint (ServeHit), and the replicate mine's own stage
+# endpoint (ServeHit), and one served append-then-query cycle of
+# append_reads (AppendCycle), and the replicate mine's own stage
 # (SpectrumOfSets), and the paper-scale low-support mines of Eclat's
 # decoded roots (MineTopViews) — see DESIGN.md §7 ("Performance
 # architecture"), §8, §10, §12 and §16.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|MineTopViews|ServeHit|RegistryAppend
+BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|MineTopViews|ServeHit|RegistryAppend|AppendCycle
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build

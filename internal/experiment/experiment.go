@@ -131,9 +131,20 @@ func (c *Config) SetIndexes(indexes *itemset.IndexCache) { c.indexes = indexes }
 // the corpus fingerprint. The server, the CLI, the facade and the
 // pipelines all go through it, so a /v1/mine request, a Table I run and
 // a Fig 3 panel over the same view share one build. The view itself is
-// only built on a miss.
+// only built on a miss, and a warm hit allocates only its key.
+//
+// A region view that an append left untouched is carried, not rebuilt:
+// a corpus cloned from fingerprint F after n recipes, none of whose
+// recipes past n is in the region, has exactly F's view of the region,
+// so on a miss the index cached for F's view is cached under this
+// corpus's key too (carryOrigin). The whole-corpus view is never
+// carried; the server derives it from its live head instead.
 func ViewIndex(indexes *itemset.IndexCache, corpus *recipe.Corpus, region string, categories bool) (*itemset.Index, error) {
-	return indexes.Get(itemset.IndexKey(corpus.Fingerprint(), region, categories), func() ([][]ingredient.ID, error) {
+	key := itemset.IndexKey(corpus.Fingerprint(), region, categories)
+	if ix, ok := indexes.Lookup(key, carryOrigin(corpus, region)); ok {
+		return ix, nil
+	}
+	return indexes.Get(key, func() ([][]ingredient.ID, error) {
 		view := corpus.Region(region)
 		if region == "" {
 			view = corpus.AllView()
@@ -143,6 +154,21 @@ func ViewIndex(indexes *itemset.IndexCache, corpus *recipe.Corpus, region string
 		}
 		return view.Transactions(), nil
 	})
+}
+
+// carryOrigin returns the fingerprint of the corpus this one was cloned
+// from when its view of region is the same in both, or "". Recipe IDs
+// are corpus positions and a region lists its recipes in order, so the
+// check is O(1): the region's last recipe lies before the clone point.
+func carryOrigin(corpus *recipe.Corpus, region string) string {
+	origin, n := corpus.ClonedFrom()
+	if origin == "" || region == "" || n >= corpus.Len() {
+		return ""
+	}
+	if view := corpus.Region(region); view.Len() > 0 && view.At(view.Len()-1).ID >= n {
+		return ""
+	}
+	return origin
 }
 
 // artifact opens an artifact file under OutDir; the caller must close it.

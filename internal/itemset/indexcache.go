@@ -25,7 +25,7 @@ func IndexKey(corpusFingerprint, region string, categories bool) string {
 // IndexCacheStats is a snapshot of an IndexCache's counters.
 type IndexCacheStats struct {
 	Builds        uint64 // index builds executed (singleflight-deduplicated)
-	Hits          uint64 // Gets served from a cached index
+	Hits          uint64 // Gets and Lookups served from a cached index, carried ones included
 	Misses        uint64 // Gets that had to build (or join an in-flight build)
 	Evictions     uint64 // indexes evicted to fit the byte budget
 	Invalidations uint64 // entries removed by InvalidateFingerprint
@@ -52,8 +52,10 @@ type IndexCache struct {
 	lru    *kit.LRU[*Index] // costed by Index.Bytes
 	flight kit.Group[*Index]
 
-	builds, invalidations        atomic.Uint64
-	arrays, bitsets, runs, saved atomic.Uint64
+	// lookupHits counts Lookup's hits, which read the LRU through Peek so
+	// that a Lookup miss is left for the Get after it to count.
+	builds, invalidations, lookupHits atomic.Uint64
+	arrays, bitsets, runs, saved      atomic.Uint64
 }
 
 // NewIndexCache returns a cache bounded at budget bytes of retained
@@ -90,6 +92,33 @@ func (c *IndexCache) Get(key string, source func() ([][]ingredient.ID, error)) (
 		return ix, err
 	}, func(ix *Index) { c.lru.Put(key, ix, ix.Bytes()) })
 	return ix, err
+}
+
+// Lookup returns the index cached under key without building, for a
+// caller that builds its Get source only on a miss. On a miss, when
+// origin is a non-empty corpus fingerprint, it carries the same view of
+// the origin corpus: if an index is cached under key with its
+// fingerprint (everything before the first '|') replaced by origin, that
+// index is also cached under key and returned. The caller vouches that
+// the two views hold the same transactions; ViewIndex does so for a
+// region an append left untouched. The origin key is only read, never
+// built or filled, and a carried index is not counted again in the
+// container telemetry, though the LRU charges its bytes under both keys.
+// A found or carried index counts as a hit; a miss counts nothing, since
+// the Get that follows it counts the miss.
+func (c *IndexCache) Lookup(key, origin string) (*Index, bool) {
+	ix, ok := c.lru.Peek(key)
+	if !ok && origin != "" {
+		if cut := strings.IndexByte(key, '|'); cut >= 0 {
+			if ix, ok = c.lru.Peek(origin + key[cut:]); ok {
+				c.lru.Put(key, ix, ix.Bytes())
+			}
+		}
+	}
+	if ok {
+		c.lookupHits.Add(1)
+	}
+	return ix, ok
 }
 
 // Put inserts an externally built index — a LiveIndex snapshot derived
@@ -141,7 +170,7 @@ func (c *IndexCache) Stats() IndexCacheStats {
 	st := c.lru.Stats()
 	return IndexCacheStats{
 		Builds:           c.builds.Load(),
-		Hits:             st.Hits,
+		Hits:             st.Hits + c.lookupHits.Load(),
 		Misses:           st.Misses,
 		Evictions:        st.Evictions,
 		Invalidations:    c.invalidations.Load(),

@@ -11,7 +11,7 @@ package overrep
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
@@ -78,22 +78,51 @@ func (a *Analysis) TopKFromIndex(region string, ix *itemset.Index, k int) ([]Ran
 	return rank(scores, k), nil
 }
 
-// rank orders scores descending (ties by ascending ID) and truncates.
+// rank orders scores descending (ties by ascending ID) and truncates to
+// the first k. A small k, the served case, keeps a sorted top-k buffer
+// in one pass over the lexicon; a large one sorts everything.
 func rank(scores []float64, k int) []Ranked {
-	ranked := make([]Ranked, len(scores))
-	for id, s := range scores {
-		ranked[id] = Ranked{ID: ingredient.ID(id), Score: s}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
+	k = max(0, min(k, len(scores)))
+	if k > selectMaxK {
+		ranked := make([]Ranked, len(scores))
+		for id, s := range scores {
+			ranked[id] = Ranked{ID: ingredient.ID(id), Score: s}
 		}
-		return ranked[i].ID < ranked[j].ID
-	})
-	if k > len(ranked) {
-		k = len(ranked)
+		slices.SortFunc(ranked, func(a, b Ranked) int {
+			if ranksBefore(a, b) {
+				return -1
+			}
+			return 1 // IDs are unique, so a and b never tie
+		})
+		return ranked[:k]
 	}
-	return ranked[:k]
+	top := make([]Ranked, 0, k)
+	for id, s := range scores {
+		r := Ranked{ID: ingredient.ID(id), Score: s}
+		switch {
+		case len(top) < k:
+			top = append(top, r)
+		case k > 0 && ranksBefore(r, top[k-1]):
+			top[k-1] = r
+		default:
+			continue
+		}
+		for i := len(top) - 1; i > 0 && ranksBefore(top[i], top[i-1]); i-- {
+			top[i], top[i-1] = top[i-1], top[i]
+		}
+	}
+	return top
+}
+
+// selectMaxK is the largest k rank answers by bounded selection: each
+// admitted score shifts up to k entries, which stays cheaper than a full
+// sort of a 721-entry lexicon while k is this small.
+const selectMaxK = 64
+
+// ranksBefore reports whether a ranks ahead of b: higher score first,
+// then lower ID.
+func ranksBefore(a, b Ranked) bool {
+	return a.Score > b.Score || a.Score == b.Score && a.ID < b.ID
 }
 
 // TopKNamesFromIndex is TopKFromIndex resolved to canonical names.

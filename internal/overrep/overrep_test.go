@@ -2,7 +2,9 @@ package overrep
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"cuisinevol/internal/ingredient"
@@ -246,5 +248,36 @@ func TestIndexPathEquivalence(t *testing.T) {
 	// Empty index errors like an unknown region does.
 	if _, err := x.a.ScoresFromIndex("NOPE", mustIndex(t, nil)); err == nil {
 		t.Fatal("empty region index must error")
+	}
+}
+
+// TestRankMatchesFullSort: rank's bounded selection and its full sort
+// both return the prefix of a full sort by score descending, then ID
+// ascending, on scores drawn from a few values so that ties abound.
+func TestRankMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		scores := make([]float64, 1+rng.Intn(lex.Len()))
+		levels := 1 + rng.Intn(12)
+		for i := range scores {
+			scores[i] = float64(rng.Intn(levels)-levels/2) / 7
+		}
+		want := make([]Ranked, len(scores))
+		for id, s := range scores {
+			want[id] = Ranked{ID: ingredient.ID(id), Score: s}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score > want[j].Score
+			}
+			return want[i].ID < want[j].ID
+		})
+		for _, k := range []int{0, 1, 5, 25, selectMaxK, selectMaxK + 1, len(scores) - 1, len(scores), 1000} {
+			got := rank(scores, k)
+			n := max(0, min(k, len(scores)))
+			if !reflect.DeepEqual(got, want[:n]) {
+				t.Fatalf("trial %d, %d scores, k=%d: rank = %v, want %v", trial, len(scores), k, got, want[:n])
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,17 +46,21 @@ func (r Recipe) HasIngredient(id ingredient.ID) bool {
 // Categories returns the set of ingredient categories present in the
 // recipe, resolved against lex, in ascending category order.
 func (r Recipe) Categories(lex *ingredient.Lexicon) []ingredient.Category {
-	var present [ingredient.NumCategories]bool
-	for _, id := range r.Ingredients {
-		present[lex.CategoryOf(id)] = true
-	}
 	out := make([]ingredient.Category, 0, 8)
-	for c, ok := range present {
+	for c, ok := range r.categorySet(lex) {
 		if ok {
 			out = append(out, ingredient.Category(c))
 		}
 	}
 	return out
+}
+
+// categorySet marks the categories of the recipe's ingredients.
+func (r Recipe) categorySet(lex *ingredient.Lexicon) (present [ingredient.NumCategories]bool) {
+	for _, id := range r.Ingredients {
+		present[lex.CategoryOf(id)] = true
+	}
+	return present
 }
 
 // CategoryCounts returns, for each category, how many of the recipe's
@@ -355,13 +360,21 @@ func (v View) UsedIngredientIDs() []ingredient.ID {
 
 // Transactions returns the view's recipes as ingredient-ID transactions
 // (the representation consumed by the frequent-itemset miners). The inner
-// slices are copies sorted ascending.
+// slices are copies sorted ascending, carved from one shared arena with
+// their capacity capped at their length, so appending to one never
+// writes into the next.
 func (v View) Transactions() [][]ingredient.ID {
+	total := 0
+	for _, idx := range v.indices {
+		total += len(v.corpus.recipes[idx].Ingredients)
+	}
+	arena := make([]ingredient.ID, 0, total)
 	out := make([][]ingredient.ID, len(v.indices))
 	for i, idx := range v.indices {
-		tx := append([]ingredient.ID(nil), v.corpus.recipes[idx].Ingredients...)
-		sort.Slice(tx, func(a, b int) bool { return tx[a] < tx[b] })
-		out[i] = tx
+		start := len(arena)
+		arena = append(arena, v.corpus.recipes[idx].Ingredients...)
+		out[i] = arena[start:len(arena):len(arena)]
+		slices.Sort(out[i])
 	}
 	return out
 }
@@ -369,16 +382,23 @@ func (v View) Transactions() [][]ingredient.ID {
 // CategoryTransactions returns, per recipe, the sorted set of ingredient
 // categories it uses, encoded as ingredient.ID-compatible ints in
 // [0, NumCategories). This is the transaction representation for the
-// category-combination analyses (Fig 3b).
+// category-combination analyses (Fig 3b). Like Transactions, the inner
+// slices share one arena and have their capacity capped.
 func (v View) CategoryTransactions() [][]ingredient.ID {
+	total := 0
+	for _, idx := range v.indices {
+		total += min(len(v.corpus.recipes[idx].Ingredients), ingredient.NumCategories)
+	}
+	arena := make([]ingredient.ID, 0, total)
 	out := make([][]ingredient.ID, len(v.indices))
 	for i, idx := range v.indices {
-		cats := v.corpus.recipes[idx].Categories(v.corpus.lex)
-		tx := make([]ingredient.ID, len(cats))
-		for j, c := range cats {
-			tx[j] = ingredient.ID(c)
+		start := len(arena)
+		for c, ok := range v.corpus.recipes[idx].categorySet(v.corpus.lex) {
+			if ok {
+				arena = append(arena, ingredient.ID(c))
+			}
 		}
-		out[i] = tx
+		out[i] = arena[start:len(arena):len(arena)]
 	}
 	return out
 }

@@ -2,7 +2,9 @@ package recipe
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -186,6 +188,44 @@ func TestTransactionsSorted(t *testing.T) {
 	txs[0][0] = 9999
 	if c.Region("ITA").At(0).Ingredients[0] == 9999 {
 		t.Fatal("Transactions must copy")
+	}
+}
+
+// TestTransactionsMatchPerRecipeCopies: the arena-carved transactions
+// equal a sorted copy of each recipe's ingredients, and its category
+// set, and appending to one transaction leaves the next unchanged.
+func TestTransactionsMatchPerRecipeCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := corpusOf(t, randomRecipes(rng, 200))
+	for _, region := range c.Regions() {
+		view := c.Region(region)
+		txs, cats := view.Transactions(), view.CategoryTransactions()
+		if len(txs) != view.Len() || len(cats) != view.Len() {
+			t.Fatalf("%s: %d and %d transactions for %d recipes", region, len(txs), len(cats), view.Len())
+		}
+		for i := range txs {
+			want := append([]ingredient.ID(nil), view.At(i).Ingredients...)
+			sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+			if !reflect.DeepEqual(txs[i], want) {
+				t.Fatalf("%s transaction %d = %v, want %v", region, i, txs[i], want)
+			}
+			var wantCats []ingredient.ID
+			for _, cat := range view.At(i).Categories(lex) {
+				wantCats = append(wantCats, ingredient.ID(cat))
+			}
+			if !reflect.DeepEqual(cats[i], wantCats) {
+				t.Fatalf("%s category transaction %d = %v, want %v", region, i, cats[i], wantCats)
+			}
+		}
+		for _, got := range [][][]ingredient.ID{txs, cats} {
+			for i := 0; i+1 < len(got); i++ {
+				next := append([]ingredient.ID(nil), got[i+1]...)
+				_ = append(got[i], 9999)
+				if !reflect.DeepEqual(got[i+1], next) {
+					t.Fatalf("%s: appending to transaction %d changed the next one: %v, was %v", region, i, got[i+1], next)
+				}
+			}
+		}
 	}
 }
 

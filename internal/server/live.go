@@ -22,9 +22,10 @@ import (
 // IndexCache under IndexKey(childFP, "", false) — the exact key
 // experiment.ViewIndex uses. A snapshot is BuildIndex over the head's log, so it
 // is exactly what a from-scratch build would cache there and queries
-// cannot tell the two paths apart. Region and category views stay
-// lazily built per view; only the whole-corpus ingredient index rides
-// the incremental path.
+// cannot tell the two paths apart. Only the whole-corpus ingredient
+// index rides the head. Region and category views are not built here:
+// on the first query, experiment.ViewIndex carries the parent's index
+// of a region the append did not touch, and builds the others.
 //
 // Heads stay because the log already holds the lineage's transactions:
 // an append adds only the delta, where a headless append would first
