@@ -20,17 +20,17 @@ GO ?= go
 # Per-target fuzzing budget for `make fuzz` (the CI smoke uses the same).
 FUZZTIME ?= 30s
 
-# The perf-trajectory benchmarks: the FP-Growth and Eclat mining kernels,
-# the Fig 3/4 pipelines they feed, the arena simulation kernel behind
-# them, and the build-once corpus index (build cost, warm-index queries,
-# and the cold-mine point they beat, and the low-support mines of the
-# append_reads serving workload), and one served cache hit per hot
-# endpoint (ServeHit), and one served append-then-query cycle of
-# append_reads (AppendCycle), and the replicate mine's own stage
-# (SpectrumOfSets), and the paper-scale low-support mines of Eclat's
-# decoded roots (MineTopViews) — see DESIGN.md §7 ("Performance
-# architecture"), §8, §10, §12 and §16.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|MineTopViews|ServeHit|RegistryAppend|AppendCycle
+# The perf-trajectory benchmarks: the Eclat mining kernel (one-shot, and
+# through the exported Mine), the Fig 3/4 pipelines it feeds, the arena
+# simulation kernel behind them, and the build-once corpus index (build
+# cost, warm-index queries, and the cold-mine point they beat, and the
+# low-support mines of the append_reads serving workload), and one
+# served cache hit per hot endpoint (ServeHit), and one served
+# append-then-query cycle of append_reads (AppendCycle), and the
+# replicate mine's own stage (SpectrumOfSets), and the paper-scale
+# low-support mines of Eclat's decoded roots (MineTopViews) — see
+# DESIGN.md §7 ("Performance architecture"), §8, §10, §12 and §16.
+BENCH_PATTERN := Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|SpectrumOfSets|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites|MineLowSupport|MineTopViews|ServeHit|RegistryAppend|AppendCycle
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build

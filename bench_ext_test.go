@@ -134,7 +134,7 @@ func BenchmarkEq2Metric(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return rankfreq.FromResult(code, res)
+		return rankfreq.Distribution{Label: code, Freqs: res.Supports()}
 	}
 	ita, usa := mine("ITA"), mine("USA")
 	b.ResetTimer()

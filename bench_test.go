@@ -232,7 +232,7 @@ func benchEnsembleMAE(b *testing.B, mutate func(*evomodel.Params)) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	emp := rankfreq.FromResult("KOR", mined)
+	emp := rankfreq.Distribution{Label: "KOR", Freqs: mined.Supports()}
 	params := evomodel.ParamsForView(view, evomodel.CMRandom, 7)
 	mutate(&params)
 	dist, err := evomodel.RunEnsembleCtx(context.Background(), evomodel.EnsembleConfig{
@@ -351,7 +351,7 @@ func BenchmarkAblationMetric(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return rankfreq.FromResult(code, res)
+		return rankfreq.Distribution{Label: code, Freqs: res.Supports()}
 	}
 	ita, jpn := mineDist("ITA"), mineDist("JPN")
 	b.Run("paper_squared", func(b *testing.B) {

@@ -3,7 +3,7 @@
 // committed as BENCH_fig_pipeline.json. Every input line is echoed to
 // stderr so the run stays visible when piped:
 //
-//	go test -run '^$' -bench 'FPGrowth|Eclat|Fig3|Fig4' -benchmem ./... \
+//	go test -run '^$' -bench 'Eclat|Fig3|Fig4' -benchmem ./... \
 //	    | go run ./cmd/benchjson > BENCH_fig_pipeline.json
 //
 // (or just `make bench-baseline`). Parsed per benchmark: iteration

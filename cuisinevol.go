@@ -14,7 +14,7 @@
 //	internal/recipe     — corpus store, views, serialization
 //	internal/synth      — calibrated synthetic corpus generator
 //	internal/overrep    — Eq 1 overrepresentation metric
-//	internal/itemset    — Apriori and FP-Growth frequent-itemset mining
+//	internal/itemset    — Eclat frequent-itemset mining over a build-once index
 //	internal/rankfreq   — rank-frequency distributions and Eq 2
 //	internal/catprofile — Fig 2 category composition
 //	internal/evomodel   — Algorithm 1 and the model ensemble runner
@@ -177,8 +177,7 @@ func Overrepresented(c *Corpus, region string, k int) ([]RankedIngredient, error
 // MineCombinations mines the frequent ingredient combinations (size >= 1,
 // support >= minSupport) of a cuisine, per the paper's §IV. The view's
 // prebuilt index is cached across calls, so re-mining the same cuisine
-// at another threshold skips straight to the query phase; the index
-// picks the mining kernel from its own shape statistics.
+// at another threshold skips straight to the query phase.
 func MineCombinations(c *Corpus, region string, minSupport float64) (*MiningResult, error) {
 	ix, err := experiment.ViewIndex(sharedIndexes, c, region, false)
 	if err != nil {
@@ -199,9 +198,10 @@ func MineCategoryCombinations(c *Corpus, region string, minSupport float64) (*Mi
 }
 
 // RankFrequency converts a mining result into the normalized
-// rank-frequency distribution of Fig 3.
+// rank-frequency distribution of Fig 3: its supports, which canonical
+// Result order already lists non-increasing.
 func RankFrequency(label string, res *MiningResult) Distribution {
-	return rankfreq.FromResult(label, res)
+	return Distribution{Label: label, Freqs: res.Supports()}
 }
 
 // DistributionDistance computes the paper's Eq 2 between two

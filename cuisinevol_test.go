@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/itemset"
 )
 
 // smallCorpus is shared across the facade tests (generation dominates
@@ -136,6 +139,28 @@ func TestMineCombinations(t *testing.T) {
 	d := RankFrequency("ITA", res)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRankFrequency: a mine's distribution keeps its label, validates,
+// and ranks the most frequent combination's support first.
+func TestRankFrequency(t *testing.T) {
+	txs := [][]ingredient.ID{
+		{1, 2}, {1, 2}, {1, 3}, {1}, {2},
+	}
+	res, err := itemset.Mine(txs, 0.2, itemset.MineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := RankFrequency("X", res)
+	if d.Label != "X" {
+		t.Fatal("label lost")
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() == 0 || d.Freqs[0] != 0.8 { // item 1 in 4/5 recipes
+		t.Fatalf("top frequency = %v, want 0.8", d.Freqs)
 	}
 }
 

@@ -2,8 +2,8 @@ package evomodel
 
 // Differential tests pinning the arena kernel byte-for-byte against the
 // retained reference implementation (reference_test.go) on randomized
-// parameters — the same cross-kernel proof pattern the itemset package
-// uses for FP-Growth vs Eclat. Because consecutive Run calls on one
+// parameters — the same differential proof pattern the itemset package
+// uses for Eclat against Apriori. Because consecutive Run calls on one
 // goroutine recycle the same free-listed machine, every iteration of these
 // loops also exercises reset-after-reuse across differing parameter
 // shapes; any state leaking between runs shows up as a divergence from
@@ -159,7 +159,7 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 		if err != nil {
 			t.Fatalf("reference replicate %d: %v", rep, err)
 		}
-		dists[rep] = rankfreq.FromResult(label, res)
+		dists[rep] = rankfreq.Distribution{Label: label, Freqs: res.Supports()}
 	}
 	return rankfreq.Aggregate(dists)
 }

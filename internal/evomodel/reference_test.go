@@ -6,8 +6,8 @@ package evomodel
 // each recipe individually. It exists solely as the ground truth for the
 // differential tests (kernel_diff_test.go), which pin the arena kernel
 // byte-for-byte against this code across randomized parameters and
-// seeds — same pattern as the FP-Growth/Eclat cross-kernel layer in
-// internal/itemset. Both paths share Params.validate, the RNG, and the
+// seeds — same pattern as the Eclat-against-Apriori differential layer
+// in internal/itemset. Both paths share Params.validate, the RNG, and the
 // small helpers (bitset, contains, sortIDs), so a divergence isolates to
 // the kernel mechanics.
 

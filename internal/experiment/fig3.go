@@ -151,10 +151,7 @@ func buildPanel(ctx context.Context, corpus *recipe.Corpus, indexes *itemset.Ind
 
 // mineView mines one corpus view's frequent-combination spectrum (region
 // "" is the whole corpus) through the shared index cache and returns the
-// rank-frequency distribution labeled with the region. Every view's
-// index picks the cheaper kernel for its own shape (category
-// transactions are far denser than ingredient ones) without changing
-// the result.
+// rank-frequency distribution labeled with the region.
 func mineView(indexes *itemset.IndexCache, corpus *recipe.Corpus, region string, minSupport float64, categories bool) (rankfreq.Distribution, error) {
 	ix, err := ViewIndex(indexes, corpus, region, categories)
 	if err != nil {

@@ -87,43 +87,9 @@ func warmOnEveryP(b *testing.B, fn func() error) {
 	}
 }
 
-// BenchmarkFPGrowthReplicatePool is the replicate-mining benchmark: one
-// FP-Growth Mine (a one-shot index build plus the indexed kernel) over
-// a duplicate-heavy model-generated pool, the hot path of the Fig 4
-// pipeline.
-func BenchmarkFPGrowthReplicatePool(b *testing.B) {
-	txs := replicatePool(7, 30, 3000, 9, 300)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FPGrowth(txs, 0.05); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFPGrowthReplicateSweep mines many replicate pools back to
-// back through one-shot Mine calls (kernel scratch reuse across mines is
-// what this measures; builder reuse is BenchmarkIndexBuildReuse's).
-func BenchmarkFPGrowthReplicateSweep(b *testing.B) {
-	pools := make([][][]ingredient.ID, 16)
-	for i := range pools {
-		pools[i] = replicatePool(uint64(i+1), 30, 1500, 9, 300)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, txs := range pools {
-			if _, err := FPGrowth(txs, 0.05); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkEclatReplicatePool is BenchmarkFPGrowthReplicatePool on the
-// vertical bitset kernel — the direct kernel-vs-kernel comparison on
-// the Fig 4 hot-path shape.
+// BenchmarkEclatReplicatePool is the replicate-mining benchmark: one
+// one-shot mine (an index build plus the kernel) over a duplicate-heavy
+// model-generated pool, the Fig 4 hot-path shape.
 func BenchmarkEclatReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	b.ReportAllocs()
@@ -135,8 +101,9 @@ func BenchmarkEclatReplicatePool(b *testing.B) {
 	}
 }
 
-// BenchmarkEclatReplicateSweep mirrors BenchmarkFPGrowthReplicateSweep
-// on the vertical kernel.
+// BenchmarkEclatReplicateSweep mines many replicate pools back to back
+// through one-shot mines (kernel scratch reuse across mines is what
+// this measures; builder reuse is BenchmarkIndexBuildReuse's).
 func BenchmarkEclatReplicateSweep(b *testing.B) {
 	pools := make([][][]ingredient.ID, 16)
 	for i := range pools {
@@ -185,7 +152,7 @@ func BenchmarkEclatReplicateSpectrum(b *testing.B) {
 // prefix-partitioned parallel path (the /v1/mine configuration).
 func BenchmarkEclatParallelReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
-	run := kernelRun{k: kernelEclat, workers: 4}
+	run := kernelRun{workers: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -195,9 +162,9 @@ func BenchmarkEclatParallelReplicatePool(b *testing.B) {
 	}
 }
 
-// BenchmarkMineAutoReplicatePool measures Mine with adaptive kernel
-// selection on the replicate-pool shape: selection cost must be
-// negligible next to the mine itself.
+// BenchmarkMineAutoReplicatePool measures the exported Mine on the
+// replicate-pool shape: BenchmarkEclatReplicatePool through the public
+// entry point, so any cost the wrapper adds shows as the difference.
 func BenchmarkMineAutoReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	b.ReportAllocs()
@@ -225,7 +192,7 @@ func BenchmarkMineIndexBuild(b *testing.B) {
 
 // BenchmarkIndexBuildReuse is the ensemble workers' steady state:
 // one reused IndexBuilder indexing replicate pools back to back, each
-// followed by an auto-kernel MineIndexed.
+// followed by a MineIndexed.
 func BenchmarkIndexBuildReuse(b *testing.B) {
 	pools := make([][][]ingredient.ID, 16)
 	for i := range pools {
@@ -298,9 +265,7 @@ func BenchmarkIndexBuildSparse(b *testing.B) {
 }
 
 // BenchmarkMineWarmIndexSparse is the warm serving path on the
-// long-tail corpus: adaptive containers, galloping intersections, auto
-// kernel selection (the compressed-share rule picks Eclat here even
-// though the dense-density statistics would not).
+// long-tail corpus: adaptive containers and galloping intersections.
 func BenchmarkMineWarmIndexSparse(b *testing.B) {
 	txs := longTailCorpus(11, 262144, 500, 3580)
 	ix, err := BuildIndex(txs)
@@ -320,8 +285,8 @@ func BenchmarkMineWarmIndexSparse(b *testing.B) {
 }
 
 // BenchmarkMineWarmIndexSparseDense is the pre-container comparison
-// point: the same corpus and threshold over a dense-forced index with
-// the Eclat kernel pinned, so the delta to BenchmarkMineWarmIndexSparse
+// point: the same corpus and threshold over a dense-forced index, so
+// the delta to BenchmarkMineWarmIndexSparse
 // isolates the container dispatch against uniform word sweeps.
 func BenchmarkMineWarmIndexSparseDense(b *testing.B) {
 	txs := longTailCorpus(11, 262144, 500, 3580)
@@ -391,7 +356,7 @@ func BenchmarkRootRuleSweep(b *testing.B) {
 		}
 		ratio := float64(ix.words) / float64(minCount(ix.n, pt.support))
 		for _, k := range []int{neverDense, 1, 2, 4, 8, 16, 32, 64, alwaysDense} {
-			run := kernelRun{k: kernelEclat, workers: 1, denseK: k}
+			run := kernelRun{workers: 1, denseK: k}
 			name := fmt.Sprintf("%s/K=%d", pt.name, k)
 			switch k {
 			case neverDense:

@@ -288,8 +288,8 @@ func (b *IndexBuilder) build(txs [][]ingredient.ID, denseOnly bool) (*Index, err
 
 // SpectrumOfSets returns the spectrum MineSpectrum gives at minSupport
 // of an Index built over txs sorted, without building that index: one
-// counting pass over item IDs in [0, bound), then FP-Growth's
-// frequent-item projection (Han, Pei & Yin, SIGMOD 2000). Each
+// counting pass over item IDs in [0, bound), then the frequent-item
+// projection of FP-Growth (Han, Pei & Yin, SIGMOD 2000). Each
 // transaction becomes a mask of its items counted at least
 // minCount(len(txs), minSupport), W = ⌈frequent/64⌉ words wide; each
 // non-empty mask is one unweighted transaction, and the postings are

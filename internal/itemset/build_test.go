@@ -193,7 +193,7 @@ func TestIndexBuilderReuseWeightedMines(t *testing.T) {
 		if i == 2 && words[2] >= words[0] || i == 3 && words[3] != words[2] {
 			t.Fatalf("%s: index words %v, want the third below the first and the fourth equal to the third", c.name, words)
 		}
-		for _, run := range []kernelRun{eclatRun, {k: kernelEclat, workers: 4}} {
+		for _, run := range []kernelRun{eclatRun, {workers: 4}} {
 			label := fmt.Sprintf("%s/workers=%d", c.name, run.workers)
 			want, err := run.indexed(fresh, 0.02)
 			if err != nil {
@@ -263,7 +263,7 @@ func TestBuilderQueryConcurrentMines(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 10; round++ {
 				i := (g + round) % len(supports)
-				got, err := kernelRun{k: kernelEclat, workers: g % 3}.indexed(ix, supports[i])
+				got, err := kernelRun{workers: g % 3}.indexed(ix, supports[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -288,7 +288,7 @@ func TestBuilderQueryConcurrentMines(t *testing.T) {
 func TestMineResultOwnership(t *testing.T) {
 	a := replicatePool(7, 30, 3000, 9, 300)
 	bTxs := replicatePool(8, 25, 2000, 9, 300)
-	for _, run := range append(forcedKernels, autoRun) {
+	for _, run := range append(eclatRuns, autoRun) {
 		label := run.String()
 		fromMine, err := run.mine(a, 0.05)
 		if err != nil {
@@ -401,8 +401,8 @@ func nonNegativeIDs(txs [][]ingredient.ID) (bound int, ok bool) {
 // assertSpectrumOfSets requires SpectrumOfSets over permuted, at every
 // bound from the tightest up, to return the spectrum MineSpectrum mines
 // off BuildIndex over sorted — the same transactions with ascending
-// items — and its projected index to mine, on either kernel, the
-// Result the kept index gives at that support. A bound one below the
+// items — and its projected index to mine, serially and over four
+// workers, the Result the kept index gives at that support. A bound one below the
 // tightest must be an error. It returns the largest number of items
 // the projection kept.
 func assertSpectrumOfSets(t *testing.T, b *IndexBuilder, sorted, permuted [][]ingredient.ID, sup float64, label string) int {
@@ -430,13 +430,13 @@ func assertSpectrumOfSets(t *testing.T, b *IndexBuilder, sorted, permuted [][]in
 		}
 	}
 	projected := b.ix
-	for _, k := range []kernelRun{eclatRun, fpRun} {
+	for _, k := range eclatRuns {
 		got, err := k.indexed(projected, sup)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, wantRes) {
-			t.Fatalf("%s support %v: %v on the projected index differs from Eclat on a kept index", label, sup, k)
+			t.Fatalf("%s support %v: %v on the projected index differs from a kept index", label, sup, k)
 		}
 	}
 	if bound > 0 {

@@ -332,27 +332,3 @@ func setPostingBits(p posting, bm []uint64) {
 		}
 	}
 }
-
-// appendPostingIDs appends a container's member ids to out in ascending
-// order: the enumeration FP-Growth transposes postings with, and the
-// reference the differential and fuzz layers compare container pairs
-// through.
-func appendPostingIDs(out []uint32, p posting, words int) []uint32 {
-	switch p.kind {
-	case containerArray:
-		out = append(out, p.ids...)
-	case containerRun:
-		for r := 0; r < len(p.ids); r += 2 {
-			for x, e := p.ids[r], p.ids[r]+p.ids[r+1]; x < e; x++ {
-				out = append(out, x)
-			}
-		}
-	default:
-		for w := 0; w < len(p.bits) && w < words; w++ {
-			for m := p.bits[w]; m != 0; m &= m - 1 {
-				out = append(out, uint32(w<<6+bits.TrailingZeros64(m)))
-			}
-		}
-	}
-	return out
-}

@@ -192,7 +192,7 @@ func longTailCorpus(seed uint64, n, mid, tail int) [][]ingredient.ID {
 // TestDenseCompressedDifferential crosses the dense-forced and
 // production layouts over randomized, edge and synthetic-sparse
 // corpora: identical fingerprints and tidsets, and byte-identical mined
-// Results from every kernel (serial and parallel) on both indexes,
+// Results from the kernel (serial and parallel) on both indexes,
 // each chained to the raw Apriori oracle.
 func TestDenseCompressedDifferential(t *testing.T) {
 	src := randx.New(20260808)

@@ -11,23 +11,21 @@ import (
 	"cuisinevol/internal/synth"
 )
 
-// The cross-kernel differential layer: every forced kernel — FP-Growth
-// and Eclat, serial and prefix-partition-parallel — and the adaptive
-// selection Mine runs must reproduce the raw Apriori oracle's canonical
-// Result on every corpus we can throw at it. These tests are the proof
-// obligation that lets Mine pick kernels freely: if they pass, kernel
-// selection can never change a pipeline's output.
+// The differential layer: the Eclat kernel — serial and
+// prefix-partition-parallel, and through the exported entry points —
+// must reproduce the raw Apriori oracle's canonical Result on every
+// corpus we can throw at it.
 
-// allKernels mines txs with every forced kernel (plus parallel Eclat
-// and auto) and fails the test unless each Result is identical in
-// canonical order to raw Apriori's. It returns the agreed-upon result.
+// allKernels mines txs with every run of eclatRuns (plus auto) and
+// fails the test unless each Result is identical in canonical order to
+// raw Apriori's. It returns the agreed-upon result.
 func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
 	if err != nil {
 		t.Fatalf("%s: apriori: %v", label, err)
 	}
-	for _, run := range append(forcedKernels, autoRun) {
+	for _, run := range append(eclatRuns, autoRun) {
 		got, err := run.mine(txs, minSupport)
 		if err != nil {
 			t.Fatalf("%s: %v: %v", label, run, err)
@@ -43,23 +41,17 @@ func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label s
 	return base
 }
 
-// kernelsAgreeOnMaps is the weaker (itemset, support)-map agreement the
-// ISSUE asks for explicitly; canonical-order equality implies it, but
-// asserting it separately keeps the failure mode readable when only
-// ordering drifts.
+// kernelsAgreeOnMaps is the weaker (itemset, support)-map agreement;
+// canonical-order equality implies it, but asserting it separately
+// keeps the failure mode readable when only ordering drifts.
 func kernelsAgreeOnMaps(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) {
 	t.Helper()
 	resA, errA := Apriori(txs, minSupport)
-	resF, errF := FPGrowth(txs, minSupport)
 	resE, errE := Eclat(txs, minSupport)
-	if errA != nil || errF != nil || errE != nil {
-		t.Fatalf("%s: %v %v %v", label, errA, errF, errE)
+	if errA != nil || errE != nil {
+		t.Fatalf("%s: %v %v", label, errA, errE)
 	}
-	am, fm, em := setsAsMap(resA), setsAsMap(resF), setsAsMap(resE)
-	if !reflect.DeepEqual(am, fm) {
-		t.Fatalf("%s: apriori and fpgrowth (itemset, support) maps differ", label)
-	}
-	if !reflect.DeepEqual(am, em) {
+	if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resE)) {
 		t.Fatalf("%s: apriori and eclat (itemset, support) maps differ", label)
 	}
 }
@@ -194,8 +186,8 @@ func TestDifferentialRealCorpus(t *testing.T) {
 	}
 }
 
-// TestEclatScratchReuseIsClean mirrors the FP-Growth pool-hygiene test:
-// a reused Eclat miner must match fresh results, and earlier Results
+// TestEclatScratchReuseIsClean: the pooled Eclat query state, drawn by
+// one-shot mines back to back, must match fresh results, and earlier Results
 // must stay intact after later mines (no aliasing into recycled
 // scratch or set sinks).
 func TestEclatScratchReuseIsClean(t *testing.T) {
@@ -238,7 +230,7 @@ func TestEclatParallelDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8, 16} {
 		for run := 0; run < 3; run++ {
-			got, err := kernelRun{k: kernelEclat, workers: workers}.mine(txs, 0.05)
+			got, err := kernelRun{workers: workers}.mine(txs, 0.05)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,8 +241,8 @@ func TestEclatParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestEclatValidation: the vertical kernel enforces the same input
-// contract as the others.
+// TestEclatValidation: the kernel enforces the same input contract as
+// Apriori.
 func TestEclatValidation(t *testing.T) {
 	for _, sup := range []float64{0, -0.1, 1.01} {
 		if _, err := Eclat(classicTxs(), sup); err != ErrBadSupport {
@@ -275,43 +267,41 @@ func mustIndex(t *testing.T, txs [][]ingredient.ID) *Index {
 	return ix
 }
 
-// TestChooseKernelShapes pins the adaptive selector's decisions on the
-// canonical corpus shapes: dense recipe-like data goes vertical, empty
-// or degenerate data and huge universes with dense columns go to the
-// tree.
+// TestChooseKernelShapes runs the corpus shapes the removed kernel
+// heuristic classified (see heuristic_boundary_test.go) through Eclat
+// against the Apriori oracle: the empty corpus, a corpus of empty
+// transactions, recipe-shaped data, a sparse long tail and a universe
+// past edgeDistinct.
 func TestChooseKernelShapes(t *testing.T) {
-	if got := mustIndex(t, nil).chooseKernel(); got != kernelFPGrowth {
-		t.Fatalf("empty: %v", got)
-	}
+	empties := [][]ingredient.ID{{}, {}, {}}
 	// Recipe-shaped: 500 transactions of ~9 items over 300 ingredients.
 	src := randx.New(2)
 	recipes := make([][]ingredient.ID, 500)
 	for i := range recipes {
 		recipes[i] = tx(src.SampleInts(300, 9)...)
 	}
-	if got := mustIndex(t, recipes).chooseKernel(); got != kernelEclat {
-		t.Fatalf("recipe-shaped: %v", got)
-	}
-	// Sparse long-tail: single-item transactions spread over a huge
-	// universe — density far below a set bit per word, but every
-	// posting is a one-element array, so the compressed-share rule
-	// keeps the vertical kernel.
+	// Sparse long-tail: single-item transactions spread over a wide
+	// universe — density far below a set bit per word, every posting a
+	// one-element array.
 	sparse := make([][]ingredient.ID, 3000)
 	for i := range sparse {
 		sparse[i] = tx(i)
 	}
-	if got := mustIndex(t, sparse).chooseKernel(); got != kernelEclat {
-		t.Fatalf("sparse long-tail: %v", got)
-	}
-	// Past the distinct-item bound the tree wins however the postings
-	// are laid out.
-	huge := make([][]ingredient.ID, maxEclatDistinct+1)
+	huge := make([][]ingredient.ID, edgeDistinct+1)
 	for i := range huge {
 		huge[i] = tx(i)
 	}
-	if got := mustIndex(t, huge).chooseKernel(); got != kernelFPGrowth {
-		t.Fatalf("huge universe: %v", got)
+	for _, c := range []struct {
+		name       string
+		txs        [][]ingredient.ID
+		minSupport float64
+	}{
+		{"empty", nil, 0.05},
+		{"empty-transactions", empties, 0.05},
+		{"recipes", recipes, 0.01},
+		{"sparse", sparse, 0.05},
+		{"huge-universe", huge, 0.05},
+	} {
+		eclatMatchesApriori(t, mustIndex(t, c.txs), c.txs, c.minSupport, c.name)
 	}
-	// The selector never changes results — spot-check both shapes.
-	allKernels(t, recipes[:100], 0.05, "choose-recipes")
 }

@@ -17,12 +17,9 @@ import (
 // duplicates exist). Depth-first expansion walks prefix equivalence
 // classes; all intersection and class scratch is kept per depth in the
 // query state, so steady-state mining allocates almost nothing beyond
-// the Result.
-//
-// Dense short transactions — bounded-size recipes over a few hundred
-// ingredients, the regime of every pipeline in this repo — are exactly
-// where the vertical kernel beats the FP-tree; Index.chooseKernel
-// encodes that heuristic.
+// the Result. It is the package's one mining kernel: every Mine,
+// MineIndexed, MineTop and MineSpectrum runs it, whatever the index's
+// shape (DESIGN.md §10).
 
 // eclatShared is the read-only mining state the expansion workers
 // consume: the frequent items' positions and zero-copy posting views
@@ -157,6 +154,16 @@ func (s *eclatScratch) emitWith(item int32, count int) {
 	sortInt32s(set)
 	if e > 0 {
 		s.emitUnions(set, count)
+	}
+}
+
+// sortInt32s sorts small index slices in place (insertion sort; sets
+// are recipe-sized).
+func sortInt32s(xs []int32) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
 	}
 }
 

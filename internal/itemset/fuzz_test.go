@@ -67,18 +67,17 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 }
 
 // FuzzMineKernels decodes arbitrary bytes into a bounded transaction
-// corpus and checks that every kernel forced (FP-Growth, Eclat serial
-// and parallel) and Mine's own choice reproduce raw Apriori's
-// canonical result, on the decoded IDs and spread over the int32
+// corpus and checks that Eclat, on one worker and on four and through
+// Mine, reproduces raw Apriori's canonical result, on the decoded IDs and spread over the int32
 // range; that the radix assembly orders the mined sets as the
 // comparator does; that Eclat with 2, 4 and 8 workers, and with its
 // root rule forced each way and to its edge, equals the serial walk;
 // that MineTop and MineSpectrum agree with the full mine
-// for every kernel; that every reported itemset's count matches a
+// on every run; that every reported itemset's count matches a
 // brute-force recount over the raw transactions, and that a reused
 // IndexBuilder indexes the input exactly as a fresh build does. The seed corpus in
-// testdata/fuzz/FuzzMineKernels covers the shapes that distinguish the
-// kernels: duplicate-heavy (dedup arena + weighted popcounts), dense
+// testdata/fuzz/FuzzMineKernels covers the shapes that stress the
+// kernel: duplicate-heavy (dedup arena + weighted popcounts), dense
 // single transactions (deep DFS), sparse long tails, and compressed
 // roots on both sides of the root rule's edge.
 func FuzzMineKernels(f *testing.F) {
@@ -120,7 +119,7 @@ func FuzzMineKernels(f *testing.F) {
 		res := allKernels(t, txs, minSupport, "fuzz")
 		// The same corpus over IDs spread across the whole int32 range.
 		allKernels(t, spreadIDs(txs), minSupport, "fuzz-spread")
-		// Count-gated mines: for every kernel, over one and four workers,
+		// Count-gated mines: over one and four workers,
 		// the first top sets — top drawn from [1, total+2] — must be the
 		// full mine's, with its total, and the spectrum its counts.
 		ix, err := BuildIndex(txs)
@@ -158,13 +157,13 @@ func FuzzMineKernels(f *testing.F) {
 		// never to decode a compressed root, to decode every one, and
 		// at denseK = 1, whose edge (words = card) two-word corpora
 		// reach.
-		serial, err := kernelRun{k: kernelEclat, workers: 1}.mine(txs, minSupport)
+		serial, err := kernelRun{workers: 1}.mine(txs, minSupport)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs := []kernelRun{{k: kernelEclat, workers: 2}, {k: kernelEclat, workers: 4}, {k: kernelEclat, workers: 8}}
+		runs := []kernelRun{{workers: 2}, {workers: 4}, {workers: 8}}
 		for _, k := range []int{neverDense, 1, alwaysDense} {
-			runs = append(runs, kernelRun{k: kernelEclat, workers: 1, denseK: k}, kernelRun{k: kernelEclat, workers: 3, denseK: k})
+			runs = append(runs, kernelRun{workers: 1, denseK: k}, kernelRun{workers: 3, denseK: k})
 		}
 		for _, run := range runs {
 			got, err := run.mine(txs, minSupport)

@@ -10,18 +10,9 @@ import (
 	"cuisinevol/internal/randx"
 )
 
-// gatedRuns are the mines a gated query is checked on: every kernel
-// and the index's own choice, serially and over four workers (only
-// Eclat fans out; FP-Growth must ignore the setting).
-var gatedRuns = func() (runs []kernelRun) {
-	for _, r := range []kernelRun{fpRun, eclatRun, autoRun} {
-		for _, w := range []int{1, 4} {
-			r.workers = w
-			runs = append(runs, r)
-		}
-	}
-	return runs
-}()
+// gatedRuns are the mines a gated query is checked on: the kernel and
+// the exported entry points, serially and over four workers.
+var gatedRuns = []kernelRun{{workers: 1}, {workers: 4}, {auto: true, workers: 1}, {auto: true, workers: 4}}
 
 // assertGatedMines checks the count-gated mines of ix against full, the
 // full canonical Result at minSupport: for every run and top, MineTop's
@@ -204,8 +195,8 @@ func TestSinkResetAndTrimDisarmGate(t *testing.T) {
 }
 
 // TestGatedMineLeavesPooledStateClean interleaves gated and full mines
-// over every kernel's pooled state — a builder's own Eclat query, the
-// Eclat query pool and the FP-Growth miner pool: a full mine after a
+// over the kernel's pooled state — a builder's own Eclat query and the
+// Eclat query pool: a full mine after a
 // top-1 mine (whose cut sits at the largest count) must still hold
 // every set.
 func TestGatedMineLeavesPooledStateClean(t *testing.T) {

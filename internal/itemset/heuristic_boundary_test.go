@@ -7,20 +7,31 @@ import (
 	"cuisinevol/internal/ingredient"
 )
 
-// Boundary corpora for the adaptive-kernel thresholds. Each corpus is
-// engineered to sit exactly on (or one off) a single threshold edge
-// while keeping the other two statistics safely inside Eclat territory,
-// so a test failure names the edge that moved. Construction notes:
+// Boundary corpora of the shape rule that once sent some indexes to a
+// second kernel, FP-Growth: more than edgeDistinct distinct items or
+// edgeTxs transactions, or a column density under edgeDensity with
+// less than edgeCompressedShare of the postings in array or run
+// containers. The rule and that kernel are gone, so nothing here checks
+// a choice; the tests keep the rule's name because their corpora sit
+// exactly on (or one off) one of its edges, the shapes where the two
+// kernels split the traffic. Eclat, on one worker and on four, must
+// match the Apriori oracle on each. Construction notes:
 // density = totalOccurrences / (n × distinct) = meanTxSize / distinct,
 // and a transaction's subsets must never all become frequent when the
 // transaction is wide (a frequent 64-item transaction means 2^64
 // itemsets).
+const (
+	edgeDistinct        = 4096
+	edgeTxs             = 1 << 20
+	edgeDensity         = 1.0 / 64
+	edgeCompressedShare = 0.75
+)
 
 // distinctBoundaryCorpus has exactly `distinct` distinct items: a
 // frequent 8-item core duplicated 32 times plus wide one-off filler
 // transactions packing the remaining IDs densely enough to keep column
 // density above 1/64. At minSupport 0.3 only the core's 255 subsets
-// are frequent, so forced-kernel mining stays cheap.
+// are frequent, so mining stays cheap.
 func distinctBoundaryCorpus(distinct int) [][]ingredient.ID {
 	var txs [][]ingredient.ID
 	core := make([]ingredient.ID, 8)
@@ -46,37 +57,27 @@ func distinctBoundaryCorpus(distinct int) [][]ingredient.ID {
 }
 
 func TestChooseKernelDistinctBoundary(t *testing.T) {
-	at := distinctBoundaryCorpus(maxEclatDistinct)
-	over := distinctBoundaryCorpus(maxEclatDistinct + 1)
+	at := distinctBoundaryCorpus(edgeDistinct)
+	over := distinctBoundaryCorpus(edgeDistinct + 1)
 	ixAt, ixOver := mustIndex(t, at), mustIndex(t, over)
-	if got := ixAt.chooseKernel(); got != kernelEclat {
-		t.Fatalf("distinct = max: %v, want eclat", got)
+	if ixAt.DistinctItems() != edgeDistinct || ixOver.DistinctItems() != edgeDistinct+1 {
+		t.Fatalf("distinct items %d and %d, want %d and %d", ixAt.DistinctItems(), ixOver.DistinctItems(), edgeDistinct, edgeDistinct+1)
 	}
-	if got := ixOver.chooseKernel(); got != kernelFPGrowth {
-		t.Fatalf("distinct = max+1: %v, want fpgrowth", got)
-	}
-	// Forced kernels must agree on the result on both sides of the edge.
-	forcedKernelsAgree(t, ixAt, at, 0.3, "distinct-at")
-	forcedKernelsAgree(t, ixOver, over, 0.3, "distinct-over")
+	eclatMatchesApriori(t, ixAt, at, 0.3, "distinct-at")
+	eclatMatchesApriori(t, ixOver, over, 0.3, "distinct-over")
 }
 
 func TestChooseKernelTxCountBoundary(t *testing.T) {
 	// Single-item transactions sharing one backing slice: n is the only
 	// statistic that moves across the edge (distinct = 1, density = 1).
 	one := []ingredient.ID{1}
-	txs := make([][]ingredient.ID, maxEclatTxs+1)
+	txs := make([][]ingredient.ID, edgeTxs+1)
 	for i := range txs {
 		txs[i] = one
 	}
-	ixAt, ixOver := mustIndex(t, txs[:maxEclatTxs]), mustIndex(t, txs)
-	if got := ixAt.chooseKernel(); got != kernelEclat {
-		t.Fatalf("n = max: %v, want eclat", got)
-	}
-	if got := ixOver.chooseKernel(); got != kernelFPGrowth {
-		t.Fatalf("n = max+1: %v, want fpgrowth", got)
-	}
-	forcedKernelsAgree(t, ixAt, txs[:maxEclatTxs], 0.5, "txcount-at")
-	forcedKernelsAgree(t, ixOver, txs, 0.5, "txcount-over")
+	ixAt, ixOver := mustIndex(t, txs[:edgeTxs]), mustIndex(t, txs)
+	eclatMatchesApriori(t, ixAt, txs[:edgeTxs], 0.5, "txcount-at")
+	eclatMatchesApriori(t, ixOver, txs, 0.5, "txcount-over")
 }
 
 func TestChooseKernelDensityBoundary(t *testing.T) {
@@ -100,32 +101,25 @@ func TestChooseKernelDensityBoundary(t *testing.T) {
 	if densityClears(ixUnder) {
 		t.Fatal("density = 1/65: clears the density bound, want one off under")
 	}
-	if got := ixAt.chooseKernel(); got != kernelEclat {
-		t.Fatalf("density = 1/64: %v, want eclat", got)
-	}
-	// Under the density bound the posting mix decides: every item here
-	// appears in exactly one transaction, so the whole mix is array
-	// containers and the compressed-share rule keeps Eclat.
+	// Every item here appears in exactly one transaction, so the whole
+	// posting mix is array containers.
 	if st := ixUnder.ContainerStats(); st.Arrays != 4096 || st.Bitsets != 0 || st.Runs != 0 {
 		t.Fatalf("under: container mix %+v, want all arrays", st)
 	}
-	if got := ixUnder.chooseKernel(); got != kernelEclat {
-		t.Fatalf("density = 1/65: %v, want eclat (compressed-share rule)", got)
-	}
-	// Disjoint transactions: nothing reaches a 0.5 threshold, but the
-	// kernels must agree on that emptiness too.
-	forcedKernelsAgree(t, ixAt, at, 0.5, "density-at")
-	forcedKernelsAgree(t, ixUnder, under, 0.5, "density-under")
+	// Disjoint transactions: nothing reaches a 0.5 threshold, but Eclat
+	// must agree with Apriori on that emptiness too.
+	eclatMatchesApriori(t, ixAt, at, 0.5, "density-at")
+	eclatMatchesApriori(t, ixUnder, under, 0.5, "density-under")
 }
 
 // compressedShareBoundaryCorpus engineers a posting mix sitting exactly
-// on the minEclatCompressedShare edge. 192 transactions over 256 items:
+// on the edgeCompressedShare edge. 192 transactions over 256 items:
 // items 0–63 each hit 7 transactions spread ≡ 0 (mod 3) so their
 // tidsets have 7 runs over words = 3 — bitset wins (cost 6 uint32s vs 7
 // array, 14 run) — while item 64+t appears only in transaction t, a
 // cardinality-1 array container. Share = 192/256 = 0.75 exactly, and
-// density 640/(192·256) sits under minEclatDensity, so the posting mix
-// alone decides on both sides of the edge. Dropping the last
+// density 640/(192·256) sits under edgeDensity, so the posting mix
+// alone decided on both sides of the edge. Dropping the last
 // transaction (drop=true) removes one array item and no bitset members
 // (191 is not a multiple of 3): share slips to 191/255, one off under.
 func compressedShareBoundaryCorpus(drop bool) [][]ingredient.ID {
@@ -152,58 +146,53 @@ func TestChooseKernelCompressedShareBoundary(t *testing.T) {
 	at := compressedShareBoundaryCorpus(false)
 	under := compressedShareBoundaryCorpus(true)
 	ixAt, ixUnder := mustIndex(t, at), mustIndex(t, under)
-	// Both corpora sit below the density bound, so the container-aware
-	// branch is the only thing deciding here.
+	// Both corpora sit below the density bound, so the posting mix is
+	// the only statistic on the edge here.
 	if densityClears(ixAt) || densityClears(ixUnder) {
 		t.Fatal("share corpora clear the density bound; the share edge is untested")
 	}
 	if st := ixAt.ContainerStats(); st.Bitsets != 64 || st.Arrays != 192 || st.Runs != 0 {
 		t.Fatalf("at: container mix %+v, want 64 bitsets + 192 arrays", st)
 	}
-	if got := ixAt.chooseKernel(); got != kernelEclat {
-		t.Fatalf("share = 0.75 exactly: indexed %v, want eclat (edge is inclusive)", got)
-	}
 	if st := ixUnder.ContainerStats(); st.Bitsets != 64 || st.Arrays != 191 || st.Runs != 0 {
 		t.Fatalf("under: container mix %+v, want 64 bitsets + 191 arrays", st)
 	}
-	if got := ixUnder.chooseKernel(); got != kernelFPGrowth {
-		t.Fatalf("share = 191/255: indexed %v, want fpgrowth (one off under)", got)
-	}
-	// The flip never affects results, only speed.
-	forcedKernelsAgree(t, ixAt, at, 0.03, "share-at")
-	forcedKernelsAgree(t, ixUnder, under, 0.03, "share-under")
+	eclatMatchesApriori(t, ixAt, at, 0.03, "share-at")
+	eclatMatchesApriori(t, ixUnder, under, 0.03, "share-under")
 }
 
-// forcedKernelsAgree pins result equality across explicitly forced
-// kernels at a boundary corpus — the auto heuristic may flip here by
-// design, so equality of forced runs is what proves the flip harmless.
-func forcedKernelsAgree(t *testing.T, ix *Index, txs [][]ingredient.ID, minSupport float64, label string) {
+// eclatMatchesApriori mines ix, and txs through Mine, with every run
+// of eclatRuns and fails the test unless each Result is the Apriori
+// oracle's, in canonical order; MineTop and MineSpectrum off ix must
+// agree with it too.
+func eclatMatchesApriori(t *testing.T, ix *Index, txs [][]ingredient.ID, minSupport float64, label string) {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
 	if err != nil {
 		t.Fatalf("%s: apriori: %v", label, err)
 	}
-	for _, k := range []kernelRun{fpRun, eclatRun} {
+	for _, k := range eclatRuns {
 		indexed, err := k.indexed(ix, minSupport)
 		if err != nil {
 			t.Fatalf("%s: indexed %v: %v", label, k, err)
 		}
-		if !reflect.DeepEqual(base.Sets, indexed.Sets) {
+		if indexed.N != base.N || !reflect.DeepEqual(base.Sets, indexed.Sets) {
 			t.Fatalf("%s: indexed %v diverges from apriori", label, k)
 		}
 		mined, err := k.mine(txs, minSupport)
 		if err != nil {
 			t.Fatalf("%s: Mine %v: %v", label, k, err)
 		}
-		if !reflect.DeepEqual(base.Sets, mined.Sets) {
+		if mined.N != base.N || !reflect.DeepEqual(base.Sets, mined.Sets) {
 			t.Fatalf("%s: Mine %v diverges from apriori", label, k)
 		}
 	}
+	assertGatedMines(t, ix, minSupport, base, []int{1, 25}, label)
 }
 
 // densityClears reports whether the index's column density reaches
-// minEclatDensity — the dense-sweep bound, evaluated independently of
-// chooseKernel so each boundary test names the statistic it moves.
+// edgeDensity, so each boundary test can check that its corpus sits on
+// the edge it names.
 func densityClears(ix *Index) bool {
-	return float64(ix.TotalOccurrences()) >= minEclatDensity*float64(ix.N())*float64(ix.DistinctItems())
+	return float64(ix.TotalOccurrences()) >= edgeDensity*float64(ix.N())*float64(ix.DistinctItems())
 }

@@ -11,9 +11,7 @@ import (
 // deduped unique transactions, and one posting container per distinct
 // item over the unique-transaction ids — every item, not just the ones
 // frequent at some threshold — plus a content fingerprint of the
-// indexed transactions. The postings are the index: it keeps no rows,
-// and FP-Growth, the one reader that wants rows, transposes the
-// postings of its frequent items (see rowScratch).
+// indexed transactions. The postings are the index: it keeps no rows.
 //
 // The index depends only on the corpus, never on a mining threshold,
 // so one build amortizes across every minSupport query: MineIndexed
@@ -53,6 +51,12 @@ type Index struct {
 	// every mine of this index that finds it free. Kept indexes
 	// (BuildIndex, LiveIndex snapshots) have none and draw from a pool.
 	query *eclatQuery
+}
+
+// itemCount pairs an ingredient with its support count.
+type itemCount struct {
+	item  ingredient.ID
+	count int
 }
 
 // accountBytes computes the index's real retained size: the struct
@@ -112,35 +116,6 @@ func (ix *Index) AddSupportCounts(dst []int) {
 			dst[ic.item] += ic.count
 		}
 	}
-}
-
-// chooseKernel picks the cheaper mining kernel from the index's exact
-// shape statistics: transaction count, distinct item count, density and
-// posting mix. Dense short transactions over a modest item universe —
-// recipes: size in [2, 38], mean ≈ 9, a few hundred ingredients — go to
-// the vertical kernel, and so do sparse corpora whose posting mix is
-// overwhelmingly compressed (array/run containers), because Eclat's
-// cost then follows the cardinalities, not bitmap words (see
-// minEclatCompressedShare). Anything else falls back to FP-Growth. The
-// choice never affects results, only speed.
-func (ix *Index) chooseKernel() kernel {
-	n, distinct := ix.n, len(ix.items)
-	if n == 0 || n > maxEclatTxs || distinct == 0 || distinct > maxEclatDistinct {
-		return kernelFPGrowth
-	}
-	if float64(ix.totalOcc)/(float64(n)*float64(distinct)) >= minEclatDensity {
-		return kernelEclat
-	}
-	compressed := 0
-	for _, kind := range ix.postKind {
-		if kind != containerBitset {
-			compressed++
-		}
-	}
-	if float64(compressed) >= minEclatCompressedShare*float64(distinct) {
-		return kernelEclat
-	}
-	return kernelFPGrowth
 }
 
 // ContainerStats summarizes an index's posting-container mix: how many

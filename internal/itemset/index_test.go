@@ -10,8 +10,7 @@ import (
 )
 
 // allKernelsIndexed mirrors allKernels for the indexed query phase:
-// every MineIndexed kernel (plus parallel Eclat and the adaptive
-// dispatch) must reproduce the raw Apriori Result byte-for-byte on the
+// every run of eclatRuns, and MineIndexed itself, must reproduce the raw Apriori Result byte-for-byte on the
 // transactions the index was built from.
 func allKernelsIndexed(t *testing.T, ix *Index, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
@@ -19,7 +18,7 @@ func allKernelsIndexed(t *testing.T, ix *Index, txs [][]ingredient.ID, minSuppor
 	if err != nil {
 		t.Fatalf("%s: apriori: %v", label, err)
 	}
-	for _, run := range append(forcedKernels, autoRun) {
+	for _, run := range append(eclatRuns, autoRun) {
 		got, err := run.indexed(ix, minSupport)
 		if err != nil {
 			t.Fatalf("%s: %v: %v", label, run, err)
@@ -80,7 +79,7 @@ func TestBuildIndexValidation(t *testing.T) {
 	if ix.N() != 0 || ix.DistinctItems() != 0 {
 		t.Fatalf("empty index: N=%d distinct=%d", ix.N(), ix.DistinctItems())
 	}
-	for _, k := range append(forcedKernels, autoRun) {
+	for _, k := range append(eclatRuns, autoRun) {
 		res, err := k.indexed(ix, 0.5)
 		if err != nil || res.N != 0 || len(res.Sets) != 0 {
 			t.Fatalf("empty index, kernel %v: res=%v err=%v", k, res, err)
@@ -94,7 +93,7 @@ func TestMineIndexedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sup := range []float64{0, -0.1, 1.01} {
-		for _, k := range append(forcedKernels, autoRun) {
+		for _, k := range append(eclatRuns, autoRun) {
 			if _, err := k.indexed(ix, sup); err != ErrBadSupport {
 				t.Fatalf("support %v kernel %v: want ErrBadSupport, got %v", sup, k, err)
 			}
@@ -164,8 +163,8 @@ func TestAddSupportCounts(t *testing.T) {
 }
 
 // TestIndexedDifferentialRandomized is the indexed counterpart of the
-// randomized cross-kernel sweep: over seed-stable random databases of
-// varying shape and duplication, every MineIndexed kernel must match
+// randomized differential sweep: over seed-stable random databases of
+// varying shape and duplication, every indexed run must match
 // raw Apriori byte-for-byte at every threshold.
 func TestIndexedDifferentialRandomized(t *testing.T) {
 	src := randx.New(20260808)
@@ -290,11 +289,11 @@ func TestIndexImmutableAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestIndexChooseKernelMatchesRaw: the index's kernel choice must equal
-// the documented rule evaluated on statistics recounted from the raw
-// transactions — count, distinct items, occurrences — plus the index's
-// container mix, for every corpus shape. It pins that the index's
-// shape statistics are exact, whichever path computed them.
+// TestIndexChooseKernelMatchesRaw: the shape statistics a removed
+// kernel rule used to read off the index — transaction count, distinct
+// items, occurrences and the container mix — must equal those
+// recounted from the raw transactions, for every corpus shape, so they
+// are exact whichever path computed them.
 func TestIndexChooseKernelMatchesRaw(t *testing.T) {
 	src := randx.New(99)
 	for trial := 0; trial < 30; trial++ {
@@ -322,17 +321,10 @@ func TestIndexChooseKernelMatchesRaw(t *testing.T) {
 		}
 		n, distinct := len(txs), len(seen)
 		st := ix.ContainerStats()
-		want := kernelFPGrowth
-		switch {
-		case n == 0 || n > maxEclatTxs || distinct == 0 || distinct > maxEclatDistinct:
-		case float64(occ) >= minEclatDensity*float64(n)*float64(distinct):
-			want = kernelEclat
-		case float64(st.Arrays+st.Runs) >= minEclatCompressedShare*float64(distinct):
-			want = kernelEclat
-		}
-		if got := ix.chooseKernel(); got != want {
-			t.Fatalf("trial %d: Index.chooseKernel() = %v, rule on raw statistics = %v (mix %+v)",
-				trial, got, want, st)
+		if ix.N() != n || ix.DistinctItems() != distinct || ix.TotalOccurrences() != occ ||
+			st.Arrays+st.Bitsets+st.Runs != distinct {
+			t.Fatalf("trial %d: N %d, distinct %d, occurrences %d, mix %+v; raw recount %d, %d, %d",
+				trial, ix.N(), ix.DistinctItems(), ix.TotalOccurrences(), st, n, distinct, occ)
 		}
 	}
 }

@@ -5,9 +5,8 @@
 // Every mine has one shape: an IndexBuilder turns the transactions into
 // an Index — validated, fingerprinted, deduped into weighted unique
 // transactions, with one posting container per item — and MineIndexed
-// runs a kernel over it: FP-Growth or the Eclat vertical kernel, both
-// producing byte-identical canonical results. The index picks the
-// cheaper kernel for its own shape; no caller chooses one.
+// runs the Eclat vertical kernel over it. There is one kernel; no
+// caller chooses one.
 // IndexBuilder.SpectrumOfSets mines unsorted item sets, such as a
 // model's recipes, at one support: it indexes only their frequent
 // items, one unweighted transaction per set with any, and returns the
@@ -15,18 +14,18 @@
 // then mine); BuildIndex and IndexCache serve indexes that are queried
 // many times; the replicate ensembles reuse one builder per worker.
 // Apriori over raw transactions, in the package's tests, is the
-// independent oracle the differential and fuzz tests check every kernel
+// independent oracle the differential and fuzz tests check the kernel
 // against.
 //
 // Most answers need less than a full Result: MineTop builds only the
 // first K sets (and counts the rest), MineSpectrum only the counts, in
-// order. Both run the same kernels behind a count gate that drops a set
+// order. Both run the same kernel behind a count gate that drops a set
 // before it is written (order.go).
 //
 // Canonical order: every Result lists its sets by count descending,
 // then size ascending, then items in lexicographic order — a total
-// order, so Results are reflect.DeepEqual across kernels, worker counts
-// and runs. The indexed kernels reach it without comparisons: they emit
+// order, so Results are reflect.DeepEqual across worker counts, root
+// rules and runs. The kernel reaches it without comparisons: it emits
 // item positions into set sinks, and a linear-time radix assembly
 // (order.go) orders and gathers them into the Result. Only the tests'
 // raw Apriori sorts with the comparator, sortCanonical, which is also

@@ -70,21 +70,10 @@ func TestAprioriClassic(t *testing.T) {
 	}
 }
 
-func TestFPGrowthClassic(t *testing.T) {
-	resA, _ := Apriori(classicTxs(), 2.0/9)
-	resF, err := FPGrowth(classicTxs(), 2.0/9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resF)) {
-		t.Fatalf("FP-Growth disagrees with Apriori:\nA: %v\nF: %v", resA.Sets, resF.Sets)
-	}
-}
-
 func TestMinersCanonicalOrderIdentical(t *testing.T) {
 	resA, _ := Apriori(classicTxs(), 2.0/9)
-	resF, _ := FPGrowth(classicTxs(), 2.0/9)
-	if !reflect.DeepEqual(resA.Sets, resF.Sets) {
+	resE, _ := Eclat(classicTxs(), 2.0/9)
+	if !reflect.DeepEqual(resA.Sets, resE.Sets) {
 		t.Fatal("canonical ordering differs between miners")
 	}
 }
@@ -105,12 +94,12 @@ func TestMinersAgreeOnRandomData(t *testing.T) {
 		}
 		for _, sup := range []float64{0.05, 0.1, 0.3, 0.6} {
 			resA, errA := Apriori(txs, sup)
-			resF, errF := FPGrowth(txs, sup)
-			if errA != nil || errF != nil {
-				t.Fatal(errA, errF)
+			resE, errE := Eclat(txs, sup)
+			if errA != nil || errE != nil {
+				t.Fatal(errA, errE)
 			}
-			if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resF)) {
-				t.Fatalf("trial %d sup %v: miners disagree\nA: %v\nF: %v", trial, sup, resA.Sets, resF.Sets)
+			if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resE)) {
+				t.Fatalf("trial %d sup %v: miners disagree\nA: %v\nE: %v", trial, sup, resA.Sets, resE.Sets)
 			}
 		}
 	}
@@ -124,7 +113,7 @@ func TestSupportBoundary(t *testing.T) {
 		txs[i] = tx(1)
 	}
 	txs[0] = tx(1, 7)
-	res, err := FPGrowth(txs, 0.05)
+	res, err := Eclat(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +122,14 @@ func TestSupportBoundary(t *testing.T) {
 		t.Fatalf("item at exactly 5%% support must be frequent: %v", res.Sets)
 	}
 	// Below the boundary it must be excluded.
-	res2, _ := FPGrowth(txs, 0.051)
+	res2, _ := Eclat(txs, 0.051)
 	if _, ok := setsAsMap(res2)[fingerprint(tx(7))]; ok {
 		t.Fatal("item below threshold included")
 	}
 }
 
 func TestEmptyTransactions(t *testing.T) {
-	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, FPGrowth} {
+	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, Eclat} {
 		res, err := mine(nil, 0.05)
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +141,7 @@ func TestEmptyTransactions(t *testing.T) {
 }
 
 func TestBadSupportRejected(t *testing.T) {
-	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, FPGrowth} {
+	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, Eclat} {
 		for _, s := range []float64{0, -0.1, 1.01} {
 			if _, err := mine(classicTxs(), s); err != ErrBadSupport {
 				t.Fatalf("support %v: want ErrBadSupport, got %v", s, err)
@@ -166,17 +155,17 @@ func TestUnsortedTransactionRejected(t *testing.T) {
 	if _, err := Apriori(bad, 0.5); err == nil {
 		t.Fatal("Apriori accepted unsorted transaction")
 	}
-	if _, err := FPGrowth(bad, 0.5); err == nil {
-		t.Fatal("FPGrowth accepted unsorted transaction")
+	if _, err := Eclat(bad, 0.5); err == nil {
+		t.Fatal("Eclat accepted unsorted transaction")
 	}
 	dup := [][]ingredient.ID{{1, 1, 2}}
-	if _, err := FPGrowth(dup, 0.5); err == nil {
+	if _, err := Eclat(dup, 0.5); err == nil {
 		t.Fatal("duplicate items accepted")
 	}
 }
 
 func TestSingleTransaction(t *testing.T) {
-	res, err := FPGrowth([][]ingredient.ID{tx(1, 2, 3)}, 1.0)
+	res, err := Eclat([][]ingredient.ID{tx(1, 2, 3)}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +180,7 @@ func TestMonotonicity(t *testing.T) {
 	txs := classicTxs()
 	prev := -1
 	for _, sup := range []float64{0.1, 0.2, 0.3, 0.5, 0.8, 1.0} {
-		res, err := FPGrowth(txs, sup)
+		res, err := Eclat(txs, sup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +194,7 @@ func TestMonotonicity(t *testing.T) {
 func TestDownwardClosure(t *testing.T) {
 	// Every subset of a frequent itemset must itself be frequent, with
 	// count >= the superset's.
-	res, err := FPGrowth(classicTxs(), 2.0/9)
+	res, err := Eclat(classicTxs(), 2.0/9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +229,7 @@ func TestCountsExact(t *testing.T) {
 	for i := range txs {
 		txs[i] = tx(src.SampleInts(8, 1+src.Intn(5))...)
 	}
-	res, err := FPGrowth(txs, 0.05)
+	res, err := Eclat(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +247,7 @@ func TestCountsExact(t *testing.T) {
 }
 
 func TestResultSupports(t *testing.T) {
-	res, _ := FPGrowth(classicTxs(), 2.0/9)
+	res, _ := Eclat(classicTxs(), 2.0/9)
 	sup := res.Supports()
 	if len(sup) != len(res.Sets) {
 		t.Fatal("Supports length mismatch")
@@ -278,7 +267,7 @@ func TestResultSupports(t *testing.T) {
 }
 
 func TestMaxSize(t *testing.T) {
-	res, _ := FPGrowth(classicTxs(), 2.0/9)
+	res, _ := Eclat(classicTxs(), 2.0/9)
 	if got := res.MaxSize(); got != 3 {
 		t.Fatalf("MaxSize = %d, want 3", got)
 	}
@@ -340,32 +329,16 @@ func TestFingerprintWideIDs(t *testing.T) {
 		tx(257, 65793), tx(257, 65793),
 	}
 	resA, errA := Apriori(txs, 0.3)
-	resF, errF := FPGrowth(txs, 0.3)
-	if errA != nil || errF != nil {
-		t.Fatal(errA, errF)
+	resE, errE := Eclat(txs, 0.3)
+	if errA != nil || errE != nil {
+		t.Fatal(errA, errE)
 	}
-	if !reflect.DeepEqual(resA.Sets, resF.Sets) {
-		t.Fatalf("miners disagree on wide IDs:\nA: %v\nF: %v", resA.Sets, resF.Sets)
+	if !reflect.DeepEqual(resA.Sets, resE.Sets) {
+		t.Fatalf("miners disagree on wide IDs:\nA: %v\nE: %v", resA.Sets, resE.Sets)
 	}
 	got := setsAsMap(resA)
 	if got[fingerprint(tx(257))] != 4 || got[fingerprint(tx(65793))] != 4 {
 		t.Fatalf("wide-ID singleton counts wrong: %v", resA.Sets)
-	}
-}
-
-func BenchmarkFPGrowth1000x9(b *testing.B) {
-	src := randx.New(7)
-	txs := make([][]ingredient.ID, 1000)
-	ws := randx.NewWeightedSampler(zipfWeights(400))
-	for i := range txs {
-		picks := ws.DrawDistinct(src, 9)
-		txs[i] = tx(picks...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FPGrowth(txs, 0.05); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

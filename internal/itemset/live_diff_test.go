@@ -14,10 +14,10 @@ import (
 // The live-index proof layer: a metamorphic differential harness driving
 // randomized op streams (append / delete / snapshot / mine
 // interleavings) against LiveIndex and asserting that every snapshot is
-// byte-identical — structurally, by fingerprint, and through every
-// mining kernel serial and parallel — to a from-scratch BuildIndex over
-// the equivalent frozen corpus. This is the same discipline that pinned
-// each kernel to the Apriori oracle: if these pass, the incremental
+// byte-identical — structurally, by fingerprint, and through the mining
+// kernel serial and parallel — to a from-scratch BuildIndex over the
+// equivalent frozen corpus. This is the same discipline that pins the
+// kernel to the Apriori oracle: if these pass, the incremental
 // write path can never change a query's bytes.
 
 // soakRuns makes `make soak` escalation meaningful: `go test -count=N`
@@ -116,7 +116,7 @@ func (tr *liveTrial) delete(t *testing.T, src *randx.Source, maxBatch int) {
 // verify is the metamorphic assertion: snapshot each live index (whole
 // plus every region view), rebuild the equivalent frozen corpus from
 // scratch, and require structural identity plus byte-identical mining
-// through every kernel at randomized thresholds.
+// through every run of the kernel at randomized thresholds.
 func (tr *liveTrial) verify(t *testing.T, src *randx.Source, label string) {
 	t.Helper()
 	type liveView struct {
@@ -155,7 +155,7 @@ func (tr *liveTrial) verify(t *testing.T, src *randx.Source, label string) {
 			t.Fatalf("%s: snapshot structurally differs from BuildIndex", vlabel)
 		}
 		// Two random thresholds per checkpoint; allKernelsIndexed runs
-		// FP-Growth, Eclat serial+parallel and auto against the
+		// Eclat serial+parallel and auto against the
 		// raw Apriori oracle, so byte-identity of snapshot mining to
 		// from-scratch mining is transitive through it.
 		for i := 0; i < 2; i++ {
@@ -314,7 +314,7 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 		}
 	}()
 
-	kernels := append(forcedKernels, autoRun)
+	kernels := append(eclatRuns, autoRun)
 	for r := 0; r < 6; r++ {
 		wg.Add(1)
 		go func(r int) { // reader
@@ -343,7 +343,7 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 						return
 					}
 					if !reflect.DeepEqual(base, got) {
-						t.Errorf("reader %d: kernels diverge on one snapshot", r)
+						t.Errorf("reader %d: runs diverge on one snapshot", r)
 						return
 					}
 				}

@@ -9,8 +9,8 @@ import (
 	"cuisinevol/internal/ingredient"
 )
 
-// Canonical order without comparisons. The indexed kernels never build
-// Itemsets while they mine: each worker emits into a setSink, which
+// Canonical order without comparisons. The indexed kernel never builds
+// Itemsets while it mines: each worker emits into a setSink, which
 // stores each set as its ascending Index item positions. canonOrder
 // then assembles the Result from the sinks with stable counting passes
 // only:
@@ -81,8 +81,8 @@ func (s *setSink) reset() {
 // A set's count is at most each of its items' counts, so the
 // histogram spans [lo, largest item count]. Every frequent item is a
 // set of the mine, so the top-th largest item count is at most c_K and
-// cut starts there: kernels that emit singletons in ascending count,
-// or late, then keep no more than the sets that can win.
+// cut starts there: a kernel that emits singletons in ascending count
+// then keeps no more than the sets that can win.
 func (s *setSink) arm(top, lo int, items []itemCount) {
 	s.reset()
 	hi := 0
@@ -115,8 +115,8 @@ func kthCount(hist []int, lo, top int) int {
 }
 
 // keep tallies count if the gate is armed and reports whether the
-// kernel should add the set. Kernels ask before they write or order any
-// position, so a dropped set costs one histogram increment.
+// kernel should add the set. The kernel asks before it writes or
+// orders any position, so a dropped set costs one histogram increment.
 func (s *setSink) keep(count int) bool {
 	return s.keepN(count, 1)
 }

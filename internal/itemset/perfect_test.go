@@ -69,8 +69,7 @@ func nonClosed(full *Result) int {
 	return len(open)
 }
 
-// TestPerfectExtensionCorpora checks forced Eclat and forced FP-Growth,
-// over one and two workers, against raw Apriori on corpora rich in
+// TestPerfectExtensionCorpora checks Eclat, over one and two workers, against raw Apriori on corpora rich in
 // perfect extensions: the full Result, MineTop at tops 1, 25 and past
 // the total (the head of the full Result, and its size as the total),
 // and MineSpectrum (the full Result's counts).
@@ -115,7 +114,7 @@ func TestPerfectExtensionEveryTop(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2} {
-			run := kernelRun{k: kernelEclat, workers: w}
+			run := kernelRun{workers: w}
 			for top := 1; top <= len(full.Sets); top++ {
 				res, total, err := run.top(ix, 0.1, top)
 				if err != nil {
@@ -163,8 +162,7 @@ func TestPerfectExtensionDeepFamily(t *testing.T) {
 	}
 }
 
-// assertMatchesFull holds forced Eclat and FP-Growth, serial and over
-// two workers, to full, the raw Apriori Result of txs at sup.
+// assertMatchesFull holds Eclat, serial and over two workers, to full, the raw Apriori Result of txs at sup.
 func assertMatchesFull(t *testing.T, txs [][]ingredient.ID, sup float64, full *Result, label string) {
 	t.Helper()
 	ix, err := BuildIndex(txs)
@@ -175,36 +173,34 @@ func assertMatchesFull(t *testing.T, txs [][]ingredient.ID, sup float64, full *R
 	for i, s := range full.Sets {
 		counts[i] = s.Count
 	}
-	for _, k := range []kernel{kernelEclat, kernelFPGrowth} {
-		for _, w := range []int{1, 2} {
-			run := kernelRun{k: k, workers: w}
-			got, err := run.mine(txs, sup)
+	for _, w := range []int{1, 2} {
+		run := kernelRun{workers: w}
+		got, err := run.mine(txs, sup)
+		if err != nil {
+			t.Fatalf("%s: %v: %v", label, run, err)
+		}
+		if !reflect.DeepEqual(got, full) {
+			t.Fatalf("%s: %v differs from apriori\ngot:  %v\nwant: %v", label, run, got.Sets, full.Sets)
+		}
+		for _, top := range []int{1, 25, len(full.Sets) + 1} {
+			res, total, err := run.top(ix, sup, top)
 			if err != nil {
-				t.Fatalf("%s: %v: %v", label, run, err)
+				t.Fatalf("%s: %v top %d: %v", label, run, top, err)
 			}
-			if !reflect.DeepEqual(got, full) {
-				t.Fatalf("%s: %v differs from apriori\ngot:  %v\nwant: %v", label, run, got.Sets, full.Sets)
+			want := &Result{N: full.N, Sets: full.Sets[:min(top, len(full.Sets))]}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("%s: %v top %d differs from the head of the full mine\ngot:  %v\nwant: %v", label, run, top, res.Sets, want.Sets)
 			}
-			for _, top := range []int{1, 25, len(full.Sets) + 1} {
-				res, total, err := run.top(ix, sup, top)
-				if err != nil {
-					t.Fatalf("%s: %v top %d: %v", label, run, top, err)
-				}
-				want := &Result{N: full.N, Sets: full.Sets[:min(top, len(full.Sets))]}
-				if !reflect.DeepEqual(res, want) {
-					t.Fatalf("%s: %v top %d differs from the head of the full mine\ngot:  %v\nwant: %v", label, run, top, res.Sets, want.Sets)
-				}
-				if total != len(full.Sets) {
-					t.Fatalf("%s: %v top %d: total %d, full mine has %d sets", label, run, top, total, len(full.Sets))
-				}
+			if total != len(full.Sets) {
+				t.Fatalf("%s: %v top %d: total %d, full mine has %d sets", label, run, top, total, len(full.Sets))
 			}
-			sp, err := run.spectrum(ix, sup)
-			if err != nil {
-				t.Fatalf("%s: %v spectrum: %v", label, run, err)
-			}
-			if sp.N != full.N || !slices.Equal(sp.Counts, counts) {
-				t.Fatalf("%s: %v spectrum N %d %v, want N %d %v", label, run, sp.N, sp.Counts, full.N, counts)
-			}
+		}
+		sp, err := run.spectrum(ix, sup)
+		if err != nil {
+			t.Fatalf("%s: %v spectrum: %v", label, run, err)
+		}
+		if sp.N != full.N || !slices.Equal(sp.Counts, counts) {
+			t.Fatalf("%s: %v spectrum N %d %v, want N %d %v", label, run, sp.N, sp.Counts, full.N, counts)
 		}
 	}
 }
@@ -222,7 +218,7 @@ func TestMineCountOverflow(t *testing.T) {
 	big := tx(items...)
 	var builder IndexBuilder
 	start := time.Now()
-	for _, run := range []kernelRun{eclatRun, {k: kernelEclat, workers: 2}, autoRun} {
+	for _, run := range []kernelRun{eclatRun, {workers: 2}, autoRun} {
 		ix, err := builder.Build([][]ingredient.ID{big, big})
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +263,7 @@ func TestMineHugeFamilyCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range []kernelRun{eclatRun, {k: kernelEclat, workers: 2}} {
+	for _, run := range []kernelRun{eclatRun, {workers: 2}} {
 		res, total, err := run.top(ix, 1, 3)
 		if err != nil || total != 1<<40-1 {
 			t.Fatalf("%v: total %d, err %v; want %d", run, total, err, 1<<40-1)

@@ -16,14 +16,14 @@ func TestMiningOrderInvariance(t *testing.T) {
 	for i := range txs {
 		txs[i] = tx(src.SampleInts(15, 2+src.Intn(6))...)
 	}
-	base, err := FPGrowth(txs, 0.05)
+	base, err := Eclat(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
 		shuffled := append([][]ingredient.ID(nil), txs...)
 		src.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		got, err := FPGrowth(shuffled, 0.05)
+		got, err := Eclat(shuffled, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +39,11 @@ func TestMiningOrderInvariance(t *testing.T) {
 func TestMiningDuplicateTransactions(t *testing.T) {
 	txs := classicTxs()
 	doubled := append(append([][]ingredient.ID(nil), txs...), txs...)
-	a, err := FPGrowth(txs, 2.0/9)
+	a, err := Eclat(txs, 2.0/9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FPGrowth(doubled, 2.0/9)
+	b, err := Eclat(doubled, 2.0/9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,11 @@ func TestMiningDuplicateTransactions(t *testing.T) {
 	}
 }
 
-// TestFPGrowthAprioriEquivalence: the flat-memory FP-Growth kernel and
-// Apriori must agree — byte-for-byte in canonical order — on randomized
+// TestEclatAprioriEquivalence: the Eclat kernel and Apriori must agree — byte-for-byte in canonical order — on randomized
 // duplicate-heavy transaction pools (the replicate-ensemble shape, where
 // recipes are copies by construction) across a minSupport sweep,
 // including empty and singleton edge cases.
-func TestFPGrowthAprioriEquivalence(t *testing.T) {
+func TestEclatAprioriEquivalence(t *testing.T) {
 	src := randx.New(4242)
 	supports := []float64{0.02, 0.05, 0.1, 0.25, 0.5, 1.0}
 	for trial := 0; trial < 25; trial++ {
@@ -90,13 +89,13 @@ func TestFPGrowthAprioriEquivalence(t *testing.T) {
 		}
 		for _, sup := range supports {
 			resA, errA := Apriori(txs, sup)
-			resF, errF := FPGrowth(txs, sup)
-			if errA != nil || errF != nil {
-				t.Fatal(errA, errF)
+			resE, errE := Eclat(txs, sup)
+			if errA != nil || errE != nil {
+				t.Fatal(errA, errE)
 			}
-			if !reflect.DeepEqual(resA.Sets, resF.Sets) {
-				t.Fatalf("trial %d sup %v: kernels disagree in canonical order\nA: %v\nF: %v",
-					trial, sup, resA.Sets, resF.Sets)
+			if !reflect.DeepEqual(resA.Sets, resE.Sets) {
+				t.Fatalf("trial %d sup %v: Eclat and Apriori disagree in canonical order\nA: %v\nE: %v",
+					trial, sup, resA.Sets, resE.Sets)
 			}
 		}
 	}
@@ -112,19 +111,19 @@ func TestFPGrowthAprioriEquivalence(t *testing.T) {
 	for i, txs := range edges {
 		for _, sup := range supports {
 			resA, errA := Apriori(txs, sup)
-			resF, errF := FPGrowth(txs, sup)
-			if errA != nil || errF != nil {
-				t.Fatal(errA, errF)
+			resE, errE := Eclat(txs, sup)
+			if errA != nil || errE != nil {
+				t.Fatal(errA, errE)
 			}
-			if !reflect.DeepEqual(resA.Sets, resF.Sets) {
-				t.Fatalf("edge %d sup %v: kernels disagree\nA: %v\nF: %v", i, sup, resA.Sets, resF.Sets)
+			if !reflect.DeepEqual(resA.Sets, resE.Sets) {
+				t.Fatalf("edge %d sup %v: Eclat and Apriori disagree\nA: %v\nE: %v", i, sup, resA.Sets, resE.Sets)
 			}
 		}
 	}
 }
 
-// TestMinerScratchReuseIsClean: the pooled FP-Growth miner, fed
-// indexes back to back from one reused builder, must match the raw
+// TestMinerScratchReuseIsClean: the Eclat query state of one reused
+// builder, fed indexes back to back, must match the raw
 // Apriori oracle, and earlier results must stay intact after later
 // mines (no aliasing into recycled miner scratch or builder arenas).
 func TestMinerScratchReuseIsClean(t *testing.T) {
@@ -145,7 +144,7 @@ func TestMinerScratchReuseIsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fpRun.indexed(ix, 0.05)
+		got, err := eclatRun.indexed(ix, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +169,7 @@ func TestSupersetTransactionsOnlyGrowCounts(t *testing.T) {
 	for i := range txs {
 		txs[i] = tx(src.SampleInts(10, 2+src.Intn(4))...)
 	}
-	base, err := FPGrowth(txs, 0.05)
+	base, err := Eclat(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestSupersetTransactionsOnlyGrowCounts(t *testing.T) {
 	for i, x := range txs {
 		wider[i] = append(append([]ingredient.ID(nil), x...), 99)
 	}
-	grown, err := FPGrowth(wider, 0.05)
+	grown, err := Eclat(wider, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

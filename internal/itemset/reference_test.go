@@ -9,10 +9,10 @@ import (
 	"cuisinevol/internal/ingredient"
 )
 
-// The reference miners the tests check the indexed kernels against:
-// raw level-wise Apriori, with the comparator sort that defines the
-// canonical order, and the forced-kernel runs (kernelRun) that mine an
-// index with a kernel it would not choose for itself.
+// The reference miner the tests check the indexed kernel against: raw
+// level-wise Apriori, with the comparator sort that defines the
+// canonical order. The kernel runs (kernelRun) mine an index at a
+// chosen worker count and root rule.
 
 // Apriori mines all frequent itemsets of size >= 1 with relative support
 // >= minSupport using the classical level-wise algorithm. Transactions
@@ -102,16 +102,14 @@ func sortCanonical(sets []Itemset) {
 	})
 }
 
-// kernelRun is one way the tests mine: kernel k forced, at a worker
-// count (only Eclat fans out; FP-Growth ignores it), or, with auto, the
-// index's own choice through the exported entry points, as every mine
-// outside the tests runs.
+// kernelRun is one way the tests mine: the Eclat kernel at a worker
+// count and root rule, or, with auto, through the exported entry
+// points, as every mine outside the tests runs.
 type kernelRun struct {
-	k       kernel
 	workers int
 	auto    bool
-	// denseK, when non-zero, replaces densifyK as forced Eclat's root
-	// rule constant: neverDense keeps every compressed root posting,
+	// denseK, when non-zero, replaces densifyK as the root rule
+	// constant: neverDense keeps every compressed root posting,
 	// alwaysDense decodes them all.
 	denseK int
 }
@@ -122,22 +120,18 @@ const (
 )
 
 var (
-	fpRun    = kernelRun{k: kernelFPGrowth}
-	eclatRun = kernelRun{k: kernelEclat}
+	eclatRun = kernelRun{}
 	autoRun  = kernelRun{auto: true}
 )
 
-// forcedKernels are the runs every kernel takes: FP-Growth and Eclat,
-// serially and over four workers.
-var forcedKernels = []kernelRun{fpRun, eclatRun, {k: kernelEclat, workers: 4}}
+// eclatRuns are the runs every test corpus takes: the kernel on one
+// worker and on four.
+var eclatRuns = []kernelRun{{workers: 1}, {workers: 4}}
 
 func (r kernelRun) String() string {
-	name := "fpgrowth"
-	switch {
-	case r.auto:
+	name := "eclat"
+	if r.auto {
 		name = "auto"
-	case r.k == kernelEclat:
-		name = "eclat"
 	}
 	if r.denseK != 0 {
 		return fmt.Sprintf("%s/workers=%d/denseK=%d", name, r.workers, r.denseK)
@@ -145,22 +139,16 @@ func (r kernelRun) String() string {
 	return fmt.Sprintf("%s/workers=%d", name, r.workers)
 }
 
-// gated is mineGated with r's kernel.
+// gated is the kernel at r's worker count and root rule.
 func (r kernelRun) gated(ix *Index, minSupport float64, g *gate) (*Result, error) {
-	if r.auto {
-		return mineGated(ix, minSupport, MineOptions{Workers: r.workers}, g)
+	k := densifyK
+	if r.denseK != 0 {
+		k = r.denseK
 	}
-	if r.k == kernelEclat {
-		k := densifyK
-		if r.denseK != 0 {
-			k = r.denseK
-		}
-		return eclatMineIndexed(ix, minSupport, r.workers, g, k)
-	}
-	return fpGrowthIndexed(ix, minSupport, g)
+	return eclatMineIndexed(ix, minSupport, r.workers, g, k)
 }
 
-// indexed is MineIndexed with r's kernel.
+// indexed is MineIndexed run as r says.
 func (r kernelRun) indexed(ix *Index, minSupport float64) (*Result, error) {
 	if r.auto {
 		return MineIndexed(ix, minSupport, MineOptions{Workers: r.workers})
@@ -168,7 +156,7 @@ func (r kernelRun) indexed(ix *Index, minSupport float64) (*Result, error) {
 	return r.gated(ix, minSupport, nil)
 }
 
-// mine is Mine with r's kernel.
+// mine is Mine run as r says.
 func (r kernelRun) mine(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
 	if r.auto {
 		return Mine(txs, minSupport, MineOptions{Workers: r.workers})
@@ -184,7 +172,7 @@ func (r kernelRun) mine(txs [][]ingredient.ID, minSupport float64) (*Result, err
 	return r.gated(ix, minSupport, nil)
 }
 
-// top is MineTop with r's kernel.
+// top is MineTop run as r says.
 func (r kernelRun) top(ix *Index, minSupport float64, top int) (*Result, int, error) {
 	if r.auto {
 		return MineTop(ix, minSupport, top, MineOptions{Workers: r.workers})
@@ -194,7 +182,7 @@ func (r kernelRun) top(ix *Index, minSupport float64, top int) (*Result, int, er
 	return res, g.total, err
 }
 
-// spectrum is MineSpectrum with r's kernel.
+// spectrum is MineSpectrum run as r says.
 func (r kernelRun) spectrum(ix *Index, minSupport float64) (Spectrum, error) {
 	if r.auto {
 		return MineSpectrum(ix, minSupport, MineOptions{Workers: r.workers})
@@ -207,12 +195,7 @@ func (r kernelRun) spectrum(ix *Index, minSupport float64) (Spectrum, error) {
 	return Spectrum{Counts: g.spectrum, N: res.N}, nil
 }
 
-// FPGrowth is Mine with the FP-tree kernel forced.
-func FPGrowth(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	return fpRun.mine(txs, minSupport)
-}
-
-// Eclat is Mine with the vertical kernel forced.
+// Eclat is Mine with the kernel run serially off a one-shot builder.
 func Eclat(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
 	return eclatRun.mine(txs, minSupport)
 }

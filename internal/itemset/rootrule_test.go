@@ -122,7 +122,7 @@ func TestRootRuleEquivalence(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3} {
 			for _, k := range []int{neverDense, densifyK, alwaysDense} {
-				run := kernelRun{k: kernelEclat, workers: workers, denseK: k}
+				run := kernelRun{workers: workers, denseK: k}
 				label := fmt.Sprintf("%s %v", c.name, run)
 				got, err := run.indexed(ix, support)
 				if err != nil {

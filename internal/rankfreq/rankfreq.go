@@ -22,15 +22,9 @@ type Distribution struct {
 // Len returns the number of ranks in the distribution.
 func (d Distribution) Len() int { return len(d.Freqs) }
 
-// FromResult converts a mining result into a rank-frequency distribution.
-// Canonical result order already has non-increasing supports.
-func FromResult(label string, res *itemset.Result) Distribution {
-	return Distribution{Label: label, Freqs: res.Supports()}
-}
-
 // FromSpectrum converts a mine's spectrum into a rank-frequency
-// distribution: the same series FromResult builds from the full
-// Result, with no set built and no sort.
+// distribution: the supports of the full Result in canonical order
+// (Result.Supports), with no set built and no sort.
 func FromSpectrum(label string, sp itemset.Spectrum) Distribution {
 	freqs := make([]float64, len(sp.Counts))
 	for i, c := range sp.Counts {

@@ -3,33 +3,10 @@ package rankfreq
 import (
 	"math"
 	"testing"
-
-	"cuisinevol/internal/ingredient"
-	"cuisinevol/internal/itemset"
 )
 
 func dist(label string, freqs ...float64) Distribution {
 	return Distribution{Label: label, Freqs: freqs}
-}
-
-func TestFromResult(t *testing.T) {
-	txs := [][]ingredient.ID{
-		{1, 2}, {1, 2}, {1, 3}, {1}, {2},
-	}
-	res, err := itemset.Mine(txs, 0.2, itemset.MineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := FromResult("X", res)
-	if d.Label != "X" {
-		t.Fatal("label lost")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() == 0 || d.Freqs[0] != 0.8 { // item 1 in 4/5 recipes
-		t.Fatalf("top frequency = %v, want 0.8", d.Freqs)
-	}
 }
 
 func TestValidate(t *testing.T) {

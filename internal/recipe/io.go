@@ -74,44 +74,3 @@ func (c *Corpus) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV reads a corpus written by WriteCSV, resolving ingredient names
-// through the lexicon's exact lookup.
-func ReadCSV(r io.Reader, lex *ingredient.Lexicon) (*Corpus, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("recipe: reading CSV header: %w", err)
-	}
-	if len(header) != 5 || header[0] != "id" {
-		return nil, fmt.Errorf("recipe: unexpected CSV header %v", header)
-	}
-	c := NewCorpus(lex)
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("recipe: line %d: %w", line, err)
-		}
-		var ids []ingredient.ID
-		for _, name := range strings.Split(rec[4], "|") {
-			id, ok := lex.Lookup(name)
-			if !ok {
-				return nil, fmt.Errorf("recipe: line %d: unknown ingredient %q", line, name)
-			}
-			ids = append(ids, id)
-		}
-		if err := c.Add(Recipe{
-			Region:      rec[1],
-			Continent:   rec[2],
-			Name:        rec[3],
-			Ingredients: ids,
-		}); err != nil {
-			return nil, fmt.Errorf("recipe: line %d: %w", line, err)
-		}
-	}
-	return c, nil
-}

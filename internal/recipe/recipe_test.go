@@ -291,34 +291,3 @@ func TestReadJSONLRejectsCorrupt(t *testing.T) {
 		t.Fatal("invalid recipe accepted")
 	}
 }
-
-func TestCSVRoundTrip(t *testing.T) {
-	c := sampleCorpus(t)
-	var buf bytes.Buffer
-	if err := c.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, lex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != c.Len() {
-		t.Fatalf("CSV round trip: %d != %d", got.Len(), c.Len())
-	}
-	for i := 0; i < c.Len(); i++ {
-		a, b := got.Get(i), c.Get(i)
-		if a.Region != b.Region || !reflect.DeepEqual(a.Ingredients, b.Ingredients) {
-			t.Fatalf("recipe %d mismatch", i)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("bogus,header\n"), lex); err == nil {
-		t.Fatal("bad header accepted")
-	}
-	csv := "id,region,continent,name,ingredients\n0,ITA,Europe,x,unobtainium\n"
-	if _, err := ReadCSV(strings.NewReader(csv), lex); err == nil {
-		t.Fatal("unknown ingredient accepted")
-	}
-}

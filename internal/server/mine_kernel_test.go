@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestMineKernelParam: /v1/mine has no kernel parameter — the index
-// picks its kernel — so kernel= is an unknown parameter, ignored like
-// any other. A request naming a kernel, known or not, is served from
+// TestMineKernelParam: /v1/mine has no kernel parameter — every mine
+// runs the one Eclat kernel — so kernel= is an unknown parameter,
+// ignored like any other. A request naming a kernel, known or not, is served from
 // the default request's cache entry without a computation.
 func TestMineKernelParam(t *testing.T) {
 	srv, ts := newTestServer(t)

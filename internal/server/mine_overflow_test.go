@@ -60,9 +60,9 @@ func TestMineTooManySetsIsBadRequest(t *testing.T) {
 
 // TestMineHugeFamilyWithKernelParam serves two identical 38-item
 // recipes at support 1: 2^38−1 frequent sets, which an int counts.
-// Sent with kernel=fpgrowth, the mine is still the index's own choice,
-// which counts the family without walking it, so the request answers
-// 200 with that total at once.
+// Sent with kernel=fpgrowth, which the server ignores, the mine still
+// runs Eclat, which counts the family without walking it, so the
+// request answers 200 with that total at once.
 func TestMineHugeFamilyWithKernelParam(t *testing.T) {
 	ts := twinRecipeServer(t, 38)
 	resp, body := get(t, ts, "/v1/mine?region=ITA&support=1&kernel=fpgrowth")
